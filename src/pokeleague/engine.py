@@ -20,6 +20,7 @@ Mechanics summary (level 50, no IVs/EVs):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -593,12 +594,15 @@ def _check_battle_end(state, rng, events):
         events.append({"kind": "BattleEnded", "winner": winner})
         return
     if state.turn_number > state.turn_limit:
-        fractions = [
-            sum(b.current_hp / b.max_hp for b in state.sides[s].team) for s in (0, 1)
+        # Sums of HP fractions, compared exactly over a common denominator:
+        # float sums can round a tie apart (0.1 + 0.2 > 0.3).
+        common = math.lcm(*(b.max_hp for side in state.sides for b in side.team))
+        scores = [
+            sum(b.current_hp * (common // b.max_hp) for b in state.sides[s].team) for s in (0, 1)
         ]
-        if fractions[0] > fractions[1]:
+        if scores[0] > scores[1]:
             winner = 0
-        elif fractions[1] > fractions[0]:
+        elif scores[1] > scores[0]:
             winner = 1
         else:
             winner = rng.coin()

@@ -277,6 +277,8 @@ class MatchRunner:
         }
         state, init_events = init_battle(
             self.dex, team_names[0], team_names[1], seed, self.config.turn_limit)
+        # Each state is digested once; its digest is the next step's pre_digest.
+        digest = storage.state_digest(state)
         log_path = self.log_dir / log_name
 
         # Sampling parameters of LLM-backed sides, recorded for reproducibility.
@@ -296,7 +298,7 @@ class MatchRunner:
                 agents={"a": agents[0].agent_id, "b": agents[1].agent_id},
                 teams={"a": list(teams[0].indices), "b": list(teams[1].indices)},
                 team_names={"a": team_names[0], "b": team_names[1]},
-                initial_digest=storage.state_digest(state),
+                initial_digest=digest,
                 config=self.config.to_dict(),
                 provider_params=provider_params,
             ))
@@ -310,8 +312,7 @@ class MatchRunner:
                     exchanges=exchanges, errors=errors))
             log.append(storage.events_record(
                 match_id=match_id, turn=0, phase=storage.EVENTS_INIT,
-                events=init_events, pre_digest=None,
-                post_digest=storage.state_digest(state)))
+                events=init_events, pre_digest=None, post_digest=digest))
 
             while not state.ended:
                 turn = state.turn_number
@@ -329,12 +330,12 @@ class MatchRunner:
                         reasoning=decision.reasoning, fallback_used=fallback,
                         exchanges=exchanges, errors=errors,
                         context=self._decision_context(state, side, legal)))
-                pre = storage.state_digest(state)
+                pre = digest
                 state, events = resolve_turn(state, actions[0], actions[1], self.dex)
+                digest = storage.state_digest(state)
                 log.append(storage.events_record(
                     match_id=match_id, turn=turn, phase=storage.EVENTS_TURN,
-                    events=events, pre_digest=pre,
-                    post_digest=storage.state_digest(state)))
+                    events=events, pre_digest=pre, post_digest=digest))
 
                 while not state.ended and any(needs_replacement(state, s) for s in (0, 1)):
                     replacements: dict[int, Action] = {}
@@ -354,12 +355,13 @@ class MatchRunner:
                             reasoning=decision.reasoning, fallback_used=fallback,
                             exchanges=exchanges, errors=errors,
                             context=self._decision_context(state, side, legal)))
-                    pre = storage.state_digest(state)
+                    pre = digest
                     state, events = resolve_replacements(state, replacements, self.dex)
+                    digest = storage.state_digest(state)
                     log.append(storage.events_record(
                         match_id=match_id, turn=state.turn_number,
                         phase=storage.EVENTS_REPLACE, events=events,
-                        pre_digest=pre, post_digest=storage.state_digest(state)))
+                        pre_digest=pre, post_digest=digest))
 
         return GameSummary(
             game_index=game_index, winner_side=state.winner,

@@ -14,6 +14,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator
 
@@ -45,15 +46,84 @@ class DigestMismatch(StorageError):
         super().__init__(f"replay diverged at turn {turn}" + (f": {detail}" if detail else ""))
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_json(obj: object) -> str:
     """Stable serialization used for digests and byte-equality checks."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _CANONICAL.encode(obj)
+
+
+def _optional(value: object) -> str:
+    """canonical_json(value), with None and int formatted directly."""
+    if value is None:
+        return "null"
+    return str(value) if type(value) is int else _CANONICAL.encode(value)
+
+
+@lru_cache(maxsize=4096)
+def _battler_fragments(
+    species: str,
+    types: tuple[str, ...],
+    level: int,
+    max_hp: int,
+    moves: tuple[str, ...],
+    stat_names: tuple[str, ...],
+    stat_values: tuple[int, ...],
+) -> tuple[str, str]:
+    """The canonical JSON of a battler's fixed fields, split around "status".
+
+    Keys sort as current_hp < level .. stats < status < types, so a
+    battler encodes as '{"current_hp":N' + head + status + tail.
+    """
+    head = _CANONICAL.encode({
+        "level": level, "max_hp": max_hp, "moves": list(moves),
+        "species": species, "stats": dict(zip(stat_names, stat_values)),
+    })
+    tail = _CANONICAL.encode({"types": list(types)})
+    return "," + head[1:-1] + ',"status":', "," + tail[1:]
+
+
+def state_json(state: BattleState) -> str:
+    """canonical_json(state.to_dict()), byte for byte, without building the dicts.
+
+    Keys are written in their sorted order.  The fixed fields of each
+    battler come from a bounded cache keyed by their values, so only HP,
+    status and the side and battle scalars are formatted per call.
+    """
+    sides = []
+    for side in state.sides:
+        team = []
+        for b in side.team:
+            stats = b.stats
+            head, tail = _battler_fragments(
+                b.species, tuple(b.types), b.level, b.max_hp, tuple(b.moves),
+                tuple(stats), tuple(stats.values()))
+            status = b.status
+            status_json = ("null" if status is None else
+                           f'{{"kind":{_CANONICAL.encode(status.kind)},'
+                           f'"turns_left":{status.turns_left}}}')
+            team.append(f'{{"current_hp":{b.current_hp}{head}{status_json}{tail}')
+        revealed = ",".join(map(str, sorted(side.revealed)))
+        sides.append(f'{{"active_index":{side.active_index},"revealed":[{revealed}],'
+                     f'"team":[{",".join(team)}]}}')
+    return (f'{{"end_reason":{_optional(state.end_reason)},'
+            f'"rng_position":{state.rng_position},"rng_seed":{state.rng_seed},'
+            f'"sides":[{",".join(sides)}],'
+            f'"turn_limit":{state.turn_limit},"turn_number":{state.turn_number},'
+            f'"weather":{{"kind":{_optional(state.weather)},'
+            f'"remaining":{_optional(state.weather_remaining)}}},'
+            f'"winner":{_optional(state.winner)}}}')
 
 
 def state_digest(state: BattleState) -> str:
-    """64-bit digest of the canonical state serialization."""
-    raw = canonical_json(state.to_dict()).encode("utf-8")
-    return hashlib.sha256(raw).hexdigest()[:16]
+    """64-bit digest of the canonical state serialization.
+
+    The serialization is state_json(state), which must equal
+    canonical_json(state.to_dict()) byte for byte: digest values are part
+    of the log format.
+    """
+    return hashlib.sha256(state_json(state).encode("utf-8")).hexdigest()[:16]
 
 
 class MatchLog:
@@ -206,8 +276,11 @@ def replay_walk(records: list[dict], dex: Dex) -> Iterator[tuple[dict, BattleSta
     """Re-run the engine over a log, yielding (record, state before record).
 
     Digests are verified as the walk progresses; any divergence raises
-    DigestMismatch with the offending turn.  The recomputed event lists
-    must also match the logged ones byte for byte.
+    DigestMismatch with the offending turn.  Each state is digested once:
+    the initial digest is checked against the meta record and the init
+    record, and every later pre_digest against the post-state digest
+    already verified.  The recomputed event lists must also match the
+    logged ones byte for byte.
     """
     meta = records[0]
     state, init_events = init_battle(
@@ -217,6 +290,9 @@ def replay_walk(records: list[dict], dex: Dex) -> Iterator[tuple[dict, BattleSta
         meta["seed"],
         meta["turn_limit"],
     )
+    digest = state_digest(state)
+    if meta.get("initial_digest") != digest:
+        raise DigestMismatch(0, "initial digest")
     pending_actions: dict[int, Action] = {}
     pending_replacements: dict[int, Action] = {}
 
@@ -238,21 +314,23 @@ def replay_walk(records: list[dict], dex: Dex) -> Iterator[tuple[dict, BattleSta
             elif record["phase"] == EVENTS_TURN:
                 if set(pending_actions) != {0, 1}:
                     raise IncompleteLog(f"turn {turn}: missing battle decisions")
-                if record["pre_digest"] != state_digest(state):
+                if record["pre_digest"] != digest:
                     raise DigestMismatch(turn, "pre-state digest")
                 state, recomputed = resolve_turn(
                     state, pending_actions[0], pending_actions[1], dex)
+                digest = state_digest(state)
                 pending_actions = {}
             elif record["phase"] == EVENTS_REPLACE:
                 if not pending_replacements:
                     raise IncompleteLog(f"turn {turn}: missing replacement decisions")
-                if record["pre_digest"] != state_digest(state):
+                if record["pre_digest"] != digest:
                     raise DigestMismatch(turn, "pre-state digest")
                 state, recomputed = resolve_replacements(state, pending_replacements, dex)
+                digest = state_digest(state)
                 pending_replacements = {}
             else:
                 raise StorageError(f"unknown events phase {record['phase']!r}")
-            if record["post_digest"] != state_digest(state):
+            if record["post_digest"] != digest:
                 raise DigestMismatch(turn, "post-state digest")
             if canonical_json(record["events"]) != canonical_json(recomputed):
                 raise DigestMismatch(turn, "event payload")

@@ -481,6 +481,23 @@ def test_turn_cap_tiebreak(dex):
     assert any(e["kind"] == "BattleEnded" for e in events)
 
 
+def test_turn_cap_tiebreak_compares_exact_fractions(dex):
+    """1/10 + 2/10 against 3/10 is a tie, though 0.1 + 0.2 > 0.3 in floats."""
+    def capped_turn(hp_a, hp_b, seed):
+        state, _ = fresh_battle(dex, team_a=["Blissey"] + TEAM_A[1:],
+                                team_b=["Blissey"] + TEAM_B[1:], seed=seed, turn_limit=1)
+        for side, hps in ((0, hp_a), (1, hp_b)):
+            for battler, hp in zip(state.sides[side].team, hps):
+                battler.max_hp, battler.current_hp = 100, hp
+        wave = dex.species["Blissey"].moves.index("Thunder Wave")
+        nxt, _ = resolve_turn(state, Action.attack(wave), Action.attack(wave), dex)
+        assert nxt.end_reason == "TurnCapTieBreak"
+        return nxt.winner
+
+    seed = next(s for s in range(50) if capped_turn([30] + [0] * 5, [30] + [0] * 5, s) == 1)
+    assert capped_turn([10, 20] + [0] * 4, [30] + [0] * 5, seed) == 1
+
+
 def test_resolve_turn_after_end_raises(dex):
     state, _ = fresh_battle(dex)
     state.winner = 1
