@@ -8,12 +8,12 @@ from .engine import (
     legal_actions, resolve_turn, view_for,
 )
 from .agents import AgentDecision, AgentProfile, GreedyAgent, RandomAgent, TeamPick
-from .league import LeagueConfig, MatchRunner, TournamentConfig, run_match, run_tournament
+from .league import LeagueConfig, MatchRunner, TournamentConfig, run_tournament
 
 __all__ = [
     "Action", "AgentDecision", "AgentProfile", "BattleState", "Dex",
     "GreedyAgent", "LeagueConfig", "MatchRunner", "RandomAgent", "TeamPick",
     "TournamentConfig", "compute_damage", "compute_stats", "default_dex_path",
-    "init_battle", "legal_actions", "load_dex", "resolve_turn", "run_match",
-    "run_tournament", "type_multiplier", "view_for",
+    "init_battle", "legal_actions", "load_dex", "resolve_turn", "run_tournament",
+    "type_multiplier", "view_for",
 ]

@@ -9,11 +9,11 @@ whole matches replay exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from .dex import Dex, type_multiplier
-from .engine import Action, BattleView, BattlerState, StatusState, compute_stats, compute_damage
+from .engine import Action, BattleView, BattlerState, StatusState, compute_stats, expected_damage
 from .rng import SeededStream, stable_hash64
 
 TEAM_SIZE = 6
@@ -72,7 +72,6 @@ class AgentProfile:
     provider: str = ""
     model: str = ""
     script: str = ""
-    params: dict = field(default_factory=dict)
 
     @property
     def label(self) -> str:
@@ -88,7 +87,6 @@ class AgentProfile:
             provider=raw.get("provider", ""),
             model=raw.get("model", ""),
             script=raw.get("script", ""),
-            params=raw.get("params", {}),
         )
 
 
@@ -208,15 +206,6 @@ class GreedyAgent:
             battler.status = StatusState(own.status, own.sleep_turns_left)
         return battler
 
-    def _expected_damage(self, view: BattleView, attacker: BattlerState,
-                         defender: BattlerState, move_index: int) -> int:
-        move = self.dex.moves[attacker.moves[move_index]]
-        if not move.is_damaging:
-            return 0
-        outcome = compute_damage(attacker, defender, move, self.dex.chart,
-                                 weather=view.weather, crit=False, roll=100)
-        return outcome.damage
-
     def choose_action(self, view: BattleView, legal: Sequence[Action]) -> AgentDecision:
         attacks = [a for a in legal if a.is_attack]
         switches = [a for a in legal if not a.is_attack]
@@ -224,7 +213,9 @@ class GreedyAgent:
 
         if attacks:
             attacker = self._own_battler(view)
-            damages = {a.index: self._expected_damage(view, attacker, opponent, a.index)
+            damages = {a.index: expected_damage(attacker, opponent,
+                                                self.dex.moves[attacker.moves[a.index]],
+                                                self.dex.chart, view.weather)
                        for a in attacks}
             best = max(damages.values())
             if best > 0:

@@ -1,10 +1,11 @@
 """Evaluation metrics and reports computed from match logs.
 
 All metrics are pure functions of the logs.  Attack quality has two
-independent routes: the direct route reads the per-decision context that
-the league recorded at decision time, and the replay route reconstructs
-every state through the engine and recomputes the same numbers; tests
-assert the two agree.
+routes: the direct route reads the per-decision context that the league
+recorded at decision time, and the replay route rebuilds every state
+independently of that context, by replaying the logged decisions through
+the engine, and recomputes the same numbers; tests assert the two agree.
+Both routes rank moves by the same rule, engine.expected_damage.
 
 Rates reported per agent:
   win_rate                  wins / matches
@@ -30,7 +31,7 @@ from pathlib import Path
 
 from . import storage
 from .dex import Dex, type_multiplier
-from .engine import compute_damage
+from .engine import expected_damage
 
 SUPER_EFFECTIVE_THRESHOLD = 2.0
 
@@ -237,15 +238,8 @@ def move_efficiency_via_replay(path: str | Path, dex: Dex, agent_id: str) -> dic
         chosen_move = dex.moves[own.moves[action_raw["move_index"]]]
         if type_multiplier(dex.chart, chosen_move.move_type, opponent.types) >= SUPER_EFFECTIVE_THRESHOLD:
             effective += 1
-        damages = []
-        for move_name in own.moves:
-            move = dex.moves[move_name]
-            if not move.is_damaging:
-                damages.append(0)
-                continue
-            damages.append(compute_damage(
-                own, opponent, move, dex.chart,
-                weather=state.weather, crit=False, roll=100).damage)
+        damages = [expected_damage(own, opponent, dex.moves[m], dex.chart, state.weather)
+                   for m in own.moves]
         if damages[action_raw["move_index"]] == max(damages):
             optimal += 1
     if not attacks:

@@ -98,14 +98,6 @@ class Species:
     moves: tuple[str, str, str, str]
     auto_weather: str | None = None
 
-    @property
-    def base_stat_total(self) -> int:
-        return sum(self.base_stats[k] for k in STAT_KEYS)
-
-    @property
-    def primary_type(self) -> str:
-        return self.types[0]
-
 
 @dataclass(frozen=True)
 class Dex:
@@ -116,12 +108,6 @@ class Dex:
     moves: dict[str, MoveDef]
     species: dict[str, Species]
     pool: tuple[str, ...] = field(default_factory=tuple)
-
-    def pool_species(self, index: int) -> Species:
-        return self.species[self.pool[index]]
-
-    def species_moves(self, species: Species) -> list[MoveDef]:
-        return [self.moves[m] for m in species.moves]
 
     def with_pool(self, pool: Sequence[str]) -> "Dex":
         """Return a copy drafting from a different ordered species list."""

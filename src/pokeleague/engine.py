@@ -347,6 +347,19 @@ def compute_damage(
     return DamageOutcome(damage=damage, effectiveness=effectiveness, stab=stab)
 
 
+def expected_damage(
+    attacker: BattlerState,
+    defender: BattlerState,
+    move: MoveDef,
+    chart: TypeChart,
+    weather: str | None,
+) -> int:
+    """The damage agents and metrics rank moves by: roll 100, no crit, 0 for status moves."""
+    if not move.is_damaging:
+        return 0
+    return compute_damage(attacker, defender, move, chart, weather=weather).damage
+
+
 # ---------------------------------------------------------------------------
 # turn resolution
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import requests
@@ -149,13 +149,7 @@ class ProviderConfig:
         return ProviderConfig(**raw)
 
     def to_dict(self) -> dict:
-        return {
-            "provider": self.provider, "endpoint": self.endpoint, "model": self.model,
-            "api_key_env": self.api_key_env, "temperature": self.temperature,
-            "max_tokens": self.max_tokens, "timeout_s": self.timeout_s,
-            "max_retries": self.max_retries, "backoff_ms": self.backoff_ms,
-            "max_repair_attempts": self.max_repair_attempts,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -534,8 +528,6 @@ def complete(
             bucket.acquire()
         try:
             status, payload = send(url, headers, body, config.timeout_s)
-        except RequestTimeout as exc:
-            last_error = exc
         except GatewayError as exc:
             last_error = exc
         else:
@@ -598,7 +590,11 @@ class LlmAgent:
         self.last_trace = trace
         current = prompt
         for _ in range(1 + self.config.max_repair_attempts):
-            exchange = self._completer(current, kind)
+            try:
+                exchange = self._completer(current, kind)
+            except GatewayError as err:
+                trace.errors.append(f"{type(err).__name__}: {err}")
+                raise AgentFailure(trace, f"provider call failed: {err}") from err
             trace.exchanges.append(exchange)
             try:
                 value, reasoning = parse(exchange.response_text)

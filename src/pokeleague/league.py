@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -22,9 +22,11 @@ from .agents import (
 )
 from .dex import Dex, load_dex, type_multiplier
 from .engine import (
-    Action, BattleState, DEFAULT_TURN_LIMIT, compute_damage, init_battle,
-    legal_actions, needs_replacement, resolve_replacements, resolve_turn, view_for,
+    Action, BattleState, DEFAULT_TURN_LIMIT, expected_damage, init_battle, legal_actions,
+    view_for,
 )
+# Not called here (storage.play_battle is); benchmarks/tracing.py wraps league.<name>.
+from .engine import resolve_replacements, resolve_turn  # noqa: F401
 from .gateway import AgentFailure, LlmAgent, ProviderConfig, make_mock_agent
 from .rng import stable_hash64
 
@@ -49,12 +51,7 @@ class LeagueConfig:
     jobs: int = 1
 
     def to_dict(self) -> dict:
-        return {
-            "turn_limit": self.turn_limit, "best_of": self.best_of,
-            "disqualify_on_failure": self.disqualify_on_failure,
-            "draft_per_match": self.draft_per_match,
-            "include_history": self.include_history, "jobs": self.jobs,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -128,11 +125,7 @@ class GameSummary:
     log_file: str
 
     def to_dict(self) -> dict:
-        return {
-            "game_index": self.game_index, "winner_side": self.winner_side,
-            "turn_count": self.turn_count, "end_reason": self.end_reason,
-            "log_file": self.log_file,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -151,18 +144,19 @@ class MatchResult:
     log_files: list[str]
 
     def to_dict(self) -> dict:
-        return {
-            "match_id": self.match_id, "agent_a": self.agent_a, "agent_b": self.agent_b,
-            "teams": self.teams, "winner": self.winner, "loser": self.loser,
-            "winner_side": self.winner_side, "turn_count": self.turn_count,
-            "end_reason": self.end_reason, "seed": self.seed,
-            "games": [g.to_dict() for g in self.games], "log_files": self.log_files,
-        }
+        return asdict(self)
 
 
 class _Forfeit(Exception):
     def __init__(self, side: int):
         self.side = side
+
+
+def _audit(trace) -> tuple[list[dict], list[str]]:
+    """The logged exchanges and errors of an LLM decision trace; none for scripted agents."""
+    if trace is None:
+        return [], []
+    return [e.to_dict() for e in trace.exchanges], list(trace.errors)
 
 
 class MatchRunner:
@@ -192,13 +186,9 @@ class MatchRunner:
         except AgentFailure as failure:
             if self.config.disqualify_on_failure:
                 raise
-            team = fallback_team(len(pool_view))
-            return (team, "", True,
-                    [e.to_dict() for e in failure.trace.exchanges], failure.trace.errors)
-        trace = getattr(agent, "last_trace", None)
-        exchanges = [e.to_dict() for e in trace.exchanges] if trace else []
-        errors = list(trace.errors) if trace else []
-        return decision.team, decision.reasoning, False, exchanges, errors
+            return fallback_team(len(pool_view)), "", True, *_audit(failure.trace)
+        return (decision.team, decision.reasoning, False,
+                *_audit(getattr(agent, "last_trace", None)))
 
     def _team_for(self, agent: Agent, pool_view) -> tuple[TeamPick, str, bool, list, list]:
         if not self.config.draft_per_match and agent.agent_id in self._cached_teams:
@@ -219,17 +209,11 @@ class MatchRunner:
             if not action.is_attack:
                 continue
             move = self.dex.moves[own.moves[action.index]]
-            effectiveness = type_multiplier(self.dex.chart, move.move_type, opponent.types)
-            if move.is_damaging:
-                expected = compute_damage(
-                    own, opponent, move, self.dex.chart,
-                    weather=state.weather, crit=False, roll=100).damage
-            else:
-                expected = 0
             attacks.append({
-                "move_index": action.index, "move": move.name,
-                "type": move.move_type, "effectiveness": effectiveness,
-                "expected_damage": expected,
+                "move_index": action.index, "move": move.name, "type": move.move_type,
+                "effectiveness": type_multiplier(self.dex.chart, move.move_type, opponent.types),
+                "expected_damage": expected_damage(
+                    own, opponent, move, self.dex.chart, state.weather),
             })
         return {
             "own_species": own.species,
@@ -249,16 +233,12 @@ class MatchRunner:
         except AgentFailure as failure:
             if self.config.disqualify_on_failure:
                 raise _Forfeit(side)
-            return (AgentDecision(action=fallback_action(legal)), True,
-                    [e.to_dict() for e in failure.trace.exchanges], failure.trace.errors)
+            return AgentDecision(action=fallback_action(legal)), True, *_audit(failure.trace)
         if decision.action not in legal:
             raise RuntimeError(
                 f"agent {agent.agent_id} returned illegal action {decision.action} "
                 "(harness bug: agents must be validated upstream)")
-        trace = getattr(agent, "last_trace", None)
-        exchanges = [e.to_dict() for e in trace.exchanges] if trace else []
-        errors = list(trace.errors) if trace else []
-        return decision, False, exchanges, errors
+        return decision, False, *_audit(getattr(agent, "last_trace", None))
 
     # -- one game --------------------------------------------------------
 
@@ -277,8 +257,6 @@ class MatchRunner:
         }
         state, init_events = init_battle(
             self.dex, team_names[0], team_names[1], seed, self.config.turn_limit)
-        # Each state is digested once; its digest is the next step's pre_digest.
-        digest = storage.state_digest(state)
         log_path = self.log_dir / log_name
 
         # Sampling parameters of LLM-backed sides, recorded for reproducibility.
@@ -289,6 +267,21 @@ class MatchRunner:
                 provider_params["a" if side == 0 else "b"] = provider.to_dict()
 
         with storage.MatchLog(log_path) as log:
+            def choose(state: BattleState, side: int, phase: str) -> Action:
+                view = view_for(state, side)
+                legal = legal_actions(state, side)
+                decision, fallback, exchanges, errors = self._decide_action(
+                    agents[side], side, view, legal)
+                log.append(storage.decision_record(
+                    match_id=match_id, turn=state.turn_number, agent_id=agents[side].agent_id,
+                    side=side, phase=phase, decision={"action": decision.action.to_dict()},
+                    reasoning=decision.reasoning, fallback_used=fallback,
+                    exchanges=exchanges, errors=errors,
+                    context=self._decision_context(state, side, legal)))
+                return decision.action
+
+            steps = storage.play_battle(state, init_events, self.dex, match_id, choose)
+            init_record, _ = next(steps)
             log.append(storage.meta_record(
                 match_id=match_id,
                 tournament_id=self.tournament_id,
@@ -298,7 +291,7 @@ class MatchRunner:
                 agents={"a": agents[0].agent_id, "b": agents[1].agent_id},
                 teams={"a": list(teams[0].indices), "b": list(teams[1].indices)},
                 team_names={"a": team_names[0], "b": team_names[1]},
-                initial_digest=digest,
+                initial_digest=init_record["post_digest"],
                 config=self.config.to_dict(),
                 provider_params=provider_params,
             ))
@@ -310,58 +303,10 @@ class MatchRunner:
                     decision={"team": list(teams[side].indices)},
                     reasoning=reasoning, fallback_used=fallback,
                     exchanges=exchanges, errors=errors))
-            log.append(storage.events_record(
-                match_id=match_id, turn=0, phase=storage.EVENTS_INIT,
-                events=init_events, pre_digest=None, post_digest=digest))
+            log.append(init_record)
 
-            while not state.ended:
-                turn = state.turn_number
-                actions: dict[int, Action] = {}
-                for side in (0, 1):
-                    view = view_for(state, side)
-                    legal = legal_actions(state, side)
-                    decision, fallback, exchanges, errors = self._decide_action(
-                        agents[side], side, view, legal)
-                    actions[side] = decision.action
-                    log.append(storage.decision_record(
-                        match_id=match_id, turn=turn, agent_id=agents[side].agent_id,
-                        side=side, phase=storage.PHASE_BATTLE,
-                        decision={"action": decision.action.to_dict()},
-                        reasoning=decision.reasoning, fallback_used=fallback,
-                        exchanges=exchanges, errors=errors,
-                        context=self._decision_context(state, side, legal)))
-                pre = digest
-                state, events = resolve_turn(state, actions[0], actions[1], self.dex)
-                digest = storage.state_digest(state)
-                log.append(storage.events_record(
-                    match_id=match_id, turn=turn, phase=storage.EVENTS_TURN,
-                    events=events, pre_digest=pre, post_digest=digest))
-
-                while not state.ended and any(needs_replacement(state, s) for s in (0, 1)):
-                    replacements: dict[int, Action] = {}
-                    for side in (0, 1):
-                        if not needs_replacement(state, side):
-                            continue
-                        view = view_for(state, side)
-                        legal = legal_actions(state, side)
-                        decision, fallback, exchanges, errors = self._decide_action(
-                            agents[side], side, view, legal)
-                        replacements[side] = decision.action
-                        log.append(storage.decision_record(
-                            match_id=match_id, turn=state.turn_number,
-                            agent_id=agents[side].agent_id, side=side,
-                            phase=storage.PHASE_FORCED_REPLACE,
-                            decision={"action": decision.action.to_dict()},
-                            reasoning=decision.reasoning, fallback_used=fallback,
-                            exchanges=exchanges, errors=errors,
-                            context=self._decision_context(state, side, legal)))
-                    pre = digest
-                    state, events = resolve_replacements(state, replacements, self.dex)
-                    digest = storage.state_digest(state)
-                    log.append(storage.events_record(
-                        match_id=match_id, turn=state.turn_number,
-                        phase=storage.EVENTS_REPLACE, events=events,
-                        pre_digest=pre, post_digest=digest))
+            for record, state in steps:
+                log.append(record)
 
         return GameSummary(
             game_index=game_index, winner_side=state.winner,
@@ -446,23 +391,6 @@ class MatchRunner:
             turn_count=sum(g.turn_count for g in games),
             end_reason=end_reason, seed=seed,
             games=games, log_files=[g.log_file for g in games])
-
-
-def run_match(
-    agent_a: Agent,
-    agent_b: Agent,
-    dex: Dex,
-    config: LeagueConfig,
-    seed: int,
-    *,
-    log_dir: str | Path = "logs",
-    match_id: str = "m0",
-    dex_fingerprint: str = "",
-    teams_override: tuple[TeamPick, TeamPick] | None = None,
-) -> MatchResult:
-    """Convenience wrapper around MatchRunner for one-off matches."""
-    runner = MatchRunner(dex, config, log_dir, dex_fingerprint)
-    return runner.run_match(agent_a, agent_b, seed, match_id, teams_override)
 
 
 # ---------------------------------------------------------------------------

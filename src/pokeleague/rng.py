@@ -41,10 +41,6 @@ class SeededStream:
             raise ValueError(f"empty range [{low}, {high}]")
         return low + self._next_u64() % (high - low + 1)
 
-    def random(self) -> float:
-        """Uniform float in [0, 1)."""
-        return self._next_u64() / 2**64
-
     def percent_roll(self, percent: int) -> bool:
         """True with probability percent/100, using one integer draw."""
         return self.randint(1, 100) <= percent
@@ -58,9 +54,6 @@ class SeededStream:
         if length <= 0:
             raise ValueError("cannot choose from an empty sequence")
         return self.randint(0, length - 1)
-
-    def clone(self) -> "SeededStream":
-        return SeededStream(self.seed, self.position)
 
     def __repr__(self) -> str:
         return f"SeededStream(seed={self.seed}, position={self.position})"

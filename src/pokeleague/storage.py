@@ -3,8 +3,10 @@
 Each match writes one JSONL file.  Records carry a "kind" discriminator:
 "meta" (seeds, teams, config), "decision" (prompt, raw response, parsed
 decision, rationale), and "events" (engine events with pre/post state
-digests).  Replay re-runs the engine over the logged actions and checks
-every digest, so any nondeterminism or corruption is pinpointed to a
+digests).  Live play and replay run one turn protocol, play_battle: live
+play feeds it agent decisions and logs the events records it yields;
+replay feeds it the logged decisions and checks every record it yields
+against the log, so any nondeterminism or corruption is pinpointed to a
 turn.
 """
 
@@ -16,10 +18,12 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .dex import Dex
-from .engine import Action, BattleState, init_battle, resolve_replacements, resolve_turn
+from .engine import (
+    Action, BattleState, init_battle, needs_replacement, resolve_replacements, resolve_turn,
+)
 
 SCHEMA_VERSION = "1.0"
 
@@ -240,6 +244,48 @@ def events_record(
 
 
 # ---------------------------------------------------------------------------
+# the turn protocol
+# ---------------------------------------------------------------------------
+
+def play_battle(
+    state: BattleState,
+    init_events: list[dict],
+    dex: Dex,
+    match_id: str,
+    choose: Callable[[BattleState, int, str], Action],
+) -> Iterator[tuple[dict, BattleState]]:
+    """The turn protocol that live play and replay share.
+
+    Yields the init events record, then for each turn the turn record
+    and one record per round of forced replacements, each with the state
+    after it.  choose(state, side, phase) supplies each side's action,
+    battle actions for side 0 then side 1 and replacements in side order.
+    Each state is digested once: its digest is the post_digest of its
+    record and the pre_digest of the next.
+    """
+    digest = state_digest(state)
+    yield events_record(match_id=match_id, turn=0, phase=EVENTS_INIT, events=init_events,
+                        pre_digest=None, post_digest=digest), state
+    while not state.ended:
+        turn = state.turn_number
+        action_a = choose(state, 0, PHASE_BATTLE)
+        action_b = choose(state, 1, PHASE_BATTLE)
+        pre = digest
+        state, events = resolve_turn(state, action_a, action_b, dex)
+        digest = state_digest(state)
+        yield events_record(match_id=match_id, turn=turn, phase=EVENTS_TURN, events=events,
+                            pre_digest=pre, post_digest=digest), state
+        while pending := [side for side in (0, 1) if needs_replacement(state, side)]:
+            replacements = {side: choose(state, side, PHASE_FORCED_REPLACE) for side in pending}
+            pre = digest
+            state, events = resolve_replacements(state, replacements, dex)
+            digest = state_digest(state)
+            yield events_record(match_id=match_id, turn=state.turn_number,
+                                phase=EVENTS_REPLACE, events=events,
+                                pre_digest=pre, post_digest=digest), state
+
+
+# ---------------------------------------------------------------------------
 # reading and replay
 # ---------------------------------------------------------------------------
 
@@ -273,68 +319,71 @@ class ReplayResult:
 
 
 def replay_walk(records: list[dict], dex: Dex) -> Iterator[tuple[dict, BattleState]]:
-    """Re-run the engine over a log, yielding (record, state before record).
+    """Re-run a log through play_battle, yielding (decision record, state it was made in).
 
-    Digests are verified as the walk progresses; any divergence raises
-    DigestMismatch with the offending turn.  Each state is digested once:
-    the initial digest is checked against the meta record and the init
-    record, and every later pre_digest against the post-state digest
-    already verified.  The recomputed event lists must also match the
-    logged ones byte for byte.
+    The logged decisions drive the battle.  Every events record play_battle
+    yields must equal the logged one (pre digest, post digest, then event
+    payload; DigestMismatch names the turn) and the initial digest must
+    equal the meta record's.  A missing decision or a log that stops
+    before the battle ends raises IncompleteLog; a decision or events
+    record after the end raises StorageError.  Ends with
+    ({"kind": "end"}, final state).
     """
     meta = records[0]
+    teams = meta["team_names"]
     state, init_events = init_battle(
-        dex,
-        meta["team_names"]["a"],
-        meta["team_names"]["b"],
-        meta["seed"],
-        meta["turn_limit"],
-    )
-    digest = state_digest(state)
-    if meta.get("initial_digest") != digest:
-        raise DigestMismatch(0, "initial digest")
-    pending_actions: dict[int, Action] = {}
-    pending_replacements: dict[int, Action] = {}
+        dex, teams["a"], teams["b"], meta["seed"], meta["turn_limit"])
+    logged = iter([r for r in records[1:] if r.get("kind") in ("decision", "events")])
+    made: list[tuple[dict, BattleState]] = []
 
-    for record in records[1:]:
+    def next_logged(turn: int) -> dict:
+        record = next(logged, None)
+        if record is None:
+            raise IncompleteLog(f"turn {turn}: log ends before the battle ended")
+        return record
+
+    def choose(state: BattleState, side: int, phase: str) -> Action:
+        record = next_logged(state.turn_number)
+        if record["kind"] != "decision" or (record["side"], record["phase"]) != (side, phase):
+            what = "battle" if phase == PHASE_BATTLE else "replacement"
+            raise IncompleteLog(f"turn {state.turn_number}: missing {what} decisions")
+        made.append((record, state))
+        return Action.from_dict(record["decision"]["action"])
+
+    steps = play_battle(state, init_events, dex, meta["match_id"], choose)
+    expected, _ = next(steps)
+    if meta.get("initial_digest") != expected["post_digest"]:
+        raise DigestMismatch(0, "initial digest")
+    record = next_logged(0)
+    while record["kind"] == "decision" and record["phase"] == PHASE_TEAM_SELECT:
         yield record, state
-        kind = record.get("kind")
-        if kind == "decision":
-            if record["phase"] == PHASE_TEAM_SELECT:
-                continue
-            action = Action.from_dict(record["decision"]["action"])
-            if record["phase"] == PHASE_FORCED_REPLACE:
-                pending_replacements[record["side"]] = action
-            else:
-                pending_actions[record["side"]] = action
-        elif kind == "events":
-            turn = record["turn"]
-            if record["phase"] == EVENTS_INIT:
-                recomputed = init_events
-            elif record["phase"] == EVENTS_TURN:
-                if set(pending_actions) != {0, 1}:
-                    raise IncompleteLog(f"turn {turn}: missing battle decisions")
-                if record["pre_digest"] != digest:
-                    raise DigestMismatch(turn, "pre-state digest")
-                state, recomputed = resolve_turn(
-                    state, pending_actions[0], pending_actions[1], dex)
-                digest = state_digest(state)
-                pending_actions = {}
-            elif record["phase"] == EVENTS_REPLACE:
-                if not pending_replacements:
-                    raise IncompleteLog(f"turn {turn}: missing replacement decisions")
-                if record["pre_digest"] != digest:
-                    raise DigestMismatch(turn, "pre-state digest")
-                state, recomputed = resolve_replacements(state, pending_replacements, dex)
-                digest = state_digest(state)
-                pending_replacements = {}
-            else:
-                raise StorageError(f"unknown events phase {record['phase']!r}")
-            if record["post_digest"] != digest:
-                raise DigestMismatch(turn, "post-state digest")
-            if canonical_json(record["events"]) != canonical_json(recomputed):
-                raise DigestMismatch(turn, "event payload")
+        record = next_logged(0)
+    _check_step(record, expected)
+    for expected, state in steps:
+        yield from made
+        made.clear()
+        _check_step(next_logged(expected["turn"]), expected)
+    extra = next(logged, None)
+    if extra is not None:
+        raise StorageError(
+            f"turn {extra.get('turn')}: {extra['kind']} record after the battle ended")
     yield {"kind": "end"}, state
+
+
+def _check_step(logged: dict, expected: dict) -> None:
+    """Raise unless a logged record equals the events record play_battle produced."""
+    turn = logged.get("turn")
+    if (logged["kind"], logged["phase"]) != ("events", expected["phase"]):
+        raise StorageError(f"turn {turn}: expected {expected['phase']} events, "
+                           f"found {logged['kind']} {logged['phase']!r}")
+    if logged["pre_digest"] != expected["pre_digest"]:
+        raise DigestMismatch(turn, "pre-state digest")
+    if logged["post_digest"] != expected["post_digest"]:
+        raise DigestMismatch(turn, "post-state digest")
+    if canonical_json(logged["events"]) != canonical_json(expected["events"]):
+        raise DigestMismatch(turn, "event payload")
+    if (turn, logged["match_id"]) != (expected["turn"], expected["match_id"]):
+        raise DigestMismatch(turn, "turn or match id")
 
 
 def replay(path: str | Path, dex: Dex, expected_dex_fingerprint: str | None = None) -> ReplayResult:
@@ -345,12 +394,8 @@ def replay(path: str | Path, dex: Dex, expected_dex_fingerprint: str | None = No
         raise StorageError(
             f"dex fingerprint mismatch: log has {meta['dex_fingerprint']}, "
             f"current dex is {expected_dex_fingerprint}")
-    state: BattleState | None = None
-    for _record, walked_state in replay_walk(records, dex):
-        state = walked_state
-    assert state is not None
-    if not state.ended:
-        raise IncompleteLog(f"{path}: log ends before BattleEnded")
+    for _record, state in replay_walk(records, dex):  # ends with ({"kind": "end"}, state)
+        pass
     winner_side = state.winner
     winner_agent = meta["agents"]["a" if winner_side == 0 else "b"]
     return ReplayResult(

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from pokeleague.dex import Species
 from pokeleague.engine import (
     Action, BattleAlreadyEnded, BattlerState, IllegalActionError, NotADamagingMove,
-    StatusState, compute_damage, compute_stats, init_battle, legal_actions,
+    StatusState, compute_damage, compute_stats, expected_damage, init_battle, legal_actions,
     needs_replacement, resolve_replacements, resolve_turn, view_for,
 )
 from pokeleague.storage import canonical_json
@@ -100,6 +100,20 @@ def test_status_move_rejected(dex):
     defender = make_battler()
     with pytest.raises(NotADamagingMove):
         compute_damage(attacker, defender, dex.moves["Thunder Wave"], dex.chart)
+
+
+def test_expected_damage_is_roll_100_without_crit(dex):
+    attacker = make_battler(types=("Electric",), spa=120)
+    defender = make_battler(types=("Water",), spd=80)
+    for weather in (None, "Rain"):
+        assert expected_damage(attacker, defender, dex.moves["Thunderbolt"], dex.chart,
+                               weather) == 192
+    surf = dex.moves["Surf"]
+    rain = expected_damage(attacker, defender, surf, dex.chart, "Rain")
+    assert rain == compute_damage(attacker, defender, surf, dex.chart,
+                                  weather="Rain", roll=100).damage
+    assert rain > expected_damage(attacker, defender, surf, dex.chart, None)
+    assert expected_damage(attacker, defender, dex.moves["Thunder Wave"], dex.chart, None) == 0
 
 
 def test_burn_halves_physical_not_special(dex):

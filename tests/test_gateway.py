@@ -482,3 +482,10 @@ def test_history_flag_off_by_default_and_on_when_enabled(dex):
     second_prompt = remembering.last_trace.exchanges[0].prompt
     assert "Previous turns:" in second_prompt
     assert "Turn 3" in second_prompt
+
+
+def test_provider_config_roundtrips_every_field():
+    config = make_config(rate_capacity=5, rate_refill_per_s=2.5, temperature=0.1)
+    assert ProviderConfig.from_dict(config.to_dict()) == config
+    assert config.to_dict()["rate_capacity"] == 5
+    assert config.to_dict()["rate_refill_per_s"] == 2.5

@@ -321,3 +321,26 @@ def test_tournament_config_from_dict(tmp_path):
     assert config.league.turn_limit == 123
     assert config.providers["openai"].model == "gpt-x"
     assert config.entrants[1].script == "script.json"
+
+
+def test_provider_failure_falls_back_in_tournament(dex, tmp_path, monkeypatch):
+    from pokeleague import gateway
+
+    def unavailable(config, prompt, **kwargs):
+        raise gateway.ProviderError(503, "service unavailable")
+
+    monkeypatch.setattr(gateway, "complete", unavailable)
+    config = TournamentConfig.from_dict({
+        "entrants": [{"agent_id": "llm", "kind": "llm", "provider": "p"},
+                     {"agent_id": "greedy", "kind": "greedy"}],
+        "providers": {"p": {"provider": "openai_compatible", "endpoint": "https://x.test",
+                            "model": "m", "api_key_env": "POKELEAGUE_TEST_KEY"}},
+    })
+    result = run_tournament(config.entrants, dex, config, master_seed=4, log_dir=tmp_path)
+    assert result.champion == "greedy"
+    llm_decisions = [r for r in read_log(tmp_path / "r0m0.jsonl")
+                     if r["kind"] == "decision" and r["agent_id"] == "llm"]
+    assert {r["phase"] for r in llm_decisions} >= {"TeamSelect", "Battle"}
+    assert all(r["fallback_used"] for r in llm_decisions)
+    assert all("ProviderError" in r["errors"][-1] and "503" in r["errors"][-1]
+               for r in llm_decisions)

@@ -30,7 +30,7 @@ def test_randint_bounds(seed, n):
 def test_same_seed_same_sequence():
     a = SeededStream(7)
     b = SeededStream(7)
-    assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
+    assert [a.randint(0, 2**32) for _ in range(5)] == [b.randint(0, 2**32) for _ in range(5)]
 
 
 def test_percent_roll_extremes():
@@ -44,5 +44,5 @@ def test_position_counts_draws():
     stream = SeededStream(5)
     stream.randint(0, 9)
     stream.coin()
-    stream.random()
+    stream.choice_index(4)
     assert stream.position == 3

@@ -301,3 +301,25 @@ def test_digest_chain_links_consecutive_records(match_log):
     event_records = [r for r in records if r["kind"] == "events"]
     for previous, current in zip(event_records, event_records[1:]):
         assert previous["post_digest"] == current["pre_digest"] or current["phase"] == "init"
+
+
+def test_replay_rejects_records_after_the_end(dex, match_log, tmp_path):
+    path, _ = match_log
+    lines = path.read_text(encoding="utf-8").splitlines()
+    last_decision = next(line for line in reversed(lines)
+                         if json.loads(line)["kind"] == "decision")
+    extended = tmp_path / "extended.jsonl"
+    extended.write_text("\n".join(lines + [last_decision]) + "\n", encoding="utf-8")
+    with pytest.raises(StorageError, match="after the battle ended"):
+        replay(extended, dex)
+
+
+def test_replay_walk_yields_decisions_with_their_states(dex, match_log):
+    path, _ = match_log
+    records = read_log(path)
+    walked = list(storage.replay_walk(records, dex))
+    assert [r for r, _ in walked[:-1]] == [r for r in records if r["kind"] == "decision"]
+    for record, state in walked[:-1]:
+        assert state.turn_number == record["turn"] or record["phase"] == "TeamSelect"
+    end, final = walked[-1]
+    assert end == {"kind": "end"} and final.ended
