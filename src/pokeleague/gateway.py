@@ -146,7 +146,10 @@ class ProviderConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ProviderConfig":
-        return ProviderConfig(**raw)
+        try:
+            return ProviderConfig(**raw)
+        except TypeError as exc:  # unknown or missing keys, or a value of the wrong type
+            raise ValueError(f"bad provider config: {exc}") from None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -178,7 +181,6 @@ class DecisionTrace:
 
     exchanges: list[RawExchange] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
-    fallback_used: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -292,20 +294,29 @@ def repair_prompt(original: str, error: ParseError) -> str:
 # response parsing
 # ---------------------------------------------------------------------------
 
+# Characters extract_first_json examines, summed over every candidate start.
+# Each unbalanced "{" is scanned to the end of the text, so without a cap
+# the work grows with the square of the response length.
+MAX_SCAN_CHARS = 1_000_000
+
+
 def extract_first_json(raw: str) -> dict:
     """First JSON object found in the text, however it is wrapped.
 
     Models routinely wrap their JSON in prose or markdown fences; this
     scans for balanced top-level braces and accepts the first substring
     that parses.  Literal newlines inside strings are tolerated
-    (strict=False) since models frequently emit them.
+    (strict=False) since models frequently emit them.  The scan gives up
+    with NoJsonFound after MAX_SCAN_CHARS characters.
     """
+    budget = MAX_SCAN_CHARS
     start = raw.find("{")
     while start != -1:
+        stop = min(len(raw), start + budget)
         depth = 0
         in_string = False
         escaped = False
-        for pos in range(start, len(raw)):
+        for pos in range(start, stop):
             ch = raw[pos]
             if in_string:
                 if escaped:
@@ -324,11 +335,15 @@ def extract_first_json(raw: str) -> dict:
                     candidate = raw[start:pos + 1]
                     try:
                         obj = json.loads(candidate, strict=False)
-                    except json.JSONDecodeError:
+                    except (json.JSONDecodeError, RecursionError):  # nested too deep
                         break
                     if isinstance(obj, dict):
                         return obj
                     break
+        else:
+            if stop < len(raw):
+                raise NoJsonFound(f"gave up after scanning {MAX_SCAN_CHARS} characters")
+        budget -= pos + 1 - start
         start = raw.find("{", start + 1)
     raise NoJsonFound("no JSON object in response")
 
@@ -614,6 +629,8 @@ class LlmAgent:
         return AgentDecision(team=team, reasoning=reasoning)
 
     def choose_action(self, view: BattleView, legal: Sequence[Action]) -> AgentDecision:
+        if view.turn_number == 1:  # a game's first battle decision: history covers one game
+            self._history.clear()
         history = tuple(self._history[-10:]) if self.include_history else ()
         prompt = build_battle_prompt(view, legal, self.dex, history)
         action, reasoning = self._decide(

@@ -50,6 +50,11 @@ class LeagueConfig:
     include_history: bool = False
     jobs: int = 1
 
+    def __post_init__(self):
+        # A match ends when one side holds a majority of its games.
+        if type(self.best_of) is not int or self.best_of < 1 or self.best_of % 2 == 0:
+            raise ConfigError(f"best_of must be a positive odd integer, got {self.best_of!r}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -148,15 +153,10 @@ class MatchResult:
 
 
 class _Forfeit(Exception):
+    """A side failed under disqualify_on_failure and loses the match."""
+
     def __init__(self, side: int):
         self.side = side
-
-
-def _audit(trace) -> tuple[list[dict], list[str]]:
-    """The logged exchanges and errors of an LLM decision trace; none for scripted agents."""
-    if trace is None:
-        return [], []
-    return [e.to_dict() for e in trace.exchanges], list(trace.errors)
 
 
 class MatchRunner:
@@ -175,29 +175,30 @@ class MatchRunner:
         self.log_dir = Path(log_dir)
         self.dex_fingerprint = dex_fingerprint
         self.tournament_id = tournament_id
-        self._cached_teams: dict[str, tuple[TeamPick, str, bool]] = {}
+        # draft_per_match=False: each agent's first draft and whether it fell back.
+        self._cached_teams: dict[str, tuple[AgentDecision, bool]] = {}
 
-    # -- team selection -----------------------------------------------------
+    # -- asking an agent -----------------------------------------------------
 
-    def _draft(self, agent: Agent, pool_view) -> tuple[TeamPick, str, bool, list, list]:
-        """Returns (team, reasoning, fallback_used, exchanges, errors)."""
+    def _ask(self, agent: Agent, side: int, call, fallback) -> tuple[AgentDecision, bool, list, list]:
+        """One agent call, for a draft or a battle action.
+
+        Returns (decision, fallback_used, exchanges, errors), the last two
+        from the LLM decision trace (none for scripted agents).  If the
+        agent fails, the decision is fallback(), or under
+        disqualify_on_failure the side forfeits the match.
+        """
         try:
-            decision = agent.select_team(pool_view)
+            decision = call()
         except AgentFailure as failure:
             if self.config.disqualify_on_failure:
-                raise
-            return fallback_team(len(pool_view)), "", True, *_audit(failure.trace)
-        return (decision.team, decision.reasoning, False,
-                *_audit(getattr(agent, "last_trace", None)))
-
-    def _team_for(self, agent: Agent, pool_view) -> tuple[TeamPick, str, bool, list, list]:
-        if not self.config.draft_per_match and agent.agent_id in self._cached_teams:
-            team, reasoning, fallback = self._cached_teams[agent.agent_id]
-            return team, reasoning, fallback, [], []
-        result = self._draft(agent, pool_view)
-        if not self.config.draft_per_match:
-            self._cached_teams[agent.agent_id] = (result[0], result[1], result[2])
-        return result
+                raise _Forfeit(side)
+            decision, used, trace = fallback(), True, failure.trace
+        else:
+            used, trace = False, getattr(agent, "last_trace", None)
+        if trace is None:
+            return decision, used, [], []
+        return decision, used, [e.to_dict() for e in trace.exchanges], list(trace.errors)
 
     # -- per-decision metric context -----------------------------------------
 
@@ -225,21 +226,6 @@ class MatchRunner:
             "switches": [a.index for a in legal if not a.is_attack],
         }
 
-    # -- action selection ----------------------------------------------------
-
-    def _decide_action(self, agent: Agent, side: int, view, legal) -> tuple[AgentDecision, bool, list, list]:
-        try:
-            decision = agent.choose_action(view, legal)
-        except AgentFailure as failure:
-            if self.config.disqualify_on_failure:
-                raise _Forfeit(side)
-            return AgentDecision(action=fallback_action(legal)), True, *_audit(failure.trace)
-        if decision.action not in legal:
-            raise RuntimeError(
-                f"agent {agent.agent_id} returned illegal action {decision.action} "
-                "(harness bug: agents must be validated upstream)")
-        return decision, False, *_audit(getattr(agent, "last_trace", None))
-
     # -- one game --------------------------------------------------------
 
     def _run_game(
@@ -247,17 +233,14 @@ class MatchRunner:
         match_id: str,
         game_index: int,
         agents: dict[int, Agent],
-        teams: dict[int, TeamPick],
-        draft_info: dict[int, tuple[str, bool, list, list]],
+        drafts: list[dict],
         seed: int,
         log_name: str,
     ) -> GameSummary:
-        team_names = {
-            side: [self.dex.pool[i] for i in teams[side].indices] for side in (0, 1)
-        }
+        teams = [draft["decision"]["team"] for draft in drafts]
+        team_names = [[self.dex.pool[i] for i in team] for team in teams]
         state, init_events = init_battle(
             self.dex, team_names[0], team_names[1], seed, self.config.turn_limit)
-        log_path = self.log_dir / log_name
 
         # Sampling parameters of LLM-backed sides, recorded for reproducibility.
         provider_params = {}
@@ -266,14 +249,20 @@ class MatchRunner:
             if isinstance(provider, ProviderConfig):
                 provider_params["a" if side == 0 else "b"] = provider.to_dict()
 
-        with storage.MatchLog(log_path) as log:
+        with storage.MatchLog(self.log_dir / log_name) as log:
             def choose(state: BattleState, side: int, phase: str) -> Action:
+                agent = agents[side]
                 view = view_for(state, side)
                 legal = legal_actions(state, side)
-                decision, fallback, exchanges, errors = self._decide_action(
-                    agents[side], side, view, legal)
+                decision, fallback, exchanges, errors = self._ask(
+                    agent, side, lambda: agent.choose_action(view, legal),
+                    lambda: AgentDecision(action=fallback_action(legal)))
+                if decision.action not in legal:
+                    raise RuntimeError(
+                        f"agent {agent.agent_id} returned illegal action {decision.action} "
+                        "(harness bug: agents must be validated upstream)")
                 log.append(storage.decision_record(
-                    match_id=match_id, turn=state.turn_number, agent_id=agents[side].agent_id,
+                    match_id=match_id, turn=state.turn_number, agent_id=agent.agent_id,
                     side=side, phase=phase, decision={"action": decision.action.to_dict()},
                     reasoning=decision.reasoning, fallback_used=fallback,
                     exchanges=exchanges, errors=errors,
@@ -289,22 +278,14 @@ class MatchRunner:
                 turn_limit=self.config.turn_limit,
                 dex_fingerprint=self.dex_fingerprint,
                 agents={"a": agents[0].agent_id, "b": agents[1].agent_id},
-                teams={"a": list(teams[0].indices), "b": list(teams[1].indices)},
+                teams={"a": teams[0], "b": teams[1]},
                 team_names={"a": team_names[0], "b": team_names[1]},
                 initial_digest=init_record["post_digest"],
                 config=self.config.to_dict(),
                 provider_params=provider_params,
             ))
-            for side in (0, 1):
-                reasoning, fallback, exchanges, errors = draft_info[side]
-                log.append(storage.decision_record(
-                    match_id=match_id, turn=0, agent_id=agents[side].agent_id,
-                    side=side, phase=storage.PHASE_TEAM_SELECT,
-                    decision={"team": list(teams[side].indices)},
-                    reasoning=reasoning, fallback_used=fallback,
-                    exchanges=exchanges, errors=errors))
-            log.append(init_record)
-
+            for record in (*drafts, init_record):
+                log.append(record)
             for record, state in steps:
                 log.append(record)
 
@@ -328,64 +309,58 @@ class MatchRunner:
         agents = {0: agent_a, 1: agent_b}
         pool_view = make_pool_view(self.dex)
 
-        teams: dict[int, TeamPick] = {}
-        draft_info: dict[int, tuple[str, bool, list, list]] = {}
-        forfeit_side: int | None = None
-        if teams_override is not None:
-            teams = {0: teams_override[0], 1: teams_override[1]}
-            draft_info = {0: ("", False, [], []), 1: ("", False, [], [])}
-        else:
-            for side in (0, 1):
-                try:
-                    team, reasoning, fallback, exchanges, errors = self._team_for(
-                        agents[side], pool_view)
-                except AgentFailure:
-                    forfeit_side = side if forfeit_side is None else forfeit_side
-                    teams[side] = fallback_team(len(pool_view))
-                    draft_info[side] = ("", True, [], [])
-                    continue
-                teams[side] = team
-                draft_info[side] = (reasoning, fallback, exchanges, errors)
+        def team_fallback() -> AgentDecision:
+            return AgentDecision(team=fallback_team(len(pool_view)))
 
-        if forfeit_side is not None:
-            winner_side = 1 - forfeit_side
-            return MatchResult(
-                match_id=match_id, agent_a=agent_a.agent_id, agent_b=agent_b.agent_id,
-                teams={"a": list(teams[0].indices), "b": list(teams[1].indices)},
-                winner=agents[winner_side].agent_id, loser=agents[forfeit_side].agent_id,
-                winner_side=winner_side, turn_count=0, end_reason=END_FORFEIT,
-                seed=seed, games=[], log_files=[])
+        # Both sides draft even if one forfeits; the first side that fails loses.
+        forfeit_side: int | None = None
+        drafts: list[dict] = []
+        for side, agent in agents.items():
+            if teams_override is not None:
+                asked = AgentDecision(team=teams_override[side]), False, [], []
+            elif agent.agent_id in self._cached_teams:
+                asked = *self._cached_teams[agent.agent_id], [], []
+            else:
+                try:
+                    asked = self._ask(
+                        agent, side, lambda: agent.select_team(pool_view), team_fallback)
+                except _Forfeit:
+                    forfeit_side = side if forfeit_side is None else forfeit_side
+                    asked = team_fallback(), True, [], []
+                else:
+                    if not self.config.draft_per_match:
+                        self._cached_teams[agent.agent_id] = asked[:2]
+            decision, fallback, exchanges, errors = asked
+            drafts.append(storage.decision_record(
+                match_id=match_id, turn=0, agent_id=agent.agent_id,
+                side=side, phase=storage.PHASE_TEAM_SELECT,
+                decision={"team": list(decision.team.indices)},
+                reasoning=decision.reasoning, fallback_used=fallback,
+                exchanges=exchanges, errors=errors))
 
         games: list[GameSummary] = []
-        wins = {0: 0, 1: 0}
-        needed = self.config.best_of // 2 + 1
-        forfeit_loser: int | None = None
-        for game_index in range(self.config.best_of):
+        wins = [0, 0]
+        while forfeit_side is None and max(wins) <= self.config.best_of // 2:
+            game_index = len(games)
             log_name = (f"{match_id}.jsonl" if self.config.best_of == 1
                         else f"{match_id}g{game_index}.jsonl")
             game_seed = (seed if self.config.best_of == 1
                          else stable_hash64(seed, "game", game_index) % 2**63)
             try:
-                summary = self._run_game(
-                    match_id, game_index, agents, teams, draft_info, game_seed, log_name)
+                games.append(self._run_game(
+                    match_id, game_index, agents, drafts, game_seed, log_name))
             except _Forfeit as forfeit:
-                # disqualify_on_failure: the failing side loses the match outright
-                forfeit_loser = forfeit.side
-                break
-            games.append(summary)
-            wins[summary.winner_side] += 1
-            if wins[summary.winner_side] >= needed:
-                break
+                forfeit_side = forfeit.side
+            else:
+                wins[games[-1].winner_side] += 1
 
-        if forfeit_loser is not None:
-            winner_side = 1 - forfeit_loser
-            end_reason = END_FORFEIT
+        if forfeit_side is None:
+            winner_side, end_reason = games[-1].winner_side, games[-1].end_reason
         else:
-            winner_side = 0 if wins[0] > wins[1] else 1
-            end_reason = games[-1].end_reason
+            winner_side, end_reason = 1 - forfeit_side, END_FORFEIT
         return MatchResult(
             match_id=match_id, agent_a=agent_a.agent_id, agent_b=agent_b.agent_id,
-            teams={"a": list(teams[0].indices), "b": list(teams[1].indices)},
+            teams={"a": drafts[0]["decision"]["team"], "b": drafts[1]["decision"]["team"]},
             winner=agents[winner_side].agent_id, loser=agents[1 - winner_side].agent_id,
             winner_side=winner_side,
             turn_count=sum(g.turn_count for g in games),

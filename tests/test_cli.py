@@ -117,6 +117,35 @@ def test_tournament_six_entrants_config_error(tmp_path):
     assert main(["tournament", str(config_path)]) == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    {"providers": {"p": {"provider": "openai_compatible", "endpoint": "https://x.test",
+                         "modle": "m", "api_key_env": "K"}}},
+    {"best_of": "3"},
+    {"best_of": 2},
+    {"best_of": 0},
+], ids=["misspelled-provider-key", "best-of-string", "best-of-even", "best-of-zero"])
+def test_tournament_bad_config_is_usage_error(tmp_path, capsys, overrides):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**scripted_config(tmp_path, count=4), **overrides}),
+                           encoding="utf-8")
+    assert main(["tournament", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()  # rejected before any match was played
+
+
+def test_report_win_loss_equals_bracket(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(scripted_config(tmp_path)), encoding="utf-8")
+    assert main(["tournament", str(config_path)]) == 0
+    out = tmp_path / "out"
+    bracket = json.loads((out / "bracket.json").read_text(encoding="utf-8"))
+    assert not any(m["end_reason"] == "Forfeit" for rnd in bracket["rounds"] for m in rnd)
+    assert main(["report", str(out / "logs"), "--out", str(tmp_path / "report")]) == 0
+    report = json.loads((tmp_path / "report" / "report.json").read_text(encoding="utf-8"))
+    assert {a: (m["wins"], m["losses"]) for a, m in report["agents"].items()} == {
+        s["agent_id"]: (s["wins"], s["losses"]) for s in bracket["standings"]}
+
+
 def test_tournament_missing_config(tmp_path):
     assert main(["tournament", str(tmp_path / "missing.json")]) == 2
 

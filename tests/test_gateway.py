@@ -1,6 +1,7 @@
 """Prompt rendering, response parsing, provider transport, repair loop."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from pokeleague.agents import make_pool_view
 from pokeleague.engine import Action, init_battle, legal_actions, view_for
 from pokeleague.gateway import (
     AgentFailure, AuthError, DuplicateIndex, IllegalAction, IndexOutOfRange,
-    LlmAgent, NoJsonFound, ProviderConfig, ProviderError, RateLimited,
+    LlmAgent, NoJsonFound, ParseError, ProviderConfig, ProviderError, RateLimited,
     RawExchange, ScriptCompleter, TokenBucket, UnknownActionType, WrongArity,
     build_battle_prompt, build_team_prompt, complete, extract_first_json,
     parse_action_response, parse_team_response, render_action_json,
@@ -173,6 +174,29 @@ def test_parse_action_unknown_type():
         parse_action_response('{"action":{"type":"mega_evolve"}}', legal)
     with pytest.raises(UnknownActionType):
         parse_action_response('{"reasoning":"no action key"}', legal)
+
+
+@pytest.mark.parametrize("raw", ["{" * 100_000, '{"a":' * 20_000],
+                         ids=["open-braces", "unclosed-keys"])
+def test_extract_first_json_work_is_bounded(raw):
+    started = time.perf_counter()
+    with pytest.raises(NoJsonFound):
+        extract_first_json(raw)
+    assert time.perf_counter() - started < 2.0
+
+
+def test_extract_first_json_deep_nesting_is_a_parse_error():
+    with pytest.raises(NoJsonFound):
+        extract_first_json('{"a":' * 3000 + "1" + "}" * 3000)
+    assert extract_first_json("prose " * 20_000 + '{"a": 1}') == {"a": 1}
+
+
+@given(st.text(alphabet='{}[]":,\\ a1', max_size=300))
+def test_extract_first_json_raises_only_parse_errors(raw):
+    try:
+        assert isinstance(extract_first_json(raw), dict)
+    except ParseError:
+        pass
 
 
 def test_extract_first_json_picks_first_object():

@@ -5,9 +5,11 @@ import json
 import pytest
 
 from pokeleague.agents import AgentProfile, GreedyAgent, RandomAgent, TeamPick
-from pokeleague.gateway import LlmAgent, ProviderConfig, RawExchange
+from pokeleague.gateway import (
+    AgentFailure, DecisionTrace, LlmAgent, ProviderConfig, RawExchange, ScriptCompleter,
+)
 from pokeleague.league import (
-    ConfigError, LeagueConfig, MatchRunner, TournamentConfig,
+    END_FORFEIT, ConfigError, LeagueConfig, MatchRunner, TournamentConfig,
     placement_label, run_tournament, write_tournament_outputs,
 )
 from pokeleague.rng import stable_hash64
@@ -79,6 +81,81 @@ def test_disqualify_on_failure_forfeits(dex, tmp_path):
     assert result.end_reason == "Forfeit"
     assert result.winner == "greedy"
     assert result.loser == "broken"
+
+
+class FailingInGame(GreedyAgent):
+    """Greedy, except that from turn 3 of its `game`-th game (1-based) it fails."""
+
+    def __init__(self, agent_id, dex, game):
+        super().__init__(agent_id, dex)
+        self.game = game
+        self.games_started = 0
+
+    def choose_action(self, view, legal):
+        if view.turn_number == 1:
+            self.games_started += 1
+        if self.games_started == self.game and view.turn_number >= 3:
+            raise AgentFailure(DecisionTrace(errors=["model unavailable"]))
+        return super().choose_action(view, legal)
+
+
+@pytest.mark.parametrize("best_of,game,completed", [(1, 1, []), (3, 2, ["m0g0.jsonl"])])
+def test_mid_game_failure_forfeits_the_match(dex, tmp_path, best_of, game, completed):
+    runner = MatchRunner(dex, LeagueConfig(best_of=best_of, disqualify_on_failure=True), tmp_path)
+    result = runner.run_match(
+        FailingInGame("failing", dex, game), RandomAgent("random", 0), seed=0, match_id="m0")
+    assert (result.winner, result.loser, result.winner_side) == ("random", "failing", 1)
+    assert result.end_reason == END_FORFEIT
+    assert [g.log_file for g in result.games] == result.log_files == completed
+    assert result.turn_count == sum(g.turn_count for g in result.games)
+    for summary in result.games:  # completed games are whole, replayable logs
+        assert summary.turn_count > 0
+        assert replay(tmp_path / summary.log_file, dex).turns == summary.turn_count
+
+
+def test_draft_failure_on_both_sides_forfeits_side_a(dex, tmp_path):
+    runner = MatchRunner(dex, LeagueConfig(disqualify_on_failure=True), tmp_path)
+    broken_a, broken_b = garbage_llm_agent(dex, "broken-a"), garbage_llm_agent(dex, "broken-b")
+    result = runner.run_match(broken_a, broken_b, seed=5, match_id="m0")
+    assert (result.winner, result.loser, result.winner_side) == ("broken-b", "broken-a", 1)
+    assert result.end_reason == END_FORFEIT
+    assert result.games == [] and result.log_files == [] and result.turn_count == 0
+    assert result.teams == {"a": [0, 1, 2, 3, 4, 5], "b": [0, 1, 2, 3, 4, 5]}
+    # both sides were asked to draft: 1 + max_repair_attempts prompts each
+    assert len(broken_a.last_trace.exchanges) == len(broken_b.last_trace.exchanges) == 3
+    assert not list(tmp_path.glob("*.jsonl"))
+
+
+def test_history_covers_one_game(dex, tmp_path):
+    prompts = []
+    script = ScriptCompleter({
+        "team": ['{"team": [0, 1, 2, 3, 4, 5]}'],
+        "action": ['{"action": {"type": "attack", "move_index": 0}}'],
+    })
+
+    def completer(prompt, kind):
+        prompts.append((kind, prompt))
+        return script(prompt, kind)
+
+    config = ProviderConfig(provider="openai_compatible", endpoint="mock://x", model="m",
+                            api_key_env="K", max_repair_attempts=0)
+    llm = LlmAgent("llm", config, dex, completer=completer, include_history=True)
+    runner = MatchRunner(dex, LeagueConfig(include_history=True), tmp_path)
+    runner.run_match(llm, GreedyAgent("g1", dex), seed=1, match_id="m0")
+    runner.run_match(GreedyAgent("g2", dex), llm, seed=2, match_id="m1")
+    drafts = [i for i, (kind, _) in enumerate(prompts) if kind == "team"]
+    assert len(drafts) == 2
+    first_match = [p for kind, p in prompts[:drafts[1]] if kind == "action"]
+    assert any("Previous turns:" in p for p in first_match)
+    first_of_second = next(p for kind, p in prompts[drafts[1]:] if kind == "action")
+    assert "Turn: 1." in first_of_second
+    assert "Previous turns:" not in first_of_second
+
+
+@pytest.mark.parametrize("best_of", [0, 2, -1, "3", 3.0, True])
+def test_best_of_must_be_a_positive_odd_int(best_of):
+    with pytest.raises(ConfigError):
+        LeagueConfig(best_of=best_of)
 
 
 def test_turn_cap_produces_tiebreak_result(dex, tmp_path):
