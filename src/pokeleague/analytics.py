@@ -1,11 +1,18 @@
 """Evaluation metrics and reports computed from match logs.
 
-All metrics are pure functions of the logs.  Attack quality has two
-routes: the direct route reads the per-decision context that the league
-recorded at decision time, and the replay route rebuilds every state
-independently of that context, by replaying the logged decisions through
-the engine, and recomputes the same numbers; tests assert the two agree.
-Both routes rank moves by the same rule, engine.expected_damage.
+decision_context is the one builder of the per-decision "context" record
+that league logs with every battle-time decision.  All metrics are pure
+functions of the logs.
+
+Attack quality has two routes that share the rule: decision_context
+builds each decision's context and move_efficiency tallies it.  They
+differ in where the states come from.  The direct route reads the
+contexts logged at decision time.  The replay route replays the logged
+decisions through the engine (storage.replay_walk checks every digest)
+and builds each context afresh from the replayed state and its legal
+actions, so a logged context that does not match its state, or a log
+that does not replay, shows as a disagreement or an error; tests assert
+the two routes agree.
 
 Rates reported per agent:
   win_rate                  wins / matches
@@ -26,12 +33,13 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 from . import storage
 from .dex import Dex, type_multiplier
-from .engine import expected_damage
+from .engine import Action, BattleState, expected_damage, legal_actions
 
 SUPER_EFFECTIVE_THRESHOLD = 2.0
 
@@ -97,77 +105,100 @@ def load_log_dir(log_dir: str | Path) -> list[MatchLogData]:
 
 
 # ---------------------------------------------------------------------------
+# the per-decision metric context
+# ---------------------------------------------------------------------------
+
+def decision_context(dex: Dex, state: BattleState, side: int, legal: Sequence[Action]) -> dict:
+    """The "context" record of a battle-time decision made in this state.
+
+    Lists each legal attack with its effectiveness against the opposing
+    active battler and its engine.expected_damage, which the attack
+    metrics rank, and the active battler's HP percent for switch timing.
+    """
+    own = state.sides[side].active
+    opponent = state.sides[1 - side].active
+    attacks = []
+    for action in legal:
+        if not action.is_attack:
+            continue
+        move = dex.moves[own.moves[action.index]]
+        attacks.append({
+            "move_index": action.index, "move": move.name, "type": move.move_type,
+            "effectiveness": type_multiplier(dex.chart, move.move_type, opponent.types),
+            "expected_damage": expected_damage(own, opponent, move, dex.chart, state.weather),
+        })
+    return {
+        "own_species": own.species,
+        "own_hp_percent": own.hp_percent,
+        "opponent_species": opponent.species,
+        "opponent_types": list(opponent.types),
+        "weather": state.weather,
+        "attacks": attacks,
+        "switches": [a.index for a in legal if not a.is_attack],
+    }
+
+
+# ---------------------------------------------------------------------------
 # individual metrics
 # ---------------------------------------------------------------------------
 
-def win_rate(logs: list[MatchLogData], agent_id: str) -> float:
-    """Wins / matches over the logs that involve the agent."""
+def _involving(logs: list[MatchLogData], agent_id: str) -> list[MatchLogData]:
+    """The logs of the agent's matches; NoMatches if there are none."""
     matches = [l for l in logs if agent_id in l.agent_for_side.values()]
     if not matches:
         raise NoMatches(f"no matches for agent {agent_id!r}")
+    return matches
+
+
+def _battle_decisions(logs: list[MatchLogData], agent_id: str) -> list[dict]:
+    """The agent's Battle-phase decisions (forced replacements excluded)."""
+    return [d for log in _involving(logs, agent_id) for d in log.decisions
+            if d["agent_id"] == agent_id and d["phase"] == storage.PHASE_BATTLE]
+
+
+def win_rate(logs: list[MatchLogData], agent_id: str) -> float:
+    """Wins / matches over the logs that involve the agent."""
+    matches = _involving(logs, agent_id)
     wins = sum(1 for l in matches if l.winner_agent == agent_id)
     return wins / len(matches)
 
 
-def _attack_decisions(logs: list[MatchLogData], agent_id: str) -> list[dict]:
-    out = []
-    for log in logs:
-        for decision in log.decisions:
-            if decision["agent_id"] != agent_id or decision["phase"] != storage.PHASE_BATTLE:
-                continue
-            action = decision["decision"].get("action")
-            if action and action.get("type") == "attack":
-                out.append(decision)
-    return out
-
-
 def move_efficiency(logs: list[MatchLogData], agent_id: str) -> dict[str, float]:
-    """Effective and optimal attack rates from the logged decision context."""
-    attacks = _attack_decisions(logs, agent_id)
-    if not attacks:
-        raise NoAttackDecisions(f"no attack decisions for agent {agent_id!r}")
-    effective = 0
-    optimal = 0
-    for decision in attacks:
+    """Effective and optimal attack rates from the decisions' contexts."""
+    attacks = effective = optimal = 0
+    for decision in _battle_decisions(logs, agent_id):
+        action = decision["decision"]["action"]
+        if action["type"] != "attack":
+            continue
+        attacks += 1
         context = decision["context"]
-        chosen_index = decision["decision"]["action"]["move_index"]
         by_index = {a["move_index"]: a for a in context["attacks"]}
-        chosen = by_index[chosen_index]
+        chosen = by_index[action["move_index"]]
         if chosen["effectiveness"] >= SUPER_EFFECTIVE_THRESHOLD:
             effective += 1
         best = max(a["expected_damage"] for a in context["attacks"])
         if chosen["expected_damage"] == best:
             optimal += 1
+    if not attacks:
+        raise NoAttackDecisions(f"no attack decisions for agent {agent_id!r}")
     return {
-        "effective_move_rate": effective / len(attacks),
-        "optimal_move_rate": optimal / len(attacks),
-        "attack_decisions": len(attacks),
+        "effective_move_rate": effective / attacks,
+        "optimal_move_rate": optimal / attacks,
+        "attack_decisions": attacks,
     }
 
 
 def switch_metrics(logs: list[MatchLogData], agent_id: str) -> dict:
     """Voluntary-switch frequency and timing (forced replacements excluded)."""
-    decision_turns = 0
-    voluntary = 0
-    hp_at_switch: list[int] = []
-    for log in logs:
-        for decision in log.decisions:
-            if decision["agent_id"] != agent_id:
-                continue
-            if decision["phase"] != storage.PHASE_BATTLE:
-                continue
-            decision_turns += 1
-            action = decision["decision"].get("action")
-            if action and action.get("type") == "switch":
-                voluntary += 1
-                hp_at_switch.append(decision["context"]["own_hp_percent"])
-    rate = voluntary / decision_turns if decision_turns else 0.0
-    timing = sum(hp_at_switch) / len(hp_at_switch) if hp_at_switch else None
+    decisions = _battle_decisions(logs, agent_id)
+    hp_at_switch = [d["context"]["own_hp_percent"] for d in decisions
+                    if d["decision"]["action"]["type"] == "switch"]
     return {
-        "switch_rate": rate,
-        "voluntary_switches": voluntary,
-        "decision_turns": decision_turns,
-        "mean_hp_percent_at_voluntary_switch": timing,
+        "switch_rate": len(hp_at_switch) / len(decisions) if decisions else 0.0,
+        "voluntary_switches": len(hp_at_switch),
+        "decision_turns": len(decisions),
+        "mean_hp_percent_at_voluntary_switch":
+            sum(hp_at_switch) / len(hp_at_switch) if hp_at_switch else None,
     }
 
 
@@ -209,46 +240,21 @@ def jaccard_matrix(teams_by_agent: dict[str, list[str]]) -> tuple[list[str], lis
 # ---------------------------------------------------------------------------
 
 def move_efficiency_via_replay(path: str | Path, dex: Dex, agent_id: str) -> dict[str, float]:
-    """Recompute effective/optimal rates by replaying the log through the engine.
+    """move_efficiency over contexts rebuilt from the replayed states.
 
-    Uses reconstructed states, not the logged context, so it cross-checks
-    the direct route end to end.
+    Each of the agent's battle decisions gets the decision_context of the
+    state the replay reached, not the context in the log, so this
+    cross-checks the direct route end to end.
     """
     records = storage.read_log(path)
-    meta = records[0]
-    side_for_agent = {meta["agents"]["a"]: 0, meta["agents"]["b"]: 1}
-    if agent_id not in side_for_agent:
-        raise NoMatches(f"agent {agent_id!r} not in log {path}")
-    side = side_for_agent[agent_id]
-
-    attacks = 0
-    effective = 0
-    optimal = 0
-    for record, state in storage.replay_walk(records, dex):
-        if record.get("kind") != "decision" or record["phase"] != storage.PHASE_BATTLE:
-            continue
-        if record["side"] != side:
-            continue
-        action_raw = record["decision"]["action"]
-        if action_raw.get("type") != "attack":
-            continue
-        attacks += 1
-        own = state.sides[side].active
-        opponent = state.sides[1 - side].active
-        chosen_move = dex.moves[own.moves[action_raw["move_index"]]]
-        if type_multiplier(dex.chart, chosen_move.move_type, opponent.types) >= SUPER_EFFECTIVE_THRESHOLD:
-            effective += 1
-        damages = [expected_damage(own, opponent, dex.moves[m], dex.chart, state.weather)
-                   for m in own.moves]
-        if damages[action_raw["move_index"]] == max(damages):
-            optimal += 1
-    if not attacks:
-        raise NoAttackDecisions(f"no attack decisions for agent {agent_id!r}")
-    return {
-        "effective_move_rate": effective / attacks,
-        "optimal_move_rate": optimal / attacks,
-        "attack_decisions": attacks,
-    }
+    decisions = [
+        {**record, "context": decision_context(
+            dex, state, record["side"], legal_actions(state, record["side"]))}
+        for record, state in storage.replay_walk(records, dex)
+        if record.get("phase") == storage.PHASE_BATTLE and record["agent_id"] == agent_id]
+    replayed = MatchLogData(path=Path(path), meta=records[0], decisions=decisions,
+                            winner_side=None)
+    return move_efficiency([replayed], agent_id)
 
 
 # ---------------------------------------------------------------------------
@@ -257,36 +263,39 @@ def move_efficiency_via_replay(path: str | Path, dex: Dex, agent_id: str) -> dic
 
 @dataclass
 class AgentMetrics:
+    """One agent's row of the report; the fields are report.json's keys, in order."""
+
     agent_id: str
-    matches: int = 0
-    wins: int = 0
-    win_rate: float = 0.0
-    attack_decisions: int = 0
-    effective_move_rate: float | None = None
-    optimal_move_rate: float | None = None
-    decision_turns: int = 0
-    voluntary_switches: int = 0
-    switch_rate: float = 0.0
-    mean_hp_percent_at_voluntary_switch: float | None = None
-    teams_drafted: int = 0
-    team_diversity: float = 0.0
-    reasoning_word_count_mean: float | None = None  # descriptive only, not a score
+    matches: int
+    wins: int
+    losses: int
+    win_rate: float
+    attack_decisions: int
+    effective_move_rate: float | None
+    optimal_move_rate: float | None
+    decision_turns: int
+    voluntary_switches: int
+    switch_rate: float
+    mean_hp_percent_at_voluntary_switch: float | None
+    teams_drafted: int
+    team_diversity: float
+    reasoning_word_count_mean: float | None  # descriptive only, not a score
 
     def to_dict(self) -> dict:
-        return {
-            "agent_id": self.agent_id, "matches": self.matches, "wins": self.wins,
-            "losses": self.matches - self.wins, "win_rate": self.win_rate,
-            "attack_decisions": self.attack_decisions,
-            "effective_move_rate": self.effective_move_rate,
-            "optimal_move_rate": self.optimal_move_rate,
-            "decision_turns": self.decision_turns,
-            "voluntary_switches": self.voluntary_switches,
-            "switch_rate": self.switch_rate,
-            "mean_hp_percent_at_voluntary_switch": self.mean_hp_percent_at_voluntary_switch,
-            "teams_drafted": self.teams_drafted,
-            "team_diversity": self.team_diversity,
-            "reasoning_word_count_mean": self.reasoning_word_count_mean,
-        }
+        return asdict(self)
+
+
+def text_table(rows: list[Sequence[str]]) -> str:
+    """Left-aligned columns two spaces apart, with a dashed rule under the header row."""
+    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
+    lines = ["  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip()
+             for row in rows]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return "\n".join(lines)
+
+
+def _cell(value: float | None, digits: int = 3) -> str:
+    return "-" if value is None else f"{value:.{digits}f}"
 
 
 @dataclass
@@ -307,31 +316,15 @@ class MetricsReport:
         }
 
     def to_text(self) -> str:
-        headers = ["Agent", "W-L", "WinRate", "EffMove", "OptMove", "SwRate", "SwHP%", "Div"]
-        rows = [headers]
-        for agent_id in sorted(self.agents):
-            m = self.agents[agent_id]
-            rows.append([
-                agent_id,
-                f"{m.wins}-{m.matches - m.wins}",
-                f"{m.win_rate:.3f}",
-                "-" if m.effective_move_rate is None else f"{m.effective_move_rate:.3f}",
-                "-" if m.optimal_move_rate is None else f"{m.optimal_move_rate:.3f}",
-                f"{m.switch_rate:.3f}",
-                "-" if m.mean_hp_percent_at_voluntary_switch is None
-                else f"{m.mean_hp_percent_at_voluntary_switch:.1f}",
-                f"{m.team_diversity:.3f}",
-            ])
-        widths = [max(len(r[c]) for r in rows) for c in range(len(headers))]
-        lines = []
-        for i, row in enumerate(rows):
-            lines.append("  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip())
-            if i == 0:
-                lines.append("  ".join("-" * w for w in widths))
-        lines.append("")
-        lines.append("Pick frequency (teams containing each species):")
-        for species, count in self.pick_frequency.items():
-            lines.append(f"  {species}: {count}/{self.teams_drafted}")
+        rows = [["Agent", "W-L", "WinRate", "EffMove", "OptMove", "SwRate", "SwHP%", "Div"]]
+        rows += [[m.agent_id, f"{m.wins}-{m.losses}", _cell(m.win_rate),
+                  _cell(m.effective_move_rate), _cell(m.optimal_move_rate),
+                  _cell(m.switch_rate), _cell(m.mean_hp_percent_at_voluntary_switch, 1),
+                  _cell(m.team_diversity)]
+                 for _, m in sorted(self.agents.items())]
+        lines = [text_table(rows), "", "Pick frequency (teams containing each species):"]
+        lines += [f"  {species}: {count}/{self.teams_drafted}"
+                  for species, count in self.pick_frequency.items()]
         return "\n".join(lines)
 
     def pick_frequency_csv(self) -> str:
@@ -368,29 +361,21 @@ def build_report(logs: list[MatchLogData]) -> MetricsReport:
 
     agents: dict[str, AgentMetrics] = {}
     for agent_id in agent_ids:
-        involved = [l for l in logs if agent_id in l.agent_for_side.values()]
-        metrics = AgentMetrics(agent_id=agent_id)
-        metrics.matches = len(involved)
-        metrics.wins = sum(1 for l in involved if l.winner_agent == agent_id)
-        metrics.win_rate = metrics.wins / metrics.matches if metrics.matches else 0.0
+        involved = _involving(logs, agent_id)
+        wins = sum(1 for l in involved if l.winner_agent == agent_id)
         try:
             efficiency = move_efficiency(involved, agent_id)
-            metrics.attack_decisions = efficiency["attack_decisions"]
-            metrics.effective_move_rate = efficiency["effective_move_rate"]
-            metrics.optimal_move_rate = efficiency["optimal_move_rate"]
         except NoAttackDecisions:
-            pass
-        switches = switch_metrics(involved, agent_id)
-        metrics.decision_turns = switches["decision_turns"]
-        metrics.voluntary_switches = switches["voluntary_switches"]
-        metrics.switch_rate = switches["switch_rate"]
-        metrics.mean_hp_percent_at_voluntary_switch = (
-            switches["mean_hp_percent_at_voluntary_switch"])
-        metrics.teams_drafted = len(teams_by_agent[agent_id])
-        metrics.team_diversity = team_diversity(teams_by_agent[agent_id])
+            efficiency = {"effective_move_rate": None, "optimal_move_rate": None,
+                          "attack_decisions": 0}
         words = reasoning_words[agent_id]
-        metrics.reasoning_word_count_mean = sum(words) / len(words) if words else None
-        agents[agent_id] = metrics
+        agents[agent_id] = AgentMetrics(
+            agent_id=agent_id, matches=len(involved), wins=wins,
+            losses=len(involved) - wins, win_rate=wins / len(involved),
+            **efficiency, **switch_metrics(involved, agent_id),
+            teams_drafted=len(teams_by_agent[agent_id]),
+            team_diversity=team_diversity(teams_by_agent[agent_id]),
+            reasoning_word_count_mean=sum(words) / len(words) if words else None)
 
     jaccard_agents, matrix = jaccard_matrix(latest_team) if latest_team else ([], [])
     return MetricsReport(

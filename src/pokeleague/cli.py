@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import analytics, league, storage
@@ -66,11 +67,11 @@ def cmd_simulate(args) -> int:
         dex, fingerprint = _load_dex_arg(args.dex)
         agent_a = _make_scripted_agent(args.agent_a, "a-" + args.agent_a.replace(":", "-"), dex)
         agent_b = _make_scripted_agent(args.agent_b, "b-" + args.agent_b.replace(":", "-"), dex)
-    except (ValueError, DexValidationError) as exc:
+        config = league.LeagueConfig(turn_limit=args.turn_cap)
+    except (ValueError, DexValidationError, league.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    config = league.LeagueConfig(turn_limit=args.turn_cap)
     runner = league.MatchRunner(dex, config, args.out, fingerprint)
     tallies = {agent_a.agent_id: 0, agent_b.agent_id: 0}
     total_turns = 0
@@ -102,7 +103,7 @@ def cmd_tournament(args) -> int:
     try:
         config = league.TournamentConfig.from_file(config_path)
         if args.jobs is not None:
-            config.league.jobs = args.jobs
+            config.league = replace(config.league, jobs=args.jobs)
         dex, fingerprint = league.load_tournament_dex(config)
         result = league.run_tournament(
             config.entrants, dex, config, config.master_seed,

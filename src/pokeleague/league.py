@@ -16,15 +16,13 @@ from pathlib import Path
 from typing import Sequence
 
 from . import storage
+from .analytics import decision_context, text_table
 from .agents import (
     Agent, AgentDecision, AgentProfile, GreedyAgent, RandomAgent, TeamPick,
     fallback_action, fallback_team, make_pool_view,
 )
-from .dex import Dex, load_dex, type_multiplier
-from .engine import (
-    Action, BattleState, DEFAULT_TURN_LIMIT, expected_damage, init_battle, legal_actions,
-    view_for,
-)
+from .dex import Dex, load_dex
+from .engine import Action, BattleState, DEFAULT_TURN_LIMIT, init_battle, legal_actions, view_for
 # Not called here (storage.play_battle is); benchmarks/tracing.py wraps league.<name>.
 from .engine import resolve_replacements, resolve_turn  # noqa: F401
 from .gateway import AgentFailure, LlmAgent, ProviderConfig, make_mock_agent
@@ -51,9 +49,17 @@ class LeagueConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for name in ("turn_limit", "best_of", "jobs"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         # A match ends when one side holds a majority of its games.
-        if type(self.best_of) is not int or self.best_of < 1 or self.best_of % 2 == 0:
+        if self.best_of % 2 == 0:
             raise ConfigError(f"best_of must be a positive odd integer, got {self.best_of!r}")
+        for name in ("disqualify_on_failure", "draft_per_match", "include_history"):
+            value = getattr(self, name)
+            if type(value) is not bool:
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -200,32 +206,6 @@ class MatchRunner:
             return decision, used, [], []
         return decision, used, [e.to_dict() for e in trace.exchanges], list(trace.errors)
 
-    # -- per-decision metric context -----------------------------------------
-
-    def _decision_context(self, state: BattleState, side: int, legal: Sequence[Action]) -> dict:
-        own = state.sides[side].active
-        opponent = state.sides[1 - side].active
-        attacks = []
-        for action in legal:
-            if not action.is_attack:
-                continue
-            move = self.dex.moves[own.moves[action.index]]
-            attacks.append({
-                "move_index": action.index, "move": move.name, "type": move.move_type,
-                "effectiveness": type_multiplier(self.dex.chart, move.move_type, opponent.types),
-                "expected_damage": expected_damage(
-                    own, opponent, move, self.dex.chart, state.weather),
-            })
-        return {
-            "own_species": own.species,
-            "own_hp_percent": own.hp_percent,
-            "opponent_species": opponent.species,
-            "opponent_types": list(opponent.types),
-            "weather": state.weather,
-            "attacks": attacks,
-            "switches": [a.index for a in legal if not a.is_attack],
-        }
-
     # -- one game --------------------------------------------------------
 
     def _run_game(
@@ -266,7 +246,7 @@ class MatchRunner:
                     side=side, phase=phase, decision={"action": decision.action.to_dict()},
                     reasoning=decision.reasoning, fallback_used=fallback,
                     exchanges=exchanges, errors=errors,
-                    context=self._decision_context(state, side, legal)))
+                    context=decision_context(self.dex, state, side, legal)))
                 return decision.action
 
             steps = storage.play_battle(state, init_events, self.dex, match_id, choose)
@@ -378,18 +358,11 @@ class StandingEntry:
     display_name: str
     wins: int
     losses: int
+    record: str = field(init=False)
     placement: str
 
-    @property
-    def record(self) -> str:
-        return f"{self.wins}-{self.losses}"
-
-    def to_dict(self) -> dict:
-        return {
-            "agent_id": self.agent_id, "display_name": self.display_name,
-            "wins": self.wins, "losses": self.losses, "record": self.record,
-            "placement": self.placement,
-        }
+    def __post_init__(self):
+        self.record = f"{self.wins}-{self.losses}"
 
 
 @dataclass
@@ -402,25 +375,11 @@ class TournamentResult:
     master_seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "tournament_id": self.tournament_id,
-            "entrants": self.entrants,
-            "rounds": [[m.to_dict() for m in rnd] for rnd in self.rounds],
-            "standings": [s.to_dict() for s in self.standings],
-            "champion": self.champion,
-            "master_seed": self.master_seed,
-        }
+        return asdict(self)
 
     def standings_table(self) -> str:
-        rows = [("Agent", "Record", "Final Standing")]
-        rows += [(s.display_name or s.agent_id, s.record, s.placement) for s in self.standings]
-        widths = [max(len(r[c]) for r in rows) for c in range(3)]
-        lines = []
-        for i, row in enumerate(rows):
-            lines.append("  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip())
-            if i == 0:
-                lines.append("  ".join("-" * w for w in widths))
-        return "\n".join(lines)
+        return text_table([("Agent", "Record", "Final Standing")] + [
+            (s.display_name or s.agent_id, s.record, s.placement) for s in self.standings])
 
 
 def placement_label(rounds_from_final: int) -> str:

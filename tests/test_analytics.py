@@ -6,12 +6,15 @@ import pytest
 
 from pokeleague.agents import GreedyAgent, RandomAgent
 from pokeleague.analytics import (
-    MatchLogData, NoAttackDecisions, NoLogs, NoMatches, build_report,
+    MatchLogData, NoAttackDecisions, NoLogs, NoMatches, build_report, decision_context,
     jaccard_matrix, load_log_dir, load_match_log, move_efficiency,
     move_efficiency_via_replay, pick_frequency, switch_metrics, team_diversity,
     win_rate, write_report,
 )
+from pokeleague.engine import legal_actions
+from pokeleague.gateway import LlmAgent, ProviderConfig, ScriptCompleter
 from pokeleague.league import LeagueConfig, MatchRunner
+from pokeleague.storage import PHASE_TEAM_SELECT, read_log, replay_walk
 
 # Team rosters as reported for the eight tournament entrants; the fixture
 # counts below are derived by direct counting over these lists.
@@ -117,6 +120,14 @@ def test_no_attack_decisions_raises():
         move_efficiency([log], "a")
 
 
+@pytest.mark.parametrize("metric", [move_efficiency, switch_metrics])
+def test_agent_in_no_log_raises_no_matches(metric):
+    log = synthetic_log(decisions=[battle_decision(
+        "a", {"type": "attack", "move_index": 0}, attack_context(1.0, 10))])
+    with pytest.raises(NoMatches):
+        metric([log], "nobody")
+
+
 # ---------------------------------------------------------------------------
 # switch metrics
 # ---------------------------------------------------------------------------
@@ -214,6 +225,41 @@ def greedy_match_logs(dex, tmp_path_factory):
     return log_dir
 
 
+@pytest.fixture(scope="module")
+def mock_llm_match_logs(dex, tmp_path_factory):
+    """Logs of a mock LLM whose replies need repairs and end in fallbacks."""
+    log_dir = tmp_path_factory.mktemp("mock_llm_logs")
+    provider = ProviderConfig(provider="openai_compatible", endpoint="mock://x", model="m",
+                              api_key_env="K", max_repair_attempts=1)
+    script = {
+        "team": ['{"team": [0, 1, 2, 3, 4, 5]}'],
+        "action": ['{"action": {"type": "attack", "move_index": 1}}', "no JSON here",
+                   "still none", '{"action": {"type": "switch", "team_index": 2}}'],
+    }
+    runner = MatchRunner(dex, LeagueConfig(), log_dir, "fp")
+    for i in range(2):
+        llm = LlmAgent("llm", provider, dex, completer=ScriptCompleter(script))
+        runner.run_match(llm, GreedyAgent("greedy", dex), seed=400 + i, match_id=f"m{i}")
+    return log_dir
+
+
+@pytest.mark.parametrize("fixture", ["greedy_match_logs", "mock_llm_match_logs"])
+def test_logged_context_is_decision_context_of_replayed_state(dex, request, fixture):
+    log_dir = request.getfixturevalue(fixture)
+    checked = []
+    for path in sorted(Path(log_dir).glob("*.jsonl")):
+        for record, state in replay_walk(read_log(path), dex):
+            if record["kind"] != "decision" or record["phase"] == PHASE_TEAM_SELECT:
+                continue
+            side = record["side"]
+            assert record["context"] == decision_context(
+                dex, state, side, legal_actions(state, side))
+            checked.append(record)
+    assert {r["phase"] for r in checked} == {"Battle", "ForcedReplace"}
+    if fixture == "mock_llm_match_logs":
+        assert any(r["fallback_used"] for r in checked)
+
+
 def test_greedy_logs_have_perfect_optimal_rate(dex, greedy_match_logs):
     logs = load_log_dir(greedy_match_logs)
     rates = move_efficiency(logs, "greedy")
@@ -232,6 +278,15 @@ def test_replay_route_matches_direct_route(dex, greedy_match_logs):
                 move_efficiency_via_replay(path, dex, "random")
             continue
         assert direct_r == move_efficiency_via_replay(path, dex, "random")
+
+
+def test_replay_route_matches_direct_route_with_fallbacks(dex, mock_llm_match_logs):
+    for path in sorted(Path(mock_llm_match_logs).glob("*.jsonl")):
+        for agent_id in ("llm", "greedy"):
+            direct = move_efficiency([load_match_log(path)], agent_id)
+            assert direct == move_efficiency_via_replay(path, dex, agent_id)
+    with pytest.raises(NoMatches):
+        move_efficiency_via_replay(path, dex, "nobody")
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,12 @@ def test_simulate_bad_agent_spec_is_usage_error(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_simulate_turn_cap_zero_is_usage_error(tmp_path, capsys):
+    assert main(["simulate", "--turn-cap", "0", "--out", str(tmp_path / "sim")]) == 2
+    assert capsys.readouterr().err.startswith("error: turn_limit must be")
+    assert not (tmp_path / "sim").exists()
+
+
 def test_simulate_verbose_prints_events(tmp_path, capsys):
     assert main(["simulate", "--count", "1", "--seed", "3", "-v",
                  "--out", str(tmp_path)]) == 0
@@ -123,7 +129,16 @@ def test_tournament_six_entrants_config_error(tmp_path):
     {"best_of": "3"},
     {"best_of": 2},
     {"best_of": 0},
-], ids=["misspelled-provider-key", "best-of-string", "best-of-even", "best-of-zero"])
+    {"turn_limit": "500"},
+    {"turn_limit": 0},
+    {"jobs": "2"},
+    {"jobs": 0},
+    {"disqualify_on_failure": "yes"},
+    {"draft_per_match": 1},
+    {"include_history": None},
+], ids=["misspelled-provider-key", "best-of-string", "best-of-even", "best-of-zero",
+        "turn-limit-string", "turn-limit-zero", "jobs-string", "jobs-zero",
+        "disqualify-string", "draft-per-match-int", "include-history-null"])
 def test_tournament_bad_config_is_usage_error(tmp_path, capsys, overrides):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({**scripted_config(tmp_path, count=4), **overrides}),
@@ -131,6 +146,14 @@ def test_tournament_bad_config_is_usage_error(tmp_path, capsys, overrides):
     assert main(["tournament", str(config_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()  # rejected before any match was played
+
+
+def test_tournament_bad_jobs_flag_is_usage_error(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(scripted_config(tmp_path, count=4)), encoding="utf-8")
+    assert main(["tournament", str(config_path), "--jobs", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: jobs must be")
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_win_loss_equals_bracket(tmp_path, capsys):

@@ -1,0 +1,118 @@
+"""Golden SHA-256 of every output of two fixed-seed tournaments.
+
+Two 8-entrant brackets of mock-LLM, greedy and random entrants run
+through `pokeleague tournament` and `pokeleague report`: best-of-1 with a
+draft per match, and best-of-3 with one draft per entrant.  The mock
+scripts yield clean replies, repairs and fallbacks; one entrant never
+drafts a valid team.  Every log is hashed with its wall-clock "ts"
+fields blanked; the bracket, standings and report files are hashed as
+written.  A change that alters any of these bytes changes a hash here.
+"""
+
+import hashlib
+import json
+import re
+
+import pytest
+
+from pokeleague.cli import main
+
+MOCK_SCRIPT = {
+    "team": [
+        '{"team": [0, 1, 2, 3, 4, 5], "reasoning": "the first six"}',
+        '{"team": [6, 6, 7, 8, 9, 10], "reasoning": "a duplicate index"}',
+        "I would pick the strongest six.",
+        "Still thinking about it.",
+        "No team yet.",
+        'Final answer: {"team": [11, 12, 13, 14, 15, 16], "reasoning": "bulk"}',
+    ],
+    "action": [
+        '{"action": {"type": "attack", "move_index": 0}, "reasoning": "lead move"}',
+        '```json\n{"action": {"type": "attack", "move_index": 1}, "reasoning": "coverage"}\n```',
+        '{"action": {"type": "switch", "team_index": 1}, "reasoning": "pivot"}',
+        '{"action": {"type": "attack", "move_index": 7}, "reasoning": "no such move"}',
+        "Attack with the strongest move!",
+        "Hmm.",
+        "Let me think.",
+        '{"action": {"type": "attack", "move_index": 2}, "reasoning": "third move"}',
+    ],
+}
+STUBBORN_SCRIPT = {"team": ["I cannot choose."], "action": MOCK_SCRIPT["action"]}
+
+ENTRANTS = [
+    {"agent_id": "mock-0", "kind": "mock", "display_name": "Mock Zero"},
+    {"agent_id": "random-1", "kind": "random", "seed": 1},
+    {"agent_id": "greedy-0", "kind": "greedy", "display_name": "Greedy Zero"},
+    {"agent_id": "mock-1", "kind": "mock"},
+    {"agent_id": "random-2", "kind": "random", "seed": 2},
+    {"agent_id": "mock-2", "kind": "mock", "script": "stubborn.json"},
+    {"agent_id": "greedy-1", "kind": "greedy"},
+    {"agent_id": "random-3", "kind": "random", "seed": 3},
+]
+
+TS_FIELD = re.compile(rb'"ts": -?[0-9][0-9.eE+-]*')
+
+GOLDEN = {
+    "bo1-draft-per-match": {
+        "bracket.json": "8d6d59e6379f63fdf53d84d0898bc6a63d642eabafaef7e3d5360a2b2c331cf3",
+        "standings.txt": "c852fdfac325cc72bbd69ada9bb833727d1ea8dabb6fb27928e38cc4ed8eb2e4",
+        "report.json": "51e948b9a8f8a5d8689fdfb23aa8e64eed87cb40bab12930efc8abec6430592f",
+        "report.txt": "0568ed680d9f8f54abec2628c092738e282cd47d1abbe9c84d12f18077b8f095",
+        "pick_frequency.csv": "7644fdd1fc5bf5e35b35dfe391a5da855c7889337a9cff0e9370dacf00f8d57c",
+        "logs": "0f9260c114c7872289666e5ffee80f76c9ebafb7fa1d80afb517a566ad859fa9",
+    },
+    "bo3-draft-once": {
+        "bracket.json": "1f19935bdf94350f5dab40ec5a676d5eff73b764b3e054b10cef166ebd86f36c",
+        "standings.txt": "c852fdfac325cc72bbd69ada9bb833727d1ea8dabb6fb27928e38cc4ed8eb2e4",
+        "report.json": "c06228175a0d1cc482069fb6dc0d66f039bc3c034e3cc34406e34dc14e500e17",
+        "report.txt": "1e7113acd5690f5be7dc90fc2c4ba8a2b2f00b88f1ae57f122b21f64d16db469",
+        "pick_frequency.csv": "f9572f53067f9aafebdf6522ea157518a80895abfbf2b8949f87859b3dde26a3",
+        "logs": "81390b960a2640975b12dd9489921d066cb39bd9a928503f1107a946415fc45e",
+    },
+}
+
+LEAGUES = {
+    "bo1-draft-per-match": {"master_seed": 2025, "best_of": 1, "draft_per_match": True},
+    "bo3-draft-once": {"master_seed": 7, "best_of": 3, "draft_per_match": False},
+}
+
+
+def tournament_digests(tmp_path, league: dict) -> tuple[dict[str, str], list[dict]]:
+    """Run one tournament and its report; return the digests and every decision record."""
+    for name, script in (("script.json", MOCK_SCRIPT), ("stubborn.json", STUBBORN_SCRIPT)):
+        (tmp_path / name).write_text(json.dumps(script), encoding="utf-8")
+    out = tmp_path / "out"
+    entrants = [{**e, "script": str(tmp_path / e.get("script", "script.json"))}
+                if e["kind"] == "mock" else e for e in ENTRANTS]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"entrants": entrants, "output_dir": str(out), **league}),
+                      encoding="utf-8")
+    assert main(["tournament", str(config)]) == 0
+    assert main(["report", str(out / "logs"), "--out", str(tmp_path / "report")]) == 0
+
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("bracket.json", "standings.txt")}
+    for name in ("report.json", "report.txt", "pick_frequency.csv"):
+        digests[name] = hashlib.sha256((tmp_path / "report" / name).read_bytes()).hexdigest()
+    logs = hashlib.sha256()
+    decisions = []
+    for path in sorted((out / "logs").rglob("*.jsonl")):
+        raw = path.read_bytes()
+        logs.update(path.relative_to(out / "logs").as_posix().encode() + b"\0")
+        logs.update(TS_FIELD.sub(b'"ts": null', raw) + b"\0")
+        records = [json.loads(line) for line in raw.decode("utf-8").splitlines()]
+        decisions += [r for r in records if r["kind"] == "decision"]
+    digests["logs"] = logs.hexdigest()
+    return digests, decisions
+
+
+@pytest.mark.parametrize("name", sorted(LEAGUES))
+def test_tournament_outputs_are_byte_identical(tmp_path, capsys, name):
+    digests, decisions = tournament_digests(tmp_path, LEAGUES[name])
+    capsys.readouterr()
+    # The scripts exercise the repair loop and both kinds of fallback.
+    mock = [d for d in decisions if d["agent_id"].startswith("mock-")]
+    assert any(len(d["exchanges"]) > 1 and not d["fallback_used"] for d in mock)
+    assert any(d["fallback_used"] and d["phase"] == "Battle" for d in mock)
+    assert any(d["fallback_used"] and d["phase"] == "TeamSelect" for d in mock)
+    assert digests == GOLDEN[name]

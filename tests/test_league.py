@@ -158,6 +158,16 @@ def test_best_of_must_be_a_positive_odd_int(best_of):
         LeagueConfig(best_of=best_of)
 
 
+@pytest.mark.parametrize("settings", [
+    {"turn_limit": 0}, {"turn_limit": "500"}, {"turn_limit": 500.0}, {"turn_limit": True},
+    {"jobs": 0}, {"jobs": "2"}, {"jobs": -1},
+    {"disqualify_on_failure": 1}, {"draft_per_match": "false"}, {"include_history": None},
+])
+def test_league_settings_are_type_checked(settings):
+    with pytest.raises(ConfigError):
+        LeagueConfig(**settings)
+
+
 def test_turn_cap_produces_tiebreak_result(dex, tmp_path):
     runner = MatchRunner(dex, LeagueConfig(turn_limit=2), tmp_path)
     result = runner.run_match(
