@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from .dex import Dex, type_multiplier
-from .engine import Action, BattleView, BattlerState, StatusState, compute_stats, expected_damage
+from .engine import Action, BattleView, compute_stats, expected_damage
 from .rng import SeededStream, stable_hash64
 
 TEAM_SIZE = 6
@@ -73,21 +73,23 @@ class AgentProfile:
     model: str = ""
     script: str = ""
 
+    def __post_init__(self):
+        # type(), not isinstance: a bool is not a seed
+        for name, value in vars(self).items():
+            expected = int if name == "seed" else str
+            if type(value) is not expected:
+                raise ValueError(f"entrant {name} must be {expected.__name__}, got {value!r}")
+
     @property
     def label(self) -> str:
         return self.display_name or self.agent_id
 
     @staticmethod
     def from_dict(raw: dict) -> "AgentProfile":
-        return AgentProfile(
-            agent_id=raw["agent_id"],
-            kind=raw["kind"],
-            display_name=raw.get("display_name", ""),
-            seed=raw.get("seed", 0),
-            provider=raw.get("provider", ""),
-            model=raw.get("model", ""),
-            script=raw.get("script", ""),
-        )
+        try:
+            return AgentProfile(**raw)
+        except TypeError as exc:  # unknown or missing keys, or not an object
+            raise ValueError(f"bad entrant {raw!r}: {exc}") from None
 
 
 class Agent(Protocol):
@@ -197,22 +199,13 @@ class GreedyAgent:
             team=TeamPick(tuple(picks)),
             reasoning=f"Highest stat totals with distinct primary types: {names}.")
 
-    def _own_battler(self, view: BattleView) -> BattlerState:
-        own = view.own_active
-        battler = compute_stats(self.dex.species[own.species])
-        battler.moves = own.moves  # the view is authoritative for own moves
-        battler.current_hp = own.current_hp
-        if own.status is not None:
-            battler.status = StatusState(own.status, own.sleep_turns_left)
-        return battler
-
     def choose_action(self, view: BattleView, legal: Sequence[Action]) -> AgentDecision:
         attacks = [a for a in legal if a.is_attack]
         switches = [a for a in legal if not a.is_attack]
         opponent = compute_stats(self.dex.species[view.opponent_active.species])
 
         if attacks:
-            attacker = self._own_battler(view)
+            attacker = view.own_active
             damages = {a.index: expected_damage(attacker, opponent,
                                                 self.dex.moves[attacker.moves[a.index]],
                                                 self.dex.chart, view.weather)

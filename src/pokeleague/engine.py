@@ -3,8 +3,10 @@
 The engine is a pure function of (state, actions): every random draw
 comes from the counter-mode stream whose seed and position live inside
 BattleState, so identical inputs always produce identical successor
-states and event lists.  States are value-like; resolve_turn never
-mutates its input.
+states and event lists.  Battlers are immutable values: a step copies
+the team lists and replaces only the battlers it changes, so successive
+states share every other battler.  resolve_turn and resolve_replacements
+never mutate their input.
 
 Mechanics summary (level 50, no IVs/EVs):
   max_hp = base_hp + 60, other stats = base + 5
@@ -21,8 +23,9 @@ Mechanics summary (level 50, no IVs/EVs):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .dex import Dex, MoveDef, Species, TypeChart, type_multiplier
 from .rng import SeededStream
@@ -94,7 +97,7 @@ class Action:
         return f"{self.kind}:{self.index}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class StatusState:
     kind: str
     turns_left: int = 0  # only Sleep uses this
@@ -103,13 +106,13 @@ class StatusState:
         return {"kind": self.kind, "turns_left": self.turns_left}
 
 
-@dataclass
+@dataclass(frozen=True)
 class BattlerState:
     species: str
     types: tuple[str, ...]
     max_hp: int
     current_hp: int
-    stats: dict[str, int]  # atk / def / spa / spd / spe
+    stats: Mapping[str, int]  # atk / def / spa / spd / spe
     moves: tuple[str, str, str, str]
     status: StatusState | None = None
     level: int = 50
@@ -122,18 +125,15 @@ class BattlerState:
     def hp_percent(self) -> int:
         return 100 * self.current_hp // self.max_hp
 
+    @property
+    def status_kind(self) -> str | None:
+        return None if self.status is None else self.status.kind
+
     def effective_speed(self) -> int:
         spe = self.stats["spe"]
-        if self.status is not None and self.status.kind == "Paralysis":
+        if self.status_kind == "Paralysis":
             return spe // 4
         return spe
-
-    def clone(self) -> "BattlerState":
-        status = None if self.status is None else StatusState(self.status.kind, self.status.turns_left)
-        return BattlerState(
-            species=self.species, types=self.types, max_hp=self.max_hp,
-            current_hp=self.current_hp, stats=dict(self.stats), moves=self.moves,
-            status=status, level=self.level)
 
     def to_dict(self) -> dict:
         return {
@@ -142,7 +142,7 @@ class BattlerState:
             "level": self.level,
             "max_hp": self.max_hp,
             "current_hp": self.current_hp,
-            "stats": self.stats,
+            "stats": dict(self.stats),
             "moves": list(self.moves),
             "status": None if self.status is None else self.status.to_dict(),
         }
@@ -163,7 +163,7 @@ class SideState:
 
     def clone(self) -> "SideState":
         return SideState(
-            team=[b.clone() for b in self.team],
+            team=list(self.team),
             active_index=self.active_index,
             revealed=set(self.revealed))
 
@@ -229,7 +229,7 @@ def compute_stats(species: Species) -> BattlerState:
     stats = {k: species.base_stats[k] + 5 for k in ("atk", "def", "spa", "spd", "spe")}
     return BattlerState(
         species=species.name, types=species.types, max_hp=max_hp,
-        current_hp=max_hp, stats=stats, moves=species.moves)
+        current_hp=max_hp, stats=MappingProxyType(stats), moves=species.moves)
 
 
 def init_battle(
@@ -327,7 +327,7 @@ def compute_damage(
 
     if move.category == "Physical":
         attack, defense = attacker.stats["atk"], defender.stats["def"]
-        if attacker.status is not None and attacker.status.kind == "Burn":
+        if attacker.status_kind == "Burn":
             attack //= 2
     else:
         attack, defense = attacker.stats["spa"], defender.stats["spd"]
@@ -484,6 +484,14 @@ def _emit_switch_in(state, dex, side, team_index, events):
         events.append({"kind": "WeatherStarted", "weather": auto})
 
 
+def _replace_active(state, side, **changes) -> BattlerState:
+    """Put a changed copy of the side's active battler in its slot and return it."""
+    side_state = state.sides[side]
+    battler = replace(side_state.active, **changes)
+    side_state.team[side_state.active_index] = battler
+    return battler
+
+
 def _execute_attack(state, dex, side, move_index, rng, events):
     attacker = state.sides[side].active
     if attacker.fainted:  # fainted mid-turn: loses its action
@@ -496,13 +504,13 @@ def _execute_attack(state, dex, side, move_index, rng, events):
     status = attacker.status
     if status is not None:
         if status.kind == "Sleep":
-            status.turns_left -= 1
-            if status.turns_left <= 0:
-                attacker.status = None
+            turns_left = status.turns_left - 1
+            _replace_active(state, side,
+                            status=StatusState("Sleep", turns_left) if turns_left > 0 else None)
             return
         if status.kind == "Freeze":
             if rng.percent_roll(20):
-                attacker.status = None
+                attacker = _replace_active(state, side, status=None)
             else:
                 return
         elif status.kind == "Paralysis":
@@ -527,7 +535,7 @@ def _execute_attack(state, dex, side, move_index, rng, events):
         if outcome.effectiveness == 0.0:
             return
         dealt = min(outcome.damage, defender.current_hp)
-        defender.current_hp -= dealt
+        defender = _replace_active(state, defender_side, current_hp=defender.current_hp - dealt)
         events.append({
             "kind": "Damage", "side": defender_side,
             "team_index": state.sides[defender_side].active_index,
@@ -543,7 +551,7 @@ def _execute_attack(state, dex, side, move_index, rng, events):
     if move.effect is not None and effectiveness > 0.0 and not defender.fainted:
         if defender.status is None and rng.percent_roll(move.effect.chance_percent):
             turns = rng.randint(1, 4) if move.effect.status == "Sleep" else 0
-            defender.status = StatusState(move.effect.status, turns)
+            _replace_active(state, defender_side, status=StatusState(move.effect.status, turns))
             event = {"kind": "StatusInflicted", "side": defender_side,
                      "team_index": state.sides[defender_side].active_index,
                      "status": move.effect.status}
@@ -556,7 +564,7 @@ def _chip(state, side, battler, amount, event, events):
     dealt = min(amount, battler.current_hp)
     if dealt <= 0:
         return
-    battler.current_hp -= dealt
+    battler = _replace_active(state, side, current_hp=battler.current_hp - dealt)
     event["amount"] = dealt
     events.append(event)
     if battler.fainted:
@@ -629,21 +637,6 @@ def _check_battle_end(state, rng, events):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OwnBattlerView:
-    index: int
-    species: str
-    types: tuple[str, ...]
-    current_hp: int
-    max_hp: int
-    hp_percent: int
-    status: str | None
-    sleep_turns_left: int
-    moves: tuple[str, ...]
-    active: bool
-    fainted: bool
-
-
-@dataclass(frozen=True)
 class OpponentView:
     species: str
     types: tuple[str, ...]
@@ -653,19 +646,19 @@ class OpponentView:
 
 @dataclass(frozen=True)
 class BattleView:
-    """What one side is allowed to see of the battle."""
+    """What one side is allowed to see of the battle: its own battlers as they are."""
 
     side: int
     turn_number: int
     weather: str | None
-    own_team: tuple[OwnBattlerView, ...]
+    own_team: tuple[BattlerState, ...]
     own_active_index: int
     opponent_active: OpponentView
     opponent_revealed: tuple[str, ...]
     forced_replacement: bool
 
     @property
-    def own_active(self) -> OwnBattlerView:
+    def own_active(self) -> BattlerState:
         return self.own_team[self.own_active_index]
 
 
@@ -673,26 +666,16 @@ def view_for(state: BattleState, side: int) -> BattleView:
     """Own side fully visible; opponent reduced to active + revealed names."""
     own = state.sides[side]
     opp = state.sides[1 - side]
-    own_team = tuple(
-        OwnBattlerView(
-            index=i, species=b.species, types=b.types,
-            current_hp=b.current_hp, max_hp=b.max_hp, hp_percent=b.hp_percent,
-            status=None if b.status is None else b.status.kind,
-            sleep_turns_left=0 if b.status is None else b.status.turns_left,
-            moves=b.moves, active=(i == own.active_index), fainted=b.fainted)
-        for i, b in enumerate(own.team)
-    )
     opp_active = opp.active
     return BattleView(
         side=side,
         turn_number=state.turn_number,
         weather=state.weather,
-        own_team=own_team,
+        own_team=tuple(own.team),
         own_active_index=own.active_index,
         opponent_active=OpponentView(
             species=opp_active.species, types=opp_active.types,
-            hp_percent=opp_active.hp_percent,
-            status=None if opp_active.status is None else opp_active.status.kind),
+            hp_percent=opp_active.hp_percent, status=opp_active.status_kind),
         opponent_revealed=tuple(opp.team[i].species for i in sorted(opp.revealed)),
         forced_replacement=own.active.fainted and not state.ended,
     )

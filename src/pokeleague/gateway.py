@@ -137,12 +137,26 @@ class ProviderConfig:
     rate_refill_per_s: float = 0.0
 
     def __post_init__(self):
+        for name in ("provider", "endpoint", "model", "api_key_env"):
+            self._check(name, str, "a string")
         if self.provider not in PROVIDERS:
             raise ValueError(f"unknown provider {self.provider!r}, expected one of {PROVIDERS}")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        self._check("temperature", (int, float), "a number")
+        self._check("timeout_s", (int, float), "a number > 0", lambda v: v > 0)
+        self._check("rate_refill_per_s", (int, float), "a number >= 0", lambda v: v >= 0)
+        self._check("max_tokens", int, "an integer >= 1", lambda v: v >= 1)
+        for name in ("max_retries", "backoff_ms", "max_repair_attempts", "rate_capacity"):
+            self._check(name, int, "an integer >= 0", lambda v: v >= 0)
+        if self.rate_capacity > 0 and self.rate_refill_per_s == 0:
+            raise ValueError("a rate_capacity > 0 needs a rate_refill_per_s > 0, "
+                             "or the bucket never refills")
+
+    def _check(self, name: str, kinds: type | tuple[type, ...], expected: str,
+               in_range=lambda v: True) -> None:
+        value = getattr(self, name)
+        # bool is an int subclass, but true/false is never a count or a rate
+        if isinstance(value, bool) or not isinstance(value, kinds) or not in_range(value):
+            raise ValueError(f"{name} must be {expected}, got {value!r}")
 
     @staticmethod
     def from_dict(raw: dict) -> "ProviderConfig":
@@ -243,7 +257,7 @@ def build_battle_prompt(
     opp = view.opponent_active
     lines = [
         f"You are in a battle. Your active Pokémon: {own.species} "
-        f"(HP: {own.hp_percent}%, Status: {_status_text(own.status)}).",
+        f"(HP: {own.hp_percent}%, Status: {_status_text(own.status_kind)}).",
         f"Opponent's active Pokémon: {opp.species} "
         f"(HP: {opp.hp_percent}%, Status: {_status_text(opp.status)}).",
         f"Weather: {view.weather or 'None'}. Turn: {view.turn_number}.",
@@ -251,11 +265,11 @@ def build_battle_prompt(
         "",
         "Your team:",
     ]
-    for member in view.own_team:
-        marker = " [active]" if member.active else ""
+    for index, member in enumerate(view.own_team):
+        marker = " [active]" if index == view.own_active_index else ""
         state = "fainted" if member.fainted else (
-            f"HP: {member.hp_percent}%, Status: {_status_text(member.status)}")
-        lines.append(f"- {member.index}: {member.species} ({state}){marker}")
+            f"HP: {member.hp_percent}%, Status: {_status_text(member.status_kind)}")
+        lines.append(f"- {index}: {member.species} ({state}){marker}")
     if history:
         lines += ["", "Previous turns:"]
         lines += [f"- {entry}" for entry in history]
@@ -433,7 +447,7 @@ class TokenBucket:
                 if self._tokens >= 1:
                     self._tokens -= 1
                     return
-                wait = (1 - self._tokens) / self.refill_per_s if self.refill_per_s > 0 else 0.05
+                wait = (1 - self._tokens) / self.refill_per_s
             self._sleep(wait)
 
 

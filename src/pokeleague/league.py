@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -84,19 +84,23 @@ class TournamentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "TournamentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a tournament config must be an object, got {type(raw).__name__}")
         league_keys = LeagueConfig().to_dict().keys()
+        unknown = raw.keys() - league_keys - {f.name for f in fields(TournamentConfig)} - {"league"}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        providers, entrants = raw.get("providers", {}), raw.get("entrants", [])
+        if not isinstance(providers, dict) or not isinstance(entrants, list):
+            raise ConfigError("providers must be an object and entrants a list")
         league = LeagueConfig(**{k: raw[k] for k in league_keys if k in raw})
-        providers = {
-            name: ProviderConfig.from_dict(cfg)
-            for name, cfg in raw.get("providers", {}).items()
-        }
         return TournamentConfig(
-            entrants=[AgentProfile.from_dict(e) for e in raw.get("entrants", [])],
+            entrants=[AgentProfile.from_dict(e) for e in entrants],
             master_seed=raw.get("master_seed", 0),
             dex_path=raw.get("dex_path"),
             pool=raw.get("pool"),
             league=league,
-            providers=providers,
+            providers={name: ProviderConfig.from_dict(cfg) for name, cfg in providers.items()},
             output_dir=raw.get("output_dir", "out"),
             tournament_id=raw.get("tournament_id", ""),
         )

@@ -1,5 +1,6 @@
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,14 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from pokeleague.dex import default_dex_path, dex_fingerprint, load_dex
+
+
+def set_battler(state, side, index=None, **changes):
+    """Put a changed copy of one battler (the side's active one by default) in its slot."""
+    team = state.sides[side].team
+    if index is None:
+        index = state.sides[side].active_index
+    team[index] = replace(team[index], **changes)
 
 
 @pytest.fixture(scope="session")

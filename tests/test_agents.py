@@ -11,6 +11,8 @@ from pokeleague.engine import (
     resolve_turn, view_for,
 )
 
+from conftest import set_battler
+
 
 def greedy_team_oracle(pool):
     """Independent re-implementation: sort by (-total, index), scan distinct primaries."""
@@ -63,14 +65,7 @@ def test_random_team_is_deterministic_per_seed(dex):
 
 def greedy_action_oracle(dex, view, legal):
     """Exhaustively evaluate the <=9 legal actions the way the spec defines."""
-    own = view.own_active
-    attacker = compute_stats(dex.species[own.species])
-    attacker.moves = own.moves
-    attacker.current_hp = own.current_hp
-    if own.status is not None:
-        from pokeleague.engine import StatusState
-
-        attacker.status = StatusState(own.status, own.sleep_turns_left)
+    attacker = view.own_active
     defender = compute_stats(dex.species[view.opponent_active.species])
 
     def expected(action):
@@ -166,7 +161,7 @@ def test_greedy_switches_when_all_immune(dex):
         seed=1)
     # Snorlax: Body Slam (Normal) blanked by Ghost, but Earthquake/Crunch/Ice Beam hit.
     # Force the all-immune case by restricting the moveset on the battler.
-    state.sides[0].team[0].moves = ("Body Slam", "Body Slam", "Body Slam", "Body Slam")
+    set_battler(state, 0, 0, moves=("Body Slam", "Body Slam", "Body Slam", "Body Slam"))
     greedy = GreedyAgent("g", dex)
     choice = greedy.choose_action(view_for(state, 0), legal_actions(state, 0))
     assert not choice.action.is_attack
@@ -192,10 +187,9 @@ def test_random_forced_replacement_singleton(dex):
         ["Jolteon", "Snorlax", "Swampert", "Gengar", "Metagross", "Salamence"],
         ["Gyarados", "Tyranitar", "Blissey", "Zapdos", "Heracross", "Lapras"],
         seed=1)
-    side = state.sides[1]
-    side.active.current_hp = 0
+    set_battler(state, 1, current_hp=0)
     for i in (2, 3, 4, 5):
-        side.team[i].current_hp = 0
+        set_battler(state, 1, i, current_hp=0)
     legal = legal_actions(state, 1)
     assert legal == [Action.switch(1)]
     decision = RandomAgent("r", 99).choose_action(view_for(state, 1), legal)

@@ -123,6 +123,11 @@ def test_tournament_six_entrants_config_error(tmp_path):
     assert main(["tournament", str(config_path)]) == 2
 
 
+PROVIDER = {"provider": "openai_compatible", "endpoint": "https://x.test", "model": "m",
+            "api_key_env": "K"}
+RANDOM_ENTRANTS = [{"agent_id": f"random-{i}", "kind": "random", "seed": i} for i in range(3)]
+
+
 @pytest.mark.parametrize("overrides", [
     {"providers": {"p": {"provider": "openai_compatible", "endpoint": "https://x.test",
                          "modle": "m", "api_key_env": "K"}}},
@@ -136,9 +141,29 @@ def test_tournament_six_entrants_config_error(tmp_path):
     {"disqualify_on_failure": "yes"},
     {"draft_per_match": 1},
     {"include_history": None},
+    {"providers": {"p": {**PROVIDER, "max_repair_attempts": "3"}}},
+    {"providers": {"p": {**PROVIDER, "max_repair_attempts": -1}}},
+    {"providers": {"p": {**PROVIDER, "rate_capacity": "5"}}},
+    {"providers": {"p": {**PROVIDER, "rate_capacity": 2, "rate_refill_per_s": 0}}},
+    {"providers": {"p": {**PROVIDER, "temperature": True}}},
+    {"providers": {"p": {**PROVIDER, "max_tokens": 0}}},
+    {"providers": {"p": {**PROVIDER, "model": 4}}},
+    {"providers": ["p"]},
+    {"best_off": 3, "turn_limt": 5},
+    {"entrants": RANDOM_ENTRANTS + [{"agent_id": "random-3", "kind": "random", "sead": 3}]},
+    {"entrants": RANDOM_ENTRANTS + [{"agent_id": "random-3"}]},
+    {"entrants": RANDOM_ENTRANTS + ["random-3"]},
+    {"entrants": {"random-0": "random"}},
+    {"entrants": RANDOM_ENTRANTS + [{"agent_id": 3, "kind": "random"}]},
+    {"entrants": RANDOM_ENTRANTS + [{"agent_id": "mock-3", "kind": "mock", "script": 7}]},
 ], ids=["misspelled-provider-key", "best-of-string", "best-of-even", "best-of-zero",
         "turn-limit-string", "turn-limit-zero", "jobs-string", "jobs-zero",
-        "disqualify-string", "draft-per-match-int", "include-history-null"])
+        "disqualify-string", "draft-per-match-int", "include-history-null",
+        "repair-attempts-string", "repair-attempts-negative", "rate-capacity-string",
+        "rate-never-refills", "temperature-bool", "max-tokens-zero", "model-int",
+        "providers-list", "misspelled-top-level-keys", "misspelled-entrant-key",
+        "entrant-without-kind", "string-entrant", "entrants-object", "entrant-id-int",
+        "mock-script-int"])
 def test_tournament_bad_config_is_usage_error(tmp_path, capsys, overrides):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({**scripted_config(tmp_path, count=4), **overrides}),
@@ -146,6 +171,15 @@ def test_tournament_bad_config_is_usage_error(tmp_path, capsys, overrides):
     assert main(["tournament", str(config_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()  # rejected before any match was played
+
+
+def test_tournament_config_not_an_object_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default output_dir is relative
+    config_path = tmp_path / "config.json"
+    config_path.write_text("[]", encoding="utf-8")
+    assert main(["tournament", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: a tournament config must be an object")
+    assert not (tmp_path / "out").exists()
 
 
 def test_tournament_bad_jobs_flag_is_usage_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Battle engine: stats, damage, turn resolution, views, invariants."""
 
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,8 @@ from pokeleague.engine import (
     needs_replacement, resolve_replacements, resolve_turn, view_for,
 )
 from pokeleague.storage import canonical_json
+
+from conftest import set_battler
 
 
 TEAM_A = ["Jolteon", "Snorlax", "Swampert", "Gengar", "Metagross", "Salamence"]
@@ -222,10 +225,9 @@ def test_fresh_battle_has_nine_actions(dex):
 
 def test_forced_replacement_offers_only_switches(dex):
     state, _ = fresh_battle(dex)
-    side = state.sides[1]
-    side.active.current_hp = 0
+    set_battler(state, 1, current_hp=0)
     for i in (3, 4, 5):
-        side.team[i].current_hp = 0
+        set_battler(state, 1, i, current_hp=0)
     actions = legal_actions(state, 1)
     assert actions == [Action.switch(1), Action.switch(2)]
     assert needs_replacement(state, 1)
@@ -233,9 +235,8 @@ def test_forced_replacement_offers_only_switches(dex):
 
 def test_last_battler_standing_has_only_attacks(dex):
     state, _ = fresh_battle(dex)
-    side = state.sides[0]
     for i in range(1, 6):
-        side.team[i].current_hp = 0
+        set_battler(state, 0, i, current_hp=0)
     actions = legal_actions(state, 0)
     assert actions == [Action.attack(i) for i in range(4)]
 
@@ -314,7 +315,7 @@ def test_illegal_action_raises(dex):
     state, _ = fresh_battle(dex)
     with pytest.raises(IllegalActionError):
         resolve_turn(state, Action.switch(0), Action.attack(0), dex)  # active slot
-    state.sides[0].team[1].current_hp = 0
+    set_battler(state, 0, 1, current_hp=0)
     with pytest.raises(IllegalActionError):
         resolve_turn(state, Action.switch(1), Action.attack(0), dex)  # fainted slot
 
@@ -337,15 +338,15 @@ def test_auto_weather_on_lead_and_replacement(dex):
 
 def test_burn_and_poison_chip_at_end_of_turn(dex):
     state, _ = fresh_battle(dex)
-    state.sides[0].active.status = StatusState("Burn")
-    state.sides[1].active.status = StatusState("Poison")
+    set_battler(state, 0, status=StatusState("Burn"))
+    set_battler(state, 1, status=StatusState("Poison"))
     nxt, events = resolve_turn(state, Action.switch(1), Action.switch(1), dex)
     chips = [e for e in events if e["kind"] == "StatusDamage"]
     # switched-in actives are unstatused; chip applies to the new actives only
     assert chips == []
 
     state2, _ = fresh_battle(dex)
-    state2.sides[0].active.status = StatusState("Burn")
+    set_battler(state2, 0, status=StatusState("Burn"))
     nxt2, events2 = resolve_turn(
         state2, Action.attack(2), Action.attack(3), dex)  # low-lethality moves
     chips2 = [e for e in events2 if e["kind"] == "StatusDamage"]
@@ -390,7 +391,7 @@ def test_finite_weather_counts_down_and_ends(dex):
 
 def test_sleep_decrements_and_wakes(dex):
     state, _ = fresh_battle(dex)
-    state.sides[0].active.status = StatusState("Sleep", turns_left=2)
+    set_battler(state, 0, status=StatusState("Sleep", turns_left=2))
     one, ev1 = resolve_turn(state, Action.attack(0), Action.switch(1), dex)
     assert not any(e["kind"] == "MoveUsed" and e["side"] == 0 for e in ev1)
     assert one.sides[0].active.status.turns_left == 1
@@ -404,14 +405,14 @@ def test_sleep_decrements_and_wakes(dex):
 def test_paralysis_skip_rate_and_speed_quartering(dex):
     jolteon = compute_stats(dex.species["Jolteon"])
     assert jolteon.effective_speed() == 135
-    jolteon.status = StatusState("Paralysis")
+    jolteon = replace(jolteon, status=StatusState("Paralysis"))
     assert jolteon.effective_speed() == 135 // 4
 
     skips = 0
     trials = 300
     for seed in range(trials):
         state, _ = fresh_battle(dex, seed=seed)
-        state.sides[0].active.status = StatusState("Paralysis")
+        set_battler(state, 0, status=StatusState("Paralysis"))
         _, events = resolve_turn(state, Action.attack(3), Action.switch(1), dex)
         if not any(e["kind"] == "MoveUsed" and e["side"] == 0 for e in events):
             skips += 1
@@ -423,7 +424,7 @@ def test_freeze_thaw_rate(dex):
     trials = 300
     for seed in range(trials):
         state, _ = fresh_battle(dex, seed=seed)
-        state.sides[0].active.status = StatusState("Freeze")
+        set_battler(state, 0, status=StatusState("Freeze"))
         _, events = resolve_turn(state, Action.attack(3), Action.switch(1), dex)
         if any(e["kind"] == "MoveUsed" and e["side"] == 0 for e in events):
             thaws += 1
@@ -465,9 +466,8 @@ def test_simultaneous_wipe_later_faint_wins(dex):
         team_b=["Blissey", "Tyranitar", "Gyarados", "Zapdos", "Heracross", "Lapras"])
     for side in (0, 1):
         for i in range(1, 6):
-            state.sides[side].team[i].current_hp = 0
-        state.sides[side].active.current_hp = 1
-        state.sides[side].active.status = StatusState("Burn")
+            set_battler(state, side, i, current_hp=0)
+        set_battler(state, side, current_hp=1, status=StatusState("Burn"))
     wave = dex.species["Blissey"].moves.index("Thunder Wave")
     nxt, events = resolve_turn(state, Action.attack(wave), Action.attack(wave), dex)
     assert nxt.ended
@@ -483,7 +483,8 @@ def test_turn_cap_tiebreak(dex):
         team_a=["Blissey", "Snorlax", "Swampert", "Gengar", "Metagross", "Salamence"],
         team_b=["Blissey", "Tyranitar", "Gyarados", "Zapdos", "Heracross", "Lapras"],
         turn_limit=3)
-    state.sides[1].team[5].current_hp -= 50  # side 0 keeps the higher HP fraction
+    # side 0 keeps the higher HP fraction
+    set_battler(state, 1, 5, current_hp=state.sides[1].team[5].current_hp - 50)
     current = state
     wave = dex.species["Blissey"].moves.index("Thunder Wave")
     for _ in range(3):
@@ -501,8 +502,8 @@ def test_turn_cap_tiebreak_compares_exact_fractions(dex):
         state, _ = fresh_battle(dex, team_a=["Blissey"] + TEAM_A[1:],
                                 team_b=["Blissey"] + TEAM_B[1:], seed=seed, turn_limit=1)
         for side, hps in ((0, hp_a), (1, hp_b)):
-            for battler, hp in zip(state.sides[side].team, hps):
-                battler.max_hp, battler.current_hp = 100, hp
+            for i, hp in enumerate(hps):
+                set_battler(state, side, i, max_hp=100, current_hp=hp)
         wave = dex.species["Blissey"].moves.index("Thunder Wave")
         nxt, _ = resolve_turn(state, Action.attack(wave), Action.attack(wave), dex)
         assert nxt.end_reason == "TurnCapTieBreak"
@@ -576,9 +577,7 @@ def test_damage_events_conserve_hp_loss(dex, seed):
 
 def test_view_hp_percent_floor(dex):
     state, _ = fresh_battle(dex)
-    opponent = state.sides[1].active
-    opponent.max_hp = 160
-    opponent.current_hp = 72
+    set_battler(state, 1, max_hp=160, current_hp=72)
     view = view_for(state, 0)
     assert view.opponent_active.hp_percent == 45  # floor(100 * 72 / 160)
 
@@ -598,6 +597,17 @@ def test_view_own_side_fully_visible(dex):
     assert all(m.current_hp == m.max_hp for m in view.own_team)
 
 
+def test_view_own_team_is_the_states_frozen_battlers(dex):
+    state, _ = fresh_battle(dex)
+    view = view_for(state, 0)
+    assert len(view.own_team) == 6
+    assert all(mine is theirs for mine, theirs in zip(view.own_team, state.sides[0].team))
+    with pytest.raises(FrozenInstanceError):
+        view.own_active.current_hp = 0
+    with pytest.raises(TypeError):
+        view.own_active.stats["atk"] = 1
+
+
 def test_view_tracks_revealed_switches(dex):
     state, _ = fresh_battle(dex)
     nxt, _ = resolve_turn(state, Action.attack(2), Action.switch(3), dex)
@@ -615,8 +625,8 @@ def test_view_flags_forced_replacement(dex):
 
 def test_opponent_status_visible_without_sleep_turns(dex):
     state, _ = fresh_battle(dex)
-    state.sides[1].active.status = StatusState("Sleep", turns_left=3)
+    set_battler(state, 1, status=StatusState("Sleep", turns_left=3))
     view = view_for(state, 0)
     assert view.opponent_active.status == "Sleep"
     own_view = view_for(state, 1)
-    assert own_view.own_active.sleep_turns_left == 3
+    assert own_view.own_active.status.turns_left == 3

@@ -18,6 +18,8 @@ from pokeleague.gateway import (
     render_team_json, repair_prompt,
 )
 
+from conftest import set_battler
+
 GOLDEN = Path(__file__).parent / "golden"
 
 PAPER_TEAM_RESPONSE = """{
@@ -51,8 +53,8 @@ def battle_fixture(dex):
         ["Jolteon", "Snorlax", "Swampert", "Gengar", "Metagross", "Salamence"],
         ["Gyarados", "Tyranitar", "Blissey", "Zapdos", "Heracross", "Lapras"],
         seed=1)
-    state.sides[0].team[0].current_hp = 90   # 72% of 125
-    state.sides[1].team[0].current_hp = 93   # 60% of 155
+    set_battler(state, 0, 0, current_hp=90)   # 72% of 125
+    set_battler(state, 1, 0, current_hp=93)   # 60% of 155
     state.turn_number = 3
     return state
 
@@ -100,7 +102,7 @@ def test_battle_prompt_has_paper_status_clauses(dex):
 
 def test_forced_replacement_prompt_lists_only_switches(dex):
     state = battle_fixture(dex)
-    state.sides[0].team[0].current_hp = 0
+    set_battler(state, 0, 0, current_hp=0)
     legal = legal_actions(state, 0)
     prompt = build_battle_prompt(view_for(state, 0), legal, dex)
     assert "Attacks:" not in prompt

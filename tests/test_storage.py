@@ -17,6 +17,8 @@ from pokeleague.storage import (
     decision_record, meta_record, read_log, replay, state_digest, state_json,
 )
 
+from conftest import set_battler
+
 
 @pytest.fixture()
 def match_log(dex, bundled_fingerprint, tmp_path):
@@ -101,19 +103,20 @@ def test_state_digest_sensitive_to_state(dex):
     assert len(digest) == 16
     assert digest == state_digest(state.clone())
     mutated = state.clone()
-    mutated.sides[0].team[0].current_hp -= 1
+    set_battler(mutated, 0, 0, current_hp=mutated.sides[0].team[0].current_hp - 1)
     assert state_digest(mutated) != digest
 
 
 def walk_states(dex, order, seed, turn_limit, choices):
-    """States of a battle between pool[order[:6]] and pool[order[6:12]].
+    """Yield the states of a battle between pool[order[:6]] and pool[order[6:12]].
 
     Each choice picks legal[choice % len(legal)] for the next side to act;
-    the walk stops when the battle ends or the choices run out.
+    the walk stops when the battle ends or the choices run out.  Each state
+    is yielded before the next one is computed from it.
     """
     names = [dex.pool[i] for i in order[:12]]
     state, _ = init_battle(dex, names[:6], names[6:], seed, turn_limit)
-    states = [state]
+    yield state
     picks = iter(choices)
     while not state.ended:
         pending = [s for s in (0, 1) if needs_replacement(state, s)]
@@ -122,14 +125,13 @@ def walk_states(dex, order, seed, turn_limit, choices):
             legal = legal_actions(state, side)
             pick = next(picks, None)
             if pick is None:
-                return states
+                return
             chosen[side] = legal[pick % len(legal)]
         if pending:
             state, _ = resolve_replacements(state, chosen, dex)
         else:
             state, _ = resolve_turn(state, chosen[0], chosen[1], dex)
-        states.append(state)
-    return states
+        yield state
 
 
 # Gengar (Hypnosis) leads against Tyranitar (Sand): a full game to AllFainted
@@ -138,10 +140,16 @@ GENGAR_VS_TYRANITAR = [4, 1, 2, 3, 5, 6, 17, 0, 8, 9, 10, 11]
 FULL_GAME = dict(order=GENGAR_VS_TYRANITAR, seed=0, turn_limit=500,
                  choices=[i % 3 for i in range(400)])
 CAPPED_GAME = dict(order=GENGAR_VS_TYRANITAR, seed=0, turn_limit=3, choices=[0] * 10)
+ANY_WALK = dict(
+    order=st.permutations(range(30)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    turn_limit=st.integers(min_value=1, max_value=60),
+    choices=st.lists(st.integers(min_value=0, max_value=8), max_size=150),
+)
 
 
 def test_fixed_walks_cover_digest_edge_cases(dex):
-    states = walk_states(dex, **FULL_GAME) + walk_states(dex, **CAPPED_GAME)
+    states = [*walk_states(dex, **FULL_GAME), *walk_states(dex, **CAPPED_GAME)]
     statuses = [b.status for s in states for side in s.sides for b in side.team]
     assert any(status is not None and status.kind == "Sleep" and status.turns_left > 0
                for status in statuses)
@@ -150,12 +158,7 @@ def test_fixed_walks_cover_digest_edge_cases(dex):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    order=st.permutations(range(30)),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    turn_limit=st.integers(min_value=1, max_value=60),
-    choices=st.lists(st.integers(min_value=0, max_value=8), max_size=150),
-)
+@given(**ANY_WALK)
 @example(**FULL_GAME)
 @example(**CAPPED_GAME)
 def test_state_json_matches_canonical_to_dict(dex, order, seed, turn_limit, choices):
@@ -163,14 +166,28 @@ def test_state_json_matches_canonical_to_dict(dex, order, seed, turn_limit, choi
         assert state_json(state) == canonical_json(state.to_dict())
 
 
+@settings(max_examples=40, deadline=None)
+@given(**ANY_WALK)
+@example(**FULL_GAME)
+@example(**CAPPED_GAME)
+def test_later_steps_never_change_an_earlier_state(dex, order, seed, turn_limit, choices):
+    """Successive states share the battlers a step leaves unchanged; none may change after."""
+    states = walk_states(dex, order, seed, turn_limit, choices)
+    walk = [(state, state_json(state)) for state in states]
+    for state, produced in walk:
+        assert state_json(state) == produced
+        assert all(0 <= b.current_hp <= b.max_hp for side in state.sides for b in side.team)
+    last = walk[-1][0]
+    if last.ended:
+        assert last.turn_number - 1 <= last.turn_limit  # turns played
+
+
 def test_state_json_keys_cached_fragments_by_value(dex):
-    states = walk_states(dex, **CAPPED_GAME)
-    state = states[-1].clone()
+    state = list(walk_states(dex, **CAPPED_GAME))[-1].clone()
     state_json(state)  # fill the cache with the unmodified battlers
     battler = state.sides[0].team[1]
-    battler.stats["atk"] += 1
-    battler.max_hp += 1
-    battler.moves = tuple(reversed(battler.moves))
+    set_battler(state, 0, 1, stats={**battler.stats, "atk": battler.stats["atk"] + 1},
+                max_hp=battler.max_hp + 1, moves=tuple(reversed(battler.moves)))
     assert state_json(state) == canonical_json(state.to_dict())
 
 
