@@ -24,6 +24,8 @@ EXIT_USAGE = 2
 
 def _load_dex_arg(path: str | None):
     dex_path = Path(path) if path else default_dex_path()
+    if not dex_path.exists():
+        raise FileNotFoundError(f"dex file not found: {dex_path}")
     return load_dex(dex_path), dex_fingerprint(dex_path)
 
 
@@ -68,7 +70,7 @@ def cmd_simulate(args) -> int:
         agent_a = _make_scripted_agent(args.agent_a, "a-" + args.agent_a.replace(":", "-"), dex)
         agent_b = _make_scripted_agent(args.agent_b, "b-" + args.agent_b.replace(":", "-"), dex)
         config = league.LeagueConfig(turn_limit=args.turn_cap)
-    except (ValueError, DexValidationError, league.ConfigError) as exc:
+    except (ValueError, DexValidationError, FileNotFoundError, league.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -126,6 +128,10 @@ def cmd_replay(args) -> int:
         return EXIT_USAGE
     try:
         dex, fingerprint = _load_dex_arg(args.dex)
+    except (DexValidationError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         result = storage.replay(log_path, dex, expected_dex_fingerprint=fingerprint)
     except storage.DigestMismatch as exc:
         print(f"replay diverged: {exc}", file=sys.stderr)
@@ -133,9 +139,6 @@ def cmd_replay(args) -> int:
     except storage.StorageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except DexValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     print(f"ok: winner side {result.winner_side} ({result.winner_agent}) "
           f"after {result.turns} turn(s); all digests match")
     return EXIT_OK

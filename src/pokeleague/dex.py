@@ -56,9 +56,15 @@ class DexValidationError(Exception):
 
 @dataclass(frozen=True)
 class TypeChart:
-    """Total 18x18 matrix of single-type damage multipliers."""
+    """Total 18x18 matrix of single-type damage multipliers.
+
+    damage_memo is engine.expected_damage's memo: its values follow from
+    the cells, so it lives and dies with them, and match threads that
+    fill one entry at once write equal values.
+    """
 
     cells: dict[tuple[str, str], float]
+    damage_memo: dict[tuple, int] = field(default_factory=dict, compare=False, repr=False)
 
     def cell(self, attacking: str, defending: str) -> float:
         return self.cells[(attacking, defending)]

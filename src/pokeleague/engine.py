@@ -8,6 +8,11 @@ the team lists and replaces only the battlers it changes, so successive
 states share every other battler.  resolve_turn and resolve_replacements
 never mutate their input.
 
+Each value the decision path asks for is computed once:
+expected_damage is memoized per type chart on the values that decide it,
+legality is checked by one predicate (is_legal) instead of a list, and
+legal_actions hands out shared Action values.
+
 Mechanics summary (level 50, no IVs/EVs):
   max_hp = base_hp + 60, other stats = base + 5
   base damage = floor(floor(22 * power * A / D) / 50) + 2
@@ -87,14 +92,20 @@ class Action:
 
     @staticmethod
     def from_dict(raw: dict) -> "Action":
-        if raw.get("type") == "attack":
+        kind = raw.get("type") if isinstance(raw, dict) else None
+        if kind == "attack":
             return Action.attack(int(raw["move_index"]))
-        if raw.get("type") == "switch":
+        if kind == "switch":
             return Action.switch(int(raw["team_index"]))
         raise ValueError(f"not an action payload: {raw!r}")
 
     def __str__(self) -> str:
         return f"{self.kind}:{self.index}"
+
+
+# Shared Action values for the usual four moves and six team slots.
+_ATTACKS = tuple(map(Action.attack, range(4)))
+_SWITCHES = tuple(map(Action.switch, range(6)))
 
 
 @dataclass(frozen=True)
@@ -275,15 +286,30 @@ def legal_actions(state: BattleState, side: int) -> list[Action]:
     if state.ended:
         raise BattleAlreadyEnded(f"battle is over (winner: side {state.winner})")
     side_state = state.sides[side]
-    switches = [
-        Action.switch(i)
-        for i, b in enumerate(side_state.team)
-        if i != side_state.active_index and not b.fainted
-    ]
+    active = side_state.active_index
+    switches = [_SWITCHES[i] if i < len(_SWITCHES) else Action.switch(i)
+                for i, b in enumerate(side_state.team) if i != active and not b.fainted]
     if side_state.active.fainted:
         return switches
-    attacks = [Action.attack(i) for i in range(len(side_state.active.moves))]
-    return attacks + switches
+    moves = len(side_state.active.moves)
+    if moves <= len(_ATTACKS):
+        return [*_ATTACKS[:moves], *switches]
+    return [*map(Action.attack, range(moves)), *switches]
+
+
+def is_legal(state: BattleState, side: int, action: Action) -> bool:
+    """action in legal_actions(state, side), without building the list."""
+    if state.ended:
+        raise BattleAlreadyEnded(f"battle is over (winner: side {state.winner})")
+    side_state = state.sides[side]
+    index = action.index
+    # Range membership compares with ==, as the list's does (True == 1).
+    if action.kind == "attack":
+        return not side_state.active.fainted and index in range(len(side_state.active.moves))
+    if action.kind == "switch":
+        return (index in range(len(side_state.team)) and index != side_state.active_index
+                and not side_state.team[int(index)].fainted)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +380,26 @@ def expected_damage(
     chart: TypeChart,
     weather: str | None,
 ) -> int:
-    """The damage agents and metrics rank moves by: roll 100, no crit, 0 for status moves."""
+    """The damage agents and metrics rank moves by: roll 100, no crit, 0 for status moves.
+
+    Memoized in chart.damage_memo, keyed on exactly the values
+    compute_damage reads for this move: its power, type and category, the
+    attacker's types, attacking stat and burn, the defender's types and
+    defending stat, and the weather.
+    """
     if not move.is_damaging:
         return 0
-    return compute_damage(attacker, defender, move, chart, weather=weather).damage
+    physical = move.category == "Physical"
+    key = (move.power, move.move_type, move.category,
+           attacker.types, attacker.stats["atk" if physical else "spa"],
+           physical and attacker.status_kind == "Burn",
+           defender.types, defender.stats["def" if physical else "spd"], weather)
+    memo = chart.damage_memo
+    damage = memo.get(key)
+    if damage is None:
+        damage = memo[key] = compute_damage(
+            attacker, defender, move, chart, weather=weather).damage
+    return damage
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +423,7 @@ def resolve_turn(
         raise BattleAlreadyEnded(f"battle is over (winner: side {state.winner})")
     actions = {0: action_a, 1: action_b}
     for side, action in actions.items():
-        if action not in legal_actions(state, side):
+        if not is_legal(state, side, action):
             raise IllegalActionError(side, action)
 
     nxt = state.clone()
@@ -422,7 +464,7 @@ def resolve_replacements(
     for side, action in switches.items():
         if not needs_replacement(state, side):
             raise IllegalActionError(side, action, "no replacement pending")
-        if action not in legal_actions(state, side):
+        if not is_legal(state, side, action):
             raise IllegalActionError(side, action)
 
     nxt = state.clone()

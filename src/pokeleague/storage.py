@@ -7,7 +7,12 @@ digests).  Live play and replay run one turn protocol, play_battle: live
 play feeds it agent decisions and logs the events records it yields;
 replay feeds it the logged decisions and checks every record it yields
 against the log, so any nondeterminism or corruption is pinpointed to a
-turn.
+turn; a tampered log (an illegal or unreadable action, a record that is
+not an object or lacks a key) fails as a StorageError.
+
+Digests cost one encoding per battler object: battlers are immutable and
+successive states share the ones a step leaves unchanged, so state_json
+keeps each battler's JSON by identity.
 """
 
 from __future__ import annotations
@@ -16,13 +21,13 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterator
 
 from .dex import Dex
 from .engine import (
-    Action, BattleState, init_battle, needs_replacement, resolve_replacements, resolve_turn,
+    Action, BattlerState, BattleState, init_battle, is_legal, needs_replacement,
+    resolve_replacements, resolve_turn,
 )
 
 SCHEMA_VERSION = "1.0"
@@ -51,6 +56,8 @@ class DigestMismatch(StorageError):
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# json.dumps(record, ensure_ascii=False) without building an encoder per record.
+_LOG_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 def canonical_json(obj: object) -> str:
@@ -65,52 +72,37 @@ def _optional(value: object) -> str:
     return str(value) if type(value) is int else _CANONICAL.encode(value)
 
 
-@lru_cache(maxsize=4096)
-def _battler_fragments(
-    species: str,
-    types: tuple[str, ...],
-    level: int,
-    max_hp: int,
-    moves: tuple[str, ...],
-    stat_names: tuple[str, ...],
-    stat_values: tuple[int, ...],
-) -> tuple[str, str]:
-    """The canonical JSON of a battler's fixed fields, split around "status".
+# id(battler) -> (battler, its canonical JSON).  Battlers are immutable and
+# each entry holds its battler, so no other object can take that id while
+# the entry lives; match threads share it, as each entry is written whole.
+# Cleared whole once it reaches the cap: a match makes a few dozen battlers.
+_BATTLER_JSON: dict[int, tuple[BattlerState, str]] = {}
+_BATTLER_JSON_CAP = 256
 
-    Keys sort as current_hp < level .. stats < status < types, so a
-    battler encodes as '{"current_hp":N' + head + status + tail.
-    """
-    head = _CANONICAL.encode({
-        "level": level, "max_hp": max_hp, "moves": list(moves),
-        "species": species, "stats": dict(zip(stat_names, stat_values)),
-    })
-    tail = _CANONICAL.encode({"types": list(types)})
-    return "," + head[1:-1] + ',"status":', "," + tail[1:]
+
+def _battler_json(b: BattlerState) -> str:
+    entry = _BATTLER_JSON.get(id(b))
+    if entry is not None:
+        return entry[1]
+    if len(_BATTLER_JSON) >= _BATTLER_JSON_CAP:
+        _BATTLER_JSON.clear()
+    encoded = _CANONICAL.encode(b.to_dict())
+    _BATTLER_JSON[id(b)] = (b, encoded)
+    return encoded
 
 
 def state_json(state: BattleState) -> str:
     """canonical_json(state.to_dict()), byte for byte, without building the dicts.
 
-    Keys are written in their sorted order.  The fixed fields of each
-    battler come from a bounded cache keyed by their values, so only HP,
-    status and the side and battle scalars are formatted per call.
+    Keys are written in their sorted order.  Each battler object is
+    encoded once (_battler_json), so only the side and battle scalars
+    are formatted per call.
     """
     sides = []
     for side in state.sides:
-        team = []
-        for b in side.team:
-            stats = b.stats
-            head, tail = _battler_fragments(
-                b.species, tuple(b.types), b.level, b.max_hp, tuple(b.moves),
-                tuple(stats), tuple(stats.values()))
-            status = b.status
-            status_json = ("null" if status is None else
-                           f'{{"kind":{_CANONICAL.encode(status.kind)},'
-                           f'"turns_left":{status.turns_left}}}')
-            team.append(f'{{"current_hp":{b.current_hp}{head}{status_json}{tail}')
         revealed = ",".join(map(str, sorted(side.revealed)))
         sides.append(f'{{"active_index":{side.active_index},"revealed":[{revealed}],'
-                     f'"team":[{",".join(team)}]}}')
+                     f'"team":[{",".join(map(_battler_json, side.team))}]}}')
     return (f'{{"end_reason":{_optional(state.end_reason)},'
             f'"rng_position":{state.rng_position},"rng_seed":{state.rng_seed},'
             f'"sides":[{",".join(sides)}],'
@@ -141,7 +133,7 @@ class MatchLog:
     def append(self, record: dict) -> None:
         if self._handle is None:
             raise StorageError(f"log {self.path} is closed")
-        self._handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+        self._handle.write(_LOG_ENCODER.encode(record) + "\n")
         self._handle.flush()
 
     def close(self) -> None:
@@ -298,9 +290,12 @@ def read_log(path: str | Path) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise StorageError(f"{path}:{line_no}: invalid JSON: {exc}")
+            if type(record) is not dict:
+                raise StorageError(f"{path}:{line_no}: a record must be a JSON object")
+            records.append(record)
     if not records or records[0].get("kind") != "meta":
         raise StorageError(f"{path}: first record must be meta")
     version = str(records[0].get("schema_version", ""))
@@ -325,9 +320,10 @@ def replay_walk(records: list[dict], dex: Dex) -> Iterator[tuple[dict, BattleSta
     yields must equal the logged one (pre digest, post digest, then event
     payload; DigestMismatch names the turn) and the initial digest must
     equal the meta record's.  A missing decision or a log that stops
-    before the battle ends raises IncompleteLog; a decision or events
-    record after the end raises StorageError.  Ends with
-    ({"kind": "end"}, final state).
+    before the battle ends raises IncompleteLog; a logged action that
+    is unreadable or illegal in its state (engine.is_legal), or a
+    decision or events record after the end, raises StorageError.  Ends
+    with ({"kind": "end"}, final state).
     """
     meta = records[0]
     teams = meta["team_names"]
@@ -348,7 +344,15 @@ def replay_walk(records: list[dict], dex: Dex) -> Iterator[tuple[dict, BattleSta
             what = "battle" if phase == PHASE_BATTLE else "replacement"
             raise IncompleteLog(f"turn {state.turn_number}: missing {what} decisions")
         made.append((record, state))
-        return Action.from_dict(record["decision"]["action"])
+        try:
+            action = Action.from_dict(record["decision"]["action"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StorageError(f"turn {state.turn_number}: side {side}: "
+                               f"unreadable action: {exc!r}") from exc
+        if not is_legal(state, side, action):
+            raise StorageError(f"turn {state.turn_number}: side {side}: "
+                               f"illegal action {action}")
+        return action
 
     steps = play_battle(state, init_events, dex, meta["match_id"], choose)
     expected, _ = next(steps)
@@ -390,14 +394,18 @@ def replay(path: str | Path, dex: Dex, expected_dex_fingerprint: str | None = No
     """Verify a complete log turn by turn and return the recomputed result."""
     records = read_log(path)
     meta = records[0]
-    if expected_dex_fingerprint is not None and meta["dex_fingerprint"] != expected_dex_fingerprint:
-        raise StorageError(
-            f"dex fingerprint mismatch: log has {meta['dex_fingerprint']}, "
-            f"current dex is {expected_dex_fingerprint}")
-    for _record, state in replay_walk(records, dex):  # ends with ({"kind": "end"}, state)
-        pass
-    winner_side = state.winner
-    winner_agent = meta["agents"]["a" if winner_side == 0 else "b"]
+    try:
+        if (expected_dex_fingerprint is not None
+                and meta["dex_fingerprint"] != expected_dex_fingerprint):
+            raise StorageError(
+                f"dex fingerprint mismatch: log has {meta['dex_fingerprint']}, "
+                f"current dex is {expected_dex_fingerprint}")
+        for _record, state in replay_walk(records, dex):  # ends with ({"kind": "end"}, state)
+            pass
+        winner_side = state.winner
+        winner_agent = meta["agents"]["a" if winner_side == 0 else "b"]
+    except KeyError as exc:
+        raise StorageError(f"{path}: a record lacks the key {exc}") from exc
     return ReplayResult(
         final_state=state,
         winner_side=winner_side,

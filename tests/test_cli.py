@@ -82,6 +82,12 @@ def test_simulate_turn_cap_zero_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "sim").exists()
 
 
+def test_simulate_missing_dex_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    assert main(["simulate", "--dex", str(missing), "--out", str(tmp_path / "sim")]) == 2
+    assert capsys.readouterr().err == f"error: dex file not found: {missing}\n"
+
+
 def test_simulate_verbose_prints_events(tmp_path, capsys):
     assert main(["simulate", "--count", "1", "--seed", "3", "-v",
                  "--out", str(tmp_path)]) == 0
@@ -266,6 +272,41 @@ def test_replay_incomplete_log(simulated_log, tmp_path, capsys):
 
 def test_replay_missing_file(tmp_path):
     assert main(["replay", str(tmp_path / "nope.jsonl")]) == 2
+
+
+def test_replay_missing_dex_is_usage_error(simulated_log, tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    assert main(["replay", str(simulated_log), "--dex", str(missing)]) == 2
+    assert capsys.readouterr().err == f"error: dex file not found: {missing}\n"
+
+
+def tamper_illegal_move(records):
+    decision = next(r for r in records if r["kind"] == "decision" and r["phase"] == "Battle")
+    decision["decision"]["action"] = {"type": "attack", "move_index": 9}
+
+
+def tamper_missing_pre_digest(records):
+    del next(r for r in records if r["kind"] == "events" and r["phase"] == "turn")["pre_digest"]
+
+
+@pytest.mark.parametrize("tamper", [tamper_illegal_move, tamper_missing_pre_digest])
+def test_replay_tampered_log_is_a_clean_failure(simulated_log, tmp_path, capsys, tamper):
+    records = [json.loads(line) for line in simulated_log.read_text().splitlines()]
+    tamper(records)
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text("\n".join(json.dumps(r) for r in records), encoding="utf-8")
+    assert main(["replay", str(tampered)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_log_starting_with_a_list_is_a_clean_failure(simulated_log, tmp_path, capsys):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    lines = simulated_log.read_text().splitlines()
+    (logs / "list.jsonl").write_text("\n".join(["[1,2]", *lines[1:]]), encoding="utf-8")
+    for command in (["replay", str(logs / "list.jsonl")], ["report", str(logs)]):
+        assert main(command) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

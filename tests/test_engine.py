@@ -6,11 +6,11 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pokeleague.dex import Species
+from pokeleague.dex import Species, load_dex
 from pokeleague.engine import (
     Action, BattleAlreadyEnded, BattlerState, IllegalActionError, NotADamagingMove,
-    StatusState, compute_damage, compute_stats, expected_damage, init_battle, legal_actions,
-    needs_replacement, resolve_replacements, resolve_turn, view_for,
+    StatusState, compute_damage, compute_stats, expected_damage, init_battle, is_legal,
+    legal_actions, needs_replacement, resolve_replacements, resolve_turn, view_for,
 )
 from pokeleague.storage import canonical_json
 
@@ -210,6 +210,74 @@ def test_damage_monotonic_in_attack_and_antitonic_in_defense(dex, attack, bump, 
     assert hard <= soft
 
 
+
+STATUSES = (None, "Burn", "Poison", "Paralysis", "Sleep", "Freeze")
+WEATHERS = (None, "Rain", "Sun", "Sand")
+
+
+def fresh_expected_damage(attacker, defender, move, chart, weather):
+    """expected_damage's rule, recomputed without the memo."""
+    if not move.is_damaging:
+        return 0
+    return compute_damage(attacker, defender, move, chart, weather=weather).damage
+
+
+def test_memoized_expected_damage_equals_fresh_over_the_pool(dex):
+    battlers = [compute_stats(dex.species[name]) for name in dex.pool]
+    burned = [replace(b, status=StatusState("Burn")) for b in battlers]
+    for attacker in battlers + burned:
+        for defender in battlers:
+            for name in attacker.moves:
+                move = dex.moves[name]
+                for weather in WEATHERS:
+                    expected = fresh_expected_damage(attacker, defender, move, dex.chart, weather)
+                    for _ in range(2):  # the miss, then the hit
+                        assert expected_damage(
+                            attacker, defender, move, dex.chart, weather) == expected
+
+
+@settings(max_examples=150, deadline=2000)
+@given(
+    attacker=st.integers(min_value=0, max_value=29),
+    defender=st.integers(min_value=0, max_value=29),
+    move_rank=st.integers(min_value=0, max_value=10**6),
+    weather=st.sampled_from(WEATHERS),
+    statuses=st.tuples(st.sampled_from(STATUSES), st.sampled_from(STATUSES)),
+    stat_changes=st.dictionaries(
+        st.tuples(st.integers(min_value=0, max_value=1),
+                  st.sampled_from(["atk", "def", "spa", "spd", "spe"])),
+        st.integers(min_value=1, max_value=400), max_size=4),
+)
+def test_memoized_expected_damage_equals_fresh(
+        dex, attacker, defender, move_rank, weather, statuses, stat_changes):
+    """Any move, any status on either side, stats changed on a live state."""
+    teams = [[lead, *[n for n in dex.pool if n != lead][:5]]
+             for lead in (dex.pool[attacker], dex.pool[defender])]
+    state, _ = fresh_battle(dex, *teams)
+    for side, kind in enumerate(statuses):
+        set_battler(state, side, status=None if kind is None else StatusState(kind, 2))
+    for side in (0, 1):
+        changes = {stat: value for (s, stat), value in stat_changes.items() if s == side}
+        set_battler(state, side, stats={**state.sides[side].active.stats, **changes})
+    move = dex.moves[sorted(dex.moves)[move_rank % len(dex.moves)]]
+    own, opponent = state.sides[0].active, state.sides[1].active
+    assert expected_damage(own, opponent, move, dex.chart, weather) == \
+        fresh_expected_damage(own, opponent, move, dex.chart, weather)
+
+
+def test_a_changed_chart_cell_gets_its_own_memo(dex, dex_doc, write_dex):
+    other = load_dex(write_dex({**dex_doc, "chart": {
+        **dex_doc["chart"], "Water": {**dex_doc["chart"]["Water"], "Fire": 0.5}}}))
+    attacker = compute_stats(dex.species["Swampert"])
+    defender = compute_stats(dex.species["Arcanine"])
+    surf = dex.moves["Surf"]
+    first = expected_damage(attacker, defender, surf, dex.chart, None)  # fills dex's memo
+    changed = expected_damage(attacker, defender, surf, other.chart, None)
+    assert changed == fresh_expected_damage(attacker, defender, surf, other.chart, None)
+    assert changed < first
+    assert expected_damage(attacker, defender, surf, dex.chart, None) == first
+
+
 # ---------------------------------------------------------------------------
 # legal actions
 # ---------------------------------------------------------------------------
@@ -246,6 +314,26 @@ def test_legal_actions_after_end_raises(dex):
     state.winner = 0
     with pytest.raises(BattleAlreadyEnded):
         legal_actions(state, 0)
+
+
+@pytest.mark.parametrize("team_size, move_count", [(3, 2), (6, 4), (8, 5)])
+def test_legal_actions_for_other_team_and_move_counts(dex, team_size, move_count):
+    state, _ = fresh_battle(dex)
+    for side in state.sides:
+        base = replace(side.team[0], moves=(side.team[0].moves * 2)[:move_count])
+        side.team = [base] + side.team[1:team_size] + [base] * (team_size - 6)
+    set_battler(state, 0, 1, current_hp=0)
+    expected = ([Action("attack", i) for i in range(move_count)]
+                + [Action("switch", i) for i in range(2, team_size)])
+    assert legal_actions(state, 0) == expected
+    candidates = [Action(kind, i) for kind in ("attack", "switch") for i in range(-1, 10)]
+    for action in candidates:
+        assert is_legal(state, 0, action) == (action in expected)
+
+
+def test_legal_actions_hands_out_shared_values(dex):
+    state, _ = fresh_battle(dex)
+    assert all(a is b for a, b in zip(legal_actions(state, 0), legal_actions(state, 1)))
 
 
 # ---------------------------------------------------------------------------

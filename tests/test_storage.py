@@ -2,14 +2,17 @@
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pokeleague import storage
-from pokeleague.agents import GreedyAgent, RandomAgent
+from pokeleague.agents import GreedyAgent, RandomAgent, TeamPick
 from pokeleague.engine import (
-    init_battle, legal_actions, needs_replacement, resolve_replacements, resolve_turn,
+    Action, BattleAlreadyEnded, IllegalActionError, init_battle, is_legal, legal_actions,
+    needs_replacement, resolve_replacements, resolve_turn,
 )
 from pokeleague.league import LeagueConfig, MatchRunner
 from pokeleague.storage import (
@@ -191,6 +194,71 @@ def test_state_json_keys_cached_fragments_by_value(dex):
     assert state_json(state) == canonical_json(state.to_dict())
 
 
+# Actions around the legal ones: every kind and index nearby, bools, unknown kinds.
+ANY_ACTION = st.builds(
+    Action, kind=st.sampled_from(["attack", "switch", "run", ""]),
+    index=st.one_of(st.integers(min_value=-3, max_value=9), st.booleans()))
+NEAR_ACTIONS = [Action(kind, index) for kind in ("attack", "switch", "Attack")
+                for index in (-1, 0, 1, 3, 4, 5, 6, True, False)]
+
+
+@settings(max_examples=25, deadline=5000)
+@given(**ANY_WALK, extra=st.lists(ANY_ACTION, max_size=6))
+@example(**FULL_GAME, extra=[])
+@example(**CAPPED_GAME, extra=[])
+def test_is_legal_agrees_with_legal_actions(dex, order, seed, turn_limit, choices, extra):
+    """The engine's legality predicate, checked against the list it replaces."""
+    for state in walk_states(dex, order, seed, turn_limit, choices):
+        if state.ended:
+            for side in (0, 1):
+                with pytest.raises(BattleAlreadyEnded):
+                    is_legal(state, side, Action("attack", 0))
+            continue
+        pending = [side for side in (0, 1) if needs_replacement(state, side)]
+        for side in (0, 1):
+            legal = legal_actions(state, side)
+            for action in [*NEAR_ACTIONS, *extra, *legal]:
+                assert is_legal(state, side, action) == (action in legal)
+                if action in legal:
+                    continue
+                # An action outside the list never reaches a step.
+                with pytest.raises(IllegalActionError):
+                    if pending:
+                        resolve_replacements(state, {side: action}, dex)
+                    else:
+                        other = legal_actions(state, 1 - side)[0]
+                        resolve_turn(state, *((action, other) if side == 0 else (other, action)),
+                                     dex)
+
+
+def test_state_json_after_the_battler_cache_overflows(dex):
+    cap = storage._BATTLER_JSON_CAP
+    walks = []
+    seed = 0
+    while sum(len({id(b) for s in walk for side in s.sides for b in side.team})
+              for walk in walks) <= 2 * cap:
+        walks.append(list(walk_states(dex, FULL_GAME["order"], seed, 500, FULL_GAME["choices"])))
+        seed += 1
+    states = [state for walk in walks for state in walk]
+    for _ in range(2):  # the second pass finds entries cleared and refilled
+        for state in states:
+            assert state_json(state) == canonical_json(state.to_dict())
+    assert len(storage._BATTLER_JSON) <= cap
+
+
+def test_state_json_after_a_battler_is_replaced(dex):
+    state = list(walk_states(dex, **CAPPED_GAME))[-1]
+    before = state_json(state)
+    changed = state.clone()
+    set_battler(changed, 1, 2, current_hp=1)
+    assert state_json(changed) == canonical_json(changed.to_dict()) != before
+    assert state_json(state) == before
+    del changed  # its battler's entry keeps the object, so its id stays taken
+    again = state.clone()
+    set_battler(again, 1, 2, current_hp=2)
+    assert state_json(again) == canonical_json(again.to_dict())
+
+
 def digest_chain(path):
     """SHA-256 over a log's initial digest and every events pre/post digest."""
     records = read_log(path)
@@ -340,3 +408,92 @@ def test_replay_walk_yields_decisions_with_their_states(dex, match_log):
         assert state.turn_number == record["turn"] or record["phase"] == "TeamSelect"
     end, final = walked[-1]
     assert end == {"kind": "end"} and final.ended
+
+
+def rewrite_log(path, out, change):
+    """Write path's records to out after change(records) edits them in place."""
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    change(records)
+    out.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
+    return out
+
+
+def first_record(records, kind, phase):
+    return next(r for r in records if r["kind"] == kind and r["phase"] == phase)
+
+
+def test_replay_rejects_an_illegal_logged_action(dex, match_log, tmp_path):
+    path, _ = match_log
+
+    def change(records):
+        record = first_record(records, "decision", "Battle")
+        record["decision"] = {"action": {"type": "attack", "move_index": 9}}
+
+    tampered = rewrite_log(path, tmp_path / "illegal.jsonl", change)
+    with pytest.raises(StorageError, match="turn 1: side 0: illegal action attack:9"):
+        replay(tampered, dex)
+
+
+@pytest.mark.parametrize("action", [{"type": "attack"}, {"type": "fly", "move_index": 0},
+                                    {"type": "switch", "team_index": "two"}, 3])
+def test_replay_rejects_an_unreadable_logged_action(dex, match_log, tmp_path, action):
+    path, _ = match_log
+
+    def change(records):
+        first_record(records, "decision", "Battle")["decision"] = {"action": action}
+
+    tampered = rewrite_log(path, tmp_path / "unreadable.jsonl", change)
+    with pytest.raises(StorageError, match="turn 1: side 0: unreadable action"):
+        replay(tampered, dex)
+
+
+@pytest.mark.parametrize("kind, phase, key", [
+    ("events", "turn", "pre_digest"), ("events", "init", "events"),
+    ("decision", "Battle", "side"), ("meta", None, "agents"),
+])
+def test_replay_rejects_a_record_without_a_key(dex, match_log, tmp_path, kind, phase, key):
+    path, _ = match_log
+
+    def change(records):
+        record = records[0] if kind == "meta" else first_record(records, kind, phase)
+        del record[key]
+
+    tampered = rewrite_log(path, tmp_path / "missing.jsonl", change)
+    with pytest.raises(StorageError, match=f"lacks the key '{key}'"):
+        replay(tampered, dex)
+
+
+@pytest.mark.parametrize("line", ["[1,2]", "7", '"meta"', "null"])
+@pytest.mark.parametrize("at", [0, 3])
+def test_reader_rejects_a_record_that_is_not_an_object(match_log, tmp_path, line, at):
+    path, _ = match_log
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[at] = line
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(StorageError, match=f":{at + 1}: a record must be a JSON object"):
+        read_log(broken)
+
+
+POOL_TEAM = st.lists(st.integers(min_value=0, max_value=29), min_size=6, max_size=6, unique=True)
+
+
+@settings(max_examples=20, deadline=5000)
+@given(teams=st.tuples(POOL_TEAM, POOL_TEAM),
+       agent_seeds=st.tuples(st.integers(min_value=0, max_value=2**32),
+                             st.integers(min_value=0, max_value=2**32)),
+       seed=st.integers(min_value=0, max_value=2**63 - 1),
+       turn_limit=st.integers(min_value=1, max_value=80))
+def test_every_runner_log_replays_to_its_result(dex, bundled_fingerprint, teams, agent_seeds,
+                                                seed, turn_limit):
+    """Every log MatchRunner writes replays digest for digest to the MatchResult."""
+    with tempfile.TemporaryDirectory() as log_dir:
+        runner = MatchRunner(dex, LeagueConfig(turn_limit=turn_limit), log_dir,
+                             bundled_fingerprint)
+        result = runner.run_match(
+            RandomAgent("r1", agent_seeds[0]), RandomAgent("r2", agent_seeds[1]), seed,
+            match_id="m", teams_override=(TeamPick(tuple(teams[0])), TeamPick(tuple(teams[1]))))
+        outcome = replay(Path(log_dir) / result.log_files[0], dex,
+                         expected_dex_fingerprint=bundled_fingerprint)
+    assert (outcome.winner_agent, outcome.turns) == (result.winner, result.turn_count)
+    assert outcome.turns <= turn_limit
