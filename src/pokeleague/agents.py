@@ -34,11 +34,18 @@ class TeamPick:
 
 @dataclass(frozen=True)
 class AgentDecision:
-    """One decision: a battle action or a team pick, plus its rationale."""
+    """One decision, from the agent to its log record.
+
+    A battle action or a team pick, its rationale, the LLM exchanges (as
+    the dicts the log writes) and errors behind it, and fallback_used.
+    """
 
     action: Action | None = None
     team: TeamPick | None = None
     reasoning: str = ""
+    exchanges: tuple[dict, ...] = ()
+    errors: tuple[str, ...] = ()
+    fallback_used: bool = False
 
     def __post_init__(self):
         if (self.action is None) == (self.team is None):

@@ -82,18 +82,26 @@ class MatchLogData:
         }
 
 
+_DECISION_KEYS = frozenset({"agent_id", "phase", "decision", "reasoning", "context"})
+
+
 def load_match_log(path: str | Path) -> MatchLogData:
+    """Parse one log; a decision or events record that lacks a key is a StorageError."""
     records = storage.read_log(path)
-    meta = records[0]
     decisions = [r for r in records[1:] if r.get("kind") == "decision"]
     winner_side = None
-    for record in records[1:]:
-        if record.get("kind") != "events":
-            continue
-        for event in record["events"]:
-            if event["kind"] == "BattleEnded":
-                winner_side = event["winner"]
-    return MatchLogData(path=Path(path), meta=meta, decisions=decisions,
+    try:
+        for decision in decisions:
+            if not decision.keys() >= _DECISION_KEYS:
+                raise KeyError(min(_DECISION_KEYS - decision.keys()))
+        for record in records[1:]:
+            if record.get("kind") == "events":
+                for event in record["events"]:
+                    if event["kind"] == "BattleEnded":
+                        winner_side = event["winner"]
+    except KeyError as exc:
+        raise storage.StorageError(f"{path}: a record lacks the key {exc}") from exc
+    return MatchLogData(path=Path(path), meta=records[0], decisions=decisions,
                         winner_side=winner_side)
 
 

@@ -149,10 +149,7 @@ def cmd_report(args) -> int:
     try:
         logs = analytics.load_log_dir(log_dir)
         report = analytics.build_report(logs)
-    except analytics.NoLogs as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except storage.StorageError as exc:
+    except (analytics.NoLogs, storage.StorageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     out_dir = Path(args.out) if args.out else log_dir / "report"

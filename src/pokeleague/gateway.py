@@ -16,7 +16,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import requests
@@ -110,10 +110,12 @@ class ProviderError(GatewayError):
 
 
 class AgentFailure(Exception):
-    """An LLM agent exhausted its repair attempts (or transport retries)."""
+    """An LLM agent ran out of repair attempts or transport retries; holds what it gathered."""
 
-    def __init__(self, trace: "DecisionTrace", message: str = "agent could not produce a valid decision"):
-        self.trace = trace
+    def __init__(self, message: str = "agent could not produce a valid decision", *,
+                 exchanges: tuple[dict, ...] = (), errors: tuple[str, ...] = ()):
+        self.exchanges = exchanges
+        self.errors = errors
         super().__init__(message)
 
 
@@ -177,24 +179,12 @@ class RawExchange:
     response_text: str
     latency_ms: float
     attempt: int
-    parse_outcome: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "prompt": self.prompt,
-            "response_text": self.response_text,
-            "latency_ms": self.latency_ms,
-            "attempt": self.attempt,
-            "parse_outcome": self.parse_outcome,
-        }
-
-
-@dataclass
-class DecisionTrace:
-    """Everything that happened while producing one decision."""
-
-    exchanges: list[RawExchange] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
+    def to_dict(self, parse_outcome: str) -> dict:
+        """The exchange as a decision record logs it, with what its parse gave."""
+        return {"prompt": self.prompt, "response_text": self.response_text,
+                "latency_ms": self.latency_ms, "attempt": self.attempt,
+                "parse_outcome": parse_outcome}
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +403,6 @@ def parse_action_response(raw: str, legal: Sequence[Action]) -> tuple[Action, st
     return action, _reasoning_of(obj)
 
 
-def render_action_json(action: Action, reasoning: str = "") -> str:
-    """The documented response shape for an action (round-trip helper)."""
-    return json.dumps({"action": action.to_dict(), "reasoning": reasoning})
-
-
-def render_team_json(team: TeamPick, reasoning: str = "") -> str:
-    return json.dumps({"team": list(team.indices), "reasoning": reasoning})
-
-
 # ---------------------------------------------------------------------------
 # provider transport
 # ---------------------------------------------------------------------------
@@ -592,7 +573,8 @@ class LlmAgent:
 
     Invalid responses trigger up to max_repair_attempts re-prompts that
     quote the machine error; after that AgentFailure propagates so the
-    league can apply its fallback decision.
+    league can apply its fallback decision.  A decision, and a failure,
+    carries every exchange and error behind it.
     """
 
     def __init__(
@@ -609,51 +591,50 @@ class LlmAgent:
         self.include_history = include_history
         self._completer = completer or self._provider_completer
         self._history: list[str] = []
-        self.last_trace = DecisionTrace()
 
     def _provider_completer(self, prompt: str, kind: str) -> RawExchange:
         return complete(self.config, prompt)
 
-    def _decide(self, prompt: str, kind: str, parse):
-        trace = DecisionTrace()
-        self.last_trace = trace
+    def _decide(self, prompt: str, kind: str, parse) -> AgentDecision:
+        """Ask, then re-ask with repair prompts; kind ("team" or "action")
+        names both the script section and the decision's field."""
+        exchanges: list[dict] = []
+        errors: list[str] = []
         current = prompt
         for _ in range(1 + self.config.max_repair_attempts):
             try:
                 exchange = self._completer(current, kind)
             except GatewayError as err:
-                trace.errors.append(f"{type(err).__name__}: {err}")
-                raise AgentFailure(trace, f"provider call failed: {err}") from err
-            trace.exchanges.append(exchange)
+                errors.append(f"{type(err).__name__}: {err}")
+                raise AgentFailure(f"provider call failed: {err}",
+                                   exchanges=tuple(exchanges), errors=tuple(errors)) from err
             try:
                 value, reasoning = parse(exchange.response_text)
             except ParseError as err:
-                exchange.parse_outcome = err.kind
-                trace.errors.append(str(err))
+                exchanges.append(exchange.to_dict(err.kind))
+                errors.append(str(err))
                 current = repair_prompt(prompt, err)
                 continue
-            exchange.parse_outcome = "success"
-            return value, reasoning
-        raise AgentFailure(trace)
+            exchanges.append(exchange.to_dict("success"))
+            return AgentDecision(**{kind: value}, reasoning=reasoning,
+                                 exchanges=tuple(exchanges), errors=tuple(errors))
+        raise AgentFailure(exchanges=tuple(exchanges), errors=tuple(errors))
 
     def select_team(self, pool: Sequence[PoolEntry]) -> AgentDecision:
         prompt = build_team_prompt(pool)
-        team, reasoning = self._decide(
-            prompt, "team", lambda raw: parse_team_response(raw, len(pool)))
-        return AgentDecision(team=team, reasoning=reasoning)
+        return self._decide(prompt, "team", lambda raw: parse_team_response(raw, len(pool)))
 
     def choose_action(self, view: BattleView, legal: Sequence[Action]) -> AgentDecision:
         if view.turn_number == 1:  # a game's first battle decision: history covers one game
             self._history.clear()
         history = tuple(self._history[-10:]) if self.include_history else ()
         prompt = build_battle_prompt(view, legal, self.dex, history)
-        action, reasoning = self._decide(
-            prompt, "action", lambda raw: parse_action_response(raw, legal))
+        decision = self._decide(prompt, "action", lambda raw: parse_action_response(raw, legal))
         if self.include_history:
             self._history.append(
-                f"Turn {view.turn_number}: {view.own_active.species} chose {action} "
+                f"Turn {view.turn_number}: {view.own_active.species} chose {decision.action} "
                 f"vs {view.opponent_active.species}")
-        return AgentDecision(action=action, reasoning=reasoning)
+        return decision
 
 
 class ScriptCompleter:

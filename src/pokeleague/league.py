@@ -76,6 +76,21 @@ class TournamentConfig:
     output_dir: str = "out"
     tournament_id: str = ""
 
+    def __post_init__(self):
+        # type(), not isinstance: a bool is not a seed
+        pool = self.pool
+        valid = {
+            "master_seed": (type(self.master_seed) is int, "an integer"),
+            "dex_path": (self.dex_path is None or type(self.dex_path) is str, "a string or null"),
+            "pool": (pool is None or type(pool) is list and all(type(n) is str for n in pool),
+                     "a list of species names or null"),
+            "output_dir": (type(self.output_dir) is str, "a string"),
+            "tournament_id": (type(self.tournament_id) is str, "a string"),
+        }
+        for name, (ok, expected) in valid.items():
+            if not ok:
+                raise ConfigError(f"{name} must be {expected}, got {getattr(self, name)!r}")
+
     @staticmethod
     def from_file(path: str | Path) -> "TournamentConfig":
         with open(path, encoding="utf-8") as handle:
@@ -87,23 +102,20 @@ class TournamentConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"a tournament config must be an object, got {type(raw).__name__}")
         league_keys = LeagueConfig().to_dict().keys()
-        unknown = raw.keys() - league_keys - {f.name for f in fields(TournamentConfig)} - {"league"}
+        # League settings are top-level keys; a nested "league" object is unknown.
+        known = league_keys | {f.name for f in fields(TournamentConfig)} - {"league"}
+        unknown = raw.keys() - known
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
         providers, entrants = raw.get("providers", {}), raw.get("entrants", [])
         if not isinstance(providers, dict) or not isinstance(entrants, list):
             raise ConfigError("providers must be an object and entrants a list")
-        league = LeagueConfig(**{k: raw[k] for k in league_keys if k in raw})
+        scalars = ("master_seed", "dex_path", "pool", "output_dir", "tournament_id")
         return TournamentConfig(
             entrants=[AgentProfile.from_dict(e) for e in entrants],
-            master_seed=raw.get("master_seed", 0),
-            dex_path=raw.get("dex_path"),
-            pool=raw.get("pool"),
-            league=league,
+            league=LeagueConfig(**{k: raw[k] for k in league_keys if k in raw}),
             providers={name: ProviderConfig.from_dict(cfg) for name, cfg in providers.items()},
-            output_dir=raw.get("output_dir", "out"),
-            tournament_id=raw.get("tournament_id", ""),
-        )
+            **{k: raw[k] for k in scalars if k in raw})
 
 
 def build_agent(profile: AgentProfile, dex: Dex, config: TournamentConfig) -> Agent:
@@ -112,8 +124,9 @@ def build_agent(profile: AgentProfile, dex: Dex, config: TournamentConfig) -> Ag
     if profile.kind == "greedy":
         return GreedyAgent(profile.agent_id, dex)
     if profile.kind == "mock":
-        if not profile.script:
-            raise ConfigError(f"mock entrant {profile.agent_id!r} needs a script path")
+        if not Path(profile.script).is_file():
+            raise ConfigError(
+                f"mock entrant {profile.agent_id!r}: no script file {profile.script!r}")
         return make_mock_agent(profile.agent_id, profile.script, dex)
     if profile.kind == "llm":
         if profile.provider not in config.providers:
@@ -185,30 +198,25 @@ class MatchRunner:
         self.log_dir = Path(log_dir)
         self.dex_fingerprint = dex_fingerprint
         self.tournament_id = tournament_id
-        # draft_per_match=False: each agent's first draft and whether it fell back.
-        self._cached_teams: dict[str, tuple[AgentDecision, bool]] = {}
+        # draft_per_match=False: each agent's first draft, without its exchanges.
+        self._cached_teams: dict[str, AgentDecision] = {}
 
     # -- asking an agent -----------------------------------------------------
 
-    def _ask(self, agent: Agent, side: int, call, fallback) -> tuple[AgentDecision, bool, list, list]:
+    def _ask(self, side: int, call, fallback) -> AgentDecision:
         """One agent call, for a draft or a battle action.
 
-        Returns (decision, fallback_used, exchanges, errors), the last two
-        from the LLM decision trace (none for scripted agents).  If the
-        agent fails, the decision is fallback(), or under
+        If the agent fails, the decision is fallback() with the failure's
+        exchanges and errors and fallback_used set, or under
         disqualify_on_failure the side forfeits the match.
         """
         try:
-            decision = call()
+            return call()
         except AgentFailure as failure:
             if self.config.disqualify_on_failure:
                 raise _Forfeit(side)
-            decision, used, trace = fallback(), True, failure.trace
-        else:
-            used, trace = False, getattr(agent, "last_trace", None)
-        if trace is None:
-            return decision, used, [], []
-        return decision, used, [e.to_dict() for e in trace.exchanges], list(trace.errors)
+            return replace(fallback(), exchanges=failure.exchanges, errors=failure.errors,
+                           fallback_used=True)
 
     # -- one game --------------------------------------------------------
 
@@ -238,18 +246,16 @@ class MatchRunner:
                 agent = agents[side]
                 view = view_for(state, side)
                 legal = legal_actions(state, side)
-                decision, fallback, exchanges, errors = self._ask(
-                    agent, side, lambda: agent.choose_action(view, legal),
+                decision = self._ask(
+                    side, lambda: agent.choose_action(view, legal),
                     lambda: AgentDecision(action=fallback_action(legal)))
                 if decision.action not in legal:
                     raise RuntimeError(
                         f"agent {agent.agent_id} returned illegal action {decision.action} "
                         "(harness bug: agents must be validated upstream)")
                 log.append(storage.decision_record(
-                    match_id=match_id, turn=state.turn_number, agent_id=agent.agent_id,
-                    side=side, phase=phase, decision={"action": decision.action.to_dict()},
-                    reasoning=decision.reasoning, fallback_used=fallback,
-                    exchanges=exchanges, errors=errors,
+                    decision, match_id=match_id, turn=state.turn_number,
+                    agent_id=agent.agent_id, side=side, phase=phase,
                     context=decision_context(self.dex, state, side, legal)))
                 return decision.action
 
@@ -301,26 +307,22 @@ class MatchRunner:
         drafts: list[dict] = []
         for side, agent in agents.items():
             if teams_override is not None:
-                asked = AgentDecision(team=teams_override[side]), False, [], []
+                decision = AgentDecision(team=teams_override[side])
             elif agent.agent_id in self._cached_teams:
-                asked = *self._cached_teams[agent.agent_id], [], []
+                decision = self._cached_teams[agent.agent_id]
             else:
                 try:
-                    asked = self._ask(
-                        agent, side, lambda: agent.select_team(pool_view), team_fallback)
+                    decision = self._ask(side, lambda: agent.select_team(pool_view), team_fallback)
                 except _Forfeit:
                     forfeit_side = side if forfeit_side is None else forfeit_side
-                    asked = team_fallback(), True, [], []
+                    decision = replace(team_fallback(), fallback_used=True)
                 else:
                     if not self.config.draft_per_match:
-                        self._cached_teams[agent.agent_id] = asked[:2]
-            decision, fallback, exchanges, errors = asked
+                        self._cached_teams[agent.agent_id] = replace(
+                            decision, exchanges=(), errors=())
             drafts.append(storage.decision_record(
-                match_id=match_id, turn=0, agent_id=agent.agent_id,
-                side=side, phase=storage.PHASE_TEAM_SELECT,
-                decision={"team": list(decision.team.indices)},
-                reasoning=decision.reasoning, fallback_used=fallback,
-                exchanges=exchanges, errors=errors))
+                decision, match_id=match_id, turn=0, agent_id=agent.agent_id,
+                side=side, phase=storage.PHASE_TEAM_SELECT))
 
         games: list[GameSummary] = []
         wins = [0, 0]
@@ -488,6 +490,8 @@ def load_tournament_dex(config: TournamentConfig) -> tuple[Dex, str]:
     from .dex import default_dex_path, dex_fingerprint
 
     path = Path(config.dex_path) if config.dex_path else default_dex_path()
+    if not path.exists():
+        raise ConfigError(f"dex file not found: {path}")
     dex = load_dex(path)
     if config.pool:
         dex = dex.with_pool(config.pool)

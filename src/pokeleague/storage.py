@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
+from .agents import AgentDecision
 from .dex import Dex
 from .engine import (
     Action, BattlerState, BattleState, init_battle, is_legal, needs_replacement,
@@ -185,17 +186,13 @@ def meta_record(
 
 
 def decision_record(
+    decision: AgentDecision,
     *,
     match_id: str,
     turn: int,
     agent_id: str,
     side: int,
     phase: str,
-    decision: dict,
-    reasoning: str,
-    fallback_used: bool = False,
-    exchanges: list[dict] | None = None,
-    errors: list[str] | None = None,
     context: dict | None = None,
 ) -> dict:
     return {
@@ -205,11 +202,12 @@ def decision_record(
         "agent_id": agent_id,
         "side": side,
         "phase": phase,
-        "decision": decision,
-        "reasoning": reasoning,
-        "fallback_used": fallback_used,
-        "exchanges": exchanges or [],
-        "errors": errors or [],
+        "decision": ({"team": list(decision.team.indices)} if decision.action is None
+                     else {"action": decision.action.to_dict()}),
+        "reasoning": decision.reasoning,
+        "fallback_used": decision.fallback_used,
+        "exchanges": list(decision.exchanges),
+        "errors": list(decision.errors),
         "context": context,
         "ts": time.time(),
     }
@@ -320,15 +318,19 @@ def replay_walk(records: list[dict], dex: Dex) -> Iterator[tuple[dict, BattleSta
     yields must equal the logged one (pre digest, post digest, then event
     payload; DigestMismatch names the turn) and the initial digest must
     equal the meta record's.  A missing decision or a log that stops
-    before the battle ends raises IncompleteLog; a logged action that
-    is unreadable or illegal in its state (engine.is_legal), or a
-    decision or events record after the end, raises StorageError.  Ends
+    before the battle ends raises IncompleteLog; meta teams that
+    init_battle rejects, a logged action that is unreadable or illegal in
+    its state (engine.is_legal), or a decision or events record after
+    the end, raises StorageError.  Ends
     with ({"kind": "end"}, final state).
     """
     meta = records[0]
     teams = meta["team_names"]
-    state, init_events = init_battle(
-        dex, teams["a"], teams["b"], meta["seed"], meta["turn_limit"])
+    try:
+        state, init_events = init_battle(
+            dex, teams["a"], teams["b"], meta["seed"], meta["turn_limit"])
+    except ValueError as exc:  # e.g. a team that is not 6 species
+        raise StorageError(f"meta record: {exc}") from exc
     logged = iter([r for r in records[1:] if r.get("kind") in ("decision", "events")])
     made: list[tuple[dict, BattleState]] = []
 

@@ -162,6 +162,14 @@ RANDOM_ENTRANTS = [{"agent_id": f"random-{i}", "kind": "random", "seed": i} for 
     {"entrants": {"random-0": "random"}},
     {"entrants": RANDOM_ENTRANTS + [{"agent_id": 3, "kind": "random"}]},
     {"entrants": RANDOM_ENTRANTS + [{"agent_id": "mock-3", "kind": "mock", "script": 7}]},
+    {"master_seed": "x"},
+    {"master_seed": True},
+    {"dex_path": 5},
+    {"pool": 5},
+    {"pool": ["Pikachu", 3]},
+    {"output_dir": 7},
+    {"tournament_id": 3},
+    {"league": {"best_of": 3}},
 ], ids=["misspelled-provider-key", "best-of-string", "best-of-even", "best-of-zero",
         "turn-limit-string", "turn-limit-zero", "jobs-string", "jobs-zero",
         "disqualify-string", "draft-per-match-int", "include-history-null",
@@ -169,13 +177,30 @@ RANDOM_ENTRANTS = [{"agent_id": f"random-{i}", "kind": "random", "seed": i} for 
         "rate-never-refills", "temperature-bool", "max-tokens-zero", "model-int",
         "providers-list", "misspelled-top-level-keys", "misspelled-entrant-key",
         "entrant-without-kind", "string-entrant", "entrants-object", "entrant-id-int",
-        "mock-script-int"])
+        "mock-script-int", "master-seed-string", "master-seed-bool", "dex-path-int", "pool-int",
+        "pool-item-int", "output-dir-int", "tournament-id-int", "nested-league-object"])
 def test_tournament_bad_config_is_usage_error(tmp_path, capsys, overrides):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({**scripted_config(tmp_path, count=4), **overrides}),
                            encoding="utf-8")
     assert main(["tournament", str(config_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()  # rejected before any match was played
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"dex_path": "nope.json"}, "error: dex file not found: nope.json\n"),
+    ({"entrants": RANDOM_ENTRANTS + [{"agent_id": "mock-3", "kind": "mock",
+                                      "script": "nope.json"}]},
+     "error: mock entrant 'mock-3': no script file 'nope.json'\n"),
+], ids=["dex-path", "mock-script"])
+def test_tournament_missing_file_is_usage_error(tmp_path, capsys, monkeypatch, overrides, message):
+    monkeypatch.chdir(tmp_path)  # the missing paths are relative
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**scripted_config(tmp_path, count=4), **overrides}),
+                           encoding="utf-8")
+    assert main(["tournament", str(config_path)]) == 2
+    assert capsys.readouterr().err == message
     assert not (tmp_path / "out").exists()  # rejected before any match was played
 
 
@@ -299,6 +324,16 @@ def test_replay_tampered_log_is_a_clean_failure(simulated_log, tmp_path, capsys,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_replay_meta_team_of_five_is_a_clean_failure(simulated_log, tmp_path, capsys):
+    records = [json.loads(line) for line in simulated_log.read_text().splitlines()]
+    del records[0]["team_names"]["a"][5]
+    tampered = tmp_path / "five.jsonl"
+    tampered.write_text("\n".join(json.dumps(r) for r in records), encoding="utf-8")
+    assert main(["replay", str(tampered)]) == 1
+    assert capsys.readouterr().err == (
+        "error: meta record: each team must have exactly 6 species\n")
+
+
 def test_log_starting_with_a_list_is_a_clean_failure(simulated_log, tmp_path, capsys):
     logs = tmp_path / "logs"
     logs.mkdir()
@@ -325,6 +360,29 @@ def test_report_over_simulated_logs(tmp_path, capsys):
     report = json.loads((out / "report" / "report.json").read_text(encoding="utf-8"))
     for metrics in report["agents"].values():
         assert 0.0 <= metrics["win_rate"] <= 1.0
+
+
+def drop_events_key(records):
+    del next(r for r in records if r["kind"] == "events" and r["phase"] == "turn")["events"]
+    return "'events'"
+
+
+def drop_reasoning_key(records):
+    del next(r for r in records if r["kind"] == "decision")["reasoning"]
+    return "'reasoning'"
+
+
+@pytest.mark.parametrize("tamper", [drop_events_key, drop_reasoning_key])
+def test_report_on_record_without_a_key_is_a_clean_failure(simulated_log, tmp_path, capsys,
+                                                           tamper):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    records = [json.loads(line) for line in simulated_log.read_text().splitlines()]
+    key = tamper(records)
+    tampered = logs / "tampered.jsonl"
+    tampered.write_text("\n".join(json.dumps(r) for r in records), encoding="utf-8")
+    assert main(["report", str(logs)]) == 1
+    assert capsys.readouterr().err == f"error: {tampered}: a record lacks the key {key}\n"
 
 
 def test_report_empty_dir(tmp_path):

@@ -14,11 +14,19 @@ from pokeleague.gateway import (
     LlmAgent, NoJsonFound, ParseError, ProviderConfig, ProviderError, RateLimited,
     RawExchange, ScriptCompleter, TokenBucket, UnknownActionType, WrongArity,
     build_battle_prompt, build_team_prompt, complete, extract_first_json,
-    parse_action_response, parse_team_response, render_action_json,
-    render_team_json, repair_prompt,
+    parse_action_response, parse_team_response, repair_prompt,
 )
 
 from conftest import set_battler
+
+
+def render_action_json(action, reasoning=""):
+    """The documented response shape for an action."""
+    return json.dumps({"action": action.to_dict(), "reasoning": reasoning})
+
+
+def render_team_json(team, reasoning=""):
+    return json.dumps({"team": list(team.indices), "reasoning": reasoning})
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -412,8 +420,8 @@ def test_repair_loop_recovers_after_error(dex):
     assert len(completer.prompts) == 2
     assert "Respond with only the JSON object." in completer.prompts[1]
     assert "illegal_action" in completer.prompts[1]
-    assert agent.last_trace.exchanges[0].parse_outcome == "illegal_action"
-    assert agent.last_trace.exchanges[1].parse_outcome == "success"
+    assert decision.exchanges[0]["parse_outcome"] == "illegal_action"
+    assert decision.exchanges[1]["parse_outcome"] == "success"
 
 
 def test_repair_loop_bound_then_agent_failure(dex):
@@ -423,7 +431,7 @@ def test_repair_loop_bound_then_agent_failure(dex):
     with pytest.raises(AgentFailure) as excinfo:
         agent.choose_action(view, legal)
     assert len(completer.prompts) == 4  # 1 + max_repair_attempts
-    assert len(excinfo.value.trace.exchanges) == 4
+    assert len(excinfo.value.exchanges) == 4
 
 
 def test_total_provider_call_bound(monkeypatch, dex):
@@ -497,15 +505,14 @@ def test_history_flag_off_by_default_and_on_when_enabled(dex):
     stateless = LlmAgent("llm", config, dex,
                          completer=RecordingCompleter([valid, valid]))
     stateless.choose_action(view, legal)
-    stateless.choose_action(view, legal)
-    assert "Previous turns:" not in stateless.last_trace.exchanges[0].prompt
+    decision = stateless.choose_action(view, legal)
+    assert "Previous turns:" not in decision.exchanges[0]["prompt"]
 
     remembering = LlmAgent("llm", config, dex,
                            completer=RecordingCompleter([valid, valid]),
                            include_history=True)
     remembering.choose_action(view, legal)
-    remembering.choose_action(view, legal)
-    second_prompt = remembering.last_trace.exchanges[0].prompt
+    second_prompt = remembering.choose_action(view, legal).exchanges[0]["prompt"]
     assert "Previous turns:" in second_prompt
     assert "Turn 3" in second_prompt
 

@@ -6,7 +6,7 @@ import pytest
 
 from pokeleague.agents import AgentProfile, GreedyAgent, RandomAgent, TeamPick
 from pokeleague.gateway import (
-    AgentFailure, DecisionTrace, LlmAgent, ProviderConfig, RawExchange, ScriptCompleter,
+    AgentFailure, LlmAgent, ProviderConfig, RawExchange, ScriptCompleter,
 )
 from pokeleague.league import (
     END_FORFEIT, ConfigError, LeagueConfig, MatchRunner, TournamentConfig,
@@ -25,14 +25,17 @@ def scripted_entrants(count):
     return profiles
 
 
-def garbage_llm_agent(dex, agent_id="broken"):
-    """An LLM agent whose model never produces usable JSON."""
+def garbage_llm_agent(dex, agent_id="broken", prompts=None):
+    """An LLM agent whose model never produces usable JSON; prompts collects what it is sent."""
     config = ProviderConfig(
         provider="openai_compatible", endpoint="mock://x", model="m",
         api_key_env="POKELEAGUE_TEST_KEY", max_repair_attempts=2)
-    completer = lambda prompt, kind: RawExchange(
-        prompt=prompt, response_text="I refuse to answer in JSON.",
-        latency_ms=0.0, attempt=1)
+
+    def completer(prompt, kind):
+        if prompts is not None:
+            prompts.append(prompt)
+        return RawExchange(prompt=prompt, response_text="I refuse to answer in JSON.",
+                           latency_ms=0.0, attempt=1)
     return LlmAgent(agent_id, config, dex, completer=completer)
 
 
@@ -73,6 +76,27 @@ def test_fallback_team_when_llm_never_valid(dex, tmp_path):
     assert battle_decisions and all(d["fallback_used"] for d in battle_decisions)
 
 
+def test_fallback_records_carry_the_failed_exchanges(dex, tmp_path):
+    runner = MatchRunner(dex, LeagueConfig(draft_per_match=False), tmp_path)
+    broken, greedy = garbage_llm_agent(dex), GreedyAgent("greedy", dex)
+    for match_id in ("m0", "m1"):
+        runner.run_match(broken, greedy, seed=5, match_id=match_id)
+    first, cached = (
+        [r for r in read_log(tmp_path / f"{m}.jsonl") if r["kind"] == "decision"]
+        for m in ("m0", "m1"))
+    for record in first:
+        if record["agent_id"] == "broken":  # 1 + max_repair_attempts failed exchanges
+            assert record["fallback_used"] is True
+            assert [e["parse_outcome"] for e in record["exchanges"]] == ["no_json_found"] * 3
+            assert [e.split(":")[0] for e in record["errors"]] == ["no_json_found"] * 3
+        else:
+            assert (record["fallback_used"], record["exchanges"], record["errors"]) == (
+                False, [], [])
+    # The cached draft keeps its fallback flag but logs no exchanges.
+    draft = next(r for r in cached if r["phase"] == "TeamSelect" and r["side"] == 0)
+    assert (draft["fallback_used"], draft["exchanges"], draft["errors"]) == (True, [], [])
+
+
 def test_disqualify_on_failure_forfeits(dex, tmp_path):
     config = LeagueConfig(disqualify_on_failure=True)
     runner = MatchRunner(dex, config, tmp_path)
@@ -95,7 +119,7 @@ class FailingInGame(GreedyAgent):
         if view.turn_number == 1:
             self.games_started += 1
         if self.games_started == self.game and view.turn_number >= 3:
-            raise AgentFailure(DecisionTrace(errors=["model unavailable"]))
+            raise AgentFailure(errors=("model unavailable",))
         return super().choose_action(view, legal)
 
 
@@ -115,14 +139,16 @@ def test_mid_game_failure_forfeits_the_match(dex, tmp_path, best_of, game, compl
 
 def test_draft_failure_on_both_sides_forfeits_side_a(dex, tmp_path):
     runner = MatchRunner(dex, LeagueConfig(disqualify_on_failure=True), tmp_path)
-    broken_a, broken_b = garbage_llm_agent(dex, "broken-a"), garbage_llm_agent(dex, "broken-b")
+    prompts_a, prompts_b = [], []
+    broken_a = garbage_llm_agent(dex, "broken-a", prompts_a)
+    broken_b = garbage_llm_agent(dex, "broken-b", prompts_b)
     result = runner.run_match(broken_a, broken_b, seed=5, match_id="m0")
     assert (result.winner, result.loser, result.winner_side) == ("broken-b", "broken-a", 1)
     assert result.end_reason == END_FORFEIT
     assert result.games == [] and result.log_files == [] and result.turn_count == 0
     assert result.teams == {"a": [0, 1, 2, 3, 4, 5], "b": [0, 1, 2, 3, 4, 5]}
     # both sides were asked to draft: 1 + max_repair_attempts prompts each
-    assert len(broken_a.last_trace.exchanges) == len(broken_b.last_trace.exchanges) == 3
+    assert len(prompts_a) == len(prompts_b) == 3
     assert not list(tmp_path.glob("*.jsonl"))
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pokeleague import storage
-from pokeleague.agents import GreedyAgent, RandomAgent, TeamPick
+from pokeleague.agents import AgentDecision, GreedyAgent, RandomAgent, TeamPick
 from pokeleague.engine import (
     Action, BattleAlreadyEnded, IllegalActionError, init_battle, is_legal, legal_actions,
     needs_replacement, resolve_replacements, resolve_turn,
@@ -35,9 +35,9 @@ def match_log(dex, bundled_fingerprint, tmp_path):
 def test_append_read_roundtrip(tmp_path):
     path = tmp_path / "log.jsonl"
     record = decision_record(
+        AgentDecision(action=Action.attack(1), reasoning="because"),
         match_id="m", turn=3, agent_id="a", side=0, phase="Battle",
-        decision={"action": {"type": "attack", "move_index": 1}},
-        reasoning="because", context={"own_hp_percent": 55})
+        context={"own_hp_percent": 55})
     with MatchLog(path) as log:
         log.append(meta_record(
             match_id="m", tournament_id="t", seed=1, turn_limit=500,
