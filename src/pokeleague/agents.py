@@ -12,11 +12,9 @@ import json
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-from .dex import Dex, type_multiplier
+from .dex import TEAM_SIZE, Dex, type_multiplier
 from .engine import Action, BattleView, compute_stats, expected_damage
 from .rng import SeededStream, stable_hash64
-
-TEAM_SIZE = 6
 
 
 @dataclass(frozen=True)

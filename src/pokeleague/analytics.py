@@ -4,15 +4,11 @@ decision_context is the one builder of the per-decision "context" record
 that league logs with every battle-time decision.  All metrics are pure
 functions of the logs.
 
-Attack quality has two routes that share the rule: decision_context
-builds each decision's context and move_efficiency tallies it.  They
-differ in where the states come from.  The direct route reads the
-contexts logged at decision time.  The replay route replays the logged
-decisions through the engine (storage.replay_walk checks every digest)
-and builds each context afresh from the replayed state and its legal
-actions, so a logged context that does not match its state, or a log
-that does not replay, shows as a disagreement or an error; tests assert
-the two routes agree.
+Attack quality shares one rule: decision_context builds each decision's
+context and move_efficiency tallies it.  Reports read the contexts logged
+at decision time.  The tests hold a replay route as an oracle: it replays
+the logged decisions through the engine and builds each context afresh
+from the replayed state, and the tests assert the two routes agree.
 
 Rates reported per agent:
   win_rate                  wins / matches
@@ -39,7 +35,7 @@ from typing import Sequence
 
 from . import storage
 from .dex import Dex, type_multiplier
-from .engine import Action, BattleState, expected_damage, legal_actions
+from .engine import Action, BattleState, expected_damage
 
 SUPER_EFFECTIVE_THRESHOLD = 2.0
 
@@ -86,23 +82,26 @@ _DECISION_KEYS = frozenset({"agent_id", "phase", "decision", "reasoning", "conte
 
 
 def load_match_log(path: str | Path) -> MatchLogData:
-    """Parse one log; a decision or events record that lacks a key is a StorageError."""
+    """Parse one log; a record that lacks a key the metrics read is a StorageError."""
     records = storage.read_log(path)
-    decisions = [r for r in records[1:] if r.get("kind") == "decision"]
-    winner_side = None
+    log = MatchLogData(path=Path(path), meta=records[0], winner_side=None,
+                       decisions=[r for r in records[1:] if r.get("kind") == "decision"])
     try:
-        for decision in decisions:
+        log.teams_by_agent()  # reads the meta agents and team_names of both sides
+        for decision in log.decisions:
             if not decision.keys() >= _DECISION_KEYS:
                 raise KeyError(min(_DECISION_KEYS - decision.keys()))
+            if (decision["phase"] != storage.PHASE_TEAM_SELECT
+                    and "action" not in decision["decision"]):
+                raise KeyError("action")
         for record in records[1:]:
             if record.get("kind") == "events":
                 for event in record["events"]:
                     if event["kind"] == "BattleEnded":
-                        winner_side = event["winner"]
+                        log.winner_side = event["winner"]
     except KeyError as exc:
         raise storage.StorageError(f"{path}: a record lacks the key {exc}") from exc
-    return MatchLogData(path=Path(path), meta=records[0], decisions=decisions,
-                        winner_side=winner_side)
+    return log
 
 
 def load_log_dir(log_dir: str | Path) -> list[MatchLogData]:
@@ -162,13 +161,6 @@ def _battle_decisions(logs: list[MatchLogData], agent_id: str) -> list[dict]:
     """The agent's Battle-phase decisions (forced replacements excluded)."""
     return [d for log in _involving(logs, agent_id) for d in log.decisions
             if d["agent_id"] == agent_id and d["phase"] == storage.PHASE_BATTLE]
-
-
-def win_rate(logs: list[MatchLogData], agent_id: str) -> float:
-    """Wins / matches over the logs that involve the agent."""
-    matches = _involving(logs, agent_id)
-    wins = sum(1 for l in matches if l.winner_agent == agent_id)
-    return wins / len(matches)
 
 
 def move_efficiency(logs: list[MatchLogData], agent_id: str) -> dict[str, float]:
@@ -241,28 +233,6 @@ def jaccard_matrix(teams_by_agent: dict[str, list[str]]) -> tuple[list[str], lis
             row.append(len(sa & sb) / len(union) if union else 0.0)
         matrix.append(row)
     return ids, matrix
-
-
-# ---------------------------------------------------------------------------
-# replay route (independent recomputation of the attack-quality rates)
-# ---------------------------------------------------------------------------
-
-def move_efficiency_via_replay(path: str | Path, dex: Dex, agent_id: str) -> dict[str, float]:
-    """move_efficiency over contexts rebuilt from the replayed states.
-
-    Each of the agent's battle decisions gets the decision_context of the
-    state the replay reached, not the context in the log, so this
-    cross-checks the direct route end to end.
-    """
-    records = storage.read_log(path)
-    decisions = [
-        {**record, "context": decision_context(
-            dex, state, record["side"], legal_actions(state, record["side"]))}
-        for record, state in storage.replay_walk(records, dex)
-        if record.get("phase") == storage.PHASE_BATTLE and record["agent_id"] == agent_id]
-    replayed = MatchLogData(path=Path(path), meta=records[0], decisions=decisions,
-                            winner_side=None)
-    return move_efficiency([replayed], agent_id)
 
 
 # ---------------------------------------------------------------------------

@@ -14,19 +14,12 @@ from pathlib import Path
 
 from . import analytics, league, storage
 from .agents import GreedyAgent, RandomAgent
-from .dex import DexValidationError, default_dex_path, dex_fingerprint, load_dex
+from .dex import DexValidationError, load_dex, open_dex
 from .rng import stable_hash64
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-
-def _load_dex_arg(path: str | None):
-    dex_path = Path(path) if path else default_dex_path()
-    if not dex_path.exists():
-        raise FileNotFoundError(f"dex file not found: {dex_path}")
-    return load_dex(dex_path), dex_fingerprint(dex_path)
 
 
 def _make_scripted_agent(spec: str, agent_id: str, dex):
@@ -66,7 +59,7 @@ def cmd_simulate(args) -> int:
         print("error: --count must be positive", file=sys.stderr)
         return EXIT_USAGE
     try:
-        dex, fingerprint = _load_dex_arg(args.dex)
+        dex, fingerprint = open_dex(args.dex)
         agent_a = _make_scripted_agent(args.agent_a, "a-" + args.agent_a.replace(":", "-"), dex)
         agent_b = _make_scripted_agent(args.agent_b, "b-" + args.agent_b.replace(":", "-"), dex)
         config = league.LeagueConfig(turn_limit=args.turn_cap)
@@ -106,11 +99,12 @@ def cmd_tournament(args) -> int:
         config = league.TournamentConfig.from_file(config_path)
         if args.jobs is not None:
             config.league = replace(config.league, jobs=args.jobs)
-        dex, fingerprint = league.load_tournament_dex(config)
+        dex, fingerprint = open_dex(config.dex_path, config.pool)
         result = league.run_tournament(
             config.entrants, dex, config, config.master_seed,
             dex_fingerprint=fingerprint)
-    except (league.ConfigError, DexValidationError, ValueError, KeyError) as exc:
+    except (league.ConfigError, DexValidationError, FileNotFoundError, ValueError,
+            KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out_dir = Path(config.output_dir)
@@ -127,7 +121,7 @@ def cmd_replay(args) -> int:
         print(f"error: log not found: {log_path}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        dex, fingerprint = _load_dex_arg(args.dex)
+        dex, fingerprint = open_dex(args.dex)
     except (DexValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,6 +24,7 @@ STATUS_NAMES = ("Burn", "Poison", "Paralysis", "Sleep", "Freeze")
 WEATHER_NAMES = ("Rain", "Sun", "Sand")
 STAT_KEYS = ("hp", "atk", "def", "spa", "spd", "spe")
 LEGAL_CELL_VALUES = (0.0, 0.5, 1.0, 2.0)
+TEAM_SIZE = 6  # species per team; a draft pool must hold at least this many
 
 MALFORMED_FILE = "malformed_file"
 UNKNOWN_REFERENCE = "unknown_reference"
@@ -117,12 +118,11 @@ class Dex:
 
     def with_pool(self, pool: Sequence[str]) -> "Dex":
         """Return a copy drafting from a different ordered species list."""
-        missing = [name for name in pool if name not in self.species]
-        if missing:
-            raise DexValidationError([
-                DexIssue(UNKNOWN_REFERENCE, f"pool[{pool.index(n)}]", f"unknown species {n!r}")
-                for n in missing
-            ])
+        issues = [DexIssue(UNKNOWN_REFERENCE, f"pool[{pool.index(n)}]", f"unknown species {n!r}")
+                  for n in pool if n not in self.species]
+        _check_pool_size(pool, issues)
+        if issues:
+            raise DexValidationError(issues)
         return replace(self, pool=tuple(pool))
 
 
@@ -364,7 +364,14 @@ def _parse_pool(raw: object, species: dict[str, Species], issues: list[DexIssue]
             issues.append(DexIssue(UNKNOWN_REFERENCE, f"pool[{i}]", f"unknown species {name!r}"))
     if len(set(raw)) != len(raw):
         issues.append(DexIssue(INVARIANT_VIOLATION, "pool", "pool entries must be distinct"))
+    _check_pool_size(raw, issues)
     return tuple(raw)
+
+
+def _check_pool_size(pool: Sequence[str], issues: list[DexIssue]) -> None:
+    if len(pool) < TEAM_SIZE:
+        issues.append(DexIssue(INVARIANT_VIOLATION, "pool",
+                               f"a pool of {len(pool)} species cannot field a team of {TEAM_SIZE}"))
 
 
 def dex_fingerprint(path: str | Path) -> str:
@@ -372,3 +379,17 @@ def dex_fingerprint(path: str | Path) -> str:
     import hashlib
 
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+
+
+def open_dex(path: str | Path | None = None, pool: Sequence[str] | None = None) -> tuple[Dex, str]:
+    """The dex at path (the bundled one if None), drafting from pool if given, and its fingerprint.
+
+    A missing file raises FileNotFoundError("dex file not found: <path>").
+    """
+    dex_path = Path(path) if path else default_dex_path()
+    if not dex_path.exists():
+        raise FileNotFoundError(f"dex file not found: {dex_path}")
+    dex = load_dex(dex_path)
+    if pool is not None:
+        dex = dex.with_pool(pool)
+    return dex, dex_fingerprint(dex_path)

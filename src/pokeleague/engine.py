@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .dex import Dex, MoveDef, Species, TypeChart, type_multiplier
+from .dex import TEAM_SIZE, Dex, MoveDef, Species, TypeChart, type_multiplier
 from .rng import SeededStream
 
 DEFAULT_TURN_LIMIT = 500
@@ -105,7 +105,7 @@ class Action:
 
 # Shared Action values for the usual four moves and six team slots.
 _ATTACKS = tuple(map(Action.attack, range(4)))
-_SWITCHES = tuple(map(Action.switch, range(6)))
+_SWITCHES = tuple(map(Action.switch, range(TEAM_SIZE)))
 
 
 @dataclass(frozen=True)
@@ -255,8 +255,8 @@ def init_battle(
     Returns the initial state and the send-out events, including any
     auto-weather started by the leads.
     """
-    if len(team_a) != 6 or len(team_b) != 6:
-        raise ValueError("each team must have exactly 6 species")
+    if len(team_a) != TEAM_SIZE or len(team_b) != TEAM_SIZE:
+        raise ValueError(f"each team must have exactly {TEAM_SIZE} species")
     sides = []
     for team in (team_a, team_b):
         battlers = [compute_stats(dex.species[name]) for name in team]
@@ -432,7 +432,7 @@ def resolve_turn(
 
     # 1: switches, ordered by the outgoing active's speed
     switchers = [s for s in (0, 1) if actions[s].kind == "switch"]
-    for side in _speed_order(nxt, switchers, rng, lambda b: b.stats["spe"]):
+    for side in _speed_order(switchers, rng, lambda side: nxt.sides[side].active.stats["spe"]):
         _emit_switch_in(nxt, dex, side, actions[side].index, events)
 
     # 2-3: attacks, ordered by priority then effective speed
@@ -471,23 +471,19 @@ def resolve_replacements(
     rng = SeededStream(nxt.rng_seed, nxt.rng_position)
     events: list[dict] = []
     # Incoming battler's speed decides who enters first.
-    order = _speed_order(
-        nxt, sorted(switches), rng,
-        lambda b: b.stats["spe"],
-        battler_for=lambda side: nxt.sides[side].team[switches[side].index])
-    for side in order:
+    for side in _speed_order(sorted(switches), rng,
+                             lambda side: nxt.sides[side].team[switches[side].index].stats["spe"]):
         _emit_switch_in(nxt, dex, side, switches[side].index, events)
     nxt.rng_position = rng.position
     return nxt, events
 
 
-def _speed_order(state, sides, rng, speed_key, battler_for=None):
-    """Order side ids by descending speed, coin-flipping exact ties."""
+def _speed_order(sides, rng, speed):
+    """Order side ids by descending speed(side), coin-flipping exact ties."""
     if len(sides) < 2:
         return list(sides)
-    get = battler_for or (lambda side: state.sides[side].active)
     a, b = sides
-    sa, sb = speed_key(get(a)), speed_key(get(b))
+    sa, sb = speed(a), speed(b)
     if sa > sb:
         return [a, b]
     if sb > sa:
@@ -507,7 +503,7 @@ def _attack_order(state, sides, actions, dex, rng):
     pa, pb = prio(a), prio(b)
     if pa != pb:
         return [a, b] if pa > pb else [b, a]
-    return _speed_order(state, sides, rng, lambda bt: bt.effective_speed())
+    return _speed_order(sides, rng, lambda side: state.sides[side].active.effective_speed())
 
 
 def _emit_switch_in(state, dex, side, team_index, events):

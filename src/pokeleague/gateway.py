@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 
 import requests
 
-from .agents import PoolEntry, TeamPick, AgentDecision, TEAM_SIZE
-from .dex import Dex, MoveDef
+from .agents import PoolEntry, TeamPick, AgentDecision
+from .dex import TEAM_SIZE, Dex, MoveDef
 from .engine import Action, BattleView
 
 SYSTEM_PREAMBLE = (
@@ -41,49 +41,17 @@ PROVIDERS = (PROVIDER_OPENAI, PROVIDER_ANTHROPIC, PROVIDER_GEMINI)
 # ---------------------------------------------------------------------------
 
 class ParseError(Exception):
-    """A model response that cannot be turned into a valid decision."""
+    """A model response that cannot be turned into a valid decision.
 
-    kind = "parse_error"
+    kind names the defect: no_json_found, wrong_arity, index_out_of_range,
+    duplicate_index, unknown_action_type or illegal_action.  It is logged
+    as the exchange's parse_outcome; str() is "kind: detail".
+    """
 
-    def __init__(self, detail: str = ""):
+    def __init__(self, kind: str, detail: str):
+        self.kind = kind
         self.detail = detail
-        super().__init__(f"{self.kind}: {detail}" if detail else self.kind)
-
-
-class NoJsonFound(ParseError):
-    kind = "no_json_found"
-
-
-class WrongArity(ParseError):
-    kind = "wrong_arity"
-
-    def __init__(self, count: int):
-        self.count = count
-        super().__init__(f"expected {TEAM_SIZE} team indices, got {count}")
-
-
-class IndexOutOfRange(ParseError):
-    kind = "index_out_of_range"
-
-    def __init__(self, index: object):
-        self.index = index
-        super().__init__(f"index {index!r} is outside the pool")
-
-
-class DuplicateIndex(ParseError):
-    kind = "duplicate_index"
-
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"index {index} appears more than once")
-
-
-class UnknownActionType(ParseError):
-    kind = "unknown_action_type"
-
-
-class IllegalAction(ParseError):
-    kind = "illegal_action"
+        super().__init__(f"{kind}: {detail}")
 
 
 class GatewayError(Exception):
@@ -311,7 +279,7 @@ def extract_first_json(raw: str) -> dict:
     scans for balanced top-level braces and accepts the first substring
     that parses.  Literal newlines inside strings are tolerated
     (strict=False) since models frequently emit them.  The scan gives up
-    with NoJsonFound after MAX_SCAN_CHARS characters.
+    with a no_json_found ParseError after MAX_SCAN_CHARS characters.
     """
     budget = MAX_SCAN_CHARS
     start = raw.find("{")
@@ -346,10 +314,11 @@ def extract_first_json(raw: str) -> dict:
                     break
         else:
             if stop < len(raw):
-                raise NoJsonFound(f"gave up after scanning {MAX_SCAN_CHARS} characters")
+                raise ParseError("no_json_found",
+                                 f"gave up after scanning {MAX_SCAN_CHARS} characters")
         budget -= pos + 1 - start
         start = raw.find("{", start + 1)
-    raise NoJsonFound("no JSON object in response")
+    raise ParseError("no_json_found", "no JSON object in response")
 
 
 def _reasoning_of(obj: dict) -> str:
@@ -358,23 +327,24 @@ def _reasoning_of(obj: dict) -> str:
 
 
 def parse_team_response(raw: str, pool_size: int) -> tuple[TeamPick, str]:
-    """Extract a 6-index team pick; any defect raises a specific ParseError."""
+    """Extract a 6-index team pick; any defect raises a ParseError of its kind."""
     obj = extract_first_json(raw)
     team = obj.get("team")
-    if not isinstance(team, list):
-        raise WrongArity(0)
-    if len(team) != TEAM_SIZE:
-        raise WrongArity(len(team))
+    count = len(team) if isinstance(team, list) else 0
+    if count != TEAM_SIZE:
+        raise ParseError("wrong_arity", f"expected {TEAM_SIZE} team indices, got {count}")
     indices: list[int] = []
     for item in team:
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise IndexOutOfRange(item)
-        if not 0 <= item < pool_size:
-            raise IndexOutOfRange(item)
+        if type(item) is not int or not 0 <= item < pool_size:  # a bool is not an index
+            raise ParseError("index_out_of_range", f"index {item!r} is outside the pool")
         if item in indices:
-            raise DuplicateIndex(item)
+            raise ParseError("duplicate_index", f"index {item} appears more than once")
         indices.append(item)
     return TeamPick(tuple(indices)), _reasoning_of(obj)
+
+
+# The index key of each action type in a response's "action" object.
+_INDEX_KEYS = {"attack": "move_index", "switch": "team_index"}
 
 
 def parse_action_response(raw: str, legal: Sequence[Action]) -> tuple[Action, str]:
@@ -384,22 +354,17 @@ def parse_action_response(raw: str, legal: Sequence[Action]) -> tuple[Action, st
     obj = extract_first_json(raw)
     payload = obj.get("action")
     if not isinstance(payload, dict):
-        raise UnknownActionType(f"missing or non-object 'action': {payload!r}")
+        raise ParseError("unknown_action_type", f"missing or non-object 'action': {payload!r}")
     action_type = payload.get("type")
-    if action_type == "attack":
-        index = payload.get("move_index")
-        if isinstance(index, bool) or not isinstance(index, int):
-            raise IllegalAction(f"attack without integer move_index: {index!r}")
-        action = Action.attack(index)
-    elif action_type == "switch":
-        index = payload.get("team_index")
-        if isinstance(index, bool) or not isinstance(index, int):
-            raise IllegalAction(f"switch without integer team_index: {index!r}")
-        action = Action.switch(index)
-    else:
-        raise UnknownActionType(f"unknown action type {action_type!r}")
+    key = _INDEX_KEYS.get(action_type) if isinstance(action_type, str) else None
+    if key is None:
+        raise ParseError("unknown_action_type", f"unknown action type {action_type!r}")
+    index = payload.get(key)
+    if type(index) is not int:  # a bool is not an index
+        raise ParseError("illegal_action", f"{action_type} without integer {key}: {index!r}")
+    action = Action(action_type, index)
     if action not in legal:
-        raise IllegalAction(f"{action} is not in the legal action set")
+        raise ParseError("illegal_action", f"{action} is not in the legal action set")
     return action, _reasoning_of(obj)
 
 
@@ -650,8 +615,18 @@ class ScriptCompleter:
 
     @staticmethod
     def from_file(path: str) -> "ScriptCompleter":
+        """Read a script; ValueError, naming the file, if it is not of the script shape."""
         with open(path, encoding="utf-8") as handle:
-            return ScriptCompleter(json.load(handle))
+            try:
+                script = json.load(handle)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ValueError(f"script {path!r} is not valid JSON: {exc}") from None
+        if not isinstance(script, dict) or not all(
+                isinstance(responses, list) and all(isinstance(r, str) for r in responses)
+                for responses in (script.get("team", []), script.get("action", []))):
+            raise ValueError(f"script {path!r} must be an object whose team and action "
+                             "values are lists of strings")
+        return ScriptCompleter(script)
 
     def __call__(self, prompt: str, kind: str) -> RawExchange:
         responses = self.script.get(kind) or ['{}']

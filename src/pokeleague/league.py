@@ -18,10 +18,10 @@ from typing import Sequence
 from . import storage
 from .analytics import decision_context, text_table
 from .agents import (
-    Agent, AgentDecision, AgentProfile, GreedyAgent, RandomAgent, TeamPick,
+    Agent, AgentDecision, AgentProfile, GreedyAgent, RandomAgent,
     fallback_action, fallback_team, make_pool_view,
 )
-from .dex import Dex, load_dex
+from .dex import Dex
 from .engine import Action, BattleState, DEFAULT_TURN_LIMIT, init_battle, legal_actions, view_for
 # Not called here (storage.play_battle is); benchmarks/tracing.py wraps league.<name>.
 from .engine import resolve_replacements, resolve_turn  # noqa: F401
@@ -127,7 +127,10 @@ def build_agent(profile: AgentProfile, dex: Dex, config: TournamentConfig) -> Ag
         if not Path(profile.script).is_file():
             raise ConfigError(
                 f"mock entrant {profile.agent_id!r}: no script file {profile.script!r}")
-        return make_mock_agent(profile.agent_id, profile.script, dex)
+        try:
+            return make_mock_agent(profile.agent_id, profile.script, dex)
+        except ValueError as exc:
+            raise ConfigError(f"mock entrant {profile.agent_id!r}: {exc}") from None
     if profile.kind == "llm":
         if profile.provider not in config.providers:
             raise ConfigError(f"entrant {profile.agent_id!r} references unknown provider "
@@ -292,7 +295,6 @@ class MatchRunner:
         agent_b: Agent,
         seed: int,
         match_id: str = "m0",
-        teams_override: tuple[TeamPick, TeamPick] | None = None,
     ) -> MatchResult:
         if agent_a.agent_id == agent_b.agent_id:
             raise ConfigError("a match needs two distinct agents")
@@ -306,9 +308,7 @@ class MatchRunner:
         forfeit_side: int | None = None
         drafts: list[dict] = []
         for side, agent in agents.items():
-            if teams_override is not None:
-                decision = AgentDecision(team=teams_override[side])
-            elif agent.agent_id in self._cached_teams:
+            if agent.agent_id in self._cached_teams:
                 decision = self._cached_teams[agent.agent_id]
             else:
                 try:
@@ -426,7 +426,6 @@ def run_tournament(
     profiles = {e.agent_id: e for e in entrants}
 
     total_rounds = count.bit_length() - 1
-    wins = {agent_id: 0 for agent_id in ids}
     exit_round: dict[str, int] = {}
     rounds: list[list[MatchResult]] = []
     current = list(ids)
@@ -450,23 +449,22 @@ def run_tournament(
         rounds.append(results)
         next_round = []
         for result in results:
-            wins[result.winner] += 1
             exit_round[result.loser] = round_index
             next_round.append(result.winner)
         current = next_round
 
+    # Single elimination: a loser won every round before its exit round,
+    # and the champion won them all.
     champion = current[0]
     standings = [StandingEntry(
         agent_id=champion, display_name=profiles[champion].label,
-        wins=wins[champion], losses=0, placement="Champion")]
-    others = sorted(
-        (a for a in ids if a != champion),
-        key=lambda a: (-exit_round[a], -wins[a], ids.index(a)))
+        wins=total_rounds, losses=0, placement="Champion")]
+    others = sorted((a for a in ids if a != champion), key=lambda a: (-exit_round[a], ids.index(a)))
     for agent_id in others:
         rounds_from_final = total_rounds - 1 - exit_round[agent_id]
         standings.append(StandingEntry(
             agent_id=agent_id, display_name=profiles[agent_id].label,
-            wins=wins[agent_id], losses=1,
+            wins=exit_round[agent_id], losses=1,
             placement=placement_label(rounds_from_final)))
     return TournamentResult(
         tournament_id=tournament_id, entrants=list(ids), rounds=rounds,
@@ -484,15 +482,3 @@ def write_tournament_outputs(result: TournamentResult, out_dir: str | Path) -> t
     standings_path.write_text(result.standings_table() + "\n", encoding="utf-8")
     return bracket_path, standings_path
 
-
-def load_tournament_dex(config: TournamentConfig) -> tuple[Dex, str]:
-    """Resolve the dex (and its fingerprint) for a tournament config."""
-    from .dex import default_dex_path, dex_fingerprint
-
-    path = Path(config.dex_path) if config.dex_path else default_dex_path()
-    if not path.exists():
-        raise ConfigError(f"dex file not found: {path}")
-    dex = load_dex(path)
-    if config.pool:
-        dex = dex.with_pool(config.pool)
-    return dex, dex_fingerprint(path)

@@ -305,75 +305,9 @@ def read_log(path: str | Path) -> list[dict]:
 
 @dataclass
 class ReplayResult:
-    final_state: BattleState
     winner_side: int
     winner_agent: str
     turns: int
-
-
-def replay_walk(records: list[dict], dex: Dex) -> Iterator[tuple[dict, BattleState]]:
-    """Re-run a log through play_battle, yielding (decision record, state it was made in).
-
-    The logged decisions drive the battle.  Every events record play_battle
-    yields must equal the logged one (pre digest, post digest, then event
-    payload; DigestMismatch names the turn) and the initial digest must
-    equal the meta record's.  A missing decision or a log that stops
-    before the battle ends raises IncompleteLog; meta teams that
-    init_battle rejects, a logged action that is unreadable or illegal in
-    its state (engine.is_legal), or a decision or events record after
-    the end, raises StorageError.  Ends
-    with ({"kind": "end"}, final state).
-    """
-    meta = records[0]
-    teams = meta["team_names"]
-    try:
-        state, init_events = init_battle(
-            dex, teams["a"], teams["b"], meta["seed"], meta["turn_limit"])
-    except ValueError as exc:  # e.g. a team that is not 6 species
-        raise StorageError(f"meta record: {exc}") from exc
-    logged = iter([r for r in records[1:] if r.get("kind") in ("decision", "events")])
-    made: list[tuple[dict, BattleState]] = []
-
-    def next_logged(turn: int) -> dict:
-        record = next(logged, None)
-        if record is None:
-            raise IncompleteLog(f"turn {turn}: log ends before the battle ended")
-        return record
-
-    def choose(state: BattleState, side: int, phase: str) -> Action:
-        record = next_logged(state.turn_number)
-        if record["kind"] != "decision" or (record["side"], record["phase"]) != (side, phase):
-            what = "battle" if phase == PHASE_BATTLE else "replacement"
-            raise IncompleteLog(f"turn {state.turn_number}: missing {what} decisions")
-        made.append((record, state))
-        try:
-            action = Action.from_dict(record["decision"]["action"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StorageError(f"turn {state.turn_number}: side {side}: "
-                               f"unreadable action: {exc!r}") from exc
-        if not is_legal(state, side, action):
-            raise StorageError(f"turn {state.turn_number}: side {side}: "
-                               f"illegal action {action}")
-        return action
-
-    steps = play_battle(state, init_events, dex, meta["match_id"], choose)
-    expected, _ = next(steps)
-    if meta.get("initial_digest") != expected["post_digest"]:
-        raise DigestMismatch(0, "initial digest")
-    record = next_logged(0)
-    while record["kind"] == "decision" and record["phase"] == PHASE_TEAM_SELECT:
-        yield record, state
-        record = next_logged(0)
-    _check_step(record, expected)
-    for expected, state in steps:
-        yield from made
-        made.clear()
-        _check_step(next_logged(expected["turn"]), expected)
-    extra = next(logged, None)
-    if extra is not None:
-        raise StorageError(
-            f"turn {extra.get('turn')}: {extra['kind']} record after the battle ended")
-    yield {"kind": "end"}, state
 
 
 def _check_step(logged: dict, expected: dict) -> None:
@@ -393,24 +327,71 @@ def _check_step(logged: dict, expected: dict) -> None:
 
 
 def replay(path: str | Path, dex: Dex, expected_dex_fingerprint: str | None = None) -> ReplayResult:
-    """Verify a complete log turn by turn and return the recomputed result."""
+    """Verify a complete log turn by turn and return the recomputed result.
+
+    The logged decisions drive play_battle.  The initial digest must equal
+    the meta record's, checked before any other record is read, and every
+    events record play_battle yields must equal the logged one (pre digest,
+    post digest, then event payload; DigestMismatch names the turn).  A
+    missing decision or a log that stops before the battle ends raises
+    IncompleteLog; a dex fingerprint other than the expected one, meta
+    teams that init_battle rejects, a logged action that is unreadable or
+    illegal in its state (engine.is_legal), a decision or events record
+    after the end, or a record that lacks a key, raises StorageError.
+    """
     records = read_log(path)
     meta = records[0]
+    logged = iter([r for r in records[1:] if r.get("kind") in ("decision", "events")])
+
+    def next_logged(turn: int) -> dict:
+        record = next(logged, None)
+        if record is None:
+            raise IncompleteLog(f"turn {turn}: log ends before the battle ended")
+        return record
+
+    def choose(state: BattleState, side: int, phase: str) -> Action:
+        record = next_logged(state.turn_number)
+        if record["kind"] != "decision" or (record["side"], record["phase"]) != (side, phase):
+            what = "battle" if phase == PHASE_BATTLE else "replacement"
+            raise IncompleteLog(f"turn {state.turn_number}: missing {what} decisions")
+        try:
+            action = Action.from_dict(record["decision"]["action"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StorageError(f"turn {state.turn_number}: side {side}: "
+                               f"unreadable action: {exc!r}") from exc
+        if not is_legal(state, side, action):
+            raise StorageError(f"turn {state.turn_number}: side {side}: "
+                               f"illegal action {action}")
+        return action
+
     try:
         if (expected_dex_fingerprint is not None
                 and meta["dex_fingerprint"] != expected_dex_fingerprint):
             raise StorageError(
                 f"dex fingerprint mismatch: log has {meta['dex_fingerprint']}, "
                 f"current dex is {expected_dex_fingerprint}")
-        for _record, state in replay_walk(records, dex):  # ends with ({"kind": "end"}, state)
-            pass
-        winner_side = state.winner
-        winner_agent = meta["agents"]["a" if winner_side == 0 else "b"]
+        teams = meta["team_names"]
+        try:
+            state, init_events = init_battle(
+                dex, teams["a"], teams["b"], meta["seed"], meta["turn_limit"])
+        except ValueError as exc:  # e.g. a team that is not 6 species
+            raise StorageError(f"meta record: {exc}") from exc
+        for expected, state in play_battle(state, init_events, dex, meta["match_id"], choose):
+            if expected["phase"] != EVENTS_INIT:
+                record = next_logged(expected["turn"])
+            elif meta.get("initial_digest") != expected["post_digest"]:
+                raise DigestMismatch(0, "initial digest")
+            else:  # the drafts come before the init record
+                record = next_logged(0)
+                while record["kind"] == "decision" and record["phase"] == PHASE_TEAM_SELECT:
+                    record = next_logged(0)
+            _check_step(record, expected)
+        extra = next(logged, None)
+        if extra is not None:
+            raise StorageError(
+                f"turn {extra.get('turn')}: {extra['kind']} record after the battle ended")
+        winner_agent = meta["agents"]["a" if state.winner == 0 else "b"]
     except KeyError as exc:
         raise StorageError(f"{path}: a record lacks the key {exc}") from exc
-    return ReplayResult(
-        final_state=state,
-        winner_side=winner_side,
-        winner_agent=winner_agent,
-        turns=state.turn_number - 1,
-    )
+    return ReplayResult(winner_side=state.winner, winner_agent=winner_agent,
+                        turns=state.turn_number - 1)

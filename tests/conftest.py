@@ -7,7 +7,20 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from pokeleague.agents import AgentDecision, TeamPick
 from pokeleague.dex import default_dex_path, dex_fingerprint, load_dex
+
+
+class FixedTeam:
+    """An agent that drafts the given pool indices and battles as agent does."""
+
+    def __init__(self, agent, indices):
+        self.agent_id = agent.agent_id
+        self.team = TeamPick(tuple(indices))
+        self.choose_action = agent.choose_action
+
+    def select_team(self, pool):
+        return AgentDecision(team=self.team)
 
 
 def set_battler(state, side, index=None, **changes):

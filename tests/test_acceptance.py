@@ -24,6 +24,7 @@ from pokeleague.league import (
     write_tournament_outputs,
 )
 from pokeleague.storage import canonical_json, replay
+from conftest import FixedTeam
 from test_analytics import EIGHT_TEAMS, attack_context, battle_decision, synthetic_log
 from test_engine import make_battler
 from test_gateway import PAPER_ACTION_RESPONSE, PAPER_TEAM_RESPONSE
@@ -159,8 +160,9 @@ def test_criterion_7_baseline_separation(dex, tmp_path):
     runner = MatchRunner(dex, LeagueConfig(), tmp_path, "fp")
     greedy_wins = 0
     for seed in range(1, matches + 1):
-        result = runner.run_match(greedy, rng_agent, seed=seed, match_id=f"m{seed}",
-                                  teams_override=(mirror, mirror))
+        result = runner.run_match(FixedTeam(greedy, mirror.indices),
+                                  FixedTeam(rng_agent, mirror.indices), seed=seed,
+                                  match_id=f"m{seed}")
         if result.winner == "greedy":
             greedy_wins += 1
     rate = greedy_wins / matches

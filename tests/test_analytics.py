@@ -7,14 +7,15 @@ import pytest
 from pokeleague.agents import GreedyAgent, RandomAgent
 from pokeleague.analytics import (
     MatchLogData, NoAttackDecisions, NoLogs, NoMatches, build_report, decision_context,
-    jaccard_matrix, load_log_dir, load_match_log, move_efficiency,
-    move_efficiency_via_replay, pick_frequency, switch_metrics, team_diversity,
-    win_rate, write_report,
+    jaccard_matrix, load_log_dir, load_match_log, move_efficiency, pick_frequency,
+    switch_metrics, team_diversity, write_report,
 )
-from pokeleague.engine import legal_actions
+from pokeleague.engine import Action, init_battle, legal_actions
 from pokeleague.gateway import LlmAgent, ProviderConfig, ScriptCompleter
 from pokeleague.league import LeagueConfig, MatchRunner
-from pokeleague.storage import PHASE_TEAM_SELECT, read_log, replay_walk
+from pokeleague.storage import (
+    PHASE_BATTLE, PHASE_TEAM_SELECT, play_battle, read_log, replay,
+)
 
 # Team rosters as reported for the eight tournament entrants; the fixture
 # counts below are derived by direct counting over these lists.
@@ -69,13 +70,15 @@ def attack_context(effectiveness, expected, all_damages=None, own_hp=100):
 # ---------------------------------------------------------------------------
 
 def test_win_rate_examples():
+    def win_rate(logs, agent_id):
+        return build_report(logs).agents[agent_id].win_rate
+
     undefeated = [synthetic_log(winner_side=0) for _ in range(3)]
     assert win_rate(undefeated, "a") == 1.0
     assert win_rate([synthetic_log(winner_side=1)], "a") == 0.0
     split = [synthetic_log(winner_side=0), synthetic_log(winner_side=1)]
     assert win_rate(split, "a") == 0.5
-    with pytest.raises(NoMatches):
-        win_rate(split, "nobody")
+    assert sorted(build_report(split).agents) == ["a", "b"]
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +217,47 @@ def test_jaccard_matrix_diagonal_and_symmetry():
 # real logs: greedy optimality and replay consistency
 # ---------------------------------------------------------------------------
 
+def decisions_with_states(path, dex):
+    """Each battle-time decision record of a log, with the state it was made in.
+
+    storage.replay checks the log first, so a log that does not replay fails here.
+    """
+    replay(path, dex)
+    records = read_log(path)
+    meta = records[0]
+    state, init_events = init_battle(dex, meta["team_names"]["a"], meta["team_names"]["b"],
+                                     meta["seed"], meta["turn_limit"])
+    logged = iter([r for r in records
+                   if r["kind"] == "decision" and r["phase"] != PHASE_TEAM_SELECT])
+    made = []
+
+    def choose(state, side, phase):
+        record = next(logged)
+        made.append((record, state))
+        return Action.from_dict(record["decision"]["action"])
+
+    for _ in play_battle(state, init_events, dex, meta["match_id"], choose):
+        pass
+    return made
+
+
+def move_efficiency_via_replay(path, dex, agent_id):
+    """move_efficiency over contexts rebuilt from the replayed states.
+
+    Each of the agent's battle decisions gets the decision_context of the
+    state the replay reached, not the context in the log, so this
+    cross-checks the direct route end to end.
+    """
+    decisions = [
+        {**record, "context": decision_context(
+            dex, state, record["side"], legal_actions(state, record["side"]))}
+        for record, state in decisions_with_states(path, dex)
+        if record["phase"] == PHASE_BATTLE and record["agent_id"] == agent_id]
+    replayed = MatchLogData(path=Path(path), meta=read_log(path)[0], decisions=decisions,
+                            winner_side=None)
+    return move_efficiency([replayed], agent_id)
+
+
 @pytest.fixture(scope="module")
 def greedy_match_logs(dex, tmp_path_factory):
     log_dir = tmp_path_factory.mktemp("greedy_logs")
@@ -248,10 +292,9 @@ def test_logged_context_is_decision_context_of_replayed_state(dex, request, fixt
     log_dir = request.getfixturevalue(fixture)
     checked = []
     for path in sorted(Path(log_dir).glob("*.jsonl")):
-        for record, state in replay_walk(read_log(path), dex):
-            if record["kind"] != "decision" or record["phase"] == PHASE_TEAM_SELECT:
-                continue
+        for record, state in decisions_with_states(path, dex):
             side = record["side"]
+            assert state.turn_number == record["turn"]
             assert record["context"] == decision_context(
                 dex, state, side, legal_actions(state, side))
             checked.append(record)

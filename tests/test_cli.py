@@ -52,6 +52,29 @@ def test_dex_validate_chart_gap(dex_doc, write_dex, capsys):
     assert "Steel" in err and "Ghost" in err
 
 
+POOL_ISSUE = "[invariant_violation] pool: a pool of 5 species cannot field a team of 6"
+
+
+def test_a_pool_smaller_than_a_team_is_rejected_before_any_match(dex_doc, write_dex, tmp_path,
+                                                                  simulated_log, capsys):
+    path = write_dex({**dex_doc, "pool": dex_doc["pool"][:5]})
+    assert main(["dex", "validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"{POOL_ISSUE}\n1 issue(s) found\n"
+    assert main(["simulate", "--dex", str(path), "--out", str(tmp_path / "five")]) == 2
+    assert not (tmp_path / "five").exists()
+    assert main(["replay", str(simulated_log), "--dex", str(path)]) == 2
+    config_path = tmp_path / "config.json"
+    for overrides in ({"dex_path": str(path)}, {"pool": dex_doc["pool"][:5]}, {"pool": []}):
+        config_path.write_text(json.dumps({**scripted_config(tmp_path, count=4), **overrides}),
+                               encoding="utf-8")
+        assert main(["tournament", str(config_path)]) == 2
+        assert not (tmp_path / "out").exists()
+    errors = capsys.readouterr().err
+    assert errors.count(f"error: 1 dex validation issue(s):\n{POOL_ISSUE}\n") == 4
+    assert errors.count("error: 1 dex validation issue(s):\n[invariant_violation] pool: "
+                        "a pool of 0 species cannot field a team of 6\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -201,6 +224,23 @@ def test_tournament_missing_file_is_usage_error(tmp_path, capsys, monkeypatch, o
                            encoding="utf-8")
     assert main(["tournament", str(config_path)]) == 2
     assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()  # rejected before any match was played
+
+
+@pytest.mark.parametrize("script", [
+    '["not", "an", "object"]', '{"team": [1], "action": [2]}', '{"team": "x"}',
+    '{"team": [], "action": ["a", null]}', '{"team": [], "action": [], }',
+], ids=["list", "int-responses", "string-responses", "null-response", "invalid-json"])
+def test_tournament_malformed_mock_script_is_usage_error(tmp_path, capsys, script):
+    script_path = tmp_path / "script.json"
+    script_path.write_text(script, encoding="utf-8")
+    entrants = RANDOM_ENTRANTS + [{"agent_id": "mock-3", "kind": "mock", "script": str(script_path)}]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**scripted_config(tmp_path, count=4), "entrants": entrants}),
+                           encoding="utf-8")
+    assert main(["tournament", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: mock entrant 'mock-3': script {str(script_path)!r} ")
     assert not (tmp_path / "out").exists()  # rejected before any match was played
 
 
@@ -372,7 +412,19 @@ def drop_reasoning_key(records):
     return "'reasoning'"
 
 
-@pytest.mark.parametrize("tamper", [drop_events_key, drop_reasoning_key])
+def drop_action_key(records):
+    del next(r for r in records
+             if r["kind"] == "decision" and r["phase"] == "Battle")["decision"]["action"]
+    return "'action'"
+
+
+def drop_agents_key(records):
+    del records[0]["agents"]
+    return "'agents'"
+
+
+@pytest.mark.parametrize("tamper", [drop_events_key, drop_reasoning_key, drop_action_key,
+                                    drop_agents_key])
 def test_report_on_record_without_a_key_is_a_clean_failure(simulated_log, tmp_path, capsys,
                                                            tamper):
     logs = tmp_path / "logs"

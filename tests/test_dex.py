@@ -170,3 +170,7 @@ def test_with_pool_override(dex):
     assert len(smaller.pool) == 10
     with pytest.raises(DexValidationError):
         dex.with_pool(["NotASpecies"])
+    for too_small in ([], list(dex.pool[:5])):
+        with pytest.raises(DexValidationError) as excinfo:
+            dex.with_pool(too_small)
+        assert [(i.kind, i.entry) for i in excinfo.value.issues] == [(INVARIANT_VIOLATION, "pool")]

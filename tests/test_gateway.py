@@ -10,9 +10,8 @@ from hypothesis import given, strategies as st
 from pokeleague.agents import make_pool_view
 from pokeleague.engine import Action, init_battle, legal_actions, view_for
 from pokeleague.gateway import (
-    AgentFailure, AuthError, DuplicateIndex, IllegalAction, IndexOutOfRange,
-    LlmAgent, NoJsonFound, ParseError, ProviderConfig, ProviderError, RateLimited,
-    RawExchange, ScriptCompleter, TokenBucket, UnknownActionType, WrongArity,
+    AgentFailure, AuthError, LlmAgent, ParseError, ProviderConfig, ProviderError,
+    RateLimited, RawExchange, ScriptCompleter, TokenBucket,
     build_battle_prompt, build_team_prompt, complete, extract_first_json,
     parse_action_response, parse_team_response, repair_prompt,
 )
@@ -142,19 +141,63 @@ def test_parse_fenced_team_defaults_reasoning():
     assert reasoning == ""
 
 
-@pytest.mark.parametrize("raw,error", [
-    ('{"team":[0,0,1,2,3,4]}', DuplicateIndex),
-    ('{"team":[0,1,2,3,4]}', WrongArity),
-    ('{"team":[0,1,2,3,4,5,6]}', WrongArity),
-    ('{"team":[0,1,2,3,4,30]}', IndexOutOfRange),
-    ('{"team":[0,1,2,3,4,-1]}', IndexOutOfRange),
-    ('{"team":[0,1,2,3,4,"x"]}', IndexOutOfRange),
-    ('{"reasoning":"no team"}', WrongArity),
-    ("utter nonsense, no braces", NoJsonFound),
-])
-def test_parse_team_errors(raw, error):
-    with pytest.raises(error):
+PARSE_ERROR_KINDS = ("no_json_found", "wrong_arity", "index_out_of_range", "duplicate_index",
+                     "unknown_action_type", "illegal_action")
+
+
+def kind_id(value):
+    """Test ids show a parse-error kind in CamelCase (duplicate_index -> DuplicateIndex)."""
+    return value.title().replace("_", "") if value in PARSE_ERROR_KINDS else None
+
+
+@pytest.mark.parametrize("raw,kind", [
+    ('{"team":[0,0,1,2,3,4]}', "duplicate_index"),
+    ('{"team":[0,1,2,3,4]}', "wrong_arity"),
+    ('{"team":[0,1,2,3,4,5,6]}', "wrong_arity"),
+    ('{"team":[0,1,2,3,4,30]}', "index_out_of_range"),
+    ('{"team":[0,1,2,3,4,-1]}', "index_out_of_range"),
+    ('{"team":[0,1,2,3,4,"x"]}', "index_out_of_range"),
+    ('{"reasoning":"no team"}', "wrong_arity"),
+    ("utter nonsense, no braces", "no_json_found"),
+], ids=kind_id)
+def test_parse_team_errors(raw, kind):
+    with pytest.raises(ParseError) as excinfo:
         parse_team_response(raw, 30)
+    assert excinfo.value.kind == kind
+
+
+# Every message a parse error can carry: each is logged in a decision's
+# errors and quoted by the repair prompt, so they are part of the log format.
+@pytest.mark.parametrize("parser,raw,message", [
+    ("team", "prose only", "no_json_found: no JSON object in response"),
+    ("team", "{" * 100_000, "no_json_found: gave up after scanning 1000000 characters"),
+    ("team", '{"team": [0, 1]}', "wrong_arity: expected 6 team indices, got 2"),
+    ("team", '{"team": "012345"}', "wrong_arity: expected 6 team indices, got 0"),
+    ("team", '{"team": [0, 1, 2, 3, 4, 30]}', "index_out_of_range: index 30 is outside the pool"),
+    ("team", '{"team": [0, 1, 2, 3, 4, "x"]}', "index_out_of_range: index 'x' is outside the pool"),
+    ("team", '{"team": [0, 1, 2, 3, 4, true]}', "index_out_of_range: index True is outside the pool"),
+    ("team", '{"team": [0, 1, 2, 3, 1, 4]}', "duplicate_index: index 1 appears more than once"),
+    ("action", '{"action": "attack"}', "unknown_action_type: missing or non-object 'action': 'attack'"),
+    ("action", '{"reasoning": "none"}', "unknown_action_type: missing or non-object 'action': None"),
+    ("action", '{"action": {"type": "fly"}}', "unknown_action_type: unknown action type 'fly'"),
+    ("action", '{"action": {"type": ["attack"]}}',
+     "unknown_action_type: unknown action type ['attack']"),
+    ("action", '{"action": {"type": "attack", "move_index": "0"}}',
+     "illegal_action: attack without integer move_index: '0'"),
+    ("action", '{"action": {"type": "switch", "team_index": true}}',
+     "illegal_action: switch without integer team_index: True"),
+    ("action", '{"action": {"type": "attack", "team_index": 0}}',
+     "illegal_action: attack without integer move_index: None"),
+    ("action", '{"action": {"type": "switch", "team_index": 5}}',
+     "illegal_action: switch:5 is not in the legal action set"),
+])
+def test_parse_error_messages(parser, raw, message):
+    parse = {"team": lambda raw: parse_team_response(raw, 30),
+             "action": lambda raw: parse_action_response(raw, [Action.attack(0), Action.switch(2)])}
+    with pytest.raises(ParseError) as excinfo:
+        parse[parser](raw)
+    assert str(excinfo.value) == message
+    assert excinfo.value.kind == message.split(":")[0]
 
 
 def test_parse_paper_action_sample():
@@ -174,15 +217,15 @@ def test_parse_action_with_trailing_prose():
 
 def test_parse_action_rejects_illegal_switch():
     legal = [Action.attack(0), Action.switch(2)]
-    with pytest.raises(IllegalAction):
+    with pytest.raises(ParseError, match="^illegal_action: "):
         parse_action_response('{"action":{"type":"switch","team_index":5}}', legal)
 
 
 def test_parse_action_unknown_type():
     legal = [Action.attack(0)]
-    with pytest.raises(UnknownActionType):
+    with pytest.raises(ParseError, match="^unknown_action_type: "):
         parse_action_response('{"action":{"type":"mega_evolve"}}', legal)
-    with pytest.raises(UnknownActionType):
+    with pytest.raises(ParseError, match="^unknown_action_type: "):
         parse_action_response('{"reasoning":"no action key"}', legal)
 
 
@@ -190,13 +233,13 @@ def test_parse_action_unknown_type():
                          ids=["open-braces", "unclosed-keys"])
 def test_extract_first_json_work_is_bounded(raw):
     started = time.perf_counter()
-    with pytest.raises(NoJsonFound):
+    with pytest.raises(ParseError, match="^no_json_found: "):
         extract_first_json(raw)
     assert time.perf_counter() - started < 2.0
 
 
 def test_extract_first_json_deep_nesting_is_a_parse_error():
-    with pytest.raises(NoJsonFound):
+    with pytest.raises(ParseError, match="^no_json_found: "):
         extract_first_json('{"a":' * 3000 + "1" + "}" * 3000)
     assert extract_first_json("prose " * 20_000 + '{"a": 1}') == {"a": 1}
 
@@ -212,9 +255,9 @@ def test_extract_first_json_raises_only_parse_errors(raw):
 def test_extract_first_json_picks_first_object():
     raw = 'bad { not json } then {"a": 1} and {"b": 2}'
     assert extract_first_json(raw) == {"a": 1}
-    with pytest.raises(NoJsonFound):
+    with pytest.raises(ParseError, match="^no_json_found: "):
         extract_first_json("");
-    with pytest.raises(NoJsonFound):
+    with pytest.raises(ParseError, match="^no_json_found: "):
         extract_first_json("{ broken")
 
 
@@ -488,10 +531,10 @@ def test_script_completer_cycles(tmp_path, dex):
 
 
 def test_repair_prompt_wording():
-    err = NoJsonFound("no JSON object in response")
-    text = repair_prompt("ORIGINAL", err)
-    assert text.startswith("ORIGINAL")
-    assert text.endswith("Respond with only the JSON object.")
+    err = ParseError("no_json_found", "no JSON object in response")
+    assert repair_prompt("ORIGINAL", err) == (
+        "ORIGINAL\n\nYour previous response was invalid: no_json_found: no JSON object "
+        "in response. Respond with only the JSON object.")
 
 
 def test_history_flag_off_by_default_and_on_when_enabled(dex):

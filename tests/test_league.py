@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from pokeleague.agents import AgentProfile, GreedyAgent, RandomAgent, TeamPick
+from pokeleague.agents import AgentProfile, GreedyAgent, RandomAgent
+from pokeleague.dex import open_dex
 from pokeleague.gateway import (
     AgentFailure, LlmAgent, ProviderConfig, RawExchange, ScriptCompleter,
 )
@@ -14,6 +15,8 @@ from pokeleague.league import (
 )
 from pokeleague.rng import stable_hash64
 from pokeleague.storage import canonical_json, read_log, replay
+
+from conftest import FixedTeam
 
 
 def scripted_entrants(count):
@@ -205,10 +208,10 @@ def test_turn_cap_produces_tiebreak_result(dex, tmp_path):
 
 def test_teams_override_mirrors(dex, tmp_path):
     runner = MatchRunner(dex, LeagueConfig(), tmp_path)
-    mirror = TeamPick((0, 1, 2, 3, 4, 5))
+    mirror = (0, 1, 2, 3, 4, 5)
     result = runner.run_match(
-        GreedyAgent("g", dex), RandomAgent("r", 2), seed=9, match_id="m0",
-        teams_override=(mirror, mirror))
+        FixedTeam(GreedyAgent("g", dex), mirror), FixedTeam(RandomAgent("r", 2), mirror),
+        seed=9, match_id="m0")
     assert result.teams["a"] == result.teams["b"] == [0, 1, 2, 3, 4, 5]
 
 
@@ -369,16 +372,14 @@ def test_placement_labels():
     assert placement_label(4) == "Round of 32"
 
 
-def test_pool_override_restricts_draft(dex, tmp_path):
-    from pokeleague.league import load_tournament_dex
-
+def test_pool_override_restricts_draft(dex, bundled_fingerprint, tmp_path):
     config = TournamentConfig(
         entrants=scripted_entrants(2),
         pool=["Jolteon", "Snorlax", "Swampert", "Gengar", "Metagross", "Salamence"],
         output_dir=str(tmp_path))
-    overridden, fingerprint = load_tournament_dex(config)
-    assert len(overridden.pool) == 6
-    assert fingerprint
+    overridden, fingerprint = open_dex(config.dex_path, config.pool)
+    assert overridden.pool == tuple(config.pool)
+    assert fingerprint == bundled_fingerprint
     runner = MatchRunner(overridden, LeagueConfig(), tmp_path)
     result = runner.run_match(
         GreedyAgent("g", overridden), RandomAgent("r", 1), seed=1, match_id="m0")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pokeleague import storage
-from pokeleague.agents import AgentDecision, GreedyAgent, RandomAgent, TeamPick
+from pokeleague.agents import AgentDecision, GreedyAgent, RandomAgent
 from pokeleague.engine import (
     Action, BattleAlreadyEnded, IllegalActionError, init_battle, is_legal, legal_actions,
     needs_replacement, resolve_replacements, resolve_turn,
@@ -20,7 +20,7 @@ from pokeleague.storage import (
     decision_record, meta_record, read_log, replay, state_digest, state_json,
 )
 
-from conftest import set_battler
+from conftest import FixedTeam, set_battler
 
 
 @pytest.fixture()
@@ -399,15 +399,31 @@ def test_replay_rejects_records_after_the_end(dex, match_log, tmp_path):
         replay(extended, dex)
 
 
-def test_replay_walk_yields_decisions_with_their_states(dex, match_log):
+def test_replay_checks_the_initial_digest_before_reading_on(dex, match_log, tmp_path):
     path, _ = match_log
-    records = read_log(path)
-    walked = list(storage.replay_walk(records, dex))
-    assert [r for r, _ in walked[:-1]] == [r for r in records if r["kind"] == "decision"]
-    for record, state in walked[:-1]:
-        assert state.turn_number == record["turn"] or record["phase"] == "TeamSelect"
-    end, final = walked[-1]
-    assert end == {"kind": "end"} and final.ended
+    lines = path.read_text(encoding="utf-8").splitlines()
+    meta = json.loads(lines[0])
+    meta["initial_digest"] = "0" * 16
+    for kept in (1, 3, len(lines) - 4):  # meta only; the drafts; all but the last turn
+        tampered = tmp_path / f"tampered{kept}.jsonl"
+        tampered.write_text("\n".join([json.dumps(meta), *lines[1:kept]]) + "\n",
+                            encoding="utf-8")
+        with pytest.raises(DigestMismatch) as excinfo:
+            replay(tampered, dex)
+        assert excinfo.value.turn == 0
+        assert str(excinfo.value) == "replay diverged at turn 0: initial digest"
+
+
+def test_replay_rejects_a_draft_after_the_start(dex, match_log, tmp_path):
+    path, _ = match_log
+
+    def change(records):
+        draft = first_record(records, "decision", "TeamSelect")
+        records.insert(records.index(first_record(records, "events", "init")) + 1, dict(draft))
+
+    tampered = rewrite_log(path, tmp_path / "late_draft.jsonl", change)
+    with pytest.raises(IncompleteLog, match="turn 1: missing battle decisions"):
+        replay(tampered, dex)
 
 
 def rewrite_log(path, out, change):
@@ -491,8 +507,8 @@ def test_every_runner_log_replays_to_its_result(dex, bundled_fingerprint, teams,
         runner = MatchRunner(dex, LeagueConfig(turn_limit=turn_limit), log_dir,
                              bundled_fingerprint)
         result = runner.run_match(
-            RandomAgent("r1", agent_seeds[0]), RandomAgent("r2", agent_seeds[1]), seed,
-            match_id="m", teams_override=(TeamPick(tuple(teams[0])), TeamPick(tuple(teams[1]))))
+            FixedTeam(RandomAgent("r1", agent_seeds[0]), teams[0]),
+            FixedTeam(RandomAgent("r2", agent_seeds[1]), teams[1]), seed, match_id="m")
         outcome = replay(Path(log_dir) / result.log_files[0], dex,
                          expected_dex_fingerprint=bundled_fingerprint)
     assert (outcome.winner_agent, outcome.turns) == (result.winner, result.turn_count)
