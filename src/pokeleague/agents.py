@@ -17,6 +17,10 @@ from .engine import Action, BattleView, compute_stats, expected_damage
 from .rng import SeededStream, stable_hash64
 
 
+class ConfigError(ValueError):
+    """A setting, from a config file or the command line, that cannot be used."""
+
+
 @dataclass(frozen=True)
 class TeamPick:
     """Six distinct pool indices; slot 0 leads the battle."""
@@ -83,7 +87,7 @@ class AgentProfile:
         for name, value in vars(self).items():
             expected = int if name == "seed" else str
             if type(value) is not expected:
-                raise ValueError(f"entrant {name} must be {expected.__name__}, got {value!r}")
+                raise ConfigError(f"entrant {name} must be {expected.__name__}, got {value!r}")
 
     @property
     def label(self) -> str:
@@ -94,7 +98,7 @@ class AgentProfile:
         try:
             return AgentProfile(**raw)
         except TypeError as exc:  # unknown or missing keys, or not an object
-            raise ValueError(f"bad entrant {raw!r}: {exc}") from None
+            raise ConfigError(f"bad entrant {raw!r}: {exc}") from None
 
 
 class Agent(Protocol):

@@ -2,19 +2,23 @@
 
 Subcommands: dex validate | simulate | tournament | replay | report.
 Exit codes are a stable contract: 0 success, 1 domain failure (invalid
-data, diverging replay, missing logs), 2 usage or config failure.
+dex data, a log that fails to replay or read, no logs), 2 usage or
+config failure (a bad setting, a dex that fails to load, an input path
+that is missing or a directory).  Commands raise; main maps each error
+to its exit code in one place.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import analytics, league, storage
-from .agents import GreedyAgent, RandomAgent
-from .dex import DexValidationError, load_dex, open_dex
+from .agents import ConfigError, GreedyAgent, RandomAgent
+from .dex import DexValidationError, open_dex
 from .rng import stable_hash64
 
 EXIT_OK = 0
@@ -27,10 +31,9 @@ def _make_scripted_agent(spec: str, agent_id: str, dex):
     name, _, arg = spec.partition(":")
     if name == "greedy":
         return GreedyAgent(agent_id, dex)
-    if name == "random":
-        seed = int(arg) if arg else 0
-        return RandomAgent(agent_id, seed)
-    raise ValueError(f"unknown scripted agent spec {spec!r} (expected greedy or random[:seed])")
+    if name == "random" and re.fullmatch(r"(-?[0-9]+)?", arg):
+        return RandomAgent(agent_id, int(arg or 0))
+    raise ConfigError(f"unknown scripted agent spec {spec!r} (expected greedy or random[:seed])")
 
 
 # ---------------------------------------------------------------------------
@@ -38,12 +41,8 @@ def _make_scripted_agent(spec: str, agent_id: str, dex):
 # ---------------------------------------------------------------------------
 
 def cmd_dex_validate(args) -> int:
-    path = Path(args.path)
-    if not path.exists():
-        print(f"error: dex file not found: {path}", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        dex = load_dex(path)
+        dex, _ = open_dex(args.path)
     except DexValidationError as exc:
         for issue in exc.issues:
             print(issue, file=sys.stderr)
@@ -56,16 +55,11 @@ def cmd_dex_validate(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.count <= 0:
-        print("error: --count must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        dex, fingerprint = open_dex(args.dex)
-        agent_a = _make_scripted_agent(args.agent_a, "a-" + args.agent_a.replace(":", "-"), dex)
-        agent_b = _make_scripted_agent(args.agent_b, "b-" + args.agent_b.replace(":", "-"), dex)
-        config = league.LeagueConfig(turn_limit=args.turn_cap)
-    except (ValueError, DexValidationError, FileNotFoundError, league.ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--count must be positive")
+    dex, fingerprint = open_dex(args.dex)
+    agent_a = _make_scripted_agent(args.agent_a, "a-" + args.agent_a.replace(":", "-"), dex)
+    agent_b = _make_scripted_agent(args.agent_b, "b-" + args.agent_b.replace(":", "-"), dex)
+    config = league.LeagueConfig(turn_limit=args.turn_cap)
 
     runner = league.MatchRunner(dex, config, args.out, fingerprint)
     tallies = {agent_a.agent_id: 0, agent_b.agent_id: 0}
@@ -91,22 +85,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tournament(args) -> int:
-    config_path = Path(args.config)
-    if not config_path.exists():
-        print(f"error: config not found: {config_path}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        config = league.TournamentConfig.from_file(config_path)
-        if args.jobs is not None:
-            config.league = replace(config.league, jobs=args.jobs)
-        dex, fingerprint = open_dex(config.dex_path, config.pool)
-        result = league.run_tournament(
-            config.entrants, dex, config, config.master_seed,
-            dex_fingerprint=fingerprint)
-    except (league.ConfigError, DexValidationError, FileNotFoundError, ValueError,
-            KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = league.TournamentConfig.from_file(args.config)
+    if args.jobs is not None:
+        config.league = replace(config.league, jobs=args.jobs)
+    dex, fingerprint = open_dex(config.dex_path, config.pool)
+    result = league.run_tournament(
+        config.entrants, dex, config, config.master_seed, dex_fingerprint=fingerprint)
     out_dir = Path(config.output_dir)
     bracket_path, standings_path = league.write_tournament_outputs(result, out_dir)
     print(result.standings_table())
@@ -116,23 +100,8 @@ def cmd_tournament(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    log_path = Path(args.log)
-    if not log_path.exists():
-        print(f"error: log not found: {log_path}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        dex, fingerprint = open_dex(args.dex)
-    except (DexValidationError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        result = storage.replay(log_path, dex, expected_dex_fingerprint=fingerprint)
-    except storage.DigestMismatch as exc:
-        print(f"replay diverged: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except storage.StorageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    dex, fingerprint = open_dex(args.dex)
+    result = storage.replay(args.log, dex, expected_dex_fingerprint=fingerprint)
     print(f"ok: winner side {result.winner_side} ({result.winner_agent}) "
           f"after {result.turns} turn(s); all digests match")
     return EXIT_OK
@@ -140,12 +109,7 @@ def cmd_replay(args) -> int:
 
 def cmd_report(args) -> int:
     log_dir = Path(args.logdir)
-    try:
-        logs = analytics.load_log_dir(log_dir)
-        report = analytics.build_report(logs)
-    except (analytics.NoLogs, storage.StorageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    report = analytics.build_report(analytics.load_log_dir(log_dir))
     out_dir = Path(args.out) if args.out else log_dir / "report"
     paths = analytics.write_report(report, out_dir)
     print(report.to_text())
@@ -202,7 +166,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (storage.StorageError, analytics.NoLogs) as exc:
+        prefix = "replay diverged" if isinstance(exc, storage.DigestMismatch) else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except (ConfigError, DexValidationError, FileNotFoundError, IsADirectoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

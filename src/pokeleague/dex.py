@@ -384,10 +384,10 @@ def dex_fingerprint(path: str | Path) -> str:
 def open_dex(path: str | Path | None = None, pool: Sequence[str] | None = None) -> tuple[Dex, str]:
     """The dex at path (the bundled one if None), drafting from pool if given, and its fingerprint.
 
-    A missing file raises FileNotFoundError("dex file not found: <path>").
+    A path that is not a file raises FileNotFoundError("dex file not found: <path>").
     """
-    dex_path = Path(path) if path else default_dex_path()
-    if not dex_path.exists():
+    dex_path = Path(path) if path is not None else default_dex_path()
+    if not dex_path.is_file():
         raise FileNotFoundError(f"dex file not found: {dex_path}")
     dex = load_dex(dex_path)
     if pool is not None:

@@ -417,10 +417,9 @@ def resolve_turn(
     Order: switches (faster current active first), then attacks by
     priority then effective speed, then end-of-turn chip damage, weather
     countdown, and win/turn-cap checks.  Speed ties are broken by a coin
-    flip from the battle's rng stream.
+    flip from the battle's rng stream.  is_legal raises BattleAlreadyEnded
+    on an ended battle; an action it rejects raises IllegalActionError.
     """
-    if state.ended:
-        raise BattleAlreadyEnded(f"battle is over (winner: side {state.winner})")
     actions = {0: action_a, 1: action_b}
     for side, action in actions.items():
         if not is_legal(state, side, action):

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import requests
 
-from .agents import PoolEntry, TeamPick, AgentDecision
+from .agents import AgentDecision, ConfigError, PoolEntry, TeamPick
 from .dex import TEAM_SIZE, Dex, MoveDef
 from .engine import Action, BattleView
 
@@ -110,7 +110,7 @@ class ProviderConfig:
         for name in ("provider", "endpoint", "model", "api_key_env"):
             self._check(name, str, "a string")
         if self.provider not in PROVIDERS:
-            raise ValueError(f"unknown provider {self.provider!r}, expected one of {PROVIDERS}")
+            raise ConfigError(f"unknown provider {self.provider!r}, expected one of {PROVIDERS}")
         self._check("temperature", (int, float), "a number")
         self._check("timeout_s", (int, float), "a number > 0", lambda v: v > 0)
         self._check("rate_refill_per_s", (int, float), "a number >= 0", lambda v: v >= 0)
@@ -118,22 +118,22 @@ class ProviderConfig:
         for name in ("max_retries", "backoff_ms", "max_repair_attempts", "rate_capacity"):
             self._check(name, int, "an integer >= 0", lambda v: v >= 0)
         if self.rate_capacity > 0 and self.rate_refill_per_s == 0:
-            raise ValueError("a rate_capacity > 0 needs a rate_refill_per_s > 0, "
-                             "or the bucket never refills")
+            raise ConfigError("a rate_capacity > 0 needs a rate_refill_per_s > 0, "
+                              "or the bucket never refills")
 
     def _check(self, name: str, kinds: type | tuple[type, ...], expected: str,
                in_range=lambda v: True) -> None:
         value = getattr(self, name)
         # bool is an int subclass, but true/false is never a count or a rate
         if isinstance(value, bool) or not isinstance(value, kinds) or not in_range(value):
-            raise ValueError(f"{name} must be {expected}, got {value!r}")
+            raise ConfigError(f"{name} must be {expected}, got {value!r}")
 
     @staticmethod
     def from_dict(raw: dict) -> "ProviderConfig":
         try:
             return ProviderConfig(**raw)
         except TypeError as exc:  # unknown or missing keys, or a value of the wrong type
-            raise ValueError(f"bad provider config: {exc}") from None
+            raise ConfigError(f"bad provider config: {exc}") from None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -166,8 +166,6 @@ def _format_stats(stats: dict[str, int]) -> str:
 
 def build_team_prompt(pool: Sequence[PoolEntry]) -> str:
     """Draft instructions, the numbered pool, and the JSON shape to return."""
-    if not pool:
-        raise ValueError("pool must be non-empty")
     lines = [
         "Select 6 Pokémon from the list below. Consider type coverage, "
         "weaknesses, and synergy. Provide a brief explanation for your team "
@@ -209,8 +207,6 @@ def build_battle_prompt(
     history: Sequence[str] = (),
 ) -> str:
     """Battle state, the legal actions, and the JSON shape to return."""
-    if not legal:
-        raise ValueError("legal action set must be non-empty")
     own = view.own_active
     opp = view.opponent_active
     lines = [
@@ -349,8 +345,6 @@ _INDEX_KEYS = {"attack": "move_index", "switch": "team_index"}
 
 def parse_action_response(raw: str, legal: Sequence[Action]) -> tuple[Action, str]:
     """Extract an action and check it against the legal set."""
-    if not legal:
-        raise ValueError("legal action set must be non-empty")
     obj = extract_first_json(raw)
     payload = obj.get("action")
     if not isinstance(payload, dict):
@@ -615,17 +609,17 @@ class ScriptCompleter:
 
     @staticmethod
     def from_file(path: str) -> "ScriptCompleter":
-        """Read a script; ValueError, naming the file, if it is not of the script shape."""
+        """Read a script; ConfigError, naming the file, if it is not of the script shape."""
         with open(path, encoding="utf-8") as handle:
             try:
                 script = json.load(handle)
             except ValueError as exc:  # not JSON, or not UTF-8
-                raise ValueError(f"script {path!r} is not valid JSON: {exc}") from None
-        if not isinstance(script, dict) or not all(
+                raise ConfigError(f"script {path!r} is not valid JSON: {exc}") from None
+        if not isinstance(script, dict) or not script.keys() <= {"team", "action"} or not all(
                 isinstance(responses, list) and all(isinstance(r, str) for r in responses)
-                for responses in (script.get("team", []), script.get("action", []))):
-            raise ValueError(f"script {path!r} must be an object whose team and action "
-                             "values are lists of strings")
+                for responses in script.values()):
+            raise ConfigError(f"script {path!r} must be an object whose only keys, team and "
+                              "action, each hold a list of strings")
         return ScriptCompleter(script)
 
     def __call__(self, prompt: str, kind: str) -> RawExchange:

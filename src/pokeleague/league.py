@@ -18,7 +18,7 @@ from typing import Sequence
 from . import storage
 from .analytics import decision_context, text_table
 from .agents import (
-    Agent, AgentDecision, AgentProfile, GreedyAgent, RandomAgent,
+    Agent, AgentDecision, AgentProfile, ConfigError, GreedyAgent, RandomAgent,
     fallback_action, fallback_team, make_pool_view,
 )
 from .dex import Dex
@@ -31,10 +31,6 @@ from .rng import stable_hash64
 END_FORFEIT = "Forfeit"
 
 PLACEMENT_LABELS = {1: "Runner-up", 2: "Semi-finalist", 3: "Quarter-finalist"}
-
-
-class ConfigError(Exception):
-    pass
 
 
 @dataclass
@@ -94,7 +90,10 @@ class TournamentConfig:
     @staticmethod
     def from_file(path: str | Path) -> "TournamentConfig":
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+            try:
+                raw = json.load(handle)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ConfigError(f"config {str(path)!r} is not valid JSON: {exc}") from None
         return TournamentConfig.from_dict(raw)
 
     @staticmethod
@@ -129,7 +128,7 @@ def build_agent(profile: AgentProfile, dex: Dex, config: TournamentConfig) -> Ag
                 f"mock entrant {profile.agent_id!r}: no script file {profile.script!r}")
         try:
             return make_mock_agent(profile.agent_id, profile.script, dex)
-        except ValueError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"mock entrant {profile.agent_id!r}: {exc}") from None
     if profile.kind == "llm":
         if profile.provider not in config.providers:
@@ -252,10 +251,6 @@ class MatchRunner:
                 decision = self._ask(
                     side, lambda: agent.choose_action(view, legal),
                     lambda: AgentDecision(action=fallback_action(legal)))
-                if decision.action not in legal:
-                    raise RuntimeError(
-                        f"agent {agent.agent_id} returned illegal action {decision.action} "
-                        "(harness bug: agents must be validated upstream)")
                 log.append(storage.decision_record(
                     decision, match_id=match_id, turn=state.turn_number,
                     agent_id=agent.agent_id, side=side, phase=phase,

@@ -99,6 +99,12 @@ def test_simulate_bad_agent_spec_is_usage_error(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_simulate_random_seed_not_an_integer_is_usage_error(tmp_path, capsys):
+    assert main(["simulate", "--agent-b", "random:x", "--out", str(tmp_path / "sim")]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown scripted agent spec 'random:x'")
+    assert not (tmp_path / "sim").exists()
+
+
 def test_simulate_turn_cap_zero_is_usage_error(tmp_path, capsys):
     assert main(["simulate", "--turn-cap", "0", "--out", str(tmp_path / "sim")]) == 2
     assert capsys.readouterr().err.startswith("error: turn_limit must be")
@@ -230,7 +236,9 @@ def test_tournament_missing_file_is_usage_error(tmp_path, capsys, monkeypatch, o
 @pytest.mark.parametrize("script", [
     '["not", "an", "object"]', '{"team": [1], "action": [2]}', '{"team": "x"}',
     '{"team": [], "action": ["a", null]}', '{"team": [], "action": [], }',
-], ids=["list", "int-responses", "string-responses", "null-response", "invalid-json"])
+    json.dumps({"teams": MOCK_SCRIPT["team"], "actions": MOCK_SCRIPT["action"]}),
+], ids=["list", "int-responses", "string-responses", "null-response", "invalid-json",
+        "misspelled-keys"])
 def test_tournament_malformed_mock_script_is_usage_error(tmp_path, capsys, script):
     script_path = tmp_path / "script.json"
     script_path.write_text(script, encoding="utf-8")
@@ -251,6 +259,14 @@ def test_tournament_config_not_an_object_is_usage_error(tmp_path, capsys, monkey
     assert main(["tournament", str(config_path)]) == 2
     assert capsys.readouterr().err.startswith("error: a tournament config must be an object")
     assert not (tmp_path / "out").exists()
+
+
+def test_tournament_config_not_json_names_the_file(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"entrants": [], }', encoding="utf-8")
+    assert main(["tournament", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config {str(config_path)!r} is not valid JSON: Expecting property name")
 
 
 def test_tournament_bad_jobs_flag_is_usage_error(tmp_path, capsys):
@@ -382,6 +398,34 @@ def test_log_starting_with_a_list_is_a_clean_failure(simulated_log, tmp_path, ca
     for command in (["replay", str(logs / "list.jsonl")], ["report", str(logs)]):
         assert main(command) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["dex", "validate", "{dir}"],
+    ["simulate", "--dex", "{dir}", "--out", "{out}"],
+    ["replay", "{log}", "--dex", "{dir}"],
+    ["replay", "{dir}"],
+    ["tournament", "{dir}"],
+    ["tournament", "{config}"],
+    ["dex", "validate", ""],
+    ["simulate", "--dex", "", "--out", "{out}"],
+], ids=["dex-validate", "simulate-dex", "replay-dex", "replay-log", "tournament-config",
+        "tournament-dex-path", "dex-validate-empty-path", "simulate-empty-dex-path"])
+def test_a_directory_where_a_file_belongs_is_usage_error(simulated_log, tmp_path, capsys,
+                                                          command):
+    # An empty path is the current directory, not the bundled dex.
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps({**scripted_config(tmp_path, count=4), "dex_path": str(directory)}),
+        encoding="utf-8")
+    paths = {"dir": directory, "out": tmp_path / "out", "log": simulated_log,
+             "config": config_path}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in command]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()  # rejected before any match was played
 
 
 # ---------------------------------------------------------------------------

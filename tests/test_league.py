@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from pokeleague.agents import AgentProfile, GreedyAgent, RandomAgent
-from pokeleague.dex import open_dex
+from pokeleague.agents import AgentDecision, AgentProfile, GreedyAgent, RandomAgent
+from pokeleague.dex import TEAM_SIZE, open_dex
+from pokeleague.engine import Action, IllegalActionError
 from pokeleague.gateway import (
     AgentFailure, LlmAgent, ProviderConfig, RawExchange, ScriptCompleter,
 )
@@ -14,7 +15,9 @@ from pokeleague.league import (
     placement_label, run_tournament, write_tournament_outputs,
 )
 from pokeleague.rng import stable_hash64
-from pokeleague.storage import canonical_json, read_log, replay
+from pokeleague.storage import (
+    PHASE_BATTLE, PHASE_FORCED_REPLACE, canonical_json, read_log, replay,
+)
 
 from conftest import FixedTeam
 
@@ -138,6 +141,32 @@ def test_mid_game_failure_forfeits_the_match(dex, tmp_path, best_of, game, compl
     for summary in result.games:  # completed games are whole, replayable logs
         assert summary.turn_count > 0
         assert replay(tmp_path / summary.log_file, dex).turns == summary.turn_count
+
+
+class IllegalIn(GreedyAgent):
+    """Greedy, except that in a decision of `phase` it picks a switch to no team slot."""
+
+    def __init__(self, agent_id, dex, phase):
+        super().__init__(agent_id, dex)
+        self.phase = phase
+
+    def choose_action(self, view, legal):
+        phase = PHASE_FORCED_REPLACE if view.forced_replacement else PHASE_BATTLE
+        if phase == self.phase:
+            return AgentDecision(action=Action.switch(TEAM_SIZE))
+        return super().choose_action(view, legal)
+
+
+@pytest.mark.parametrize("phase", [PHASE_BATTLE, PHASE_FORCED_REPLACE])
+def test_an_action_outside_the_legal_set_is_rejected_by_the_engine(dex, tmp_path, phase):
+    runner = MatchRunner(dex, LeagueConfig(), tmp_path)
+    with pytest.raises(IllegalActionError) as excinfo:
+        runner.run_match(IllegalIn("illegal", dex, phase), RandomAgent("random", 0), seed=0)
+    assert (excinfo.value.side, excinfo.value.action) == (0, Action.switch(TEAM_SIZE))
+    decisions = [r for r in read_log(tmp_path / "m0.jsonl")
+                 if r["kind"] == "decision" and r["agent_id"] == "illegal"]
+    assert (decisions[-1]["phase"], decisions[-1]["decision"]["action"]) == (
+        phase, Action.switch(TEAM_SIZE).to_dict())
 
 
 def test_draft_failure_on_both_sides_forfeits_side_a(dex, tmp_path):
