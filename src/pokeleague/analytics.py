@@ -2,7 +2,7 @@
 
 decision_context is the one builder of the per-decision "context" record
 that league logs with every battle-time decision.  All metrics are pure
-functions of the logs.
+functions of the logs, as storage.read_log checks and returns them.
 
 Attack quality shares one rule: decision_context builds each decision's
 context and move_efficiency tallies it.  Reports read the contexts logged
@@ -29,13 +29,14 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
 from . import storage
 from .dex import Dex, type_multiplier
 from .engine import Action, BattleState, expected_damage
+from .storage import MatchLogData
 
 SUPER_EFFECTIVE_THRESHOLD = 2.0
 
@@ -52,63 +53,16 @@ class NoLogs(Exception):
     pass
 
 
-@dataclass
-class MatchLogData:
-    """One parsed match log."""
-
-    path: Path
-    meta: dict
-    decisions: list[dict]
-    winner_side: int | None
-
-    @property
-    def agent_for_side(self) -> dict[int, str]:
-        return {0: self.meta["agents"]["a"], 1: self.meta["agents"]["b"]}
-
-    @property
-    def winner_agent(self) -> str | None:
-        if self.winner_side is None:
-            return None
-        return self.agent_for_side[self.winner_side]
-
-    def teams_by_agent(self) -> dict[str, list[str]]:
-        return {
-            self.meta["agents"]["a"]: self.meta["team_names"]["a"],
-            self.meta["agents"]["b"]: self.meta["team_names"]["b"],
-        }
-
-
-_DECISION_KEYS = frozenset({"agent_id", "phase", "decision", "reasoning", "context"})
-
-
-def load_match_log(path: str | Path) -> MatchLogData:
-    """Parse one log; a record that lacks a key the metrics read is a StorageError."""
-    records = storage.read_log(path)
-    log = MatchLogData(path=Path(path), meta=records[0], winner_side=None,
-                       decisions=[r for r in records[1:] if r.get("kind") == "decision"])
-    try:
-        log.teams_by_agent()  # reads the meta agents and team_names of both sides
-        for decision in log.decisions:
-            if not decision.keys() >= _DECISION_KEYS:
-                raise KeyError(min(_DECISION_KEYS - decision.keys()))
-            if (decision["phase"] != storage.PHASE_TEAM_SELECT
-                    and "action" not in decision["decision"]):
-                raise KeyError("action")
-        for record in records[1:]:
-            if record.get("kind") == "events":
-                for event in record["events"]:
-                    if event["kind"] == "BattleEnded":
-                        log.winner_side = event["winner"]
-    except KeyError as exc:
-        raise storage.StorageError(f"{path}: a record lacks the key {exc}") from exc
-    return log
-
-
 def load_log_dir(log_dir: str | Path) -> list[MatchLogData]:
-    paths = sorted(Path(log_dir).rglob("*.jsonl"))
+    """Every .jsonl file under log_dir, read with storage.read_log in path order.
+
+    The metrics read no events and a report holds every log at once, so
+    each value drops its records (for 128 long games, about 15 MB).
+    """
+    paths = sorted(p for p in Path(log_dir).rglob("*.jsonl") if p.is_file())
     if not paths:
         raise NoLogs(f"no .jsonl logs under {log_dir}")
-    return [load_match_log(p) for p in paths]
+    return [replace(storage.read_log(p), records=[]) for p in paths]
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,8 @@ def cmd_simulate(args) -> int:
             print(f"{result.match_id}: winner={result.winner} "
                   f"turns={result.turn_count} reason={result.end_reason}")
             if args.count == 1:
-                for record in storage.read_log(Path(args.out) / result.log_files[0]):
-                    if record.get("kind") == "events":
+                for record in storage.read_log(Path(args.out) / result.log_files[0]).records:
+                    if record["kind"] == "events":
                         for event in record["events"]:
                             print(f"  turn {record['turn']}: {event}")
     mean_turns = total_turns / args.count

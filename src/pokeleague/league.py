@@ -22,7 +22,9 @@ from .agents import (
     fallback_action, fallback_team, make_pool_view,
 )
 from .dex import Dex
-from .engine import Action, BattleState, DEFAULT_TURN_LIMIT, init_battle, legal_actions, view_for
+from .engine import (
+    Action, BattleState, DEFAULT_TURN_LIMIT, init_battle, is_legal, legal_actions, view_for,
+)
 # Not called here (storage.play_battle is); benchmarks/tracing.py wraps league.<name>.
 from .engine import resolve_replacements, resolve_turn  # noqa: F401
 from .gateway import AgentFailure, LlmAgent, ProviderConfig, make_mock_agent
@@ -205,20 +207,27 @@ class MatchRunner:
 
     # -- asking an agent -----------------------------------------------------
 
-    def _ask(self, side: int, call, fallback) -> AgentDecision:
+    def _ask(self, side: int, call, miss, fallback) -> AgentDecision:
         """One agent call, for a draft or a battle action.
 
-        If the agent fails, the decision is fallback() with the failure's
-        exchanges and errors and fallback_used set, or under
-        disqualify_on_failure the side forfeits the match.
+        miss(decision) names why a decision lies outside its legal set, or
+        is empty.  If the agent fails or misses, the decision is fallback()
+        with the exchanges and errors behind the failure (a miss adds its
+        own) and fallback_used set, or under disqualify_on_failure the side
+        forfeits the match.
         """
         try:
-            return call()
+            decision = call()
         except AgentFailure as failure:
-            if self.config.disqualify_on_failure:
-                raise _Forfeit(side)
-            return replace(fallback(), exchanges=failure.exchanges, errors=failure.errors,
-                           fallback_used=True)
+            exchanges, errors = failure.exchanges, failure.errors
+        else:
+            error = miss(decision)
+            if not error:
+                return decision
+            exchanges, errors = decision.exchanges, (*decision.errors, error)
+        if self.config.disqualify_on_failure:
+            raise _Forfeit(side)
+        return replace(fallback(), exchanges=exchanges, errors=errors, fallback_used=True)
 
     # -- one game --------------------------------------------------------
 
@@ -250,6 +259,8 @@ class MatchRunner:
                 legal = legal_actions(state, side)
                 decision = self._ask(
                     side, lambda: agent.choose_action(view, legal),
+                    lambda d: "" if is_legal(state, side, d.action)
+                    else f"illegal_action: {d.action} is not in the legal action set",
                     lambda: AgentDecision(action=fallback_action(legal)))
                 log.append(storage.decision_record(
                     decision, match_id=match_id, turn=state.turn_number,
@@ -299,6 +310,10 @@ class MatchRunner:
         def team_fallback() -> AgentDecision:
             return AgentDecision(team=fallback_team(len(pool_view)))
 
+        def team_miss(decision: AgentDecision) -> str:
+            return next((f"index_out_of_range: index {i} is outside the pool"
+                         for i in decision.team.indices if not 0 <= i < len(pool_view)), "")
+
         # Both sides draft even if one forfeits; the first side that fails loses.
         forfeit_side: int | None = None
         drafts: list[dict] = []
@@ -307,7 +322,8 @@ class MatchRunner:
                 decision = self._cached_teams[agent.agent_id]
             else:
                 try:
-                    decision = self._ask(side, lambda: agent.select_team(pool_view), team_fallback)
+                    decision = self._ask(side, lambda: agent.select_team(pool_view), team_miss,
+                                         team_fallback)
                 except _Forfeit:
                     forfeit_side = side if forfeit_side is None else forfeit_side
                     decision = replace(team_fallback(), fallback_used=True)

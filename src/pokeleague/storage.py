@@ -3,12 +3,12 @@
 Each match writes one JSONL file.  Records carry a "kind" discriminator:
 "meta" (seeds, teams, config), "decision" (prompt, raw response, parsed
 decision, rationale), and "events" (engine events with pre/post state
-digests).  Live play and replay run one turn protocol, play_battle: live
-play feeds it agent decisions and logs the events records it yields;
-replay feeds it the logged decisions and checks every record it yields
-against the log, so any nondeterminism or corruption is pinpointed to a
-turn; a tampered log (an illegal or unreadable action, a record that is
-not an object or lacks a key) fails as a StorageError.
+digests).  read_log, the one reader, checks each record's keys once and
+returns the MatchLogData that replay and the metrics share.  Live play
+and replay run one turn protocol, play_battle: live play logs the events
+records it yields; replay feeds it the logged decisions and checks every
+record it yields against the log, so any nondeterminism or corruption is
+pinpointed to a turn; a tampered log fails as a StorageError.
 
 Digests cost one encoding per battler object: battlers are immutable and
 successive states share the ones a step leaves unchanged, so state_json
@@ -20,7 +20,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import dropwhile
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -279,8 +280,72 @@ def play_battle(
 # reading and replay
 # ---------------------------------------------------------------------------
 
-def read_log(path: str | Path) -> list[dict]:
-    """Parse a match log, rejecting unknown schema major versions."""
+# The keys that replay and the metrics read, which read_log requires of each
+# record kind.  Inside a record they also read both sides of the meta agents
+# and team_names, a battle-time decision's action, and each event's kind (a
+# BattleEnded event's winner too); _lacking checks those after these.
+RECORD_KEYS = {
+    "meta": frozenset({"match_id", "seed", "turn_limit", "dex_fingerprint", "agents",
+                       "team_names", "initial_digest"}),
+    "decision": frozenset({"turn", "agent_id", "side", "phase", "decision", "reasoning",
+                           "context"}),
+    "events": frozenset({"match_id", "turn", "phase", "events", "pre_digest", "post_digest"}),
+}
+_SIDES = frozenset("ab")
+
+
+@dataclass
+class MatchLogData:
+    """One checked match log, as read_log returns it."""
+
+    path: Path
+    meta: dict
+    decisions: list[dict]
+    winner_side: int | None  # of the logged BattleEnded event; None if there is none
+    # The decision and events records in log order; analytics.load_log_dir
+    # drops them, as the metrics read only the decisions.
+    records: list[dict] = field(default_factory=list)
+
+    @property
+    def agent_for_side(self) -> dict[int, str]:
+        return {0: self.meta["agents"]["a"], 1: self.meta["agents"]["b"]}
+
+    @property
+    def winner_agent(self) -> str | None:
+        if self.winner_side is None:
+            return None
+        return self.agent_for_side[self.winner_side]
+
+    def teams_by_agent(self) -> dict[str, list[str]]:
+        return {
+            self.meta["agents"]["a"]: self.meta["team_names"]["a"],
+            self.meta["agents"]["b"]: self.meta["team_names"]["b"],
+        }
+
+
+def _lacking(kind: str, record: dict) -> frozenset[str]:
+    """The keys that a record of a kind in RECORD_KEYS lacks (see there)."""
+    lacking = RECORD_KEYS[kind].difference(record)
+    if lacking:
+        return lacking
+    if kind == "meta":
+        return _SIDES.difference(record["agents"]) | _SIDES.difference(record["team_names"])
+    if kind == "decision" and record["phase"] != PHASE_TEAM_SELECT:
+        return frozenset({"action"}).difference(record["decision"])
+    if kind == "events":
+        for event in record["events"]:
+            if "kind" not in event or event["kind"] == "BattleEnded" and "winner" not in event:
+                return frozenset({"kind", "winner"}).difference(event)
+    return lacking
+
+
+def read_log(path: str | Path) -> MatchLogData:
+    """Parse and check a match log.
+
+    A line that is not a JSON object, a first record that is not meta, an
+    unknown schema major version, or a record that lacks a key (_lacking)
+    raises StorageError.  Records of a kind not in RECORD_KEYS are skipped.
+    """
     records = []
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, 1):
@@ -300,7 +365,23 @@ def read_log(path: str | Path) -> list[dict]:
     major = version.split(".")[0]
     if major != SCHEMA_VERSION.split(".")[0]:
         raise StorageError(f"{path}: unsupported log schema version {version!r}")
-    return records
+    log = MatchLogData(path=Path(path), meta=records[0], decisions=[], winner_side=None)
+    for record in records:
+        kind = record.get("kind")
+        if kind not in RECORD_KEYS:
+            continue
+        lacking = _lacking(kind, record)
+        if lacking:
+            raise StorageError(f"{path}: a record lacks the key {min(lacking)!r}")
+        if kind != "meta":
+            log.records.append(record)
+        if kind == "decision":
+            log.decisions.append(record)
+        elif kind == "events":
+            for event in record["events"]:
+                if event["kind"] == "BattleEnded":
+                    log.winner_side = event["winner"]
+    return log
 
 
 @dataclass
@@ -312,7 +393,7 @@ class ReplayResult:
 
 def _check_step(logged: dict, expected: dict) -> None:
     """Raise unless a logged record equals the events record play_battle produced."""
-    turn = logged.get("turn")
+    turn = logged["turn"]
     if (logged["kind"], logged["phase"]) != ("events", expected["phase"]):
         raise StorageError(f"turn {turn}: expected {expected['phase']} events, "
                            f"found {logged['kind']} {logged['phase']!r}")
@@ -329,19 +410,21 @@ def _check_step(logged: dict, expected: dict) -> None:
 def replay(path: str | Path, dex: Dex, expected_dex_fingerprint: str | None = None) -> ReplayResult:
     """Verify a complete log turn by turn and return the recomputed result.
 
-    The logged decisions drive play_battle.  The initial digest must equal
-    the meta record's, checked before any other record is read, and every
-    events record play_battle yields must equal the logged one (pre digest,
-    post digest, then event payload; DigestMismatch names the turn).  A
-    missing decision or a log that stops before the battle ends raises
-    IncompleteLog; a dex fingerprint other than the expected one, meta
-    teams that init_battle rejects, a logged action that is unreadable or
-    illegal in its state (engine.is_legal), a decision or events record
-    after the end, or a record that lacks a key, raises StorageError.
+    The decisions of the log read_log returns drive play_battle.  The
+    initial digest must equal the meta record's, checked before the init
+    record, and every events record play_battle yields must equal the
+    logged one (pre digest, post digest, then event payload;
+    DigestMismatch names the turn).  A missing decision or a log that stops
+    before the battle ends raises IncompleteLog; a dex fingerprint other
+    than the expected one, meta teams that init_battle rejects, a logged
+    action that is unreadable or illegal in its state (engine.is_legal), or
+    a decision or events record after the end raises StorageError.
     """
-    records = read_log(path)
-    meta = records[0]
-    logged = iter([r for r in records[1:] if r.get("kind") in ("decision", "events")])
+    log = read_log(path)
+    meta = log.meta
+    # The drafts come before the init record.
+    logged = dropwhile(lambda r: r["kind"] == "decision" and r["phase"] == PHASE_TEAM_SELECT,
+                       log.records)
 
     def next_logged(turn: int) -> dict:
         record = next(logged, None)
@@ -356,7 +439,7 @@ def replay(path: str | Path, dex: Dex, expected_dex_fingerprint: str | None = No
             raise IncompleteLog(f"turn {state.turn_number}: missing {what} decisions")
         try:
             action = Action.from_dict(record["decision"]["action"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # a field of the action payload
             raise StorageError(f"turn {state.turn_number}: side {side}: "
                                f"unreadable action: {exc!r}") from exc
         if not is_legal(state, side, action):
@@ -364,34 +447,22 @@ def replay(path: str | Path, dex: Dex, expected_dex_fingerprint: str | None = No
                                f"illegal action {action}")
         return action
 
+    if (expected_dex_fingerprint is not None
+            and meta["dex_fingerprint"] != expected_dex_fingerprint):
+        raise StorageError(f"dex fingerprint mismatch: log has {meta['dex_fingerprint']}, "
+                           f"current dex is {expected_dex_fingerprint}")
+    teams = meta["team_names"]
     try:
-        if (expected_dex_fingerprint is not None
-                and meta["dex_fingerprint"] != expected_dex_fingerprint):
-            raise StorageError(
-                f"dex fingerprint mismatch: log has {meta['dex_fingerprint']}, "
-                f"current dex is {expected_dex_fingerprint}")
-        teams = meta["team_names"]
-        try:
-            state, init_events = init_battle(
-                dex, teams["a"], teams["b"], meta["seed"], meta["turn_limit"])
-        except ValueError as exc:  # e.g. a team that is not 6 species
-            raise StorageError(f"meta record: {exc}") from exc
-        for expected, state in play_battle(state, init_events, dex, meta["match_id"], choose):
-            if expected["phase"] != EVENTS_INIT:
-                record = next_logged(expected["turn"])
-            elif meta.get("initial_digest") != expected["post_digest"]:
-                raise DigestMismatch(0, "initial digest")
-            else:  # the drafts come before the init record
-                record = next_logged(0)
-                while record["kind"] == "decision" and record["phase"] == PHASE_TEAM_SELECT:
-                    record = next_logged(0)
-            _check_step(record, expected)
-        extra = next(logged, None)
-        if extra is not None:
-            raise StorageError(
-                f"turn {extra.get('turn')}: {extra['kind']} record after the battle ended")
-        winner_agent = meta["agents"]["a" if state.winner == 0 else "b"]
-    except KeyError as exc:
-        raise StorageError(f"{path}: a record lacks the key {exc}") from exc
-    return ReplayResult(winner_side=state.winner, winner_agent=winner_agent,
+        state, init_events = init_battle(
+            dex, teams["a"], teams["b"], meta["seed"], meta["turn_limit"])
+    except ValueError as exc:  # e.g. a team that is not 6 species
+        raise StorageError(f"meta record: {exc}") from exc
+    for expected, state in play_battle(state, init_events, dex, meta["match_id"], choose):
+        if expected["phase"] == EVENTS_INIT and meta["initial_digest"] != expected["post_digest"]:
+            raise DigestMismatch(0, "initial digest")
+        _check_step(next_logged(expected["turn"]), expected)
+    extra = next(logged, None)
+    if extra is not None:
+        raise StorageError(f"turn {extra['turn']}: {extra['kind']} record after the battle ended")
+    return ReplayResult(winner_side=state.winner, winner_agent=log.agent_for_side[state.winner],
                         turns=state.turn_number - 1)

@@ -7,7 +7,7 @@ import pytest
 from pokeleague.agents import GreedyAgent, RandomAgent
 from pokeleague.analytics import (
     MatchLogData, NoAttackDecisions, NoLogs, NoMatches, build_report, decision_context,
-    jaccard_matrix, load_log_dir, load_match_log, move_efficiency, pick_frequency,
+    jaccard_matrix, load_log_dir, move_efficiency, pick_frequency,
     switch_metrics, team_diversity, write_report,
 )
 from pokeleague.engine import Action, init_battle, legal_actions
@@ -223,7 +223,8 @@ def decisions_with_states(path, dex):
     storage.replay checks the log first, so a log that does not replay fails here.
     """
     replay(path, dex)
-    records = read_log(path)
+    log = read_log(path)
+    records = [log.meta, *log.records]
     meta = records[0]
     state, init_events = init_battle(dex, meta["team_names"]["a"], meta["team_names"]["b"],
                                      meta["seed"], meta["turn_limit"])
@@ -253,7 +254,7 @@ def move_efficiency_via_replay(path, dex, agent_id):
             dex, state, record["side"], legal_actions(state, record["side"]))}
         for record, state in decisions_with_states(path, dex)
         if record["phase"] == PHASE_BATTLE and record["agent_id"] == agent_id]
-    replayed = MatchLogData(path=Path(path), meta=read_log(path)[0], decisions=decisions,
+    replayed = MatchLogData(path=Path(path), meta=read_log(path).meta, decisions=decisions,
                             winner_side=None)
     return move_efficiency([replayed], agent_id)
 
@@ -311,11 +312,11 @@ def test_greedy_logs_have_perfect_optimal_rate(dex, greedy_match_logs):
 
 def test_replay_route_matches_direct_route(dex, greedy_match_logs):
     for path in sorted(Path(greedy_match_logs).glob("*.jsonl")):
-        direct_g = move_efficiency([load_match_log(path)], "greedy")
+        direct_g = move_efficiency([read_log(path)], "greedy")
         replayed_g = move_efficiency_via_replay(path, dex, "greedy")
         assert direct_g == replayed_g
         try:
-            direct_r = move_efficiency([load_match_log(path)], "random")
+            direct_r = move_efficiency([read_log(path)], "random")
         except NoAttackDecisions:
             with pytest.raises(NoAttackDecisions):
                 move_efficiency_via_replay(path, dex, "random")
@@ -326,7 +327,7 @@ def test_replay_route_matches_direct_route(dex, greedy_match_logs):
 def test_replay_route_matches_direct_route_with_fallbacks(dex, mock_llm_match_logs):
     for path in sorted(Path(mock_llm_match_logs).glob("*.jsonl")):
         for agent_id in ("llm", "greedy"):
-            direct = move_efficiency([load_match_log(path)], agent_id)
+            direct = move_efficiency([read_log(path)], agent_id)
             assert direct == move_efficiency_via_replay(path, dex, agent_id)
     with pytest.raises(NoMatches):
         move_efficiency_via_replay(path, dex, "nobody")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pokeleague import storage
 from pokeleague.cli import main
 from pokeleague.dex import default_dex_path
 
@@ -479,6 +480,57 @@ def test_report_on_record_without_a_key_is_a_clean_failure(simulated_log, tmp_pa
     tampered.write_text("\n".join(json.dumps(r) for r in records), encoding="utf-8")
     assert main(["report", str(logs)]) == 1
     assert capsys.readouterr().err == f"error: {tampered}: a record lacks the key {key}\n"
+
+
+def first_record(records, kind, phase):
+    return next(r for r in records if r["kind"] == kind and r["phase"] == phase)
+
+
+# Where each key that read_log requires lives: in a record of a kind, or in
+# a mapping inside one.
+KEY_HOLDERS = {
+    "meta": lambda records: records[0],
+    "decision": lambda records: first_record(records, "decision", "Battle"),
+    "events": lambda records: first_record(records, "events", "turn"),
+    "action": lambda records: first_record(records, "decision", "Battle")["decision"],
+    "agents": lambda records: records[0]["agents"],
+    "team_names": lambda records: records[0]["team_names"],
+    "event": lambda records: first_record(records, "events", "turn")["events"][0],
+    "BattleEnded": lambda records: next(e for r in records if r["kind"] == "events"
+                                        for e in r["events"] if e["kind"] == "BattleEnded"),
+}
+REQUIRED_KEYS = [(kind, key) for kind in ("meta", "decision", "events")
+                 for key in sorted(storage.RECORD_KEYS[kind])] + [
+    ("action", "action"), ("agents", "b"), ("team_names", "a"), ("event", "kind"),
+    ("BattleEnded", "winner")]
+
+
+@pytest.mark.parametrize("holder, key", REQUIRED_KEYS)
+def test_replay_and_report_reject_a_missing_key_alike(simulated_log, tmp_path, capsys,
+                                                       holder, key):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    records = [json.loads(line) for line in simulated_log.read_text().splitlines()]
+    del KEY_HOLDERS[holder](records)[key]
+    tampered = logs / "tampered.jsonl"
+    tampered.write_text("\n".join(json.dumps(r) for r in records), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", str(tampered)]) == 1
+    replay_err = capsys.readouterr().err
+    assert main(["report", str(logs)]) == 1
+    assert capsys.readouterr().err == replay_err == (
+        f"error: {tampered}: a record lacks the key '{key}'\n")
+
+
+def test_report_skips_a_directory_named_like_a_log(tmp_path, capsys):
+    logs = tmp_path / "logs"
+    assert main(["simulate", "--count", "2", "--seed", "3", "--out", str(logs)]) == 0
+    assert main(["report", str(logs), "--out", str(tmp_path / "without")]) == 0
+    (logs / "x.jsonl").mkdir()
+    assert main(["report", str(logs), "--out", str(tmp_path / "with")]) == 0
+    for name in ("report.json", "report.txt", "pick_frequency.csv"):
+        assert (tmp_path / "with" / name).read_bytes() == (
+            tmp_path / "without" / name).read_bytes()
 
 
 def test_report_empty_dir(tmp_path):

@@ -102,7 +102,7 @@ def play(dex, schedules, seed, disqualify, out: Path):
 
 
 def decisions(log_path: Path) -> list[dict]:
-    return [r for r in read_log(log_path) if r["kind"] == "decision"]
+    return read_log(log_path).decisions
 
 
 def check_decision_record(record: dict) -> None:

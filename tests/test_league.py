@@ -6,7 +6,7 @@ import pytest
 
 from pokeleague.agents import AgentDecision, AgentProfile, GreedyAgent, RandomAgent
 from pokeleague.dex import TEAM_SIZE, open_dex
-from pokeleague.engine import Action, IllegalActionError
+from pokeleague.engine import Action
 from pokeleague.gateway import (
     AgentFailure, LlmAgent, ProviderConfig, RawExchange, ScriptCompleter,
 )
@@ -72,7 +72,7 @@ def test_fallback_team_when_llm_never_valid(dex, tmp_path):
     result = runner.run_match(broken, GreedyAgent("greedy", dex), seed=5, match_id="m0")
     assert result.teams["a"] == [0, 1, 2, 3, 4, 5]  # first six pool indices
     assert result.end_reason != "Forfeit"  # match proceeded on fallbacks
-    records = read_log(tmp_path / "m0.jsonl")
+    records = read_log(tmp_path / "m0.jsonl").records
     draft = next(r for r in records
                  if r["kind"] == "decision" and r["phase"] == "TeamSelect" and r["side"] == 0)
     assert draft["fallback_used"] is True
@@ -88,7 +88,7 @@ def test_fallback_records_carry_the_failed_exchanges(dex, tmp_path):
     for match_id in ("m0", "m1"):
         runner.run_match(broken, greedy, seed=5, match_id=match_id)
     first, cached = (
-        [r for r in read_log(tmp_path / f"{m}.jsonl") if r["kind"] == "decision"]
+        [r for r in read_log(tmp_path / f"{m}.jsonl").records if r["kind"] == "decision"]
         for m in ("m0", "m1"))
     for record in first:
         if record["agent_id"] == "broken":  # 1 + max_repair_attempts failed exchanges
@@ -158,15 +158,40 @@ class IllegalIn(GreedyAgent):
 
 
 @pytest.mark.parametrize("phase", [PHASE_BATTLE, PHASE_FORCED_REPLACE])
-def test_an_action_outside_the_legal_set_is_rejected_by_the_engine(dex, tmp_path, phase):
-    runner = MatchRunner(dex, LeagueConfig(), tmp_path)
-    with pytest.raises(IllegalActionError) as excinfo:
-        runner.run_match(IllegalIn("illegal", dex, phase), RandomAgent("random", 0), seed=0)
-    assert (excinfo.value.side, excinfo.value.action) == (0, Action.switch(TEAM_SIZE))
-    decisions = [r for r in read_log(tmp_path / "m0.jsonl")
-                 if r["kind"] == "decision" and r["agent_id"] == "illegal"]
-    assert (decisions[-1]["phase"], decisions[-1]["decision"]["action"]) == (
-        phase, Action.switch(TEAM_SIZE).to_dict())
+def test_an_action_outside_the_legal_set_is_an_agent_failure(dex, tmp_path, phase):
+    lenient = MatchRunner(dex, LeagueConfig(), tmp_path)
+    result = lenient.run_match(IllegalIn("illegal", dex, phase), RandomAgent("random", 0), seed=0)
+    assert result.end_reason != END_FORFEIT
+    misses = [r for r in read_log(tmp_path / "m0.jsonl").decisions
+              if r["agent_id"] == "illegal" and r["phase"] == phase]
+    assert misses and all(
+        (r["fallback_used"], r["errors"]) == (True, [
+            f"illegal_action: {Action.switch(TEAM_SIZE)} is not in the legal action set"])
+        for r in misses)
+    assert replay(tmp_path / "m0.jsonl", dex).winner_agent == result.winner
+
+    strict = MatchRunner(dex, LeagueConfig(disqualify_on_failure=True), tmp_path / "strict")
+    result = strict.run_match(IllegalIn("illegal", dex, phase), RandomAgent("random", 0), seed=0)
+    assert (result.winner, result.loser, result.end_reason) == ("random", "illegal", END_FORFEIT)
+
+
+@pytest.mark.parametrize("indices", [(0, 1, 2, 3, 4, 99), (-1, -2, -3, -4, -5, -6)],
+                         ids=["past-the-end", "negative"])
+def test_a_team_index_outside_the_pool_is_an_agent_failure(dex, tmp_path, indices):
+    def outside():
+        return FixedTeam(GreedyAgent("outside", dex), indices)
+
+    lenient = MatchRunner(dex, LeagueConfig(), tmp_path)
+    result = lenient.run_match(outside(), RandomAgent("random", 0), seed=0)
+    assert result.teams["a"] == [0, 1, 2, 3, 4, 5]
+    draft = read_log(tmp_path / "m0.jsonl").decisions[0]
+    miss = next(i for i in indices if not 0 <= i < len(dex.pool))
+    assert (draft["agent_id"], draft["fallback_used"], draft["errors"]) == (
+        "outside", True, [f"index_out_of_range: index {miss} is outside the pool"])
+
+    strict = MatchRunner(dex, LeagueConfig(disqualify_on_failure=True), tmp_path / "strict")
+    result = strict.run_match(outside(), RandomAgent("random", 0), seed=0)
+    assert (result.winner, result.loser, result.end_reason) == ("random", "outside", END_FORFEIT)
 
 
 def test_draft_failure_on_both_sides_forfeits_side_a(dex, tmp_path):
@@ -433,7 +458,7 @@ def test_llm_provider_params_recorded_in_meta(dex, tmp_path):
     llm = LlmAgent("scripted-llm", config, dex, completer=completer)
     runner = MatchRunner(dex, LeagueConfig(), tmp_path)
     runner.run_match(llm, GreedyAgent("greedy", dex), seed=2, match_id="m0")
-    meta = read_log(tmp_path / "m0.jsonl")[0]
+    meta = read_log(tmp_path / "m0.jsonl").meta
     assert meta["provider_params"]["a"]["model"] == "test-model"
     assert meta["provider_params"]["a"]["temperature"] == 0.7
     assert meta["provider_params"]["a"]["max_tokens"] == 1024
@@ -481,7 +506,7 @@ def test_provider_failure_falls_back_in_tournament(dex, tmp_path, monkeypatch):
     })
     result = run_tournament(config.entrants, dex, config, master_seed=4, log_dir=tmp_path)
     assert result.champion == "greedy"
-    llm_decisions = [r for r in read_log(tmp_path / "r0m0.jsonl")
+    llm_decisions = [r for r in read_log(tmp_path / "r0m0.jsonl").records
                      if r["kind"] == "decision" and r["agent_id"] == "llm"]
     assert {r["phase"] for r in llm_decisions} >= {"TeamSelect", "Battle"}
     assert all(r["fallback_used"] for r in llm_decisions)

@@ -9,15 +9,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pokeleague import storage
-from pokeleague.agents import AgentDecision, GreedyAgent, RandomAgent
+from pokeleague.agents import AgentDecision, GreedyAgent, RandomAgent, TeamPick
 from pokeleague.engine import (
     Action, BattleAlreadyEnded, IllegalActionError, init_battle, is_legal, legal_actions,
     needs_replacement, resolve_replacements, resolve_turn,
 )
 from pokeleague.league import LeagueConfig, MatchRunner
 from pokeleague.storage import (
-    DigestMismatch, IncompleteLog, MatchLog, StorageError, canonical_json,
-    decision_record, meta_record, read_log, replay, state_digest, state_json,
+    RECORD_KEYS, DigestMismatch, IncompleteLog, MatchLog, StorageError, canonical_json,
+    decision_record, events_record, meta_record, read_log, replay, state_digest, state_json,
 )
 
 from conftest import FixedTeam, set_battler
@@ -45,9 +45,28 @@ def test_append_read_roundtrip(tmp_path):
             teams={"a": [0, 1, 2, 3, 4, 5], "b": [6, 7, 8, 9, 10, 11]},
             team_names={"a": [], "b": []}, initial_digest="d"))
         log.append(record)
-    records = read_log(path)
+    log = read_log(path)
+    records = [log.meta, *log.records]
     assert len(records) == 2
     assert records[1] == json.loads(json.dumps(record))  # structurally identical
+
+
+def test_each_record_builder_writes_every_required_key():
+    meta = meta_record(
+        match_id="m", tournament_id="t", seed=1, turn_limit=500, dex_fingerprint="f",
+        agents={"a": "x", "b": "y"}, teams={"a": [], "b": []}, team_names={"a": [], "b": []},
+        initial_digest="d")
+    draft = decision_record(AgentDecision(team=TeamPick(tuple(range(6)))), match_id="m",
+                            turn=0, agent_id="x", side=0, phase="TeamSelect")
+    battle = decision_record(AgentDecision(action=Action.attack(0)), match_id="m", turn=1,
+                             agent_id="x", side=0, phase="Battle")
+    events = events_record(match_id="m", turn=1, phase="turn", events=[], pre_digest="p",
+                           post_digest="d")
+    records = [meta, draft, battle, events]
+    assert {r["kind"] for r in records} == RECORD_KEYS.keys()
+    for record in records:
+        assert RECORD_KEYS[record["kind"]] <= record.keys()
+    assert "action" in battle["decision"]
 
 
 def test_one_json_object_per_line(tmp_path):
@@ -77,11 +96,10 @@ def test_reader_rejects_unknown_major_version(tmp_path):
         read_log(path)
 
 
-def test_reader_accepts_same_major_newer_minor(tmp_path):
-    path = tmp_path / "log.jsonl"
-    with MatchLog(path) as log:
-        log.append({"kind": "meta", "schema_version": "1.7"})
-    assert read_log(path)[0]["schema_version"] == "1.7"
+def test_reader_accepts_same_major_newer_minor(match_log, tmp_path):
+    path = rewrite_log(match_log[0], tmp_path / "newer.jsonl",
+                       lambda records: records[0].update(schema_version="1.7"))
+    assert read_log(path).meta["schema_version"] == "1.7"
 
 
 def test_reader_requires_meta_first(tmp_path):
@@ -261,7 +279,8 @@ def test_state_json_after_a_battler_is_replaced(dex):
 
 def digest_chain(path):
     """SHA-256 over a log's initial digest and every events pre/post digest."""
-    records = read_log(path)
+    log = read_log(path)
+    records = [log.meta, *log.records]
     links = [records[0]["initial_digest"]]
     for record in records:
         if record["kind"] == "events":
@@ -297,7 +316,7 @@ def test_each_state_is_digested_once(dex, bundled_fingerprint, tmp_path, monkeyp
     monkeypatch.setattr(storage, "state_digest", counting_digest)
     runner = MatchRunner(dex, LeagueConfig(), tmp_path, bundled_fingerprint)
     runner.run_match(RandomAgent("r1", 1), RandomAgent("r2", 2), seed=27, match_id="m")
-    steps = sum(1 for r in read_log(tmp_path / "m.jsonl")
+    steps = sum(1 for r in read_log(tmp_path / "m.jsonl").records
                 if r["kind"] == "events" and r["phase"] in ("turn", "replace"))
     assert len(calls) == 1 + steps
     calls.clear()
@@ -382,7 +401,7 @@ def test_replay_checks_dex_fingerprint(dex, match_log):
 
 def test_digest_chain_links_consecutive_records(match_log):
     path, _ = match_log
-    records = read_log(path)
+    records = read_log(path).records
     event_records = [r for r in records if r["kind"] == "events"]
     for previous, current in zip(event_records, event_records[1:]):
         assert previous["post_digest"] == current["pre_digest"] or current["phase"] == "init"
