@@ -4,6 +4,10 @@ Scripted agents are pure functions of (seed, inputs): the random
 baseline derives each choice from a hash of its seed and the decision
 inputs, so identical situations always produce identical decisions and
 whole matches replay exactly.
+
+Every decision is an AgentDecision: an engine.Action or a team pick, a
+tuple of pool indices.  The league holds every agent's pick to one rule,
+gateway.check_team, and every action to engine.is_legal.
 """
 
 from __future__ import annotations
@@ -22,28 +26,16 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class TeamPick:
-    """Six distinct pool indices; slot 0 leads the battle."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.indices) != TEAM_SIZE:
-            raise ValueError(f"a team pick needs {TEAM_SIZE} indices, got {len(self.indices)}")
-        if len(set(self.indices)) != TEAM_SIZE:
-            raise ValueError(f"team pick indices must be distinct: {self.indices}")
-
-
-@dataclass(frozen=True)
 class AgentDecision:
     """One decision, from the agent to its log record.
 
-    A battle action or a team pick, its rationale, the LLM exchanges (as
-    the dicts the log writes) and errors behind it, and fallback_used.
+    A battle action or a team pick (slot 0 leads), its rationale, the LLM
+    exchanges (as the dicts the log writes) and errors behind it, and
+    fallback_used.
     """
 
     action: Action | None = None
-    team: TeamPick | None = None
+    team: tuple[int, ...] | None = None
     reasoning: str = ""
     exchanges: tuple[dict, ...] = ()
     errors: tuple[str, ...] = ()
@@ -126,11 +118,9 @@ def make_pool_view(dex: Dex) -> list[PoolEntry]:
 # fallbacks (applied by the league when an agent cannot produce a decision)
 # ---------------------------------------------------------------------------
 
-def fallback_team(pool_size: int) -> TeamPick:
-    """First six pool indices."""
-    if pool_size < TEAM_SIZE:
-        raise ValueError(f"pool of {pool_size} cannot field a team of {TEAM_SIZE}")
-    return TeamPick(tuple(range(TEAM_SIZE)))
+def fallback_team() -> tuple[int, ...]:
+    """First six pool indices (a dex pool holds at least six species)."""
+    return tuple(range(TEAM_SIZE))
 
 
 def fallback_action(legal: Sequence[Action]) -> Action:
@@ -160,7 +150,7 @@ class RandomAgent:
         picks = []
         for _ in range(TEAM_SIZE):
             picks.append(remaining.pop(rng.choice_index(len(remaining))))
-        return AgentDecision(team=TeamPick(tuple(picks)))
+        return AgentDecision(team=tuple(picks))
 
     def choose_action(self, view: BattleView, legal: Sequence[Action]) -> AgentDecision:
         key = json.dumps([view.turn_number, view.side, [a.to_dict() for a in legal],
@@ -205,7 +195,7 @@ class GreedyAgent:
                         break
         names = ", ".join(pool[i].name for i in picks)
         return AgentDecision(
-            team=TeamPick(tuple(picks)),
+            team=tuple(picks),
             reasoning=f"Highest stat totals with distinct primary types: {names}.")
 
     def choose_action(self, view: BattleView, legal: Sequence[Action]) -> AgentDecision:

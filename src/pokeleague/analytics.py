@@ -2,7 +2,9 @@
 
 decision_context is the one builder of the per-decision "context" record
 that league logs with every battle-time decision.  All metrics are pure
-functions of the logs, as storage.read_log checks and returns them.
+functions of the logs, as storage.read_log checks and returns them: each
+battle-time decision's action is an engine.Action there, so the metrics
+read its is_attack and index, never payload keys.
 
 Attack quality shares one rule: decision_context builds each decision's
 context and move_efficiency tallies it.  Reports read the contexts logged
@@ -122,12 +124,12 @@ def move_efficiency(logs: list[MatchLogData], agent_id: str) -> dict[str, float]
     attacks = effective = optimal = 0
     for decision in _battle_decisions(logs, agent_id):
         action = decision["decision"]["action"]
-        if action["type"] != "attack":
+        if not action.is_attack:
             continue
         attacks += 1
         context = decision["context"]
         by_index = {a["move_index"]: a for a in context["attacks"]}
-        chosen = by_index[action["move_index"]]
+        chosen = by_index[action.index]
         if chosen["effectiveness"] >= SUPER_EFFECTIVE_THRESHOLD:
             effective += 1
         best = max(a["expected_damage"] for a in context["attacks"])
@@ -146,7 +148,7 @@ def switch_metrics(logs: list[MatchLogData], agent_id: str) -> dict:
     """Voluntary-switch frequency and timing (forced replacements excluded)."""
     decisions = _battle_decisions(logs, agent_id)
     hp_at_switch = [d["context"]["own_hp_percent"] for d in decisions
-                    if d["decision"]["action"]["type"] == "switch"]
+                    if not d["decision"]["action"].is_attack]
     return {
         "switch_rate": len(hp_at_switch) / len(decisions) if decisions else 0.0,
         "voluntary_switches": len(hp_at_switch),

@@ -116,14 +116,14 @@ class Dex:
     species: dict[str, Species]
     pool: tuple[str, ...] = field(default_factory=tuple)
 
-    def with_pool(self, pool: Sequence[str]) -> "Dex":
-        """Return a copy drafting from a different ordered species list."""
-        issues = [DexIssue(UNKNOWN_REFERENCE, f"pool[{pool.index(n)}]", f"unknown species {n!r}")
-                  for n in pool if n not in self.species]
-        _check_pool_size(pool, issues)
+    def with_pool(self, pool: list[str]) -> "Dex":
+        """Return a copy drafting from a different ordered species list,
+        checked as a dex file's pool is (_parse_pool)."""
+        issues: list[DexIssue] = []
+        checked = _parse_pool(pool, self.species, issues)
         if issues:
             raise DexValidationError(issues)
-        return replace(self, pool=tuple(pool))
+        return replace(self, pool=checked)
 
 
 def type_multiplier(chart: TypeChart, attacking: str, defending: Sequence[str]) -> float:
@@ -364,14 +364,10 @@ def _parse_pool(raw: object, species: dict[str, Species], issues: list[DexIssue]
             issues.append(DexIssue(UNKNOWN_REFERENCE, f"pool[{i}]", f"unknown species {name!r}"))
     if len(set(raw)) != len(raw):
         issues.append(DexIssue(INVARIANT_VIOLATION, "pool", "pool entries must be distinct"))
-    _check_pool_size(raw, issues)
-    return tuple(raw)
-
-
-def _check_pool_size(pool: Sequence[str], issues: list[DexIssue]) -> None:
-    if len(pool) < TEAM_SIZE:
+    if len(raw) < TEAM_SIZE:
         issues.append(DexIssue(INVARIANT_VIOLATION, "pool",
-                               f"a pool of {len(pool)} species cannot field a team of {TEAM_SIZE}"))
+                               f"a pool of {len(raw)} species cannot field a team of {TEAM_SIZE}"))
+    return tuple(raw)
 
 
 def dex_fingerprint(path: str | Path) -> str:
@@ -381,7 +377,7 @@ def dex_fingerprint(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
-def open_dex(path: str | Path | None = None, pool: Sequence[str] | None = None) -> tuple[Dex, str]:
+def open_dex(path: str | Path | None = None, pool: list[str] | None = None) -> tuple[Dex, str]:
     """The dex at path (the bundled one if None), drafting from pool if given, and its fingerprint.
 
     A path that is not a file raises FileNotFoundError("dex file not found: <path>").

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from .dex import TEAM_SIZE, Dex, MoveDef, Species, TypeChart, type_multiplier
 from .rng import SeededStream
@@ -73,6 +73,9 @@ class Action:
     kind: str  # "attack" | "switch"
     index: int
 
+    # The index key of each action type in a payload {"type": kind, key: index}.
+    INDEX_KEYS: ClassVar[dict[str, str]] = {"attack": "move_index", "switch": "team_index"}
+
     @staticmethod
     def attack(move_index: int) -> "Action":
         return Action("attack", move_index)
@@ -86,18 +89,23 @@ class Action:
         return self.kind == "attack"
 
     def to_dict(self) -> dict:
-        if self.kind == "attack":
-            return {"type": "attack", "move_index": self.index}
-        return {"type": "switch", "team_index": self.index}
+        return {"type": self.kind, self.INDEX_KEYS[self.kind]: self.index}
 
     @staticmethod
-    def from_dict(raw: dict) -> "Action":
-        kind = raw.get("type") if isinstance(raw, dict) else None
-        if kind == "attack":
-            return Action.attack(int(raw["move_index"]))
-        if kind == "switch":
-            return Action.switch(int(raw["team_index"]))
-        raise ValueError(f"not an action payload: {raw!r}")
+    def from_dict(raw: object) -> "Action":
+        """The action of a payload {"type": T, INDEX_KEYS[T]: an int, not a bool},
+        as a shared value where there is one; anything else raises ValueError."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"not an action object: {raw!r}")
+        kind = raw.get("type")
+        key = Action.INDEX_KEYS.get(kind) if isinstance(kind, str) else None
+        if key is None:
+            raise ValueError(f"unknown action type {kind!r}")
+        index = raw.get(key)
+        if type(index) is not int:  # a bool is not an index
+            raise ValueError(f"{kind} without integer {key}: {index!r}")
+        shared = _ATTACKS if kind == "attack" else _SWITCHES
+        return shared[index] if 0 <= index < len(shared) else Action(kind, index)
 
     def __str__(self) -> str:
         return f"{self.kind}:{self.index}"
@@ -253,10 +261,13 @@ def init_battle(
     """Start a battle: slot 0 of each team is sent out (side 0 first).
 
     Returns the initial state and the send-out events, including any
-    auto-weather started by the leads.
+    auto-weather started by the leads.  ValueError if a team is not six dex species.
     """
     if len(team_a) != TEAM_SIZE or len(team_b) != TEAM_SIZE:
         raise ValueError(f"each team must have exactly {TEAM_SIZE} species")
+    for name in (*team_a, *team_b):
+        if name not in dex.species:
+            raise ValueError(f"unknown species {name!r}")
     sides = []
     for team in (team_a, team_b):
         battlers = [compute_stats(dex.species[name]) for name in team]

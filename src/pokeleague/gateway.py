@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import requests
 
-from .agents import AgentDecision, ConfigError, PoolEntry, TeamPick
+from .agents import AgentDecision, ConfigError, PoolEntry
 from .dex import TEAM_SIZE, Dex, MoveDef
 from .engine import Action, BattleView
 
@@ -322,41 +322,39 @@ def _reasoning_of(obj: dict) -> str:
     return reasoning if isinstance(reasoning, str) else json.dumps(reasoning)
 
 
-def parse_team_response(raw: str, pool_size: int) -> tuple[TeamPick, str]:
-    """Extract a 6-index team pick; any defect raises a ParseError of its kind."""
-    obj = extract_first_json(raw)
-    team = obj.get("team")
-    count = len(team) if isinstance(team, list) else 0
+def check_team(team: object, pool_size: int) -> tuple[int, ...]:
+    """The team pick rule for every agent: six distinct int indices inside the pool.
+    Returns the pick as a tuple; any defect raises a ParseError of its kind."""
+    count = len(team) if isinstance(team, (list, tuple)) else 0
     if count != TEAM_SIZE:
         raise ParseError("wrong_arity", f"expected {TEAM_SIZE} team indices, got {count}")
-    indices: list[int] = []
-    for item in team:
+    for position, item in enumerate(team):
         if type(item) is not int or not 0 <= item < pool_size:  # a bool is not an index
             raise ParseError("index_out_of_range", f"index {item!r} is outside the pool")
-        if item in indices:
+        if item in team[:position]:
             raise ParseError("duplicate_index", f"index {item} appears more than once")
-        indices.append(item)
-    return TeamPick(tuple(indices)), _reasoning_of(obj)
+    return tuple(team)
 
 
-# The index key of each action type in a response's "action" object.
-_INDEX_KEYS = {"attack": "move_index", "switch": "team_index"}
+def parse_team_response(raw: str, pool_size: int) -> tuple[tuple[int, ...], str]:
+    """Extract a team pick that passes check_team, and its reasoning."""
+    obj = extract_first_json(raw)
+    return check_team(obj.get("team"), pool_size), _reasoning_of(obj)
 
 
 def parse_action_response(raw: str, legal: Sequence[Action]) -> tuple[Action, str]:
-    """Extract an action and check it against the legal set."""
+    """Extract an action (Action.from_dict) and check it against the legal set."""
     obj = extract_first_json(raw)
     payload = obj.get("action")
     if not isinstance(payload, dict):
         raise ParseError("unknown_action_type", f"missing or non-object 'action': {payload!r}")
     action_type = payload.get("type")
-    key = _INDEX_KEYS.get(action_type) if isinstance(action_type, str) else None
-    if key is None:
+    if not isinstance(action_type, str) or action_type not in Action.INDEX_KEYS:
         raise ParseError("unknown_action_type", f"unknown action type {action_type!r}")
-    index = payload.get(key)
-    if type(index) is not int:  # a bool is not an index
-        raise ParseError("illegal_action", f"{action_type} without integer {key}: {index!r}")
-    action = Action(action_type, index)
+    try:
+        action = Action.from_dict(payload)
+    except ValueError as exc:  # an index that is not an int
+        raise ParseError("illegal_action", str(exc)) from None
     if action not in legal:
         raise ParseError("illegal_action", f"{action} is not in the legal action set")
     return action, _reasoning_of(obj)

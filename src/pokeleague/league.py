@@ -27,7 +27,7 @@ from .engine import (
 )
 # Not called here (storage.play_battle is); benchmarks/tracing.py wraps league.<name>.
 from .engine import resolve_replacements, resolve_turn  # noqa: F401
-from .gateway import AgentFailure, LlmAgent, ProviderConfig, make_mock_agent
+from .gateway import AgentFailure, LlmAgent, ParseError, ProviderConfig, check_team, make_mock_agent
 from .rng import stable_hash64
 
 END_FORFEIT = "Forfeit"
@@ -155,9 +155,6 @@ class GameSummary:
     turn_count: int
     end_reason: str
     log_file: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -308,11 +305,14 @@ class MatchRunner:
         pool_view = make_pool_view(self.dex)
 
         def team_fallback() -> AgentDecision:
-            return AgentDecision(team=fallback_team(len(pool_view)))
+            return AgentDecision(team=fallback_team())
 
         def team_miss(decision: AgentDecision) -> str:
-            return next((f"index_out_of_range: index {i} is outside the pool"
-                         for i in decision.team.indices if not 0 <= i < len(pool_view)), "")
+            try:
+                check_team(decision.team, len(pool_view))
+            except ParseError as err:
+                return str(err)
+            return ""
 
         # Both sides draft even if one forfeits; the first side that fails loses.
         forfeit_side: int | None = None

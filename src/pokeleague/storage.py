@@ -3,12 +3,14 @@
 Each match writes one JSONL file.  Records carry a "kind" discriminator:
 "meta" (seeds, teams, config), "decision" (prompt, raw response, parsed
 decision, rationale), and "events" (engine events with pre/post state
-digests).  read_log, the one reader, checks each record's keys once and
-returns the MatchLogData that replay and the metrics share.  Live play
-and replay run one turn protocol, play_battle: live play logs the events
-records it yields; replay feeds it the logged decisions and checks every
-record it yields against the log, so any nondeterminism or corruption is
-pinpointed to a turn; a tampered log fails as a StorageError.
+digests).  read_log, the one reader, walks the records once: it checks
+each record's keys, reads each battle-time action into an engine.Action
+(Action.from_dict, the one action reader), and returns the MatchLogData
+that replay and the metrics share.  Live play and replay run one turn
+protocol, play_battle: live play logs the events records it yields;
+replay feeds it the logged decisions and checks every record it yields
+against the log, so any nondeterminism or corruption is pinpointed to a
+turn; a tampered log fails as a StorageError.
 
 Digests cost one encoding per battler object: battlers are immutable and
 successive states share the ones a step leaves unchanged, so state_json
@@ -203,7 +205,7 @@ def decision_record(
         "agent_id": agent_id,
         "side": side,
         "phase": phase,
-        "decision": ({"team": list(decision.team.indices)} if decision.action is None
+        "decision": ({"team": list(decision.team)} if decision.action is None
                      else {"action": decision.action.to_dict()}),
         "reasoning": decision.reasoning,
         "fallback_used": decision.fallback_used,
@@ -283,7 +285,7 @@ def play_battle(
 # The keys that replay and the metrics read, which read_log requires of each
 # record kind.  Inside a record they also read both sides of the meta agents
 # and team_names, a battle-time decision's action, and each event's kind (a
-# BattleEnded event's winner too); _lacking checks those after these.
+# BattleEnded event's winner too); _lacking_inside checks those after these.
 RECORD_KEYS = {
     "meta": frozenset({"match_id", "seed", "turn_limit", "dex_fingerprint", "agents",
                        "team_names", "initial_digest"}),
@@ -296,7 +298,7 @@ _SIDES = frozenset("ab")
 
 @dataclass
 class MatchLogData:
-    """One checked match log, as read_log returns it."""
+    """One checked match log, as read_log returns it: battle-time actions are Actions."""
 
     path: Path
     meta: dict
@@ -323,28 +325,41 @@ class MatchLogData:
         }
 
 
-def _lacking(kind: str, record: dict) -> frozenset[str]:
-    """The keys that a record of a kind in RECORD_KEYS lacks (see there)."""
-    lacking = RECORD_KEYS[kind].difference(record)
-    if lacking:
-        return lacking
+def _lacking_inside(path: str | Path, kind: str, record: dict,
+                    log: MatchLogData) -> frozenset[str]:
+    """The keys that a record with every key of its kind lacks inside (see RECORD_KEYS).
+
+    On the way it replaces a battle-time decision's action payload by its
+    Action, in place (a payload that Action.from_dict rejects raises
+    StorageError), and sets log.winner_side from a BattleEnded event.
+    """
     if kind == "meta":
         return _SIDES.difference(record["agents"]) | _SIDES.difference(record["team_names"])
     if kind == "decision" and record["phase"] != PHASE_TEAM_SELECT:
-        return frozenset({"action"}).difference(record["decision"])
-    if kind == "events":
+        decision = record["decision"]
+        if "action" not in decision:
+            return frozenset({"action"})
+        try:
+            decision["action"] = Action.from_dict(decision["action"])
+        except ValueError as exc:
+            raise StorageError(f"{path}: turn {record['turn']}: side {record['side']}: "
+                               f"unreadable action: {exc}") from None
+    elif kind == "events":
         for event in record["events"]:
             if "kind" not in event or event["kind"] == "BattleEnded" and "winner" not in event:
                 return frozenset({"kind", "winner"}).difference(event)
-    return lacking
+            if event["kind"] == "BattleEnded":
+                log.winner_side = event["winner"]
+    return frozenset()
 
 
 def read_log(path: str | Path) -> MatchLogData:
-    """Parse and check a match log.
+    """Parse and check a match log, walking its records once.
 
     A line that is not a JSON object, a first record that is not meta, an
-    unknown schema major version, or a record that lacks a key (_lacking)
-    raises StorageError.  Records of a kind not in RECORD_KEYS are skipped.
+    unknown schema major version, a record that lacks a key (RECORD_KEYS)
+    or an unreadable battle-time action raises StorageError.  Records of a
+    kind not in RECORD_KEYS are skipped.
     """
     records = []
     with open(path, encoding="utf-8") as handle:
@@ -370,17 +385,14 @@ def read_log(path: str | Path) -> MatchLogData:
         kind = record.get("kind")
         if kind not in RECORD_KEYS:
             continue
-        lacking = _lacking(kind, record)
+        lacking = RECORD_KEYS[kind].difference(record) or _lacking_inside(
+            path, kind, record, log)
         if lacking:
             raise StorageError(f"{path}: a record lacks the key {min(lacking)!r}")
         if kind != "meta":
             log.records.append(record)
         if kind == "decision":
             log.decisions.append(record)
-        elif kind == "events":
-            for event in record["events"]:
-                if event["kind"] == "BattleEnded":
-                    log.winner_side = event["winner"]
     return log
 
 
@@ -417,8 +429,9 @@ def replay(path: str | Path, dex: Dex, expected_dex_fingerprint: str | None = No
     DigestMismatch names the turn).  A missing decision or a log that stops
     before the battle ends raises IncompleteLog; a dex fingerprint other
     than the expected one, meta teams that init_battle rejects, a logged
-    action that is unreadable or illegal in its state (engine.is_legal), or
-    a decision or events record after the end raises StorageError.
+    action that is illegal in its state (engine.is_legal), or a decision
+    or events record after the end raises StorageError, as read_log does
+    for a log it cannot read.
     """
     log = read_log(path)
     meta = log.meta
@@ -437,11 +450,7 @@ def replay(path: str | Path, dex: Dex, expected_dex_fingerprint: str | None = No
         if record["kind"] != "decision" or (record["side"], record["phase"]) != (side, phase):
             what = "battle" if phase == PHASE_BATTLE else "replacement"
             raise IncompleteLog(f"turn {state.turn_number}: missing {what} decisions")
-        try:
-            action = Action.from_dict(record["decision"]["action"])
-        except (KeyError, TypeError, ValueError) as exc:  # a field of the action payload
-            raise StorageError(f"turn {state.turn_number}: side {side}: "
-                               f"unreadable action: {exc!r}") from exc
+        action = record["decision"]["action"]
         if not is_legal(state, side, action):
             raise StorageError(f"turn {state.turn_number}: side {side}: "
                                f"illegal action {action}")

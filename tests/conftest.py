@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from pokeleague.agents import AgentDecision, TeamPick
+from pokeleague.agents import AgentDecision
 from pokeleague.dex import default_dex_path, dex_fingerprint, load_dex
 
 
@@ -16,7 +16,7 @@ class FixedTeam:
 
     def __init__(self, agent, indices):
         self.agent_id = agent.agent_id
-        self.team = TeamPick(tuple(indices))
+        self.team = tuple(indices)
         self.choose_action = agent.choose_action
 
     def select_team(self, pool):

@@ -108,14 +108,14 @@ def test_criterion_4_bracket_invariants(dex, tmp_path):
 def test_criterion_5_protocol_golden(dex):
     started = time.monotonic()
     team, _ = parse_team_response(PAPER_TEAM_RESPONSE, 60)
-    assert team.indices == (0, 3, 5, 8, 11, 14)
+    assert team == (0, 3, 5, 8, 11, 14)
 
     legal = [Action.attack(i) for i in range(4)] + [Action.switch(j) for j in range(1, 6)]
     action, _ = parse_action_response(PAPER_ACTION_RESPONSE, legal)
     assert action == Action.attack(1)
 
     fenced, _ = parse_team_response('```json\n{"team": [0, 1, 2, 3, 4, 5]}\n```', 60)
-    assert fenced.indices == (0, 1, 2, 3, 4, 5)
+    assert fenced == (0, 1, 2, 3, 4, 5)
     prose_wrapped, _ = parse_action_response(
         'Thinking it through... {"action": {"type": "switch", "team_index": 2}, '
         '"reasoning": "pivot"} — that is my final answer.', legal)
@@ -160,8 +160,8 @@ def test_criterion_7_baseline_separation(dex, tmp_path):
     runner = MatchRunner(dex, LeagueConfig(), tmp_path, "fp")
     greedy_wins = 0
     for seed in range(1, matches + 1):
-        result = runner.run_match(FixedTeam(greedy, mirror.indices),
-                                  FixedTeam(rng_agent, mirror.indices), seed=seed,
+        result = runner.run_match(FixedTeam(greedy, mirror),
+                                  FixedTeam(rng_agent, mirror), seed=seed,
                                   match_id=f"m{seed}")
         if result.winner == "greedy":
             greedy_wins += 1

@@ -3,7 +3,7 @@
 import pytest
 
 from pokeleague.agents import (
-    GreedyAgent, RandomAgent, TeamPick, AgentDecision, fallback_action,
+    GreedyAgent, RandomAgent, AgentDecision, fallback_action,
     fallback_team, make_pool_view,
 )
 from pokeleague.engine import (
@@ -30,14 +30,14 @@ def greedy_team_oracle(pool):
 def test_greedy_team_matches_oracle(dex):
     pool = make_pool_view(dex)
     decision = GreedyAgent("g", dex).select_team(pool)
-    assert decision.team.indices == greedy_team_oracle(pool)
+    assert decision.team == greedy_team_oracle(pool)
     assert decision.reasoning
 
 
 def test_greedy_team_primaries_distinct(dex):
     pool = make_pool_view(dex)
     team = GreedyAgent("g", dex).select_team(pool).team
-    primaries = [pool[i].types[0] for i in team.indices]
+    primaries = [pool[i].types[0] for i in team]
     assert len(set(primaries)) == 6
 
 
@@ -47,19 +47,19 @@ def test_pool_of_exactly_six_is_forced(dex):
     small = dex.with_pool(["Jolteon", "Snorlax", "Swampert", "Gengar", "Heracross", "Salamence"])
     pool = make_pool_view(small)
     team = GreedyAgent("g", small).select_team(pool).team
-    assert sorted(team.indices) == [0, 1, 2, 3, 4, 5]
+    assert sorted(team) == [0, 1, 2, 3, 4, 5]
 
     random_team = RandomAgent("r", 3).select_team(pool).team
-    assert sorted(random_team.indices) == [0, 1, 2, 3, 4, 5]
+    assert sorted(random_team) == [0, 1, 2, 3, 4, 5]
 
 
 def test_random_team_is_deterministic_per_seed(dex):
     pool = make_pool_view(dex)
-    first = RandomAgent("r", 7).select_team(pool).team.indices
-    second = RandomAgent("r", 7).select_team(pool).team.indices
+    first = RandomAgent("r", 7).select_team(pool).team
+    second = RandomAgent("r", 7).select_team(pool).team
     assert first == second
     assert len(set(first)) == 6
-    other_seed = RandomAgent("r", 8).select_team(pool).team.indices
+    other_seed = RandomAgent("r", 8).select_team(pool).team
     assert other_seed != first  # overwhelmingly likely; frozen by determinism
 
 
@@ -100,9 +100,9 @@ def battle_states_for_probing(dex, seeds=range(12)):
     greedy = GreedyAgent("g", dex)
     random_agent = RandomAgent("r", 5)
     pool = make_pool_view(dex)
-    team_g = [dex.pool[i] for i in greedy.select_team(pool).team.indices]
+    team_g = [dex.pool[i] for i in greedy.select_team(pool).team]
     for seed in seeds:
-        team_r = [dex.pool[i] for i in RandomAgent("r", seed).select_team(pool).team.indices]
+        team_r = [dex.pool[i] for i in RandomAgent("r", seed).select_team(pool).team]
         state, _ = init_battle(dex, team_g, team_r, seed)
         for _ in range(6):
             if state.ended:
@@ -221,9 +221,7 @@ def test_all_agent_actions_are_legal(dex):
 
 
 def test_fallbacks(dex):
-    assert fallback_team(30).indices == (0, 1, 2, 3, 4, 5)
-    with pytest.raises(ValueError):
-        fallback_team(5)
+    assert fallback_team() == (0, 1, 2, 3, 4, 5)
     legal = [Action.attack(2), Action.switch(1)]
     assert fallback_action(legal) == Action.attack(2)
     with pytest.raises(ValueError):
@@ -231,9 +229,5 @@ def test_fallbacks(dex):
 
 
 def test_team_pick_validation():
-    with pytest.raises(ValueError):
-        TeamPick((0, 1, 2, 3, 4))
-    with pytest.raises(ValueError):
-        TeamPick((0, 0, 1, 2, 3, 4))
     with pytest.raises(ValueError):
         AgentDecision()  # neither action nor team

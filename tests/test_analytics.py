@@ -46,7 +46,7 @@ def synthetic_log(agent_a="a", agent_b="b", winner_side=0, decisions=None):
 def battle_decision(agent_id, action, context, turn=1, phase="Battle"):
     return {
         "kind": "decision", "match_id": "m", "turn": turn, "agent_id": agent_id,
-        "side": 0, "phase": phase, "decision": {"action": action},
+        "side": 0, "phase": phase, "decision": {"action": Action.from_dict(action)},
         "reasoning": "", "fallback_used": False, "exchanges": [], "errors": [],
         "context": context,
     }
@@ -235,7 +235,7 @@ def decisions_with_states(path, dex):
     def choose(state, side, phase):
         record = next(logged)
         made.append((record, state))
-        return Action.from_dict(record["decision"]["action"])
+        return record["decision"]["action"]
 
     for _ in play_battle(state, init_events, dex, meta["match_id"], choose):
         pass

@@ -65,7 +65,8 @@ def test_a_pool_smaller_than_a_team_is_rejected_before_any_match(dex_doc, write_
     assert not (tmp_path / "five").exists()
     assert main(["replay", str(simulated_log), "--dex", str(path)]) == 2
     config_path = tmp_path / "config.json"
-    for overrides in ({"dex_path": str(path)}, {"pool": dex_doc["pool"][:5]}, {"pool": []}):
+    for overrides in ({"dex_path": str(path)}, {"pool": dex_doc["pool"][:5]}, {"pool": []},
+                      {"pool": ["Venusaur"] * 6}):
         config_path.write_text(json.dumps({**scripted_config(tmp_path, count=4), **overrides}),
                                encoding="utf-8")
         assert main(["tournament", str(config_path)]) == 2
@@ -74,6 +75,8 @@ def test_a_pool_smaller_than_a_team_is_rejected_before_any_match(dex_doc, write_
     assert errors.count(f"error: 1 dex validation issue(s):\n{POOL_ISSUE}\n") == 4
     assert errors.count("error: 1 dex validation issue(s):\n[invariant_violation] pool: "
                         "a pool of 0 species cannot field a team of 6\n") == 1
+    assert errors.count("error: 1 dex validation issue(s):\n[invariant_violation] pool: "
+                        "pool entries must be distinct\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +394,17 @@ def test_replay_meta_team_of_five_is_a_clean_failure(simulated_log, tmp_path, ca
         "error: meta record: each team must have exactly 6 species\n")
 
 
+@pytest.mark.parametrize("species", ["Missingno", None])
+def test_replay_meta_team_outside_the_dex_is_a_clean_failure(simulated_log, tmp_path, capsys,
+                                                             species):
+    records = [json.loads(line) for line in simulated_log.read_text().splitlines()]
+    records[0]["team_names"]["b"][3] = species
+    tampered = tmp_path / "outside.jsonl"
+    tampered.write_text("\n".join(json.dumps(r) for r in records), encoding="utf-8")
+    assert main(["replay", str(tampered)]) == 1
+    assert capsys.readouterr().err == f"error: meta record: unknown species {species!r}\n"
+
+
 def test_log_starting_with_a_list_is_a_clean_failure(simulated_log, tmp_path, capsys):
     logs = tmp_path / "logs"
     logs.mkdir()
@@ -520,6 +534,30 @@ def test_replay_and_report_reject_a_missing_key_alike(simulated_log, tmp_path, c
     assert main(["report", str(logs)]) == 1
     assert capsys.readouterr().err == replay_err == (
         f"error: {tampered}: a record lacks the key '{key}'\n")
+
+
+@pytest.mark.parametrize("payload, detail", [
+    ({"type": "attack"}, "attack without integer move_index: None"),
+    ({"type": "attack", "move_index": "0"}, "attack without integer move_index: '0'"),
+    ({"type": "attack", "move_index": 0.9}, "attack without integer move_index: 0.9"),
+    ({"type": "attack", "move_index": False}, "attack without integer move_index: False"),
+    ({"type": "fly", "move_index": 0}, "unknown action type 'fly'"),
+    (3, "not an action object: 3"),
+], ids=["no-index", "string-index", "float-index", "bool-index", "unknown-type", "not-an-object"])
+def test_replay_and_report_reject_a_malformed_action_alike(simulated_log, tmp_path, capsys,
+                                                           payload, detail):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    records = [json.loads(line) for line in simulated_log.read_text().splitlines()]
+    first_record(records, "decision", "Battle")["decision"]["action"] = payload
+    tampered = logs / "tampered.jsonl"
+    tampered.write_text("\n".join(json.dumps(r) for r in records), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", str(tampered)]) == 1
+    replay_err = capsys.readouterr().err
+    assert main(["report", str(logs)]) == 1
+    assert capsys.readouterr().err == replay_err == (
+        f"error: {tampered}: turn 1: side 0: unreadable action: {detail}\n")
 
 
 def test_report_skips_a_directory_named_like_a_log(tmp_path, capsys):

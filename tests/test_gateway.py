@@ -25,7 +25,7 @@ def render_action_json(action, reasoning=""):
 
 
 def render_team_json(team, reasoning=""):
-    return json.dumps({"team": list(team.indices), "reasoning": reasoning})
+    return json.dumps({"team": list(team), "reasoning": reasoning})
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -131,13 +131,13 @@ def test_prompts_are_pure(dex):
 
 def test_parse_paper_team_sample():
     team, reasoning = parse_team_response(PAPER_TEAM_RESPONSE, 30)
-    assert team.indices == (0, 3, 5, 8, 11, 14)
+    assert team == (0, 3, 5, 8, 11, 14)
     assert "I chose Gyarados" in reasoning
 
 
 def test_parse_fenced_team_defaults_reasoning():
     team, reasoning = parse_team_response('```json {"team":[0,1,2,3,4,5]} ```', 30)
-    assert team.indices == (0, 1, 2, 3, 4, 5)
+    assert team == (0, 1, 2, 3, 4, 5)
     assert reasoning == ""
 
 
@@ -272,9 +272,7 @@ def test_action_roundtrip_over_legal_sets(legal):
 
 
 def test_team_roundtrip():
-    from pokeleague.agents import TeamPick
-
-    pick = TeamPick((3, 1, 4, 0, 5, 9))
+    pick = (3, 1, 4, 0, 5, 9)
     parsed, reasoning = parse_team_response(render_team_json(pick, "r"), 10)
     assert parsed == pick
     assert reasoning == "r"
@@ -509,7 +507,7 @@ def test_llm_agent_team_selection(dex):
     pool = make_pool_view(dex)
     agent, _ = make_llm_agent(dex, ['{"team": [9, 8, 7, 6, 5, 4], "reasoning": "meta"}'])
     decision = agent.select_team(pool)
-    assert decision.team.indices == (9, 8, 7, 6, 5, 4)
+    assert decision.team == (9, 8, 7, 6, 5, 4)
     assert decision.reasoning == "meta"
 
 

@@ -175,9 +175,13 @@ def test_an_action_outside_the_legal_set_is_an_agent_failure(dex, tmp_path, phas
     assert (result.winner, result.loser, result.end_reason) == ("random", "illegal", END_FORFEIT)
 
 
-@pytest.mark.parametrize("indices", [(0, 1, 2, 3, 4, 99), (-1, -2, -3, -4, -5, -6)],
-                         ids=["past-the-end", "negative"])
-def test_a_team_index_outside_the_pool_is_an_agent_failure(dex, tmp_path, indices):
+@pytest.mark.parametrize("indices, error", [
+    ((0, 1, 2, 3, 4, 99), "index_out_of_range: index 99 is outside the pool"),
+    ((-1, -2, -3, -4, -5, -6), "index_out_of_range: index -1 is outside the pool"),
+    ((0, 1, 2, 3, 4), "wrong_arity: expected 6 team indices, got 5"),
+    ((0, 1, 2, 3, 4, 2), "duplicate_index: index 2 appears more than once"),
+], ids=["past-the-end", "negative", "five", "repeated"])
+def test_a_team_index_outside_the_pool_is_an_agent_failure(dex, tmp_path, indices, error):
     def outside():
         return FixedTeam(GreedyAgent("outside", dex), indices)
 
@@ -185,9 +189,8 @@ def test_a_team_index_outside_the_pool_is_an_agent_failure(dex, tmp_path, indice
     result = lenient.run_match(outside(), RandomAgent("random", 0), seed=0)
     assert result.teams["a"] == [0, 1, 2, 3, 4, 5]
     draft = read_log(tmp_path / "m0.jsonl").decisions[0]
-    miss = next(i for i in indices if not 0 <= i < len(dex.pool))
     assert (draft["agent_id"], draft["fallback_used"], draft["errors"]) == (
-        "outside", True, [f"index_out_of_range: index {miss} is outside the pool"])
+        "outside", True, [error])
 
     strict = MatchRunner(dex, LeagueConfig(disqualify_on_failure=True), tmp_path / "strict")
     result = strict.run_match(outside(), RandomAgent("random", 0), seed=0)

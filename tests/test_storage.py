@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pokeleague import storage
-from pokeleague.agents import AgentDecision, GreedyAgent, RandomAgent, TeamPick
+from pokeleague.agents import AgentDecision, GreedyAgent, RandomAgent
 from pokeleague.engine import (
     Action, BattleAlreadyEnded, IllegalActionError, init_battle, is_legal, legal_actions,
     needs_replacement, resolve_replacements, resolve_turn,
@@ -48,7 +48,9 @@ def test_append_read_roundtrip(tmp_path):
     log = read_log(path)
     records = [log.meta, *log.records]
     assert len(records) == 2
-    assert records[1] == json.loads(json.dumps(record))  # structurally identical
+    expected = json.loads(json.dumps(record))  # structurally identical
+    expected["decision"]["action"] = Action.attack(1)  # read into an Action
+    assert records[1] == expected
 
 
 def test_each_record_builder_writes_every_required_key():
@@ -56,7 +58,7 @@ def test_each_record_builder_writes_every_required_key():
         match_id="m", tournament_id="t", seed=1, turn_limit=500, dex_fingerprint="f",
         agents={"a": "x", "b": "y"}, teams={"a": [], "b": []}, team_names={"a": [], "b": []},
         initial_digest="d")
-    draft = decision_record(AgentDecision(team=TeamPick(tuple(range(6)))), match_id="m",
+    draft = decision_record(AgentDecision(team=tuple(range(6))), match_id="m",
                             turn=0, agent_id="x", side=0, phase="TeamSelect")
     battle = decision_record(AgentDecision(action=Action.attack(0)), match_id="m", turn=1,
                              agent_id="x", side=0, phase="Battle")
