@@ -6,9 +6,9 @@ functions of the logs, as storage.read_log checks and returns them: each
 battle-time decision's action is an engine.Action there, so the metrics
 read its is_attack and index, never payload keys.
 
-Attack quality shares one rule: decision_context builds each decision's
-context and move_efficiency tallies it.  Reports read the contexts logged
-at decision time.  The tests hold a replay route as an oracle: it replays
+Attack quality has one rule: decision_context builds each decision's
+context, and build_report, one walk over the logs, tallies the contexts
+logged at decision time.  The tests hold a replay route as an oracle: it replays
 the logged decisions through the engine and builds each context afresh
 from the replayed state, and the tests assert the two routes agree.
 
@@ -33,7 +33,7 @@ import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import storage
 from .dex import Dex, type_multiplier
@@ -41,14 +41,6 @@ from .engine import Action, BattleState, expected_damage
 from .storage import MatchLogData
 
 SUPER_EFFECTIVE_THRESHOLD = 2.0
-
-
-class NoMatches(Exception):
-    pass
-
-
-class NoAttackDecisions(Exception):
-    pass
 
 
 class NoLogs(Exception):
@@ -102,98 +94,27 @@ def decision_context(dex: Dex, state: BattleState, side: int, legal: Sequence[Ac
 
 
 # ---------------------------------------------------------------------------
-# individual metrics
+# the report
 # ---------------------------------------------------------------------------
-
-def _involving(logs: list[MatchLogData], agent_id: str) -> list[MatchLogData]:
-    """The logs of the agent's matches; NoMatches if there are none."""
-    matches = [l for l in logs if agent_id in l.agent_for_side.values()]
-    if not matches:
-        raise NoMatches(f"no matches for agent {agent_id!r}")
-    return matches
-
-
-def _battle_decisions(logs: list[MatchLogData], agent_id: str) -> list[dict]:
-    """The agent's Battle-phase decisions (forced replacements excluded)."""
-    return [d for log in _involving(logs, agent_id) for d in log.decisions
-            if d["agent_id"] == agent_id and d["phase"] == storage.PHASE_BATTLE]
-
-
-def move_efficiency(logs: list[MatchLogData], agent_id: str) -> dict[str, float]:
-    """Effective and optimal attack rates from the decisions' contexts."""
-    attacks = effective = optimal = 0
-    for decision in _battle_decisions(logs, agent_id):
-        action = decision["decision"]["action"]
-        if not action.is_attack:
-            continue
-        attacks += 1
-        context = decision["context"]
-        by_index = {a["move_index"]: a for a in context["attacks"]}
-        chosen = by_index[action.index]
-        if chosen["effectiveness"] >= SUPER_EFFECTIVE_THRESHOLD:
-            effective += 1
-        best = max(a["expected_damage"] for a in context["attacks"])
-        if chosen["expected_damage"] == best:
-            optimal += 1
-    if not attacks:
-        raise NoAttackDecisions(f"no attack decisions for agent {agent_id!r}")
-    return {
-        "effective_move_rate": effective / attacks,
-        "optimal_move_rate": optimal / attacks,
-        "attack_decisions": attacks,
-    }
-
-
-def switch_metrics(logs: list[MatchLogData], agent_id: str) -> dict:
-    """Voluntary-switch frequency and timing (forced replacements excluded)."""
-    decisions = _battle_decisions(logs, agent_id)
-    hp_at_switch = [d["context"]["own_hp_percent"] for d in decisions
-                    if not d["decision"]["action"].is_attack]
-    return {
-        "switch_rate": len(hp_at_switch) / len(decisions) if decisions else 0.0,
-        "voluntary_switches": len(hp_at_switch),
-        "decision_turns": len(decisions),
-        "mean_hp_percent_at_voluntary_switch":
-            sum(hp_at_switch) / len(hp_at_switch) if hp_at_switch else None,
-    }
-
 
 def pick_frequency(teams: list[list[str]]) -> dict[str, int]:
     """How many teams contain each species (0/1 per team)."""
-    counts: Counter[str] = Counter()
-    for team in teams:
-        for species in set(team):
-            counts[species] += 1
+    counts = Counter(species for team in teams for species in set(team))
     return dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
 def team_diversity(teams: list[list[str]]) -> float:
     """Distinct species used / total slots across the drafted teams."""
-    if not teams:
-        return 0.0
-    distinct = {s for team in teams for s in team}
-    slots = sum(len(team) for team in teams)
-    return len(distinct) / slots
+    slots = sum(map(len, teams))
+    return len({s for team in teams for s in team}) / slots if slots else 0.0
 
 
 def jaccard_matrix(teams_by_agent: dict[str, list[str]]) -> tuple[list[str], list[list[float]]]:
     """Pairwise team-overlap similarity (|A&B| / |A|B|) between agents."""
     ids = sorted(teams_by_agent)
-    matrix = []
-    for a in ids:
-        row = []
-        sa = set(teams_by_agent[a])
-        for b in ids:
-            sb = set(teams_by_agent[b])
-            union = sa | sb
-            row.append(len(sa & sb) / len(union) if union else 0.0)
-        matrix.append(row)
-    return ids, matrix
+    teams = [set(teams_by_agent[a]) for a in ids]
+    return ids, [[len(a & b) / len(a | b) if a | b else 0.0 for b in teams] for a in teams]
 
-
-# ---------------------------------------------------------------------------
-# full report
-# ---------------------------------------------------------------------------
 
 @dataclass
 class AgentMetrics:
@@ -214,9 +135,6 @@ class AgentMetrics:
     teams_drafted: int
     team_diversity: float
     reasoning_word_count_mean: float | None  # descriptive only, not a score
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def text_table(rows: list[Sequence[str]]) -> str:
@@ -242,7 +160,7 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return {
-            "agents": {a: m.to_dict() for a, m in sorted(self.agents.items())},
+            "agents": {a: asdict(m) for a, m in sorted(self.agents.items())},
             "pick_frequency": self.pick_frequency,
             "teams_drafted": self.teams_drafted,
             "team_jaccard": {"agents": self.jaccard_agents, "matrix": self.jaccard},
@@ -263,62 +181,75 @@ class MetricsReport:
 
     def pick_frequency_csv(self) -> str:
         buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["species", "teams_containing", "teams_total"])
-        for species, count in self.pick_frequency.items():
-            writer.writerow([species, count, self.teams_drafted])
+        csv.writer(buffer).writerows([["species", "teams_containing", "teams_total"]] + [
+            [species, count, self.teams_drafted] for species, count in self.pick_frequency.items()])
         return buffer.getvalue()
 
 
-def _word_count(text: str) -> int:
-    return len(text.split())
+class _Tally:
+    """One agent's counts, which build_report adds to as it walks the logs."""
+
+    def __init__(self) -> None:
+        self.wins = self.attacks = self.effective = self.optimal = 0
+        self.hp_at_switch: list[float] = []
+        self.teams: list[list[str]] = []
+        self.words: list[int] = []
+
+    def metrics(self, agent_id: str) -> AgentMetrics:
+        # Each log adds one team; each Battle-phase decision attacks or switches.
+        matches, switches = len(self.teams), len(self.hp_at_switch)
+        decisions = self.attacks + switches
+        return AgentMetrics(
+            agent_id=agent_id, matches=matches, wins=self.wins, losses=matches - self.wins,
+            win_rate=self.wins / matches, attack_decisions=self.attacks,
+            effective_move_rate=self.effective / self.attacks if self.attacks else None,
+            optimal_move_rate=self.optimal / self.attacks if self.attacks else None,
+            decision_turns=decisions, voluntary_switches=switches,
+            switch_rate=switches / decisions if decisions else 0.0,
+            mean_hp_percent_at_voluntary_switch=_mean(self.hp_at_switch),
+            teams_drafted=matches, team_diversity=team_diversity(self.teams),
+            reasoning_word_count_mean=_mean(self.words))
 
 
-def build_report(logs: list[MatchLogData]) -> MetricsReport:
-    """Aggregate every metric over the given match logs."""
-    if not logs:
-        raise NoLogs("no logs to report on")
-    agent_ids = sorted({a for log in logs for a in log.agent_for_side.values()})
-    all_teams: list[list[str]] = []
-    teams_by_agent: dict[str, list[list[str]]] = {a: [] for a in agent_ids}
-    latest_team: dict[str, list[str]] = {}
-    reasoning_words: dict[str, list[int]] = {a: [] for a in agent_ids}
+def _mean(values: list) -> float | None:
+    return sum(values) / len(values) if values else None
 
+
+def build_report(logs: Iterable[MatchLogData]) -> MetricsReport:
+    """Aggregate every metric in one walk over the given match logs; no logs, no rows.
+
+    Each Battle-phase decision is either an attack, tallied against the
+    attacks of its logged context, or a voluntary switch, timed by the
+    context's HP percent; forced replacements count toward neither.
+    """
+    tallies: dict[str, _Tally] = {}
     for log in logs:
-        for agent_id, team in log.teams_by_agent().items():
-            all_teams.append(team)
-            teams_by_agent[agent_id].append(team)
-            latest_team[agent_id] = team
+        for side, key in enumerate(storage.SIDE_KEYS):
+            agent_id, team = log.meta["agents"][key], log.meta["team_names"][key]
+            tally = tallies.setdefault(agent_id, _Tally())
+            tally.wins += log.winner_side == side
+            tally.teams.append(team)
         for decision in log.decisions:
+            tally = tallies[decision["agent_id"]]
             if decision["reasoning"]:
-                reasoning_words[decision["agent_id"]].append(_word_count(decision["reasoning"]))
-
-    agents: dict[str, AgentMetrics] = {}
-    for agent_id in agent_ids:
-        involved = _involving(logs, agent_id)
-        wins = sum(1 for l in involved if l.winner_agent == agent_id)
-        try:
-            efficiency = move_efficiency(involved, agent_id)
-        except NoAttackDecisions:
-            efficiency = {"effective_move_rate": None, "optimal_move_rate": None,
-                          "attack_decisions": 0}
-        words = reasoning_words[agent_id]
-        agents[agent_id] = AgentMetrics(
-            agent_id=agent_id, matches=len(involved), wins=wins,
-            losses=len(involved) - wins, win_rate=wins / len(involved),
-            **efficiency, **switch_metrics(involved, agent_id),
-            teams_drafted=len(teams_by_agent[agent_id]),
-            team_diversity=team_diversity(teams_by_agent[agent_id]),
-            reasoning_word_count_mean=sum(words) / len(words) if words else None)
-
-    jaccard_agents, matrix = jaccard_matrix(latest_team) if latest_team else ([], [])
-    return MetricsReport(
-        agents=agents,
-        pick_frequency=pick_frequency(all_teams),
-        teams_drafted=len(all_teams),
-        jaccard_agents=jaccard_agents,
-        jaccard=matrix,
-    )
+                tally.words.append(len(decision["reasoning"].split()))
+            if decision["phase"] != storage.PHASE_BATTLE:
+                continue
+            action, context = decision["decision"]["action"], decision["context"]
+            if not action.is_attack:
+                tally.hp_at_switch.append(context["own_hp_percent"])
+                continue
+            attacks = context["attacks"]
+            chosen = next(a for a in attacks if a["move_index"] == action.index)
+            tally.attacks += 1
+            tally.effective += chosen["effectiveness"] >= SUPER_EFFECTIVE_THRESHOLD
+            tally.optimal += chosen["expected_damage"] == max(
+                a["expected_damage"] for a in attacks)
+    all_teams = [team for tally in tallies.values() for team in tally.teams]
+    jaccard_agents, matrix = jaccard_matrix({a: t.teams[-1] for a, t in tallies.items()})
+    return MetricsReport(agents={a: tallies[a].metrics(a) for a in sorted(tallies)},
+                         pick_frequency=pick_frequency(all_teams), teams_drafted=len(all_teams),
+                         jaccard_agents=jaccard_agents, jaccard=matrix)
 
 
 def write_report(report: MetricsReport, out_dir: str | Path) -> dict[str, Path]:

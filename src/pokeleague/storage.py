@@ -4,9 +4,9 @@ Each match writes one JSONL file.  Records carry a "kind" discriminator:
 "meta" (seeds, teams, config), "decision" (prompt, raw response, parsed
 decision, rationale), and "events" (engine events with pre/post state
 digests).  read_log, the one reader, walks the records once: it checks
-each record's keys, reads each battle-time action into an engine.Action
-(Action.from_dict, the one action reader), and returns the MatchLogData
-that replay and the metrics share.  Live play and replay run one turn
+each record's keys and the values replay and the metrics read, reads each
+battle-time action into an engine.Action (Action.from_dict, the one action
+reader), and returns the MatchLogData that replay and the metrics share.  Live play and replay run one turn
 protocol, play_battle: live play logs the events records it yields;
 replay feeds it the logged decisions and checks every record it yields
 against the log, so any nondeterminism or corruption is pinpointed to a
@@ -284,8 +284,8 @@ def play_battle(
 
 # The keys that replay and the metrics read, which read_log requires of each
 # record kind.  Inside a record they also read both sides of the meta agents
-# and team_names, a battle-time decision's action, and each event's kind (a
-# BattleEnded event's winner too); _lacking_inside checks those after these.
+# and team_names, a battle-time decision's action and context, and each
+# event's kind (a BattleEnded event's winner too): see _lacking_inside.
 RECORD_KEYS = {
     "meta": frozenset({"match_id", "seed", "turn_limit", "dex_fingerprint", "agents",
                        "team_names", "initial_digest"}),
@@ -293,7 +293,7 @@ RECORD_KEYS = {
                            "context"}),
     "events": frozenset({"match_id", "turn", "phase", "events", "pre_digest", "post_digest"}),
 }
-_SIDES = frozenset("ab")
+SIDE_KEYS = ("a", "b")  # the meta agents and team_names keys of sides 0 and 1
 
 
 @dataclass
@@ -308,47 +308,76 @@ class MatchLogData:
     # drops them, as the metrics read only the decisions.
     records: list[dict] = field(default_factory=list)
 
-    @property
-    def agent_for_side(self) -> dict[int, str]:
-        return {0: self.meta["agents"]["a"], 1: self.meta["agents"]["b"]}
 
-    @property
-    def winner_agent(self) -> str | None:
-        if self.winner_side is None:
-            return None
-        return self.agent_for_side[self.winner_side]
+def _fault(path: str | Path, decision: dict, what: str) -> StorageError:
+    return StorageError(f"{path}: turn {decision['turn']}: side {decision['side']}: {what}")
 
-    def teams_by_agent(self) -> dict[str, list[str]]:
-        return {
-            self.meta["agents"]["a"]: self.meta["team_names"]["a"],
-            self.meta["agents"]["b"]: self.meta["team_names"]["b"],
-        }
+
+def _is_side(value: object) -> bool:
+    return type(value) is int and value in (0, 1)  # a bool is not a side
 
 
 def _lacking_inside(path: str | Path, kind: str, record: dict,
                     log: MatchLogData) -> frozenset[str]:
     """The keys that a record with every key of its kind lacks inside (see RECORD_KEYS).
 
-    On the way it replaces a battle-time decision's action payload by its
-    Action, in place (a payload that Action.from_dict rejects raises
-    StorageError), and sets log.winner_side from a BattleEnded event.
+    A value that replay or the metrics read, in a type or range they cannot
+    use, raises StorageError.  On the way it replaces a battle-time
+    decision's action payload by its Action, in place, and sets
+    log.winner_side from a BattleEnded event.
     """
     if kind == "meta":
-        return _SIDES.difference(record["agents"]) | _SIDES.difference(record["team_names"])
-    if kind == "decision" and record["phase"] != PHASE_TEAM_SELECT:
+        agents, teams = record["agents"], record["team_names"]
+        lacking = frozenset(k for k in SIDE_KEYS if k not in agents or k not in teams)
+        if lacking:
+            return lacking
+        for key in ("seed", "turn_limit"):
+            if type(record[key]) is not int:
+                raise StorageError(f"{path}: meta record: {key} is not an integer")
+        for key in SIDE_KEYS:
+            if type(teams[key]) is not list:
+                raise StorageError(f"{path}: meta record: team_names {key!r} is not a list")
+        if agents["a"] == agents["b"]:
+            raise StorageError(f"{path}: meta record: agent {agents['a']!r} plays both sides")
+    elif kind == "decision":
+        if not _is_side(record["side"]):
+            raise _fault(path, record, "side is not 0 or 1")
+        if record["agent_id"] != log.meta["agents"][SIDE_KEYS[record["side"]]]:
+            raise _fault(path, record, f"agent {record['agent_id']!r} does not play this side")
         decision = record["decision"]
+        if type(decision) is not dict:
+            raise _fault(path, record, "decision is not an object")
+        if type(record["reasoning"]) is not str:
+            raise _fault(path, record, "reasoning is not a string")
+        if record["phase"] == PHASE_TEAM_SELECT:
+            return frozenset()
         if "action" not in decision:
             return frozenset({"action"})
         try:
-            decision["action"] = Action.from_dict(decision["action"])
+            action = decision["action"] = Action.from_dict(decision["action"])
         except ValueError as exc:
-            raise StorageError(f"{path}: turn {record['turn']}: side {record['side']}: "
-                               f"unreadable action: {exc}") from None
+            raise _fault(path, record, f"unreadable action: {exc}") from None
+        if record["phase"] == PHASE_BATTLE:
+            context = record["context"]
+            if not (type(context) is dict and type(context.get("attacks")) is list
+                    and type(context.get("switches")) is list
+                    and type(context.get("own_hp_percent")) in (int, float)):
+                raise _fault(path, record, "context is not an object holding "
+                                           "own_hp_percent, switches and attacks")
+            if action.is_attack:
+                for attack in context["attacks"]:
+                    if type(attack) is dict and attack.get("move_index") == action.index:
+                        break
+                else:
+                    raise _fault(path, record, f"illegal action {action}")
     elif kind == "events":
         for event in record["events"]:
             if "kind" not in event or event["kind"] == "BattleEnded" and "winner" not in event:
                 return frozenset({"kind", "winner"}).difference(event)
             if event["kind"] == "BattleEnded":
+                if not _is_side(event["winner"]):
+                    raise StorageError(f"{path}: turn {record['turn']}: "
+                                       f"BattleEnded winner {event['winner']!r} is not 0 or 1")
                 log.winner_side = event["winner"]
     return frozenset()
 
@@ -357,9 +386,9 @@ def read_log(path: str | Path) -> MatchLogData:
     """Parse and check a match log, walking its records once.
 
     A line that is not a JSON object, a first record that is not meta, an
-    unknown schema major version, a record that lacks a key (RECORD_KEYS)
-    or an unreadable battle-time action raises StorageError.  Records of a
-    kind not in RECORD_KEYS are skipped.
+    unknown schema major version, a record that lacks a key (RECORD_KEYS),
+    an unreadable battle-time action or a bad value (_lacking_inside)
+    raises StorageError.  Records of a kind not in RECORD_KEYS are skipped.
     """
     records = []
     with open(path, encoding="utf-8") as handle:
@@ -377,8 +406,7 @@ def read_log(path: str | Path) -> MatchLogData:
     if not records or records[0].get("kind") != "meta":
         raise StorageError(f"{path}: first record must be meta")
     version = str(records[0].get("schema_version", ""))
-    major = version.split(".")[0]
-    if major != SCHEMA_VERSION.split(".")[0]:
+    if version.split(".")[0] != SCHEMA_VERSION.split(".")[0]:
         raise StorageError(f"{path}: unsupported log schema version {version!r}")
     log = MatchLogData(path=Path(path), meta=records[0], decisions=[], winner_side=None)
     for record in records:
@@ -473,5 +501,5 @@ def replay(path: str | Path, dex: Dex, expected_dex_fingerprint: str | None = No
     extra = next(logged, None)
     if extra is not None:
         raise StorageError(f"turn {extra['turn']}: {extra['kind']} record after the battle ended")
-    return ReplayResult(winner_side=state.winner, winner_agent=log.agent_for_side[state.winner],
-                        turns=state.turn_number - 1)
+    return ReplayResult(winner_side=state.winner, turns=state.turn_number - 1,
+                        winner_agent=meta["agents"][SIDE_KEYS[state.winner]])

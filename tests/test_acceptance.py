@@ -12,7 +12,7 @@ import socket
 import time
 
 from pokeleague.agents import AgentProfile, GreedyAgent, RandomAgent, make_pool_view
-from pokeleague.analytics import build_report, load_log_dir, move_efficiency, pick_frequency
+from pokeleague.analytics import build_report, load_log_dir, pick_frequency
 from pokeleague.dex import type_multiplier
 from pokeleague.engine import (
     Action, compute_damage, init_battle, legal_actions, needs_replacement,
@@ -132,15 +132,15 @@ def test_criterion_6_metric_fixtures(dex, tmp_path):
         decisions.append(battle_decision(
             "a", {"type": "attack", "move_index": 0},
             attack_context(effectiveness, expected=50), turn=i + 1))
-    rates = move_efficiency([synthetic_log(decisions=decisions)], "a")
-    assert rates["effective_move_rate"] == 0.7
+    rates = build_report([synthetic_log(decisions=decisions)]).agents["a"]
+    assert rates.effective_move_rate == 0.7
 
     runner = MatchRunner(dex, LeagueConfig(), tmp_path, "fp")
     greedy = GreedyAgent("greedy", dex)
     for i in range(3):
         runner.run_match(greedy, RandomAgent("random", i), seed=500 + i, match_id=f"m{i}")
-    greedy_rates = move_efficiency(load_log_dir(tmp_path), "greedy")
-    assert greedy_rates["optimal_move_rate"] == 1.0
+    greedy_rates = build_report(load_log_dir(tmp_path)).agents["greedy"]
+    assert greedy_rates.optimal_move_rate == 1.0
 
     counts = pick_frequency(list(EIGHT_TEAMS.values()))
     assert counts["Metagross"] == 5

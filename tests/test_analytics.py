@@ -1,4 +1,7 @@
-"""Metrics: win rate, move efficiency, switch metrics, pick frequency."""
+"""Metrics: win rate, move efficiency, switch metrics, pick frequency.
+
+Every per-agent metric is read from its row of build_report.
+"""
 
 from pathlib import Path
 
@@ -6,9 +9,8 @@ import pytest
 
 from pokeleague.agents import GreedyAgent, RandomAgent
 from pokeleague.analytics import (
-    MatchLogData, NoAttackDecisions, NoLogs, NoMatches, build_report, decision_context,
-    jaccard_matrix, load_log_dir, move_efficiency, pick_frequency,
-    switch_metrics, team_diversity, write_report,
+    MatchLogData, NoLogs, build_report, decision_context, jaccard_matrix, load_log_dir,
+    pick_frequency, team_diversity, write_report,
 )
 from pokeleague.engine import Action, init_battle, legal_actions
 from pokeleague.gateway import LlmAgent, ProviderConfig, ScriptCompleter
@@ -52,6 +54,11 @@ def battle_decision(agent_id, action, context, turn=1, phase="Battle"):
     }
 
 
+def agent_row(decisions, agent_id="a"):
+    """The agent's report row over one synthetic log holding the decisions."""
+    return build_report([synthetic_log(decisions=decisions)]).agents[agent_id]
+
+
 def attack_context(effectiveness, expected, all_damages=None, own_hp=100):
     attacks = [{"move_index": 0, "move": "M0", "type": "Normal",
                 "effectiveness": effectiveness, "expected_damage": expected}]
@@ -92,10 +99,9 @@ def test_move_efficiency_seven_of_ten():
         decisions.append(battle_decision(
             "a", {"type": "attack", "move_index": 0},
             attack_context(effectiveness, expected=50), turn=i + 1))
-    log = synthetic_log(decisions=decisions)
-    rates = move_efficiency([log], "a")
-    assert rates["effective_move_rate"] == 0.7
-    assert rates["optimal_move_rate"] == 1.0
+    row = agent_row(decisions)
+    assert row.effective_move_rate == 0.7
+    assert row.optimal_move_rate == 1.0
 
 
 def test_all_immune_attack_counts_against_both_rates():
@@ -103,32 +109,30 @@ def test_all_immune_attack_counts_against_both_rates():
     decisions = [battle_decision(
         "a", {"type": "attack", "move_index": 0},
         attack_context(0.0, expected=0, all_damages=[42]))]
-    rates = move_efficiency([synthetic_log(decisions=decisions)], "a")
-    assert rates["effective_move_rate"] == 0.0
-    assert rates["optimal_move_rate"] == 0.0
+    row = agent_row(decisions)
+    assert row.effective_move_rate == 0.0
+    assert row.optimal_move_rate == 0.0
 
 
 def test_tied_argmax_counts_as_optimal():
     decisions = [battle_decision(
         "a", {"type": "attack", "move_index": 0},
         attack_context(1.0, expected=42, all_damages=[42, 10]))]
-    rates = move_efficiency([synthetic_log(decisions=decisions)], "a")
-    assert rates["optimal_move_rate"] == 1.0
+    assert agent_row(decisions).optimal_move_rate == 1.0
 
 
-def test_no_attack_decisions_raises():
-    log = synthetic_log(decisions=[battle_decision(
+def test_no_attack_decisions_leave_both_attack_rates_none():
+    row = agent_row([battle_decision(
         "a", {"type": "switch", "team_index": 1}, attack_context(1.0, 1))])
-    with pytest.raises(NoAttackDecisions):
-        move_efficiency([log], "a")
+    assert row.attack_decisions == 0
+    assert row.effective_move_rate is None
+    assert row.optimal_move_rate is None
 
 
-@pytest.mark.parametrize("metric", [move_efficiency, switch_metrics])
-def test_agent_in_no_log_raises_no_matches(metric):
+def test_an_agent_in_no_log_has_no_row():
     log = synthetic_log(decisions=[battle_decision(
         "a", {"type": "attack", "move_index": 0}, attack_context(1.0, 10))])
-    with pytest.raises(NoMatches):
-        metric([log], "nobody")
+    assert sorted(build_report([log]).agents) == ["a", "b"]
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +142,9 @@ def test_agent_in_no_log_raises_no_matches(metric):
 def test_switch_metrics_zero_switches():
     decisions = [battle_decision("a", {"type": "attack", "move_index": 0},
                                  attack_context(1.0, 10), turn=t) for t in range(1, 6)]
-    metrics = switch_metrics([synthetic_log(decisions=decisions)], "a")
-    assert metrics["switch_rate"] == 0.0
-    assert metrics["mean_hp_percent_at_voluntary_switch"] is None
+    row = agent_row(decisions)
+    assert row.switch_rate == 0.0
+    assert row.mean_hp_percent_at_voluntary_switch is None
 
 
 def test_switch_metrics_rate_and_timing():
@@ -152,9 +156,9 @@ def test_switch_metrics_rate_and_timing():
         "a", {"type": "switch", "team_index": 1}, attack_context(1.0, 10, own_hp=30), turn=19))
     decisions.append(battle_decision(
         "a", {"type": "switch", "team_index": 2}, attack_context(1.0, 10, own_hp=50), turn=20))
-    metrics = switch_metrics([synthetic_log(decisions=decisions)], "a")
-    assert metrics["switch_rate"] == pytest.approx(0.1)
-    assert metrics["mean_hp_percent_at_voluntary_switch"] == pytest.approx(40.0)
+    row = agent_row(decisions)
+    assert row.switch_rate == pytest.approx(0.1)
+    assert row.mean_hp_percent_at_voluntary_switch == pytest.approx(40.0)
 
 
 def test_forced_replacements_are_not_voluntary():
@@ -164,9 +168,9 @@ def test_forced_replacements_are_not_voluntary():
         battle_decision("a", {"type": "switch", "team_index": 1},
                         attack_context(1.0, 10, own_hp=0), turn=1, phase="ForcedReplace"),
     ]
-    metrics = switch_metrics([synthetic_log(decisions=decisions)], "a")
-    assert metrics["voluntary_switches"] == 0
-    assert metrics["switch_rate"] == 0.0
+    row = agent_row(decisions)
+    assert row.voluntary_switches == 0
+    assert row.switch_rate == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -242,21 +246,26 @@ def decisions_with_states(path, dex):
     return made
 
 
-def move_efficiency_via_replay(path, dex, agent_id):
-    """move_efficiency over contexts rebuilt from the replayed states.
+def replayed_log(path, dex):
+    """The log's battle decisions, with contexts rebuilt from the replayed states.
 
-    Each of the agent's battle decisions gets the decision_context of the
-    state the replay reached, not the context in the log, so this
-    cross-checks the direct route end to end.
+    Each battle decision gets the decision_context of the state the replay
+    reached, not the context in the log, so reporting on it cross-checks
+    the direct route end to end.
     """
     decisions = [
         {**record, "context": decision_context(
             dex, state, record["side"], legal_actions(state, record["side"]))}
         for record, state in decisions_with_states(path, dex)
-        if record["phase"] == PHASE_BATTLE and record["agent_id"] == agent_id]
-    replayed = MatchLogData(path=Path(path), meta=read_log(path).meta, decisions=decisions,
-                            winner_side=None)
-    return move_efficiency([replayed], agent_id)
+        if record["phase"] == PHASE_BATTLE]
+    return MatchLogData(path=Path(path), meta=read_log(path).meta, decisions=decisions,
+                        winner_side=None)
+
+
+def attack_fields(log):
+    """Each agent's attack count and rates in the report on the one log."""
+    return {agent_id: (row.attack_decisions, row.effective_move_rate, row.optimal_move_rate)
+            for agent_id, row in build_report([log]).agents.items()}
 
 
 @pytest.fixture(scope="module")
@@ -306,31 +315,21 @@ def test_logged_context_is_decision_context_of_replayed_state(dex, request, fixt
 
 def test_greedy_logs_have_perfect_optimal_rate(dex, greedy_match_logs):
     logs = load_log_dir(greedy_match_logs)
-    rates = move_efficiency(logs, "greedy")
-    assert rates["optimal_move_rate"] == 1.0
+    assert build_report(logs).agents["greedy"].optimal_move_rate == 1.0
 
 
 def test_replay_route_matches_direct_route(dex, greedy_match_logs):
     for path in sorted(Path(greedy_match_logs).glob("*.jsonl")):
-        direct_g = move_efficiency([read_log(path)], "greedy")
-        replayed_g = move_efficiency_via_replay(path, dex, "greedy")
-        assert direct_g == replayed_g
-        try:
-            direct_r = move_efficiency([read_log(path)], "random")
-        except NoAttackDecisions:
-            with pytest.raises(NoAttackDecisions):
-                move_efficiency_via_replay(path, dex, "random")
-            continue
-        assert direct_r == move_efficiency_via_replay(path, dex, "random")
+        direct = attack_fields(read_log(path))
+        assert direct["greedy"][0] > 0
+        assert direct == attack_fields(replayed_log(path, dex))
 
 
 def test_replay_route_matches_direct_route_with_fallbacks(dex, mock_llm_match_logs):
     for path in sorted(Path(mock_llm_match_logs).glob("*.jsonl")):
-        for agent_id in ("llm", "greedy"):
-            direct = move_efficiency([read_log(path)], agent_id)
-            assert direct == move_efficiency_via_replay(path, dex, agent_id)
-    with pytest.raises(NoMatches):
-        move_efficiency_via_replay(path, dex, "nobody")
+        direct = attack_fields(read_log(path))
+        assert sorted(direct) == ["greedy", "llm"]
+        assert direct == attack_fields(replayed_log(path, dex))
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +361,16 @@ def test_metrics_recomputation_is_idempotent(greedy_match_logs):
     first = build_report(logs).to_dict()
     second = build_report(load_log_dir(greedy_match_logs)).to_dict()
     assert first == second
+
+
+def test_build_report_reads_its_input_once(greedy_match_logs):
+    logs = load_log_dir(greedy_match_logs)
+    assert build_report(iter(logs)).to_dict() == build_report(logs).to_dict()
+
+
+def test_build_report_over_no_logs_has_no_rows():
+    report = build_report([])
+    assert (report.agents, report.pick_frequency, report.teams_drafted) == ({}, {}, 0)
 
 
 def test_load_log_dir_empty_raises(tmp_path):

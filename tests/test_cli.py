@@ -560,6 +560,65 @@ def test_replay_and_report_reject_a_malformed_action_alike(simulated_log, tmp_pa
         f"error: {tampered}: turn 1: side 0: unreadable action: {detail}\n")
 
 
+def set_in(holder, key, value):
+    """A tamper that sets holder(records)[key] to value (see KEY_HOLDERS)."""
+    return lambda records: KEY_HOLDERS[holder](records).__setitem__(key, value)
+
+
+def drop_attacks(records):
+    del KEY_HOLDERS["decision"](records)["context"]["attacks"]
+
+
+NO_CONTEXT = "context is not an object holding own_hp_percent, switches and attacks"
+
+
+# A value of a type or range that replay or the metrics cannot use, and the
+# error that follows the log's path ({end}: the turn of the BattleEnded event).
+@pytest.mark.parametrize("tamper, error", [
+    pytest.param(set_in("decision", "agent_id", "nobody"),
+                 "turn 1: side 0: agent 'nobody' does not play this side", id="other-agent"),
+    pytest.param(set_in("decision", "side", 7), "turn 1: side 7: side is not 0 or 1",
+                 id="side-7"),
+    pytest.param(set_in("decision", "decision", 5), "turn 1: side 0: decision is not an object",
+                 id="decision-5"),
+    pytest.param(set_in("decision", "reasoning", 5), "turn 1: side 0: reasoning is not a string",
+                 id="reasoning-5"),
+    pytest.param(set_in("decision", "context", None), f"turn 1: side 0: {NO_CONTEXT}",
+                 id="null-context"),
+    pytest.param(drop_attacks, f"turn 1: side 0: {NO_CONTEXT}", id="no-attacks"),
+    pytest.param(set_in("action", "action", {"type": "attack", "move_index": 9}),
+                 "turn 1: side 0: illegal action attack:9", id="unlisted-attack"),
+    pytest.param(set_in("BattleEnded", "winner", 5),
+                 "turn {end}: BattleEnded winner 5 is not 0 or 1", id="winner-5"),
+    pytest.param(set_in("agents", "b", "a-greedy"),
+                 "meta record: agent 'a-greedy' plays both sides", id="one-agent"),
+    pytest.param(set_in("meta", "seed", "9"), "meta record: seed is not an integer",
+                 id="string-seed"),
+    pytest.param(set_in("meta", "turn_limit", 500.0), "meta record: turn_limit is not an integer",
+                 id="float-turn-limit"),
+    pytest.param(set_in("team_names", "b", 5), "meta record: team_names 'b' is not a list",
+                 id="team-5"),
+    pytest.param(set_in("team_names", "a", "abcdef"),
+                 "meta record: team_names 'a' is not a list", id="team-string"),
+])
+def test_replay_and_report_reject_a_bad_value_alike(simulated_log, tmp_path, capsys,
+                                                    tamper, error):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    records = [json.loads(line) for line in simulated_log.read_text().splitlines()]
+    end = next(r["turn"] for r in records if r["kind"] == "events"
+               and any(e["kind"] == "BattleEnded" for e in r["events"]))
+    tamper(records)
+    tampered = logs / "tampered.jsonl"
+    tampered.write_text("\n".join(json.dumps(r) for r in records), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", str(tampered)]) == 1
+    replay_err = capsys.readouterr().err
+    assert main(["report", str(logs)]) == 1
+    assert capsys.readouterr().err == replay_err == (
+        f"error: {tampered}: {error.format(end=end)}\n")
+
+
 def test_report_skips_a_directory_named_like_a_log(tmp_path, capsys):
     logs = tmp_path / "logs"
     assert main(["simulate", "--count", "2", "--seed", "3", "--out", str(logs)]) == 0

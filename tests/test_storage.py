@@ -36,8 +36,9 @@ def test_append_read_roundtrip(tmp_path):
     path = tmp_path / "log.jsonl"
     record = decision_record(
         AgentDecision(action=Action.attack(1), reasoning="because"),
-        match_id="m", turn=3, agent_id="a", side=0, phase="Battle",
-        context={"own_hp_percent": 55})
+        match_id="m", turn=3, agent_id="x", side=0, phase="Battle",
+        context={"own_hp_percent": 55, "switches": [],
+                 "attacks": [{"move_index": 1, "effectiveness": 1.0, "expected_damage": 9}]})
     with MatchLog(path) as log:
         log.append(meta_record(
             match_id="m", tournament_id="t", seed=1, turn_limit=500,
