@@ -129,10 +129,17 @@ def test_no_attack_decisions_leave_both_attack_rates_none():
     assert row.optimal_move_rate is None
 
 
-def test_an_agent_in_no_log_has_no_row():
-    log = synthetic_log(decisions=[battle_decision(
-        "a", {"type": "attack", "move_index": 0}, attack_context(1.0, 10))])
-    assert sorted(build_report([log]).agents) == ["a", "b"]
+@pytest.mark.parametrize("metric, action", [
+    ("move_efficiency", {"type": "attack", "move_index": 0}),
+    ("switch_metrics", {"type": "switch", "team_index": 1}),
+], ids=["move_efficiency", "switch_metrics"])
+def test_agent_in_no_log_raises_no_matches(metric, action):
+    """An agent in no log has no matches, so the report gives it no row:
+    neither the attack tally nor the switch tally invents one."""
+    log = synthetic_log(decisions=[battle_decision("a", action, attack_context(1.0, 10))])
+    report = build_report([log])
+    assert sorted(report.agents) == ["a", "b"]
+    assert "nobody" not in report.agents
 
 
 # ---------------------------------------------------------------------------
