@@ -177,22 +177,12 @@ class GreedyAgent:
 
     def select_team(self, pool: Sequence[PoolEntry]) -> AgentDecision:
         order = sorted(pool, key=lambda e: (-sum(e.base_stats.values()), e.index))
-        picks: list[int] = []
-        taken_primary: set[str] = set()
-        for entry in order:
-            if entry.types[0] in taken_primary:
-                continue
-            picks.append(entry.index)
-            taken_primary.add(entry.types[0])
-            if len(picks) == TEAM_SIZE:
-                break
-        # Fewer distinct primaries than team slots: top up by the same order.
-        if len(picks) < TEAM_SIZE:
-            for entry in order:
-                if entry.index not in picks:
-                    picks.append(entry.index)
-                    if len(picks) == TEAM_SIZE:
-                        break
+        # The first entry of each primary type in that order (reversed, so it is written last).
+        first = {e.types[0]: e.index for e in reversed(order)}
+        # A stable sort puts those first and the rest after, which top up a pool
+        # with fewer distinct primaries than team slots.
+        ranked = sorted(order, key=lambda e: first[e.types[0]] != e.index)
+        picks = [e.index for e in ranked[:TEAM_SIZE]]
         names = ", ".join(pool[i].name for i in picks)
         return AgentDecision(
             team=tuple(picks),

@@ -66,31 +66,25 @@ def load_log_dir(log_dir: str | Path) -> list[MatchLogData]:
 def decision_context(dex: Dex, state: BattleState, side: int, legal: Sequence[Action]) -> dict:
     """The "context" record of a battle-time decision made in this state.
 
-    Lists each legal attack with its effectiveness against the opposing
-    active battler and its engine.expected_damage, which the attack
-    metrics rank, and the active battler's HP percent for switch timing.
+    Holds what the metrics read: the active battler's HP percent for
+    switch timing, the legal switches, and each legal attack's move index
+    with its effectiveness against the opposing active battler and its
+    engine.expected_damage, which the attack metrics rank.  The species,
+    types and weather are in the meta record, the events and the dex.
     """
     own = state.sides[side].active
     opponent = state.sides[1 - side].active
     attacks = []
     for action in legal:
-        if not action.is_attack:
-            continue
-        move = dex.moves[own.moves[action.index]]
-        attacks.append({
-            "move_index": action.index, "move": move.name, "type": move.move_type,
-            "effectiveness": type_multiplier(dex.chart, move.move_type, opponent.types),
-            "expected_damage": expected_damage(own, opponent, move, dex.chart, state.weather),
-        })
-    return {
-        "own_species": own.species,
-        "own_hp_percent": own.hp_percent,
-        "opponent_species": opponent.species,
-        "opponent_types": list(opponent.types),
-        "weather": state.weather,
-        "attacks": attacks,
-        "switches": [a.index for a in legal if not a.is_attack],
-    }
+        if action.is_attack:
+            move = dex.moves[own.moves[action.index]]
+            attacks.append({
+                "move_index": action.index,
+                "effectiveness": type_multiplier(dex.chart, move.move_type, opponent.types),
+                "expected_damage": expected_damage(own, opponent, move, dex.chart, state.weather),
+            })
+    return {"own_hp_percent": own.hp_percent,
+            "switches": [a.index for a in legal if not a.is_attack], "attacks": attacks}
 
 
 # ---------------------------------------------------------------------------

@@ -237,8 +237,7 @@ class MatchRunner:
         seed: int,
         log_name: str,
     ) -> GameSummary:
-        teams = [draft["decision"]["team"] for draft in drafts]
-        team_names = [[self.dex.pool[i] for i in team] for team in teams]
+        team_names = [[self.dex.pool[i] for i in draft["decision"]["team"]] for draft in drafts]
         state, init_events = init_battle(
             self.dex, team_names[0], team_names[1], seed, self.config.turn_limit)
 
@@ -260,9 +259,8 @@ class MatchRunner:
                     else f"illegal_action: {d.action} is not in the legal action set",
                     lambda: AgentDecision(action=fallback_action(legal)))
                 log.append(storage.decision_record(
-                    decision, match_id=match_id, turn=state.turn_number,
-                    agent_id=agent.agent_id, side=side, phase=phase,
-                    context=decision_context(self.dex, state, side, legal)))
+                    decision, turn=state.turn_number, agent_id=agent.agent_id, side=side,
+                    phase=phase, context=decision_context(self.dex, state, side, legal)))
                 return decision.action
 
             steps = storage.play_battle(state, init_events, self.dex, match_id, choose)
@@ -274,7 +272,6 @@ class MatchRunner:
                 turn_limit=self.config.turn_limit,
                 dex_fingerprint=self.dex_fingerprint,
                 agents={"a": agents[0].agent_id, "b": agents[1].agent_id},
-                teams={"a": teams[0], "b": teams[1]},
                 team_names={"a": team_names[0], "b": team_names[1]},
                 initial_digest=init_record["post_digest"],
                 config=self.config.to_dict(),
@@ -332,8 +329,8 @@ class MatchRunner:
                         self._cached_teams[agent.agent_id] = replace(
                             decision, exchanges=(), errors=())
             drafts.append(storage.decision_record(
-                decision, match_id=match_id, turn=0, agent_id=agent.agent_id,
-                side=side, phase=storage.PHASE_TEAM_SELECT))
+                decision, turn=0, agent_id=agent.agent_id, side=side,
+                phase=storage.PHASE_TEAM_SELECT))
 
         games: list[GameSummary] = []
         wins = [0, 0]

@@ -34,7 +34,7 @@ from .engine import (
     resolve_replacements, resolve_turn,
 )
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "1.1"
 
 PHASE_TEAM_SELECT = "TeamSelect"
 PHASE_BATTLE = "Battle"
@@ -164,7 +164,6 @@ def meta_record(
     turn_limit: int,
     dex_fingerprint: str,
     agents: dict[str, str],
-    teams: dict[str, list[int]],
     team_names: dict[str, list[str]],
     initial_digest: str,
     config: dict | None = None,
@@ -179,7 +178,6 @@ def meta_record(
         "turn_limit": turn_limit,
         "dex_fingerprint": dex_fingerprint,
         "agents": agents,
-        "teams": teams,
         "team_names": team_names,
         "initial_digest": initial_digest,
         "config": config or {},
@@ -191,7 +189,6 @@ def meta_record(
 def decision_record(
     decision: AgentDecision,
     *,
-    match_id: str,
     turn: int,
     agent_id: str,
     side: int,
@@ -200,7 +197,6 @@ def decision_record(
 ) -> dict:
     return {
         "kind": "decision",
-        "match_id": match_id,
         "turn": turn,
         "agent_id": agent_id,
         "side": side,
@@ -313,6 +309,9 @@ def _fault(path: str | Path, decision: dict, what: str) -> StorageError:
     return StorageError(f"{path}: turn {decision['turn']}: side {decision['side']}: {what}")
 
 
+_NUMBER = (int, float)  # exact types, so a bool is not a number
+
+
 def _is_side(value: object) -> bool:
     return type(value) is int and value in (0, 1)  # a bool is not a side
 
@@ -337,6 +336,8 @@ def _lacking_inside(path: str | Path, kind: str, record: dict,
         for key in SIDE_KEYS:
             if type(teams[key]) is not list:
                 raise StorageError(f"{path}: meta record: team_names {key!r} is not a list")
+            if any(type(name) is not str for name in teams[key]):
+                raise StorageError(f"{path}: meta record: team_names {key!r} holds a non-string")
         if agents["a"] == agents["b"]:
             raise StorageError(f"{path}: meta record: agent {agents['a']!r} plays both sides")
     elif kind == "decision":
@@ -361,15 +362,19 @@ def _lacking_inside(path: str | Path, kind: str, record: dict,
             context = record["context"]
             if not (type(context) is dict and type(context.get("attacks")) is list
                     and type(context.get("switches")) is list
-                    and type(context.get("own_hp_percent")) in (int, float)):
+                    and type(context.get("own_hp_percent")) in _NUMBER):
                 raise _fault(path, record, "context is not an object holding "
                                            "own_hp_percent, switches and attacks")
-            if action.is_attack:
-                for attack in context["attacks"]:
-                    if type(attack) is dict and attack.get("move_index") == action.index:
-                        break
-                else:
-                    raise _fault(path, record, f"illegal action {action}")
+            listed = False
+            for attack in context["attacks"]:
+                if not (type(attack) is dict and type(attack.get("move_index")) is int
+                        and type(attack.get("effectiveness")) in _NUMBER
+                        and type(attack.get("expected_damage")) in _NUMBER):
+                    raise _fault(path, record, "context attack is not an object holding "
+                                               "move_index, effectiveness and expected_damage")
+                listed = listed or attack["move_index"] == action.index
+            if action.is_attack and not listed:
+                raise _fault(path, record, f"illegal action {action}")
     elif kind == "events":
         for event in record["events"]:
             if "kind" not in event or event["kind"] == "BattleEnded" and "winner" not in event:

@@ -47,7 +47,7 @@ def synthetic_log(agent_a="a", agent_b="b", winner_side=0, decisions=None):
 
 def battle_decision(agent_id, action, context, turn=1, phase="Battle"):
     return {
-        "kind": "decision", "match_id": "m", "turn": turn, "agent_id": agent_id,
+        "kind": "decision", "turn": turn, "agent_id": agent_id,
         "side": 0, "phase": phase, "decision": {"action": Action.from_dict(action)},
         "reasoning": "", "fallback_used": False, "exchanges": [], "errors": [],
         "context": context,
@@ -60,16 +60,10 @@ def agent_row(decisions, agent_id="a"):
 
 
 def attack_context(effectiveness, expected, all_damages=None, own_hp=100):
-    attacks = [{"move_index": 0, "move": "M0", "type": "Normal",
-                "effectiveness": effectiveness, "expected_damage": expected}]
+    attacks = [{"move_index": 0, "effectiveness": effectiveness, "expected_damage": expected}]
     for i, dmg in enumerate(all_damages or [], start=1):
-        attacks.append({"move_index": i, "move": f"M{i}", "type": "Normal",
-                        "effectiveness": 1.0, "expected_damage": dmg})
-    return {
-        "own_species": "Jolteon", "own_hp_percent": own_hp,
-        "opponent_species": "Snorlax", "opponent_types": ["Normal"],
-        "weather": None, "attacks": attacks, "switches": [1, 2],
-    }
+        attacks.append({"move_index": i, "effectiveness": 1.0, "expected_damage": dmg})
+    return {"own_hp_percent": own_hp, "switches": [1, 2], "attacks": attacks}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """CLI subcommands and their exit-code contract."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -394,7 +396,7 @@ def test_replay_meta_team_of_five_is_a_clean_failure(simulated_log, tmp_path, ca
         "error: meta record: each team must have exactly 6 species\n")
 
 
-@pytest.mark.parametrize("species", ["Missingno", None])
+@pytest.mark.parametrize("species", ["Missingno"])
 def test_replay_meta_team_outside_the_dex_is_a_clean_failure(simulated_log, tmp_path, capsys,
                                                              species):
     records = [json.loads(line) for line in simulated_log.read_text().splitlines()]
@@ -569,7 +571,12 @@ def drop_attacks(records):
     del KEY_HOLDERS["decision"](records)["context"]["attacks"]
 
 
+def context_attacks(records):
+    return KEY_HOLDERS["decision"](records)["context"]["attacks"]
+
+
 NO_CONTEXT = "context is not an object holding own_hp_percent, switches and attacks"
+NO_ATTACK = "context attack is not an object holding move_index, effectiveness and expected_damage"
 
 
 # A value of a type or range that replay or the metrics cannot use, and the
@@ -586,6 +593,12 @@ NO_CONTEXT = "context is not an object holding own_hp_percent, switches and atta
     pytest.param(set_in("decision", "context", None), f"turn 1: side 0: {NO_CONTEXT}",
                  id="null-context"),
     pytest.param(drop_attacks, f"turn 1: side 0: {NO_CONTEXT}", id="no-attacks"),
+    pytest.param(lambda records: context_attacks(records)[0].pop("expected_damage"),
+                 f"turn 1: side 0: {NO_ATTACK}", id="attack-without-damage"),
+    pytest.param(lambda records: context_attacks(records).insert(0, 5),
+                 f"turn 1: side 0: {NO_ATTACK}", id="attack-5"),
+    pytest.param(lambda records: context_attacks(records)[0].update(effectiveness=True),
+                 f"turn 1: side 0: {NO_ATTACK}", id="bool-effectiveness"),
     pytest.param(set_in("action", "action", {"type": "attack", "move_index": 9}),
                  "turn 1: side 0: illegal action attack:9", id="unlisted-attack"),
     pytest.param(set_in("BattleEnded", "winner", 5),
@@ -600,6 +613,8 @@ NO_CONTEXT = "context is not an object holding own_hp_percent, switches and atta
                  id="team-5"),
     pytest.param(set_in("team_names", "a", "abcdef"),
                  "meta record: team_names 'a' is not a list", id="team-string"),
+    pytest.param(lambda records: records[0]["team_names"]["b"].__setitem__(3, None),
+                 "meta record: team_names 'b' holds a non-string", id="team-entry-null"),
 ])
 def test_replay_and_report_reject_a_bad_value_alike(simulated_log, tmp_path, capsys,
                                                     tamper, error):
@@ -617,6 +632,35 @@ def test_replay_and_report_reject_a_bad_value_alike(simulated_log, tmp_path, cap
     assert main(["report", str(logs)]) == 1
     assert capsys.readouterr().err == replay_err == (
         f"error: {tampered}: {error.format(end=end)}\n")
+
+
+# Logs written at schema 1.0: two simulate games and a mock entrant's game
+# with repairs and fallbacks.  Their contexts also hold the species, types,
+# weather and each attack's move and type, each decision repeats the match
+# id, and the meta record repeats the draft indices as "teams".
+LOGS_1_0 = Path(__file__).parent / "data" / "logs-1.0"
+
+
+@pytest.mark.parametrize("name, outcome", [
+    ("mock-r0m0.jsonl", "winner side 1 (random-1) after 16 turn(s)"),
+    ("sim0.jsonl", "winner side 0 (a-greedy) after 13 turn(s)"),
+    ("sim1.jsonl", "winner side 0 (a-greedy) after 10 turn(s)"),
+])
+def test_a_1_0_log_replays_as_it_did(capsys, name, outcome):
+    meta = storage.read_log(LOGS_1_0 / name).meta
+    assert (meta["schema_version"], "teams" in meta) == ("1.0", True)
+    assert main(["replay", str(LOGS_1_0 / name)]) == 0
+    assert capsys.readouterr().out == f"ok: {outcome}; all digests match\n"
+
+
+def test_report_over_1_0_logs_is_unchanged(tmp_path, capsys):
+    assert main(["report", str(LOGS_1_0), "--out", str(tmp_path)]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("report.json", "report.txt", "pick_frequency.csv")} == {
+        "report.json": "a8fb8cf9a6c7e806fd0c0503780ac3e36aad6a2cd392f34ca8040a54e95d0716",
+        "report.txt": "4c1ead4fabc5205bd9af9e6920f711f107dc65783af443134108dcaf7a057969",
+        "pick_frequency.csv": "1bb9592b723caa8d5fcf45f25438a6d5b7fe797e5593b9dc13256dd8ac9f0a5d",
+    }
 
 
 def test_report_skips_a_directory_named_like_a_log(tmp_path, capsys):

@@ -59,7 +59,7 @@ GOLDEN = {
         "report.json": "51e948b9a8f8a5d8689fdfb23aa8e64eed87cb40bab12930efc8abec6430592f",
         "report.txt": "0568ed680d9f8f54abec2628c092738e282cd47d1abbe9c84d12f18077b8f095",
         "pick_frequency.csv": "7644fdd1fc5bf5e35b35dfe391a5da855c7889337a9cff0e9370dacf00f8d57c",
-        "logs": "0f9260c114c7872289666e5ffee80f76c9ebafb7fa1d80afb517a566ad859fa9",
+        "logs": "e56b107004b615c775c0c431b205084d3f84c28af931b1d23cbd06c50511bb59",
     },
     "bo3-draft-once": {
         "bracket.json": "1f19935bdf94350f5dab40ec5a676d5eff73b764b3e054b10cef166ebd86f36c",
@@ -67,7 +67,7 @@ GOLDEN = {
         "report.json": "c06228175a0d1cc482069fb6dc0d66f039bc3c034e3cc34406e34dc14e500e17",
         "report.txt": "1e7113acd5690f5be7dc90fc2c4ba8a2b2f00b88f1ae57f122b21f64d16db469",
         "pick_frequency.csv": "f9572f53067f9aafebdf6522ea157518a80895abfbf2b8949f87859b3dde26a3",
-        "logs": "81390b960a2640975b12dd9489921d066cb39bd9a928503f1107a946415fc45e",
+        "logs": "4285dd769608ba5cf34168af030354fa1685ea8571f76223582f4a325d8cc16a",
     },
 }
 

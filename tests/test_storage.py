@@ -36,14 +36,13 @@ def test_append_read_roundtrip(tmp_path):
     path = tmp_path / "log.jsonl"
     record = decision_record(
         AgentDecision(action=Action.attack(1), reasoning="because"),
-        match_id="m", turn=3, agent_id="x", side=0, phase="Battle",
+        turn=3, agent_id="x", side=0, phase="Battle",
         context={"own_hp_percent": 55, "switches": [],
                  "attacks": [{"move_index": 1, "effectiveness": 1.0, "expected_damage": 9}]})
     with MatchLog(path) as log:
         log.append(meta_record(
             match_id="m", tournament_id="t", seed=1, turn_limit=500,
             dex_fingerprint="f", agents={"a": "x", "b": "y"},
-            teams={"a": [0, 1, 2, 3, 4, 5], "b": [6, 7, 8, 9, 10, 11]},
             team_names={"a": [], "b": []}, initial_digest="d"))
         log.append(record)
     log = read_log(path)
@@ -57,12 +56,11 @@ def test_append_read_roundtrip(tmp_path):
 def test_each_record_builder_writes_every_required_key():
     meta = meta_record(
         match_id="m", tournament_id="t", seed=1, turn_limit=500, dex_fingerprint="f",
-        agents={"a": "x", "b": "y"}, teams={"a": [], "b": []}, team_names={"a": [], "b": []},
-        initial_digest="d")
-    draft = decision_record(AgentDecision(team=tuple(range(6))), match_id="m",
-                            turn=0, agent_id="x", side=0, phase="TeamSelect")
-    battle = decision_record(AgentDecision(action=Action.attack(0)), match_id="m", turn=1,
-                             agent_id="x", side=0, phase="Battle")
+        agents={"a": "x", "b": "y"}, team_names={"a": [], "b": []}, initial_digest="d")
+    draft = decision_record(AgentDecision(team=tuple(range(6))), turn=0, agent_id="x", side=0,
+                            phase="TeamSelect")
+    battle = decision_record(AgentDecision(action=Action.attack(0)), turn=1, agent_id="x",
+                             side=0, phase="Battle")
     events = events_record(match_id="m", turn=1, phase="turn", events=[], pre_digest="p",
                            post_digest="d")
     records = [meta, draft, battle, events]
@@ -70,6 +68,21 @@ def test_each_record_builder_writes_every_required_key():
     for record in records:
         assert RECORD_KEYS[record["kind"]] <= record.keys()
     assert "action" in battle["decision"]
+
+
+def test_written_records_hold_only_what_a_reader_reads(match_log):
+    """A context holds three keys and each of its attacks three; no decision
+    repeats the match id and no meta record the draft indices."""
+    log = read_log(match_log[0])
+    assert log.meta["schema_version"] == "1.1" and "teams" not in log.meta
+    assert not any("match_id" in decision for decision in log.decisions)
+    contexts = [d["context"] for d in log.decisions if d["phase"] == "Battle"]
+    attacks = [attack for context in contexts for attack in context["attacks"]]
+    assert contexts and attacks
+    assert {frozenset(context) for context in contexts} == {
+        frozenset({"own_hp_percent", "switches", "attacks"})}
+    assert {frozenset(attack) for attack in attacks} == {
+        frozenset({"move_index", "effectiveness", "expected_damage"})}
 
 
 def test_one_json_object_per_line(tmp_path):
