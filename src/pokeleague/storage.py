@@ -6,15 +6,22 @@ decision, rationale), and "events" (engine events with pre/post state
 digests).  read_log, the one reader, walks the records once: it checks
 each record's keys and the values replay and the metrics read, reads each
 battle-time action into an engine.Action (Action.from_dict, the one action
-reader), and returns the MatchLogData that replay and the metrics share.  Live play and replay run one turn
-protocol, play_battle: live play logs the events records it yields;
-replay feeds it the logged decisions and checks every record it yields
-against the log, so any nondeterminism or corruption is pinpointed to a
-turn; a tampered log fails as a StorageError.
+reader), and returns the MatchLogData that replay and the metrics share.
+Live play and replay run one turn protocol, play_battle: live play logs the
+events records it yields; replay feeds it the logged decisions and checks
+every record it yields against the log, so any nondeterminism or
+corruption is pinpointed to a turn; a tampered log fails as a
+StorageError.  A step's events equal the logged ones when their
+canonical_json encodings would; replay decides that by a value compare as
+strict about types as the encoder (true is not 1, 1 is not 1.0, -0.0 is
+not 0.0; key order is ignored) and encodes both only when the compare
+cannot vouch for a match.
 
 Digests cost one encoding per battler object: battlers are immutable and
 successive states share the ones a step leaves unchanged, so state_json
-keeps each battler's JSON by identity.
+keeps each battler's JSON by identity.  A battler a step creates costs
+less than one encoding: the fields a battle never changes are encoded
+once per value, and only its current_hp and status are formatted.
 """
 
 from __future__ import annotations
@@ -83,6 +90,15 @@ def _optional(value: object) -> str:
 _BATTLER_JSON: dict[int, tuple[BattlerState, str]] = {}
 _BATTLER_JSON_CAP = 256
 
+# (species, types, moves, level, max_hp, stats items) -> the canonical JSON of
+# the fields a battle never changes, as the two pieces that follow the
+# battler's current_hp and its status.  Keyed by value, so every battler a
+# match makes from one species shares an entry; shared and capped like
+# _BATTLER_JSON, and a match needs one entry per species it drafts.
+_FIXED_JSON: dict[tuple, tuple[str, str]] = {}
+_FIXED_JSON_CAP = 256
+_INT_ONLY = {int}
+
 
 def _battler_json(b: BattlerState) -> str:
     entry = _BATTLER_JSON.get(id(b))
@@ -90,9 +106,35 @@ def _battler_json(b: BattlerState) -> str:
         return entry[1]
     if len(_BATTLER_JSON) >= _BATTLER_JSON_CAP:
         _BATTLER_JSON.clear()
-    encoded = _CANONICAL.encode(b.to_dict())
+    encoded = _encode_battler(b)
     _BATTLER_JSON[id(b)] = (b, encoded)
     return encoded
+
+
+def _encode_battler(b: BattlerState) -> str:
+    """canonical_json(b.to_dict()), byte for byte, formatting only current_hp and status.
+
+    The keys are written in their sorted order.  A value key is as strict
+    as the encoder only where equal values encode alike: a name equals only
+    a string, but 1 == 1.0 == True, so a battler whose level, max_hp or
+    stats are not all exact ints is encoded whole.
+    """
+    if {type(b.level), type(b.max_hp), *map(type, b.stats.values())} != _INT_ONLY:
+        return _CANONICAL.encode(b.to_dict())
+    key = (b.species, b.types, b.moves, b.level, b.max_hp, tuple(b.stats.items()))
+    fixed = _FIXED_JSON.get(key)
+    if fixed is None:
+        if len(_FIXED_JSON) >= _FIXED_JSON_CAP:
+            _FIXED_JSON.clear()
+        fixed = _FIXED_JSON[key] = (
+            f',"level":{b.level},"max_hp":{b.max_hp},'
+            f'"moves":{_CANONICAL.encode(list(b.moves))},'
+            f'"species":{_CANONICAL.encode(b.species)},'
+            f'"stats":{_CANONICAL.encode(dict(b.stats))},"status":',
+            f',"types":{_CANONICAL.encode(list(b.types))}}}')
+    status = ("null" if b.status is None else f'{{"kind":{_optional(b.status.kind)},'
+              f'"turns_left":{_optional(b.status.turns_left)}}}')
+    return f'{{"current_hp":{_optional(b.current_hp)}{fixed[0]}{status}{fixed[1]}'
 
 
 def state_json(state: BattleState) -> str:
@@ -436,6 +478,42 @@ class ReplayResult:
     turns: int
 
 
+_PLAIN = {str, int, bool, type(None)}  # exact types whose equal values encode alike
+_ABSENT = object()
+
+
+def _same_event(got: object, want: dict) -> bool:
+    """True if got surely encodes as the event want does; False if unsure.
+
+    Sure means a dict with want's string keys, each value equal to want's
+    and of its exact type: str, int, bool, None or a nonzero float (0.0 ==
+    -0.0, but they encode apart).
+    """
+    if type(got) is not dict or len(got) != len(want):
+        return False
+    for key, value in got.items():
+        other = want.get(key, _ABSENT)
+        kind = type(value)
+        if type(key) is not str or kind is not type(other) or value != other:
+            return False
+        if kind not in _PLAIN and (kind is not float or not value):
+            return False
+    return True
+
+
+def _same_events(logged: object, expected: list[dict]) -> bool:
+    """canonical_json(logged) == canonical_json(expected), encoding neither for a match.
+
+    Engine events are flat dicts of scalars, so a logged list whose events
+    each surely match (_same_event) is equal; anything else, a difference
+    included, is decided by encoding both.
+    """
+    if (type(logged) is list and len(logged) == len(expected)
+            and all(map(_same_event, logged, expected))):
+        return True
+    return canonical_json(logged) == canonical_json(expected)
+
+
 def _check_step(logged: dict, expected: dict) -> None:
     """Raise unless a logged record equals the events record play_battle produced."""
     turn = logged["turn"]
@@ -446,7 +524,7 @@ def _check_step(logged: dict, expected: dict) -> None:
         raise DigestMismatch(turn, "pre-state digest")
     if logged["post_digest"] != expected["post_digest"]:
         raise DigestMismatch(turn, "post-state digest")
-    if canonical_json(logged["events"]) != canonical_json(expected["events"]):
+    if not _same_events(logged["events"], expected["events"]):
         raise DigestMismatch(turn, "event payload")
     if (turn, logged["match_id"]) != (expected["turn"], expected["match_id"]):
         raise DigestMismatch(turn, "turn or match id")

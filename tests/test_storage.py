@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import math
+import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,9 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from pokeleague import storage
 from pokeleague.agents import AgentDecision, GreedyAgent, RandomAgent
+from pokeleague.dex import STATUS_NAMES
 from pokeleague.engine import (
-    Action, BattleAlreadyEnded, IllegalActionError, init_battle, is_legal, legal_actions,
-    needs_replacement, resolve_replacements, resolve_turn,
+    Action, BattleAlreadyEnded, IllegalActionError, StatusState, init_battle, is_legal,
+    legal_actions, needs_replacement, resolve_replacements, resolve_turn,
 )
 from pokeleague.league import LeagueConfig, MatchRunner
 from pokeleague.storage import (
@@ -144,16 +148,17 @@ def test_state_digest_sensitive_to_state(dex):
     assert state_digest(mutated) != digest
 
 
-def walk_states(dex, order, seed, turn_limit, choices):
-    """Yield the states of a battle between pool[order[:6]] and pool[order[6:12]].
+def walk_steps(dex, order, seed, turn_limit, choices):
+    """Yield (state, events) for each step of a battle between pool[order[:6]] and
+    pool[order[6:12]], starting with the initial state and its init events.
 
     Each choice picks legal[choice % len(legal)] for the next side to act;
     the walk stops when the battle ends or the choices run out.  Each state
     is yielded before the next one is computed from it.
     """
     names = [dex.pool[i] for i in order[:12]]
-    state, _ = init_battle(dex, names[:6], names[6:], seed, turn_limit)
-    yield state
+    state, events = init_battle(dex, names[:6], names[6:], seed, turn_limit)
+    yield state, events
     picks = iter(choices)
     while not state.ended:
         pending = [s for s in (0, 1) if needs_replacement(state, s)]
@@ -165,10 +170,15 @@ def walk_states(dex, order, seed, turn_limit, choices):
                 return
             chosen[side] = legal[pick % len(legal)]
         if pending:
-            state, _ = resolve_replacements(state, chosen, dex)
+            state, events = resolve_replacements(state, chosen, dex)
         else:
-            state, _ = resolve_turn(state, chosen[0], chosen[1], dex)
-        yield state
+            state, events = resolve_turn(state, chosen[0], chosen[1], dex)
+        yield state, events
+
+
+def walk_states(dex, order, seed, turn_limit, choices):
+    """The states of walk_steps, in order."""
+    return (state for state, _ in walk_steps(dex, order, seed, turn_limit, choices))
 
 
 # Gengar (Hypnosis) leads against Tyranitar (Sand): a full game to AllFainted
@@ -293,6 +303,117 @@ def test_state_json_after_a_battler_is_replaced(dex):
     assert state_json(again) == canonical_json(again.to_dict())
 
 
+STATUS_KINDS = [None, *(StatusState(kind) for kind in STATUS_NAMES), StatusState("Sleep", 3)]
+
+
+@pytest.mark.parametrize("status", STATUS_KINDS, ids=str)
+def test_battler_json_formats_every_status(dex, status):
+    battler = replace(list(walk_states(dex, **CAPPED_GAME))[-1].sides[0].team[0], status=status)
+    assert storage._battler_json(battler) == canonical_json(battler.to_dict())
+
+
+def test_battler_json_escapes_names_as_the_encoder_does(dex):
+    battler = list(walk_states(dex, **CAPPED_GAME))[-1].sides[1].team[2]
+    named = replace(battler, species='Mr. "Mime" \\ é', types=("Psy\"chic", "Fée"),
+                    moves=('Ice "Beam"', "Back\\slash", "Écrasement", battler.moves[3]))
+    encoded = storage._battler_json(named)
+    assert encoded == canonical_json(named.to_dict())
+    assert '"species":"Mr. \\"Mime\\" \\\\ é"' in encoded  # ensure_ascii=False
+
+
+def test_battler_json_keys_numbers_by_type(dex):
+    """1 == 1.0 == True, but they encode apart: none may take an int battler's entry."""
+    battler = list(walk_states(dex, **CAPPED_GAME))[-1].sides[0].team[3]
+    storage._battler_json(battler)  # cache the battler's fixed fields
+    stats = dict(battler.stats)
+    for changes in ({"level": float(battler.level)}, {"max_hp": float(battler.max_hp)},
+                    {"stats": {**stats, "atk": float(stats["atk"])}},
+                    {"level": True}, {"stats": {**stats, "spe": -0.0}},
+                    {"current_hp": float(battler.current_hp)},
+                    {"status": StatusState("Sleep", True)}):
+        twin = replace(battler, **changes)
+        assert storage._battler_json(twin) == canonical_json(twin.to_dict())
+
+
+def test_battler_json_after_both_caches_overflow(dex):
+    battler = list(walk_states(dex, **CAPPED_GAME))[-1].sides[0].team[0]
+    cap = max(storage._BATTLER_JSON_CAP, storage._FIXED_JSON_CAP)
+    # Distinct species overflow the fixed-field cache; hp changes, the battler cache.
+    battlers = [replace(battler, species=f"{battler.species}{i % (cap + 7)}",
+                        current_hp=battler.current_hp - i % 5) for i in range(3 * cap)]
+    for _ in range(2):  # the second pass finds entries cleared and refilled
+        for b in battlers:
+            assert storage._battler_json(b) == canonical_json(b.to_dict())
+            assert len(storage._BATTLER_JSON) <= storage._BATTLER_JSON_CAP
+            assert len(storage._FIXED_JSON) <= storage._FIXED_JSON_CAP
+
+
+def mutated_events(events, how, rnd):
+    """(logged, expected): copies of events, one or both changed as how names."""
+    logged, expected = [dict(e) for e in events], [dict(e) for e in events]
+    slots = [(i, key) for i, event in enumerate(logged) for key in event]
+    i, key = rnd.choice(slots) if slots else (None, None)
+    if how == "bool-int":
+        picks = [(i, k) for i, k in slots
+                 if type(logged[i][k]) in (bool, int) and logged[i][k] in (0, 1)]
+        for i, k in rnd.sample(picks, min(1, len(picks))):
+            logged[i][k] = (int if type(logged[i][k]) is bool else bool)(logged[i][k])
+    elif how == "int-float":
+        picks = [(i, k) for i, k in slots if type(logged[i][k]) in (int, float)]
+        for i, k in rnd.sample(picks, min(1, len(picks))):
+            value = logged[i][k]
+            logged[i][k] = float(value) if type(value) is int else int(value)
+    elif how == "zero-sign" and slots:
+        expected[i][key] = rnd.choice([0.0, -0.0])
+        logged[i][key] = rnd.choice([0.0, -0.0])
+    elif how == "nan" and slots:
+        logged[i][key] = math.nan
+        if rnd.random() < 0.5:
+            expected[i][key] = math.nan
+    elif how == "drop-key" and slots:
+        del logged[i][key]
+    elif how == "add-key" and logged:
+        logged[rnd.randrange(len(logged))]["extra"] = rnd.choice([0, False, None, "x", 1.5])
+    elif how == "reorder-keys" and logged:
+        j = rnd.randrange(len(logged))
+        logged[j] = dict(reversed(logged[j].items()))
+    elif how == "drop-event" and logged:
+        del logged[rnd.randrange(len(logged))]
+    elif how == "swap-events" and len(logged) > 1:
+        j, k = rnd.sample(range(len(logged)), 2)
+        logged[j], logged[k] = logged[k], logged[j]
+    elif how == "nested" and slots:
+        logged[i][key] = rnd.choice([[logged[i][key]], {"v": logged[i][key]}])
+        if rnd.random() < 0.5:
+            expected[i][key] = json.loads(json.dumps(logged[i][key]))
+    elif how == "bool-key" and logged:  # a JSON key is a string; 1 == True all the same
+        j = rnd.randrange(len(logged))
+        logged[j], expected[j] = {True: key}, {rnd.choice([1, 1.0, True]): key}
+    elif how == "not-list":
+        logged = rnd.choice([tuple(logged), {"events": logged}, json.dumps(logged), None])
+    elif how == "not-dict" and logged:
+        j = rnd.randrange(len(logged))
+        logged[j] = rnd.choice([list(logged[j].items()), json.dumps(logged[j]), 0])
+    return logged, expected
+
+
+MUTATIONS = ["bool-int", "int-float", "zero-sign", "nan", "drop-key", "add-key", "reorder-keys",
+             "drop-event", "swap-events", "nested", "bool-key", "not-list", "not-dict"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(**ANY_WALK, rnd=st.randoms(use_true_random=False))
+@example(**FULL_GAME, rnd=random.Random(0))
+def test_event_compare_agrees_with_the_encoder(dex, order, seed, turn_limit, choices, rnd):
+    """The replay step's value compare answers as comparing canonical_json encodings does."""
+    for _, events in walk_steps(dex, order, seed, turn_limit, choices):
+        assert storage._same_events([dict(e) for e in events], events)
+        for how in MUTATIONS:
+            logged, expected = mutated_events(events, how, rnd)
+            assert storage._same_events(logged, expected) == (
+                canonical_json(logged) == canonical_json(expected)), how
+
+
 def digest_chain(path):
     """SHA-256 over a log's initial digest and every events pre/post digest."""
     log = read_log(path)
@@ -407,6 +528,28 @@ def test_replay_detects_tampered_initial_digest(dex, match_log, tmp_path):
     with pytest.raises(DigestMismatch) as excinfo:
         replay(tampered, dex)
     assert excinfo.value.turn == 0
+
+
+@pytest.mark.parametrize("key, retype", [("crit", int), ("effectiveness", int),
+                                         ("amount", float)])
+def test_replay_tells_a_logged_value_from_an_equal_one_of_another_type(
+        dex, match_log, tmp_path, key, retype):
+    """false == 0, 1.0 == 1 and 79 == 79.0, but a log holding the other one does not replay."""
+    path, _ = match_log
+    changed = []
+
+    def change(records):
+        record, event = next((r, e) for r in records if r["kind"] == "events"
+                             for e in r["events"] if e["kind"] == "Damage"
+                             and e["effectiveness"] == 1.0 and e["crit"] is False)
+        event[key] = retype(event[key])
+        changed.append(record["turn"])
+
+    tampered = rewrite_log(path, tmp_path / f"{key}.jsonl", change)
+    with pytest.raises(DigestMismatch) as excinfo:
+        replay(tampered, dex)
+    assert (excinfo.value.turn, str(excinfo.value)) == (
+        changed[0], f"replay diverged at turn {changed[0]}: event payload")
 
 
 def test_replay_checks_dex_fingerprint(dex, match_log):
