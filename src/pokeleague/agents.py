@@ -134,6 +134,10 @@ def fallback_action(legal: Sequence[Action]) -> Action:
 # baselines
 # ---------------------------------------------------------------------------
 
+# json.dumps(key, sort_keys=True) without building an encoder per decision.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 class RandomAgent:
     """Uniform choice over the legal set, derived from (seed, inputs)."""
 
@@ -153,10 +157,9 @@ class RandomAgent:
         return AgentDecision(team=tuple(picks))
 
     def choose_action(self, view: BattleView, legal: Sequence[Action]) -> AgentDecision:
-        key = json.dumps([view.turn_number, view.side, [a.to_dict() for a in legal],
-                          [(b.species, b.current_hp) for b in view.own_team],
-                          view.opponent_active.species, view.opponent_active.hp_percent],
-                         sort_keys=True)
+        key = _KEY_ENCODER.encode([view.turn_number, view.side, [a.to_dict() for a in legal],
+                                   [(b.species, b.current_hp) for b in view.own_team],
+                                   view.opponent_active.species, view.opponent_active.hp_percent])
         rng = self._stream_for("action", key)
         return AgentDecision(action=legal[rng.choice_index(len(legal))])
 

@@ -17,7 +17,7 @@ import os
 import threading
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import requests
 
@@ -148,9 +148,16 @@ class RawExchange:
     latency_ms: float
     attempt: int
 
-    def to_dict(self, parse_outcome: str) -> dict:
-        """The exchange as a decision record logs it, with what its parse gave."""
-        return {"prompt": self.prompt, "response_text": self.response_text,
+    def to_dict(self, parse_outcome: str, prompt_suffix: str | None) -> dict:
+        """The exchange as an exchanges record logs it, with what its parse gave.
+
+        A decision's first exchange logs its whole prompt.  A repair
+        exchange logs only prompt_suffix, what repair_prompt added to the
+        first prompt.
+        """
+        prompt = ({"prompt": self.prompt} if prompt_suffix is None
+                  else {"prompt_suffix": prompt_suffix})
+        return {**prompt, "response_text": self.response_text,
                 "latency_ms": self.latency_ms, "attempt": self.attempt,
                 "parse_outcome": parse_outcome}
 
@@ -262,58 +269,132 @@ def repair_prompt(original: str, error: ParseError) -> str:
 # response parsing
 # ---------------------------------------------------------------------------
 
-# Characters extract_first_json examines, summed over every candidate start.
-# Each unbalanced "{" is scanned to the end of the text, so without a cap
-# the work grows with the square of the response length.
+# Characters extract_first_json accounts for, summed over every candidate
+# start: a start whose braces never balance counts every character to the
+# end of the text, so without a cap the count grows with the square of the
+# response length.
 MAX_SCAN_CHARS = 1_000_000
+
+# One decoder for every candidate; strict=False tolerates the literal
+# newlines inside strings that models frequently emit.
+_DECODER = json.JSONDecoder(strict=False)
+
+
+def _joined(a: list, b: list) -> list:
+    """Two stacks of open starts that scan alike from here on, as one stack.
+
+    A stack lists levels, innermost last; a level is the start, or the list
+    of starts, at one depth.  Depth counts from the top, so the stacks are
+    joined at their tops, each shorter level into the longer one: a start
+    then moves only into a level at least twice the size of its own, so
+    joins cost O(n log n) starts over a reply of n characters.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    for depth in range(-len(b), 0):
+        level, other = a[depth], b[depth]
+        if type(level) is int:
+            level = [level]
+        if type(other) is int:
+            level.append(other)
+        elif len(level) < len(other):
+            other.extend(level)
+            level = other
+        else:
+            level.extend(other)
+        a[depth] = level
+    return a
+
+
+def _balanced_spans(raw: str) -> Iterator[tuple[int, int | None]]:
+    """(start, end) for each "{" of raw, in order, from one pass over raw.
+
+    A brace scan from start counts the "{" and "}" outside strings, which
+    it tracks by quotes and backslash escapes; end is the index after the
+    "}" that brings its count back to zero, or None if none does.  Scans
+    from different starts differ only in their counts and in their string
+    state, and two in the same state at one character go on alike.  So the
+    open starts are kept in three stacks, one per state (outside a string,
+    inside one, just after a backslash inside one), and only the stack
+    outside a string counts braces.  The pass skips to the next "{" while
+    no start is open, and stops once the first start not yet yielded has
+    been open for MAX_SCAN_CHARS characters: it costs more than the parse
+    may spend, so it is yielded with end None.
+    """
+    ends: dict[int, int] = {}
+    pending = raw.find("{")  # the first start not yet yielded
+    out: list = []
+    inside: list = []
+    escaped: list = []
+    pos = pending
+    while pending != -1:
+        for pos in range(pos, min(len(raw), pending + MAX_SCAN_CHARS)):
+            char = raw[pos]
+            if escaped:  # char is escaped for these starts
+                if char == "\\":
+                    inside, escaped = escaped, inside
+                    continue
+                if char == '"':
+                    out, inside, escaped = inside, _joined(out, escaped) if out else escaped, []
+                    continue
+                inside, escaped = _joined(inside, escaped) if inside else escaped, []
+            if char == '"':
+                out, inside = inside, out
+            elif char == "\\":
+                inside, escaped = escaped, inside
+            elif char == "{":
+                out.append(pos)  # a start, one level deeper than the open ones
+            elif char == "}" and out:  # closes the innermost level outside a string
+                level = out.pop()
+                for start in [level] if type(level) is int else level:
+                    ends[start] = pos + 1
+                if pending in ends:
+                    break
+        else:  # the end of raw, or pending is given up
+            break
+        while pending in ends:
+            yield pending, ends.pop(pending)
+            pending = raw.find("{", pending + 1)
+        pos = pos + 1 if out or inside or escaped else pending
+    while pending != -1:
+        yield pending, ends.pop(pending, None)
+        pending = raw.find("{", pending + 1)
 
 
 def extract_first_json(raw: str) -> dict:
     """First JSON object found in the text, however it is wrapped.
 
-    Models routinely wrap their JSON in prose or markdown fences; this
-    scans for balanced top-level braces and accepts the first substring
-    that parses.  Literal newlines inside strings are tolerated
-    (strict=False) since models frequently emit them.  The scan gives up
-    with a no_json_found ParseError after MAX_SCAN_CHARS characters.
+    Models routinely wrap their JSON in prose or markdown fences.  Each
+    "{" starts a candidate, in order: the text from it to the "}" that
+    balances it (_balanced_spans).  The first candidate that parses is
+    the answer.  A candidate costs the characters it spans, or those to
+    the end of the text if its braces never balance; once the cost summed
+    over the candidates would pass MAX_SCAN_CHARS, the parse gives up with
+    a no_json_found ParseError.
     """
-    budget = MAX_SCAN_CHARS
-    start = raw.find("{")
-    while start != -1:
-        stop = min(len(raw), start + budget)
-        depth = 0
-        in_string = False
-        escaped = False
-        for pos in range(start, stop):
-            ch = raw[pos]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-            elif ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    candidate = raw[start:pos + 1]
-                    try:
-                        obj = json.loads(candidate, strict=False)
-                    except (json.JSONDecodeError, RecursionError):  # nested too deep
-                        break
-                    if isinstance(obj, dict):
-                        return obj
-                    break
+    first = raw.find("{")
+    if first != -1:
+        # Most replies: the first candidate parses.  An object that decodes
+        # from a start ends at the "}" that balances it, so it is that candidate.
+        try:
+            obj, end = _DECODER.raw_decode(raw, first)
+        except (json.JSONDecodeError, RecursionError):
+            pass
         else:
-            if stop < len(raw):
-                raise ParseError("no_json_found",
-                                 f"gave up after scanning {MAX_SCAN_CHARS} characters")
-        budget -= pos + 1 - start
-        start = raw.find("{", start + 1)
+            if end - first <= MAX_SCAN_CHARS:
+                return obj
+    budget = MAX_SCAN_CHARS
+    for start, end in _balanced_spans(raw):
+        cost = (len(raw) if end is None else end) - start
+        if cost > budget:
+            raise ParseError("no_json_found",
+                             f"gave up after scanning {MAX_SCAN_CHARS} characters")
+        if end is not None:
+            try:
+                return _DECODER.decode(raw[start:end])  # a "{...}" that parses is an object
+            except (json.JSONDecodeError, RecursionError):  # nested too deep
+                pass
+        budget -= cost
     raise ParseError("no_json_found", "no JSON object in response")
 
 
@@ -565,14 +646,15 @@ class LlmAgent:
                 errors.append(f"{type(err).__name__}: {err}")
                 raise AgentFailure(f"provider call failed: {err}",
                                    exchanges=tuple(exchanges), errors=tuple(errors)) from err
+            suffix = current[len(prompt):] if exchanges else None  # a repair's addition
             try:
                 value, reasoning = parse(exchange.response_text)
             except ParseError as err:
-                exchanges.append(exchange.to_dict(err.kind))
+                exchanges.append(exchange.to_dict(err.kind, suffix))
                 errors.append(str(err))
                 current = repair_prompt(prompt, err)
                 continue
-            exchanges.append(exchange.to_dict("success"))
+            exchanges.append(exchange.to_dict("success", suffix))
             return AgentDecision(**{kind: value}, reasoning=reasoning,
                                  exchanges=tuple(exchanges), errors=tuple(errors))
         raise AgentFailure(exchanges=tuple(exchanges), errors=tuple(errors))

@@ -233,11 +233,11 @@ class MatchRunner:
         match_id: str,
         game_index: int,
         agents: dict[int, Agent],
-        drafts: list[dict],
+        drafts: list[tuple[dict, ...]],
         seed: int,
         log_name: str,
     ) -> GameSummary:
-        team_names = [[self.dex.pool[i] for i in draft["decision"]["team"]] for draft in drafts]
+        team_names = [[self.dex.pool[i] for i in draft[0]["decision"]["team"]] for draft in drafts]
         state, init_events = init_battle(
             self.dex, team_names[0], team_names[1], seed, self.config.turn_limit)
 
@@ -260,7 +260,8 @@ class MatchRunner:
                     lambda: AgentDecision(action=fallback_action(legal)))
                 log.append(storage.decision_record(
                     decision, turn=state.turn_number, agent_id=agent.agent_id, side=side,
-                    phase=phase, context=decision_context(self.dex, state, side, legal)))
+                    phase=phase, context=decision_context(self.dex, state, side, legal)),
+                    *storage.exchanges_record(decision))
                 return decision.action
 
             steps = storage.play_battle(state, init_events, self.dex, match_id, choose)
@@ -277,8 +278,9 @@ class MatchRunner:
                 config=self.config.to_dict(),
                 provider_params=provider_params,
             ))
-            for record in (*drafts, init_record):
-                log.append(record)
+            for draft in drafts:  # a draft's exchanges go only into the match's first game log
+                log.append(*(draft if game_index == 0 else draft[:1]))
+            log.append(init_record)
             for record, state in steps:
                 log.append(record)
 
@@ -313,7 +315,7 @@ class MatchRunner:
 
         # Both sides draft even if one forfeits; the first side that fails loses.
         forfeit_side: int | None = None
-        drafts: list[dict] = []
+        drafts: list[tuple[dict, ...]] = []  # per side: the decision record, then its exchanges
         for side, agent in agents.items():
             if agent.agent_id in self._cached_teams:
                 decision = self._cached_teams[agent.agent_id]
@@ -328,9 +330,9 @@ class MatchRunner:
                     if not self.config.draft_per_match:
                         self._cached_teams[agent.agent_id] = replace(
                             decision, exchanges=(), errors=())
-            drafts.append(storage.decision_record(
+            drafts.append((storage.decision_record(
                 decision, turn=0, agent_id=agent.agent_id, side=side,
-                phase=storage.PHASE_TEAM_SELECT))
+                phase=storage.PHASE_TEAM_SELECT), *storage.exchanges_record(decision)))
 
         games: list[GameSummary] = []
         wins = [0, 0]
@@ -354,7 +356,7 @@ class MatchRunner:
             winner_side, end_reason = 1 - forfeit_side, END_FORFEIT
         return MatchResult(
             match_id=match_id, agent_a=agent_a.agent_id, agent_b=agent_b.agent_id,
-            teams={"a": drafts[0]["decision"]["team"], "b": drafts[1]["decision"]["team"]},
+            teams={"a": drafts[0][0]["decision"]["team"], "b": drafts[1][0]["decision"]["team"]},
             winner=agents[winner_side].agent_id, loser=agents[1 - winner_side].agent_id,
             winner_side=winner_side,
             turn_count=sum(g.turn_count for g in games),

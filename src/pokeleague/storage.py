@@ -1,12 +1,19 @@
 """Append-only match logs and bit-exact replay.
 
 Each match writes one JSONL file.  Records carry a "kind" discriminator:
-"meta" (seeds, teams, config), "decision" (prompt, raw response, parsed
-decision, rationale), and "events" (engine events with pre/post state
-digests).  read_log, the one reader, walks the records once: it checks
-each record's keys and the values replay and the metrics read, reads each
-battle-time action into an engine.Action (Action.from_dict, the one action
-reader), and returns the MatchLogData that replay and the metrics share.
+"meta" (seeds, teams, config), "decision" (parsed decision, rationale,
+metric context, fallback flag, and errors if there were any),
+"exchanges" (the model exchanges behind the decision just before it,
+written only for a decision that has some, and for a draft only in its
+match's first game log), and "events" (engine events
+with pre/post state digests).  An exchange logs the full prompt if it is
+the decision's first; a repair exchange logs only its prompt_suffix, the
+text gateway.repair_prompt added after that first prompt, so the text
+sent is the first prompt plus the suffix.  read_log, the one reader,
+walks the records once: it checks each record's keys and the values
+replay and the metrics read, reads each battle-time action into an
+engine.Action (Action.from_dict, the one action reader), and returns the
+MatchLogData that replay and the metrics share.
 Live play and replay run one turn protocol, play_battle: live play logs the
 events records it yields; replay feeds it the logged decisions and checks
 every record it yields against the log, so any nondeterminism or
@@ -41,7 +48,7 @@ from .engine import (
     resolve_replacements, resolve_turn,
 )
 
-SCHEMA_VERSION = "1.1"
+SCHEMA_VERSION = "1.2"
 
 PHASE_TEAM_SELECT = "TeamSelect"
 PHASE_BATTLE = "Battle"
@@ -169,17 +176,17 @@ def state_digest(state: BattleState) -> str:
 
 
 class MatchLog:
-    """One writer per match: JSON objects, one per line, flushed on append."""
+    """One writer per match: JSON objects, one per line; each append is one write and one flush."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = open(self.path, "w", encoding="utf-8")
 
-    def append(self, record: dict) -> None:
+    def append(self, *records: dict) -> None:
         if self._handle is None:
             raise StorageError(f"log {self.path} is closed")
-        self._handle.write(_LOG_ENCODER.encode(record) + "\n")
+        self._handle.write("".join([_LOG_ENCODER.encode(record) + "\n" for record in records]))
         self._handle.flush()
 
     def close(self) -> None:
@@ -247,11 +254,17 @@ def decision_record(
                      else {"action": decision.action.to_dict()}),
         "reasoning": decision.reasoning,
         "fallback_used": decision.fallback_used,
-        "exchanges": list(decision.exchanges),
-        "errors": list(decision.errors),
+        **({"errors": list(decision.errors)} if decision.errors else {}),
         "context": context,
         "ts": time.time(),
     }
+
+
+def exchanges_record(decision: AgentDecision) -> tuple[dict, ...]:
+    """The records that follow a decision's: its exchanges record, or none if it has none."""
+    if not decision.exchanges:
+        return ()
+    return ({"kind": "exchanges", "exchanges": list(decision.exchanges)},)
 
 
 def events_record(
@@ -435,7 +448,9 @@ def read_log(path: str | Path) -> MatchLogData:
     A line that is not a JSON object, a first record that is not meta, an
     unknown schema major version, a record that lacks a key (RECORD_KEYS),
     an unreadable battle-time action or a bad value (_lacking_inside)
-    raises StorageError.  Records of a kind not in RECORD_KEYS are skipped.
+    raises StorageError.  Records of a kind not in RECORD_KEYS, such as
+    "exchanges", are skipped: each is decoded as a JSON object, and
+    nothing inside it is checked.
     """
     records = []
     with open(path, encoding="utf-8") as handle:

@@ -23,6 +23,15 @@ class FixedTeam:
         return AgentDecision(team=self.team)
 
 
+def logged_decisions(path):
+    """Each decision record of a log, in order, paired with the exchanges of the
+    exchanges record that follows it, or [] if none does."""
+    records = [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    return [(record, following["exchanges"] if following.get("kind") == "exchanges" else [])
+            for record, following in zip(records, [*records[1:], {}])
+            if record["kind"] == "decision"]
+
+
 def set_battler(state, side, index=None, **changes):
     """Put a changed copy of one battler (the side's active one by default) in its slot."""
     team = state.sides[side].team

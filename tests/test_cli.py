@@ -634,6 +634,60 @@ def test_replay_and_report_reject_a_bad_value_alike(simulated_log, tmp_path, cap
         f"error: {tampered}: {error.format(end=end)}\n")
 
 
+@pytest.fixture()
+def mock_log(tmp_path):
+    """The game log of a two-entrant mock-LLM tournament whose replies force repairs."""
+    script = tmp_path / "repairs.json"
+    script.write_text(json.dumps({"team": ["No team.", *MOCK_SCRIPT["team"]],
+                                  "action": ["No JSON here.", *MOCK_SCRIPT["action"]]}),
+                      encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "entrants": [{"agent_id": f"mock-{i}", "kind": "mock", "script": str(script)}
+                     for i in range(2)],
+        "output_dir": str(tmp_path / "out")}), encoding="utf-8")
+    assert main(["tournament", str(config)]) == 0
+    return next((tmp_path / "out" / "logs").rglob("*.jsonl"))
+
+
+def exchanges_lines(lines):
+    return [i for i, line in enumerate(lines) if json.loads(line)["kind"] == "exchanges"]
+
+
+def test_replay_and_report_reject_a_truncated_exchanges_line_alike(mock_log, tmp_path, capsys):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    lines = mock_log.read_text(encoding="utf-8").splitlines()
+    index = exchanges_lines(lines)[0]
+    lines[index] = lines[index][:len(lines[index]) // 2]
+    tampered = logs / "tampered.jsonl"
+    tampered.write_text("\n".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", str(tampered)]) == 1
+    replay_err = capsys.readouterr().err
+    assert main(["report", str(logs)]) == 1
+    assert capsys.readouterr().err == replay_err
+    assert replay_err.startswith(f"error: {tampered}:{index + 1}: invalid JSON: ")
+
+
+def test_exchanges_records_are_skipped_unchecked(mock_log, tmp_path, capsys):
+    """An exchanges line must be a JSON object; nothing inside it is read."""
+    lines = mock_log.read_text(encoding="utf-8").splitlines()
+    assert exchanges_lines(lines)
+    for index in exchanges_lines(lines):
+        lines[index] = '{"kind": "exchanges", "exchanges": 3}'
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / mock_log.name).write_text("\n".join(lines), encoding="utf-8")
+    outputs = []
+    for log_dir in (mock_log.parent, logs):
+        assert main(["replay", str(log_dir / mock_log.name)]) == 0
+        assert main(["report", str(log_dir), "--out", str(log_dir / "report")]) == 0
+        outputs.append((capsys.readouterr().out.splitlines()[0],
+                        (log_dir / "report" / "report.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 # Logs written at schema 1.0: two simulate games and a mock entrant's game
 # with repairs and fallbacks.  Their contexts also hold the species, types,
 # weather and each attack's move and type, each decision repeats the match

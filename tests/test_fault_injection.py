@@ -23,6 +23,8 @@ from pokeleague.league import (
 )
 from pokeleague.storage import read_log, replay
 
+from conftest import logged_decisions
+
 LLM_IDS = ("llm-0", "llm-1")
 ENTRANTS = [
     AgentProfile(agent_id="llm-0", kind="llm", provider="p", model="llm-0"),
@@ -105,14 +107,15 @@ def decisions(log_path: Path) -> list[dict]:
     return read_log(log_path).decisions
 
 
-def check_decision_record(record: dict) -> None:
-    """A record's fallback flag and errors agree with its exchanges."""
+def check_decision_record(record: dict, exchanges: list[dict]) -> None:
+    """A record's fallback flag and errors agree with the exchanges logged after it."""
+    assert record.get("errors") != []  # a decision without errors logs no errors key
+    errors = record.get("errors", [])
     if record["agent_id"] not in LLM_IDS:
-        assert (record["exchanges"], record["errors"], record["fallback_used"]) == ([], [], False)
+        assert (exchanges, errors, record["fallback_used"]) == ([], [], False)
         return
-    outcomes = [exchange["parse_outcome"] for exchange in record["exchanges"]]
+    outcomes = [exchange["parse_outcome"] for exchange in exchanges]
     failed = [outcome for outcome in outcomes if outcome != "success"]
-    errors = record["errors"]
     assert [error.split(":")[0] for error in errors[:len(failed)]] == failed
     transport = errors[len(failed):]
     if record["fallback_used"]:
@@ -137,8 +140,8 @@ def test_faulty_llm_entrants_never_break_a_tournament(dex, schedules, seed):
         assert END_FORFEIT not in {m.end_reason for m in matches}
         for match in matches:
             path = lenient_logs / match.log_files[0]
-            for record in decisions(path):
-                check_decision_record(record)
+            for record, exchanges in logged_decisions(path):
+                check_decision_record(record, exchanges)
             assert replay(path, dex).winner_agent == match.winner
         bracket_path, _ = write_tournament_outputs(lenient, Path(tmp) / "lenient")
         bracket = json.loads(bracket_path.read_text(encoding="utf-8"))

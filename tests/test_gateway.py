@@ -1,12 +1,14 @@
 """Prompt rendering, response parsing, provider transport, repair loop."""
 
 import json
+import random
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from pokeleague import gateway
 from pokeleague.agents import make_pool_view
 from pokeleague.engine import Action, init_battle, legal_actions, view_for
 from pokeleague.gateway import (
@@ -250,6 +252,95 @@ def test_extract_first_json_raises_only_parse_errors(raw):
         assert isinstance(extract_first_json(raw), dict)
     except ParseError:
         pass
+
+
+def rescanning_extract(raw, max_scan_chars):
+    """extract_first_json as it was before its one-pass scan: each candidate start is
+    scanned afresh and handed to json.loads.  The reference for every parse outcome."""
+    budget = max_scan_chars
+    start = raw.find("{")
+    while start != -1:
+        stop = min(len(raw), start + budget)
+        depth, in_string, escaped = 0, False, False
+        for pos in range(start, stop):
+            ch = raw[pos]
+            if in_string:
+                if escaped:
+                    escaped = False
+                elif ch == "\\":
+                    escaped = True
+                elif ch == '"':
+                    in_string = False
+            elif ch == '"':
+                in_string = True
+            elif ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth == 0:
+                    try:
+                        return json.loads(raw[start:pos + 1], strict=False)
+                    except (json.JSONDecodeError, RecursionError):
+                        break
+        else:
+            if stop < len(raw):
+                raise ParseError("no_json_found",
+                                 f"gave up after scanning {max_scan_chars} characters")
+        budget -= pos + 1 - start
+        start = raw.find("{", start + 1)
+    raise ParseError("no_json_found", "no JSON object in response")
+
+
+def parse_outcome(extract, *args):
+    try:
+        return extract(*args)
+    except ParseError as err:
+        return str(err)
+
+
+REPLY_PIECES = ['{', '}', '"', '\\', '\\"', '{"a": ', '"}', '1', ', ', ' x ', '[', ']', '\n']
+
+
+@pytest.mark.parametrize("max_scan_chars", [1_000_000, 40, 9])
+@given(raw=st.text(alphabet='{}[]":,\\ a1', max_size=80)
+       | st.lists(st.sampled_from(REPLY_PIECES), max_size=40).map("".join))
+def test_one_pass_parse_agrees_with_rescanning_every_start(max_scan_chars, raw):
+    """Same object or same ParseError as the rescanning parser, budget exhaustion included."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gateway, "MAX_SCAN_CHARS", max_scan_chars)
+        assert parse_outcome(extract_first_json, raw) == parse_outcome(
+            rescanning_extract, raw, max_scan_chars)
+
+
+@pytest.mark.parametrize("max_scan_chars", [1_000_000, 40, 13])
+def test_one_pass_parse_agrees_on_many_random_replies(max_scan_chars):
+    """A seeded sweep wider than the property above: the string-state bookkeeping
+    (escapes, quotes, stacks joined at their tops) shows only on some replies."""
+    rng = random.Random(max_scan_chars)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gateway, "MAX_SCAN_CHARS", max_scan_chars)
+        for _ in range(10_000):
+            if rng.random() < 0.5:
+                raw = "".join(rng.choices('{}[]":,\\ a1', k=rng.randint(0, 60)))
+            else:
+                raw = "".join(rng.choices(REPLY_PIECES, k=rng.randint(0, 30)))
+            assert parse_outcome(extract_first_json, raw) == parse_outcome(
+                rescanning_extract, raw, max_scan_chars), raw
+
+
+@pytest.mark.parametrize("raw", [
+    "{" * 100_000, '{"a":' * 3000 + "1" + "}" * 3000, '{"a":' * 20_000,
+    'x {"s": "}{\\"{"} {"a": {"b": [1, {"c": "\\\\"}]}} tail',
+    '{"\\"' * 25_000, '{"\\"' * 250_000, '{"' * 500_000, '{"a": "' + "x y " * 500_000,
+], ids=["brace-run", "deep-nesting", "unclosed-keys", "strings-and-escapes",
+        "escaped-quotes-100k", "escaped-quotes-1m", "brace-quote-1m", "open-string-2m"])
+def test_one_pass_parse_agrees_on_the_worst_cases(raw):
+    """Every start opens inside another's string in the escaped-quote cases, so the
+    stacks are joined on every repeat; the parse stays one bounded pass."""
+    started = time.perf_counter()
+    outcome = parse_outcome(extract_first_json, raw)
+    assert time.perf_counter() - started < 2.0
+    assert outcome == parse_outcome(rescanning_extract, raw, gateway.MAX_SCAN_CHARS)
 
 
 def test_extract_first_json_picks_first_object():

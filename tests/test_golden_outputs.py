@@ -17,6 +17,8 @@ import pytest
 
 from pokeleague.cli import main
 
+from conftest import logged_decisions
+
 MOCK_SCRIPT = {
     "team": [
         '{"team": [0, 1, 2, 3, 4, 5], "reasoning": "the first six"}',
@@ -59,7 +61,7 @@ GOLDEN = {
         "report.json": "51e948b9a8f8a5d8689fdfb23aa8e64eed87cb40bab12930efc8abec6430592f",
         "report.txt": "0568ed680d9f8f54abec2628c092738e282cd47d1abbe9c84d12f18077b8f095",
         "pick_frequency.csv": "7644fdd1fc5bf5e35b35dfe391a5da855c7889337a9cff0e9370dacf00f8d57c",
-        "logs": "e56b107004b615c775c0c431b205084d3f84c28af931b1d23cbd06c50511bb59",
+        "logs": "5cb8b2927240ca9151b5537e26ed5b0d84dd7dbcc8150f2f39d750dbbe559cd4",
     },
     "bo3-draft-once": {
         "bracket.json": "1f19935bdf94350f5dab40ec5a676d5eff73b764b3e054b10cef166ebd86f36c",
@@ -67,7 +69,7 @@ GOLDEN = {
         "report.json": "c06228175a0d1cc482069fb6dc0d66f039bc3c034e3cc34406e34dc14e500e17",
         "report.txt": "1e7113acd5690f5be7dc90fc2c4ba8a2b2f00b88f1ae57f122b21f64d16db469",
         "pick_frequency.csv": "f9572f53067f9aafebdf6522ea157518a80895abfbf2b8949f87859b3dde26a3",
-        "logs": "4285dd769608ba5cf34168af030354fa1685ea8571f76223582f4a325d8cc16a",
+        "logs": "c8712dc6224a613a23ba98de4410f6fe4d01ddb151be4a23e345bb5557009dad",
     },
 }
 
@@ -77,8 +79,9 @@ LEAGUES = {
 }
 
 
-def tournament_digests(tmp_path, league: dict) -> tuple[dict[str, str], list[dict]]:
-    """Run one tournament and its report; return the digests and every decision record."""
+def tournament_digests(tmp_path, league: dict) -> tuple[dict[str, str], list[tuple]]:
+    """Run one tournament and its report; return the digests and every decision record,
+    paired with its exchanges (logged_decisions)."""
     for name, script in (("script.json", MOCK_SCRIPT), ("stubborn.json", STUBBORN_SCRIPT)):
         (tmp_path / name).write_text(json.dumps(script), encoding="utf-8")
     out = tmp_path / "out"
@@ -100,8 +103,7 @@ def tournament_digests(tmp_path, league: dict) -> tuple[dict[str, str], list[dic
         raw = path.read_bytes()
         logs.update(path.relative_to(out / "logs").as_posix().encode() + b"\0")
         logs.update(TS_FIELD.sub(b'"ts": null', raw) + b"\0")
-        records = [json.loads(line) for line in raw.decode("utf-8").splitlines()]
-        decisions += [r for r in records if r["kind"] == "decision"]
+        decisions += logged_decisions(path)
     digests["logs"] = logs.hexdigest()
     return digests, decisions
 
@@ -111,8 +113,8 @@ def test_tournament_outputs_are_byte_identical(tmp_path, capsys, name):
     digests, decisions = tournament_digests(tmp_path, LEAGUES[name])
     capsys.readouterr()
     # The scripts exercise the repair loop and both kinds of fallback.
-    mock = [d for d in decisions if d["agent_id"].startswith("mock-")]
-    assert any(len(d["exchanges"]) > 1 and not d["fallback_used"] for d in mock)
-    assert any(d["fallback_used"] and d["phase"] == "Battle" for d in mock)
-    assert any(d["fallback_used"] and d["phase"] == "TeamSelect" for d in mock)
+    mock = [(d, exchanges) for d, exchanges in decisions if d["agent_id"].startswith("mock-")]
+    assert any(len(exchanges) > 1 and not d["fallback_used"] for d, exchanges in mock)
+    assert any(d["fallback_used"] and d["phase"] == "Battle" for d, _ in mock)
+    assert any(d["fallback_used"] and d["phase"] == "TeamSelect" for d, _ in mock)
     assert digests == GOLDEN[name]

@@ -19,7 +19,7 @@ from pokeleague.storage import (
     PHASE_BATTLE, PHASE_FORCED_REPLACE, canonical_json, read_log, replay,
 )
 
-from conftest import FixedTeam
+from conftest import FixedTeam, logged_decisions
 
 
 def scripted_entrants(count):
@@ -87,20 +87,63 @@ def test_fallback_records_carry_the_failed_exchanges(dex, tmp_path):
     broken, greedy = garbage_llm_agent(dex), GreedyAgent("greedy", dex)
     for match_id in ("m0", "m1"):
         runner.run_match(broken, greedy, seed=5, match_id=match_id)
-    first, cached = (
-        [r for r in read_log(tmp_path / f"{m}.jsonl").records if r["kind"] == "decision"]
-        for m in ("m0", "m1"))
-    for record in first:
+    first, cached = (logged_decisions(tmp_path / f"{m}.jsonl") for m in ("m0", "m1"))
+    for record, exchanges in first:
         if record["agent_id"] == "broken":  # 1 + max_repair_attempts failed exchanges
             assert record["fallback_used"] is True
-            assert [e["parse_outcome"] for e in record["exchanges"]] == ["no_json_found"] * 3
+            assert [e["parse_outcome"] for e in exchanges] == ["no_json_found"] * 3
             assert [e.split(":")[0] for e in record["errors"]] == ["no_json_found"] * 3
-        else:
-            assert (record["fallback_used"], record["exchanges"], record["errors"]) == (
-                False, [], [])
-    # The cached draft keeps its fallback flag but logs no exchanges.
-    draft = next(r for r in cached if r["phase"] == "TeamSelect" and r["side"] == 0)
-    assert (draft["fallback_used"], draft["exchanges"], draft["errors"]) == (True, [], [])
+        else:  # no exchanges record follows, and no errors key is written
+            assert (record["fallback_used"], exchanges, "errors" in record) == (
+                False, [], False)
+    # The cached draft keeps its fallback flag but logs no exchanges and no errors.
+    draft, exchanges = next(pair for pair in cached
+                            if pair[0]["phase"] == "TeamSelect" and pair[0]["side"] == 0)
+    assert (draft["fallback_used"], exchanges, "errors" in draft) == (True, [], False)
+
+
+class RecordingScript(ScriptCompleter):
+    """A script completer that keeps every prompt it receives."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.received = []
+
+    def __call__(self, prompt, kind):
+        self.received.append(prompt)
+        return super().__call__(prompt, kind)
+
+
+def test_logged_exchanges_rebuild_every_prompt_sent(dex, tmp_path):
+    """A decision's first exchange logs its prompt and each repair only the suffix; the
+    first prompt plus each suffix is, byte for byte, the text the completer received."""
+    script = {
+        "team": ["I pick six.", '{"team": [0, 1, 2, 3, 4, 5], "reasoning": "first six"}'],
+        "action": [  # one repair, then a fallback after 1 + 3 failed exchanges
+            "No JSON here.",
+            '{"action": {"type": "attack", "move_index": 0}, "reasoning": "hit"}',
+            '{"action": {"type": "attack", "move_index": 7}}', "a", "b", "c"],
+    }
+    config = ProviderConfig(provider="openai_compatible", endpoint="mock://x", model="m",
+                            api_key_env="POKELEAGUE_TEST_KEY")
+    completers = [RecordingScript(script), RecordingScript(script)]
+    agents = [LlmAgent(f"mock-{side}", config, dex, completer=completers[side])
+              for side in (0, 1)]
+    runner = MatchRunner(dex, LeagueConfig(turn_limit=30), tmp_path)
+    runner.run_match(*agents, seed=3, match_id="m0")
+    pairs = logged_decisions(tmp_path / "m0.jsonl")
+    rebuilt = {0: [], 1: []}
+    for record, exchanges in pairs:
+        first, *repairs = exchanges
+        assert "prompt" in first and "prompt_suffix" not in first
+        assert all("prompt_suffix" in e and "prompt" not in e for e in repairs)
+        rebuilt[record["side"]] += [first["prompt"]] + [
+            first["prompt"] + e["prompt_suffix"] for e in repairs]
+    for side, completer in enumerate(completers):
+        assert rebuilt[side] == completer.received
+    # Drafts repaired once; battle decisions repaired once, or fallen back after four tries.
+    assert {len(exchanges) for _, exchanges in pairs} == {2, 4}
+    assert any(record["fallback_used"] for record, _ in pairs)
 
 
 def test_disqualify_on_failure_forfeits(dex, tmp_path):
@@ -288,6 +331,19 @@ def test_best_of_three(dex, tmp_path):
     winner_side_wins = sum(1 for g in result.games if g.winner_side == result.winner_side)
     assert winner_side_wins == 2
     assert result.log_files == [g.log_file for g in result.games]
+
+
+def test_a_drafts_exchanges_are_logged_in_the_first_game_only(dex, tmp_path):
+    runner = MatchRunner(dex, LeagueConfig(best_of=3), tmp_path)
+    result = runner.run_match(
+        garbage_llm_agent(dex), GreedyAgent("greedy", dex), seed=21, match_id="m0")
+    drafts = [[pair for pair in logged_decisions(tmp_path / name)
+               if pair[0]["phase"] == "TeamSelect"] for name in result.log_files]
+    first, *later = drafts
+    assert later and [len(exchanges) for _, exchanges in first] == [3, 0]
+    for game in later:  # the same draft records, without their exchanges
+        assert [record for record, _ in game] == [record for record, _ in first]
+        assert [exchanges for _, exchanges in game] == [[], []]
 
 
 def test_draft_once_per_tournament_caches_team(dex, tmp_path):

@@ -21,7 +21,8 @@ from pokeleague.engine import (
 from pokeleague.league import LeagueConfig, MatchRunner
 from pokeleague.storage import (
     RECORD_KEYS, DigestMismatch, IncompleteLog, MatchLog, StorageError, canonical_json,
-    decision_record, events_record, meta_record, read_log, replay, state_digest, state_json,
+    decision_record, events_record, exchanges_record, meta_record, read_log, replay, state_digest,
+    state_json,
 )
 
 from conftest import FixedTeam, set_battler
@@ -74,11 +75,37 @@ def test_each_record_builder_writes_every_required_key():
     assert "action" in battle["decision"]
 
 
+def test_a_decision_logs_its_exchanges_in_the_next_record_and_errors_only_if_any(tmp_path):
+    exchanges = ({"prompt": "p", "response_text": "r", "latency_ms": 0.0, "attempt": 1,
+                  "parse_outcome": "success"},)
+    plain = AgentDecision(action=Action.attack(0))
+    asked = AgentDecision(action=Action.attack(0), exchanges=exchanges, errors=("e: x",))
+    records = [decision_record(decision, turn=1, agent_id="x", side=0, phase="Battle",
+                               context={"own_hp_percent": 100, "switches": [], "attacks": [
+                                   {"move_index": 0, "effectiveness": 1.0,
+                                    "expected_damage": 9}]})
+               for decision in (plain, asked)]
+    assert [("exchanges" in r, r.get("errors")) for r in records] == [
+        (False, None), (False, ["e: x"])]
+    assert exchanges_record(plain) == ()
+    assert exchanges_record(asked) == ({"kind": "exchanges", "exchanges": list(exchanges)},)
+    path = tmp_path / "log.jsonl"
+    with MatchLog(path) as log:
+        log.append(meta_record(
+            match_id="m", tournament_id="t", seed=1, turn_limit=500,
+            dex_fingerprint="f", agents={"a": "x", "b": "y"},
+            team_names={"a": [], "b": []}, initial_digest="d"))
+        log.append(records[1], *exchanges_record(asked))  # one line per record
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["kind"] for line in lines] == ["meta", "decision", "exchanges"]
+    assert [r["kind"] for r in read_log(path).records] == ["decision"]
+
+
 def test_written_records_hold_only_what_a_reader_reads(match_log):
     """A context holds three keys and each of its attacks three; no decision
     repeats the match id and no meta record the draft indices."""
     log = read_log(match_log[0])
-    assert log.meta["schema_version"] == "1.1" and "teams" not in log.meta
+    assert log.meta["schema_version"] == "1.2" and "teams" not in log.meta
     assert not any("match_id" in decision for decision in log.decisions)
     contexts = [d["context"] for d in log.decisions if d["phase"] == "Battle"]
     attacks = [attack for context in contexts for attack in context["attacks"]]
