@@ -8,9 +8,10 @@ read its is_attack and index, never payload keys.
 
 Attack quality has one rule: decision_context builds each decision's
 context, and build_report, one walk over the logs, tallies the contexts
-logged at decision time.  The tests hold a replay route as an oracle: it replays
-the logged decisions through the engine and builds each context afresh
-from the replayed state, and the tests assert the two routes agree.
+logged at decision time; load_log_dir streams it a directory's logs, one
+in memory at a time.  The tests hold a replay route as an oracle: it
+replays the logged decisions through the engine and builds each context
+afresh from the replayed state, and the tests assert the two routes agree.
 
 Rates reported per agent:
   win_rate                  wins / matches
@@ -31,9 +32,9 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import storage
 from .dex import Dex, type_multiplier
@@ -47,16 +48,15 @@ class NoLogs(Exception):
     pass
 
 
-def load_log_dir(log_dir: str | Path) -> list[MatchLogData]:
-    """Every .jsonl file under log_dir, read with storage.read_log in path order.
+def load_log_dir(log_dir: str | Path) -> Iterator[MatchLogData]:
+    """Every .jsonl file under log_dir, read lazily with storage.read_log in path order.
 
-    The metrics read no events and a report holds every log at once, so
-    each value drops its records (for 128 long games, about 15 MB).
+    NoLogs is raised at once; each log is read when the iterator reaches it.
     """
     paths = sorted(p for p in Path(log_dir).rglob("*.jsonl") if p.is_file())
     if not paths:
         raise NoLogs(f"no .jsonl logs under {log_dir}")
-    return [replace(storage.read_log(p), records=[]) for p in paths]
+    return map(storage.read_log, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +223,15 @@ def build_report(logs: Iterable[MatchLogData]) -> MetricsReport:
             tally = tallies.setdefault(agent_id, _Tally())
             tally.wins += log.winner_side == side
             tally.teams.append(team)
-        for decision in log.decisions:
-            tally = tallies[decision["agent_id"]]
-            if decision["reasoning"]:
-                tally.words.append(len(decision["reasoning"].split()))
-            if decision["phase"] != storage.PHASE_BATTLE:
+        for record in log.records:
+            if record["kind"] != "decision":
                 continue
-            action, context = decision["decision"]["action"], decision["context"]
+            tally = tallies[record["agent_id"]]
+            if record["reasoning"]:
+                tally.words.append(len(record["reasoning"].split()))
+            if record["phase"] != storage.PHASE_BATTLE:
+                continue
+            action, context = record["decision"]["action"], record["context"]
             if not action.is_attack:
                 tally.hp_at_switch.append(context["own_hp_percent"])
                 continue

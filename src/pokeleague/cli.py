@@ -28,9 +28,9 @@ EXIT_USAGE = 2
 
 def _make_scripted_agent(spec: str, agent_id: str, dex):
     """Agent spec grammar: "greedy", "random", or "random:<seed>"."""
-    name, _, arg = spec.partition(":")
-    if name == "greedy":
+    if spec == "greedy":
         return GreedyAgent(agent_id, dex)
+    name, _, arg = spec.partition(":")
     if name == "random" and re.fullmatch(r"(-?[0-9]+)?", arg):
         return RandomAgent(agent_id, int(arg or 0))
     raise ConfigError(f"unknown scripted agent spec {spec!r} (expected greedy or random[:seed])")

@@ -151,11 +151,11 @@ def load_dex(path: str | Path) -> Dex:
     Validation is total: every unknown reference and invariant violation
     in the file is collected and reported in a single DexValidationError.
     """
-    raw = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise DexValidationError([DexIssue(MALFORMED_FILE, str(path), f"invalid JSON: {exc}")])
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise DexValidationError(
+            [DexIssue(MALFORMED_FILE, str(path), f"invalid JSON: {exc}")]) from None
 
     issues: list[DexIssue] = []
     if not isinstance(doc, dict):

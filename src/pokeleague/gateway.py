@@ -693,7 +693,7 @@ class ScriptCompleter:
         with open(path, encoding="utf-8") as handle:
             try:
                 script = json.load(handle)
-            except ValueError as exc:  # not JSON, or not UTF-8
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
                 raise ConfigError(f"script {path!r} is not valid JSON: {exc}") from None
         if not isinstance(script, dict) or not script.keys() <= {"team", "action"} or not all(
                 isinstance(responses, list) and all(isinstance(r, str) for r in responses)

@@ -94,7 +94,7 @@ class TournamentConfig:
         with open(path, encoding="utf-8") as handle:
             try:
                 raw = json.load(handle)
-            except ValueError as exc:  # not JSON, or not UTF-8
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
                 raise ConfigError(f"config {str(path)!r} is not valid JSON: {exc}") from None
         return TournamentConfig.from_dict(raw)
 

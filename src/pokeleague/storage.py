@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import dropwhile
 from pathlib import Path
 from typing import Callable, Iterator
@@ -349,15 +349,13 @@ SIDE_KEYS = ("a", "b")  # the meta agents and team_names keys of sides 0 and 1
 
 @dataclass
 class MatchLogData:
-    """One checked match log, as read_log returns it: battle-time actions are Actions."""
+    """One checked match log, as read_log returns it: battle-time actions are Actions,
+    and records holds the decision and events records in log order."""
 
     path: Path
     meta: dict
-    decisions: list[dict]
+    records: list[dict]
     winner_side: int | None  # of the logged BattleEnded event; None if there is none
-    # The decision and events records in log order; analytics.load_log_dir
-    # drops them, as the metrics read only the decisions.
-    records: list[dict] = field(default_factory=list)
 
 
 def _fault(path: str | Path, decision: dict, what: str) -> StorageError:
@@ -445,7 +443,8 @@ def _lacking_inside(path: str | Path, kind: str, record: dict,
 def read_log(path: str | Path) -> MatchLogData:
     """Parse and check a match log, walking its records once.
 
-    A line that is not a JSON object, a first record that is not meta, an
+    A file that is not UTF-8 text, a line that is not a JSON object (or
+    nests too deeply to decode), a first record that is not meta, an
     unknown schema major version, a record that lacks a key (RECORD_KEYS),
     an unreadable battle-time action or a bad value (_lacking_inside)
     raises StorageError.  Records of a kind not in RECORD_KEYS, such as
@@ -453,24 +452,27 @@ def read_log(path: str | Path) -> MatchLogData:
     nothing inside it is checked.
     """
     records = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise StorageError(f"{path}:{line_no}: invalid JSON: {exc}")
-            if type(record) is not dict:
-                raise StorageError(f"{path}:{line_no}: a record must be a JSON object")
-            records.append(record)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except (json.JSONDecodeError, RecursionError) as exc:
+                    raise StorageError(f"{path}:{line_no}: invalid JSON: {exc}")
+                if type(record) is not dict:
+                    raise StorageError(f"{path}:{line_no}: a record must be a JSON object")
+                records.append(record)
+    except UnicodeDecodeError as exc:  # the text decoder reads ahead, so no line is known
+        raise StorageError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not records or records[0].get("kind") != "meta":
         raise StorageError(f"{path}: first record must be meta")
     version = str(records[0].get("schema_version", ""))
     if version.split(".")[0] != SCHEMA_VERSION.split(".")[0]:
         raise StorageError(f"{path}: unsupported log schema version {version!r}")
-    log = MatchLogData(path=Path(path), meta=records[0], decisions=[], winner_side=None)
+    log = MatchLogData(path=Path(path), meta=records[0], records=[], winner_side=None)
     for record in records:
         kind = record.get("kind")
         if kind not in RECORD_KEYS:
@@ -481,8 +483,6 @@ def read_log(path: str | Path) -> MatchLogData:
             raise StorageError(f"{path}: a record lacks the key {min(lacking)!r}")
         if kind != "meta":
             log.records.append(record)
-        if kind == "decision":
-            log.decisions.append(record)
     return log
 
 

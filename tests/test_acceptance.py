@@ -201,7 +201,7 @@ def test_criterion_8_offline_end_to_end(dex, tmp_path, monkeypatch):
     result = run_tournament(entrants, dex, config, 3, log_dir=tmp_path / "logs")
     assert sum(len(r) for r in result.rounds) == 7
 
-    logs = load_log_dir(tmp_path / "logs")
+    logs = list(load_log_dir(tmp_path / "logs"))
     assert len(logs) == 7
     metrics_report = build_report(logs)
     for metrics in metrics_report.agents.values():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from pokeleague import storage
 from pokeleague.agents import GreedyAgent, RandomAgent
 from pokeleague.analytics import (
     MatchLogData, NoLogs, build_report, decision_context, jaccard_matrix, load_log_dir,
@@ -40,7 +41,7 @@ def synthetic_log(agent_a="a", agent_b="b", winner_side=0, decisions=None):
             "agents": {"a": agent_a, "b": agent_b},
             "team_names": {"a": ["Jolteon"] * 6, "b": ["Snorlax"] * 6},
         },
-        decisions=decisions or [],
+        records=decisions or [],
         winner_side=winner_side,
     )
 
@@ -259,7 +260,7 @@ def replayed_log(path, dex):
             dex, state, record["side"], legal_actions(state, record["side"]))}
         for record, state in decisions_with_states(path, dex)
         if record["phase"] == PHASE_BATTLE]
-    return MatchLogData(path=Path(path), meta=read_log(path).meta, decisions=decisions,
+    return MatchLogData(path=Path(path), meta=read_log(path).meta, records=decisions,
                         winner_side=None)
 
 
@@ -365,13 +366,23 @@ def test_metrics_recomputation_is_idempotent(greedy_match_logs):
 
 
 def test_build_report_reads_its_input_once(greedy_match_logs):
-    logs = load_log_dir(greedy_match_logs)
+    logs = list(load_log_dir(greedy_match_logs))
     assert build_report(iter(logs)).to_dict() == build_report(logs).to_dict()
 
 
 def test_build_report_over_no_logs_has_no_rows():
     report = build_report([])
     assert (report.agents, report.pick_frequency, report.teams_drafted) == ({}, {}, 0)
+
+
+def test_load_log_dir_reads_each_log_when_it_is_reached(greedy_match_logs, monkeypatch):
+    read = storage.read_log
+    calls = []
+    monkeypatch.setattr(storage, "read_log", lambda path: calls.append(path) or read(path))
+    logs = load_log_dir(greedy_match_logs)
+    assert calls == []
+    first = next(logs)
+    assert calls == [first.path] == sorted(Path(greedy_match_logs).glob("*.jsonl"))[:1]
 
 
 def test_load_log_dir_empty_raises(tmp_path):

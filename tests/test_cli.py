@@ -81,6 +81,26 @@ def test_a_pool_smaller_than_a_team_is_rejected_before_any_match(dex_doc, write_
                         "pool entries must be distinct\n") == 1
 
 
+# Bytes that no JSON file reader can decode: not UTF-8 (a UTF-16 byte order
+# mark), or nested past the decoder's recursion limit.
+NOT_UTF8 = b'\xff\xfe{"kind": "meta"}\n'
+TOO_DEEP = b"[" * 100_000
+
+
+@pytest.mark.parametrize("raw", [NOT_UTF8, TOO_DEEP], ids=["not-utf-8", "too-deep"])
+def test_an_undecodable_dex_is_a_malformed_file(tmp_path, capsys, raw):
+    path = tmp_path / "dex.json"
+    path.write_bytes(raw)
+    assert main(["dex", "validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"[malformed_file] {path}: invalid JSON: ")
+    assert err.endswith("\n1 issue(s) found\n")
+    assert main(["simulate", "--dex", str(path), "--out", str(tmp_path / "sim")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: 1 dex validation issue(s):\n[malformed_file] {path}: invalid JSON: ")
+    assert not (tmp_path / "sim").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -100,9 +120,14 @@ def test_simulate_count_zero_is_usage_error(tmp_path):
     assert main(["simulate", "--count", "0", "--out", str(tmp_path)]) == 2
 
 
-def test_simulate_bad_agent_spec_is_usage_error(tmp_path):
+def test_simulate_bad_agent_spec_is_usage_error(tmp_path, capsys):
     assert main(["simulate", "--agent-a", "minimax", "--count", "1",
                  "--out", str(tmp_path)]) == 2
+    # greedy takes no argument.
+    assert main(["simulate", "--agent-a", "greedy:junk", "--out", str(tmp_path / "sim")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "error: unknown scripted agent spec 'greedy:junk'")
+    assert not (tmp_path / "sim").exists()
 
 
 def test_simulate_random_seed_not_an_integer_is_usage_error(tmp_path, capsys):
@@ -243,8 +268,9 @@ def test_tournament_missing_file_is_usage_error(tmp_path, capsys, monkeypatch, o
     '["not", "an", "object"]', '{"team": [1], "action": [2]}', '{"team": "x"}',
     '{"team": [], "action": ["a", null]}', '{"team": [], "action": [], }',
     json.dumps({"teams": MOCK_SCRIPT["team"], "actions": MOCK_SCRIPT["action"]}),
+    TOO_DEEP.decode(),
 ], ids=["list", "int-responses", "string-responses", "null-response", "invalid-json",
-        "misspelled-keys"])
+        "misspelled-keys", "too-deep"])
 def test_tournament_malformed_mock_script_is_usage_error(tmp_path, capsys, script):
     script_path = tmp_path / "script.json"
     script_path.write_text(script, encoding="utf-8")
@@ -273,6 +299,14 @@ def test_tournament_config_not_json_names_the_file(tmp_path, capsys):
     assert main(["tournament", str(config_path)]) == 2
     assert capsys.readouterr().err.startswith(
         f"error: config {str(config_path)!r} is not valid JSON: Expecting property name")
+
+
+def test_tournament_config_nested_too_deep_is_usage_error(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(TOO_DEEP)
+    assert main(["tournament", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config {str(config_path)!r} is not valid JSON: ")
 
 
 def test_tournament_bad_jobs_flag_is_usage_error(tmp_path, capsys):
@@ -417,6 +451,24 @@ def test_log_starting_with_a_list_is_a_clean_failure(simulated_log, tmp_path, ca
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("undecodable, error", [
+    (lambda lines: [NOT_UTF8], "{log}: not UTF-8 text (invalid start byte)"),
+    (lambda lines: [lines[0], TOO_DEEP + b"\n", *lines[1:]], "{log}:2: invalid JSON: "),
+], ids=["not-utf-8", "too-deep"])
+def test_replay_and_report_reject_an_undecodable_log_alike(simulated_log, tmp_path, capsys,
+                                                            undecodable, error):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    tampered = logs / "tampered.jsonl"
+    tampered.write_bytes(b"".join(undecodable(simulated_log.read_bytes().splitlines(True))))
+    capsys.readouterr()
+    assert main(["replay", str(tampered)]) == 1
+    replay_err = capsys.readouterr().err
+    assert main(["report", str(logs)]) == 1
+    assert capsys.readouterr().err == replay_err
+    assert replay_err.startswith("error: " + error.format(log=tampered))
+
+
 @pytest.mark.parametrize("command", [
     ["dex", "validate", "{dir}"],
     ["simulate", "--dex", "{dir}", "--out", "{out}"],
@@ -461,6 +513,22 @@ def test_report_over_simulated_logs(tmp_path, capsys):
     report = json.loads((out / "report" / "report.json").read_text(encoding="utf-8"))
     for metrics in report["agents"].values():
         assert 0.0 <= metrics["win_rate"] <= 1.0
+
+
+def test_report_fails_on_its_last_log_as_replay_does(tmp_path, capsys):
+    logs = tmp_path / "logs"
+    assert main(["simulate", "--count", "3", "--seed", "2", "--out", str(logs)]) == 0
+    last = sorted(logs.glob("*.jsonl"))[-1]
+    records = [json.loads(line) for line in last.read_text().splitlines()]
+    del first_record(records, "decision", "Battle")["reasoning"]
+    last.write_text("\n".join(json.dumps(r) for r in records), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", str(last)]) == 1
+    replay_err = capsys.readouterr().err
+    assert main(["report", str(logs)]) == 1
+    assert capsys.readouterr().err == replay_err == (
+        f"error: {last}: a record lacks the key 'reasoning'\n")
+    assert not (logs / "report").exists()
 
 
 def drop_events_key(records):

@@ -104,7 +104,7 @@ def play(dex, schedules, seed, disqualify, out: Path):
 
 
 def decisions(log_path: Path) -> list[dict]:
-    return read_log(log_path).decisions
+    return [r for r in read_log(log_path).records if r["kind"] == "decision"]
 
 
 def check_decision_record(record: dict, exchanges: list[dict]) -> None:

@@ -205,8 +205,8 @@ def test_an_action_outside_the_legal_set_is_an_agent_failure(dex, tmp_path, phas
     lenient = MatchRunner(dex, LeagueConfig(), tmp_path)
     result = lenient.run_match(IllegalIn("illegal", dex, phase), RandomAgent("random", 0), seed=0)
     assert result.end_reason != END_FORFEIT
-    misses = [r for r in read_log(tmp_path / "m0.jsonl").decisions
-              if r["agent_id"] == "illegal" and r["phase"] == phase]
+    misses = [r for r in read_log(tmp_path / "m0.jsonl").records
+              if r["kind"] == "decision" and r["agent_id"] == "illegal" and r["phase"] == phase]
     assert misses and all(
         (r["fallback_used"], r["errors"]) == (True, [
             f"illegal_action: {Action.switch(TEAM_SIZE)} is not in the legal action set"])
@@ -231,7 +231,8 @@ def test_a_team_index_outside_the_pool_is_an_agent_failure(dex, tmp_path, indice
     lenient = MatchRunner(dex, LeagueConfig(), tmp_path)
     result = lenient.run_match(outside(), RandomAgent("random", 0), seed=0)
     assert result.teams["a"] == [0, 1, 2, 3, 4, 5]
-    draft = read_log(tmp_path / "m0.jsonl").decisions[0]
+    draft = next(r for r in read_log(tmp_path / "m0.jsonl").records
+                 if r["kind"] == "decision")
     assert (draft["agent_id"], draft["fallback_used"], draft["errors"]) == (
         "outside", True, [error])
 

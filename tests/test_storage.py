@@ -106,8 +106,9 @@ def test_written_records_hold_only_what_a_reader_reads(match_log):
     repeats the match id and no meta record the draft indices."""
     log = read_log(match_log[0])
     assert log.meta["schema_version"] == "1.2" and "teams" not in log.meta
-    assert not any("match_id" in decision for decision in log.decisions)
-    contexts = [d["context"] for d in log.decisions if d["phase"] == "Battle"]
+    decisions = [r for r in log.records if r["kind"] == "decision"]
+    assert not any("match_id" in decision for decision in decisions)
+    contexts = [d["context"] for d in decisions if d["phase"] == "Battle"]
     attacks = [attack for context in contexts for attack in context["attacks"]]
     assert contexts and attacks
     assert {frozenset(context) for context in contexts} == {
