@@ -4,8 +4,12 @@ Subcommands: dex validate | simulate | tournament | replay | report.
 Exit codes are a stable contract: 0 success, 1 domain failure (invalid
 dex data, a log that fails to replay or read, no logs), 2 usage or
 config failure (a bad setting, a dex that fails to load, an input path
-that is missing or a directory).  Commands raise; main maps each error
-to its exit code in one place.
+that is missing or a directory, an output path that is or lies under a
+file).  Commands raise; main maps each error to its exit code in one
+place.
+
+Only simulate and tournament import league (and through it gateway), so
+replay, report and dex validate start without loading the match code.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import analytics, league, storage
+from . import analytics, storage
 from .agents import ConfigError, GreedyAgent, RandomAgent
 from .dex import DexValidationError, open_dex
 from .rng import stable_hash64
@@ -54,6 +58,8 @@ def cmd_dex_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import league
+
     if args.count <= 0:
         raise ConfigError("--count must be positive")
     dex, fingerprint = open_dex(args.dex)
@@ -85,6 +91,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tournament(args) -> int:
+    from . import league
+
     config = league.TournamentConfig.from_file(args.config)
     if args.jobs is not None:
         config.league = replace(config.league, jobs=args.jobs)
@@ -172,7 +180,8 @@ def main(argv: list[str] | None = None) -> int:
         prefix = "replay diverged" if isinstance(exc, storage.DigestMismatch) else "error"
         print(f"{prefix}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except (ConfigError, DexValidationError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ConfigError, DexValidationError, FileNotFoundError, IsADirectoryError,
+            FileExistsError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,8 +19,6 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Sequence
 
-import requests
-
 from .agents import AgentDecision, ConfigError, PoolEntry
 from .dex import TEAM_SIZE, Dex, MoveDef
 from .engine import Action, BattleView
@@ -378,7 +376,7 @@ def extract_first_json(raw: str) -> dict:
         # from a start ends at the "}" that balances it, so it is that candidate.
         try:
             obj, end = _DECODER.raw_decode(raw, first)
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):  # not JSON, too deep, or an int too long
             pass
         else:
             if end - first <= MAX_SCAN_CHARS:
@@ -392,7 +390,7 @@ def extract_first_json(raw: str) -> dict:
         if end is not None:
             try:
                 return _DECODER.decode(raw[start:end])  # a "{...}" that parses is an object
-            except (json.JSONDecodeError, RecursionError):  # nested too deep
+            except (ValueError, RecursionError):  # nested too deep, or an int too long
                 pass
         budget -= cost
     raise ParseError("no_json_found", "no JSON object in response")
@@ -534,6 +532,10 @@ def _extract_text(provider: str, payload: dict) -> str:
 
 
 def _requests_transport(url: str, headers: dict, body: dict, timeout: float) -> tuple[int, object]:
+    # Imported on the first provider call, so a process that sends no
+    # request (replay, report, scripted or mock brackets) never loads it.
+    import requests
+
     try:
         response = requests.post(url, headers=headers, json=body, timeout=timeout)
     except requests.Timeout as exc:

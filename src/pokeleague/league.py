@@ -10,7 +10,6 @@ the whole tournament is reproducible bit for bit.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -451,6 +450,8 @@ def run_tournament(
 
         work = list(zip(pairs, match_ids))
         if config.league.jobs > 1:
+            from concurrent.futures import ThreadPoolExecutor  # only threaded rounds load it
+
             with ThreadPoolExecutor(max_workers=config.league.jobs) as pool:
                 results = list(pool.map(play, work))
         else:

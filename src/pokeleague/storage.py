@@ -38,6 +38,7 @@ import json
 import time
 from dataclasses import dataclass
 from itertools import dropwhile
+from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -365,6 +366,15 @@ def _fault(path: str | Path, decision: dict, what: str) -> StorageError:
 _NUMBER = (int, float)  # exact types, so a bool is not a number
 
 
+def _not_finite(number: int | float) -> bool:
+    """NaN, an infinity (json.loads reads them from NaN, Infinity or 1e400),
+    or an int too large for a float, which the metrics cannot average."""
+    try:
+        return not isfinite(number)
+    except OverflowError:
+        return True
+
+
 def _is_side(value: object) -> bool:
     return type(value) is int and value in (0, 1)  # a bool is not a side
 
@@ -374,9 +384,9 @@ def _lacking_inside(path: str | Path, kind: str, record: dict,
     """The keys that a record with every key of its kind lacks inside (see RECORD_KEYS).
 
     A value that replay or the metrics read, in a type or range they cannot
-    use, raises StorageError.  On the way it replaces a battle-time
-    decision's action payload by its Action, in place, and sets
-    log.winner_side from a BattleEnded event.
+    use (a NaN or infinite context number among them), raises StorageError.
+    On the way it replaces a battle-time decision's action payload by its
+    Action, in place, and sets log.winner_side from a BattleEnded event.
     """
     if kind == "meta":
         agents, teams = record["agents"], record["team_names"]
@@ -418,6 +428,9 @@ def _lacking_inside(path: str | Path, kind: str, record: dict,
                     and type(context.get("own_hp_percent")) in _NUMBER):
                 raise _fault(path, record, "context is not an object holding "
                                            "own_hp_percent, switches and attacks")
+            if _not_finite(context["own_hp_percent"]):
+                raise _fault(path, record, f"context own_hp_percent "
+                                           f"{context['own_hp_percent']} is not finite")
             listed = False
             for attack in context["attacks"]:
                 if not (type(attack) is dict and type(attack.get("move_index")) is int
@@ -425,6 +438,11 @@ def _lacking_inside(path: str | Path, kind: str, record: dict,
                         and type(attack.get("expected_damage")) in _NUMBER):
                     raise _fault(path, record, "context attack is not an object holding "
                                                "move_index, effectiveness and expected_damage")
+                if _not_finite(attack["effectiveness"]) or _not_finite(attack["expected_damage"]):
+                    key = ("effectiveness" if _not_finite(attack["effectiveness"])
+                           else "expected_damage")
+                    raise _fault(path, record, f"context attack {attack['move_index']}: "
+                                               f"{key} {attack[key]} is not finite")
                 listed = listed or attack["move_index"] == action.index
             if action.is_attack and not listed:
                 raise _fault(path, record, f"illegal action {action}")
@@ -444,12 +462,12 @@ def read_log(path: str | Path) -> MatchLogData:
     """Parse and check a match log, walking its records once.
 
     A file that is not UTF-8 text, a line that is not a JSON object (or
-    nests too deeply to decode), a first record that is not meta, an
-    unknown schema major version, a record that lacks a key (RECORD_KEYS),
-    an unreadable battle-time action or a bad value (_lacking_inside)
-    raises StorageError.  Records of a kind not in RECORD_KEYS, such as
-    "exchanges", are skipped: each is decoded as a JSON object, and
-    nothing inside it is checked.
+    nests too deeply, or holds an integer too long, to decode), a first
+    record that is not meta, an unknown schema major version, a record
+    that lacks a key (RECORD_KEYS), an unreadable battle-time action or a
+    bad value (_lacking_inside) raises StorageError.  Records of a kind
+    not in RECORD_KEYS, such as "exchanges", are skipped: each is decoded
+    as a JSON object, and nothing inside it is checked.
     """
     records = []
     try:
@@ -460,7 +478,7 @@ def read_log(path: str | Path) -> MatchLogData:
                     continue
                 try:
                     record = json.loads(line)
-                except (json.JSONDecodeError, RecursionError) as exc:
+                except (ValueError, RecursionError) as exc:  # or an int of over 4300 digits
                     raise StorageError(f"{path}:{line_no}: invalid JSON: {exc}")
                 if type(record) is not dict:
                     raise StorageError(f"{path}:{line_no}: a record must be a JSON object")

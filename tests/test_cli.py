@@ -454,7 +454,9 @@ def test_log_starting_with_a_list_is_a_clean_failure(simulated_log, tmp_path, ca
 @pytest.mark.parametrize("undecodable, error", [
     (lambda lines: [NOT_UTF8], "{log}: not UTF-8 text (invalid start byte)"),
     (lambda lines: [lines[0], TOO_DEEP + b"\n", *lines[1:]], "{log}:2: invalid JSON: "),
-], ids=["not-utf-8", "too-deep"])
+    (lambda lines: [lines[0], b'{"kind": "note", "n": ' + b"9" * 5000 + b"}\n", *lines[1:]],
+     "{log}:2: invalid JSON: Exceeds the limit"),
+], ids=["not-utf-8", "too-deep", "integer-of-5000-digits"])
 def test_replay_and_report_reject_an_undecodable_log_alike(simulated_log, tmp_path, capsys,
                                                             undecodable, error):
     logs = tmp_path / "logs"
@@ -495,6 +497,29 @@ def test_a_directory_where_a_file_belongs_is_usage_error(simulated_log, tmp_path
     assert main([arg.format(**paths) for arg in command]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()  # rejected before any match was played
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--out", "{file}"],
+    ["simulate", "--out", "{file}/logs"],
+    ["report", "{logs}", "--out", "{file}"],
+    ["report", "{logs}", "--out", "{file}/report"],
+    ["tournament", "{config}"],
+], ids=["simulate-out-file", "simulate-out-under-file", "report-out-file",
+        "report-out-under-file", "tournament-output-dir-under-file"])
+def test_an_output_path_at_or_under_a_file_is_usage_error(simulated_log, tmp_path, capsys,
+                                                          command):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n", encoding="utf-8")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps({**scripted_config(tmp_path, count=2), "output_dir": str(afile / "out")}),
+        encoding="utf-8")
+    paths = {"file": afile, "logs": simulated_log.parent, "config": config_path}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in command]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno ")
+    assert afile.read_text(encoding="utf-8") == "not a directory\n"
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +692,20 @@ NO_ATTACK = "context attack is not an object holding move_index, effectiveness a
                  f"turn 1: side 0: {NO_ATTACK}", id="attack-5"),
     pytest.param(lambda records: context_attacks(records)[0].update(effectiveness=True),
                  f"turn 1: side 0: {NO_ATTACK}", id="bool-effectiveness"),
+    pytest.param(lambda records: KEY_HOLDERS["decision"](records)["context"].update(
+                     own_hp_percent=float("nan")),
+                 "turn 1: side 0: context own_hp_percent nan is not finite", id="nan-hp"),
+    pytest.param(lambda records: context_attacks(records)[0].update(effectiveness=float("inf")),
+                 "turn 1: side 0: context attack 0: effectiveness inf is not finite",
+                 id="infinite-effectiveness"),
+    pytest.param(lambda records: context_attacks(records)[0].update(
+                     expected_damage=float("-inf")),
+                 "turn 1: side 0: context attack 0: expected_damage -inf is not finite",
+                 id="negative-infinite-damage"),
+    pytest.param(lambda records: KEY_HOLDERS["decision"](records)["context"].update(
+                     own_hp_percent=10**400),
+                 f"turn 1: side 0: context own_hp_percent {10**400} is not finite",
+                 id="hp-past-any-float"),
     pytest.param(set_in("action", "action", {"type": "attack", "move_index": 9}),
                  "turn 1: side 0: illegal action attack:9", id="unlisted-attack"),
     pytest.param(set_in("BattleEnded", "winner", 5),

@@ -2,10 +2,12 @@
 
 import json
 import random
+import socket
 import time
 from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import given, strategies as st
 
 from pokeleague import gateway
@@ -13,7 +15,7 @@ from pokeleague.agents import make_pool_view
 from pokeleague.engine import Action, init_battle, legal_actions, view_for
 from pokeleague.gateway import (
     AgentFailure, AuthError, LlmAgent, ParseError, ProviderConfig, ProviderError,
-    RateLimited, RawExchange, ScriptCompleter, TokenBucket,
+    RateLimited, RawExchange, RequestTimeout, ScriptCompleter, TokenBucket,
     build_battle_prompt, build_team_prompt, complete, extract_first_json,
     parse_action_response, parse_team_response, repair_prompt,
 )
@@ -238,6 +240,13 @@ def test_extract_first_json_work_is_bounded(raw):
     with pytest.raises(ParseError, match="^no_json_found: "):
         extract_first_json(raw)
     assert time.perf_counter() - started < 2.0
+
+
+def test_extract_first_json_skips_an_integer_too_long_to_decode():
+    too_long = '{"a": ' + "9" * 5000 + "}"  # past the interpreter's 4300-digit limit
+    with pytest.raises(ParseError, match="^no_json_found: "):
+        extract_first_json(too_long)
+    assert extract_first_json(too_long + ' then {"b": 1}') == {"b": 1}
 
 
 def test_extract_first_json_deep_nesting_is_a_parse_error():
@@ -466,6 +475,63 @@ def test_complete_401_is_auth_error_no_retry(monkeypatch):
     with pytest.raises(AuthError):
         complete(make_config(), "p", transport=transport, sleep=lambda s: None)
     assert len(calls) == 1
+
+
+@pytest.fixture()
+def posted(monkeypatch):
+    """Stands in for requests.post: give it what the call returns or raises;
+    it records each call's arguments.  Any socket connect fails the test."""
+    calls, outcome = [], {}
+
+    def post(url, **kwargs):
+        calls.append((url, kwargs))
+        if isinstance(outcome["value"], Exception):
+            raise outcome["value"]
+        return outcome["value"]
+
+    def refuse(*args, **kwargs):
+        pytest.fail(f"a socket was opened: {args!r}")
+
+    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setattr(socket.socket, "connect", refuse)
+    monkeypatch.setattr(socket, "create_connection", refuse)
+    return lambda value: outcome.update(value=value) or calls
+
+
+def response(status, body):
+    made = requests.Response()
+    made.status_code, made._content, made.encoding = status, body, "utf-8"
+    return made
+
+
+def send():
+    return gateway._requests_transport("https://example.test/v1", {"h": "v"}, {"b": 1}, 2.5)
+
+
+def test_requests_transport_posts_json_and_decodes_a_json_body(posted):
+    calls = posted(response(200, b'{"choices": []}'))
+    assert send() == (200, {"choices": []})
+    assert calls == [("https://example.test/v1",
+                      {"headers": {"h": "v"}, "json": {"b": 1}, "timeout": 2.5})]
+
+
+def test_requests_transport_returns_a_body_that_is_not_json_as_text(posted):
+    posted(response(502, b"<html>bad gateway</html>"))
+    assert send() == (502, "<html>bad gateway</html>")
+
+
+def test_requests_transport_maps_a_timeout_to_request_timeout(posted):
+    posted(requests.Timeout("read timed out"))
+    with pytest.raises(RequestTimeout, match="read timed out"):
+        send()
+
+
+def test_requests_transport_maps_a_connection_error_to_provider_error_0(posted):
+    posted(requests.ConnectionError("connection refused"))
+    with pytest.raises(ProviderError) as excinfo:
+        send()
+    assert excinfo.value.status == 0
+    assert "connection refused" in excinfo.value.body
 
 
 def test_anthropic_and_gemini_wire_shapes(monkeypatch):
