@@ -209,7 +209,7 @@ def _parse_chart(raw: object, types: tuple[str, ...], issues: list[DexIssue]) ->
                 issues.append(DexIssue(
                     UNKNOWN_REFERENCE, f"chart[{attacker}][{defender}]", "unknown defending type"))
                 continue
-            if not isinstance(value, (int, float)) or float(value) not in LEGAL_CELL_VALUES:
+            if type(value) not in (int, float) or float(value) not in LEGAL_CELL_VALUES:  # a bool is no number
                 issues.append(DexIssue(
                     INVARIANT_VIOLATION, f"chart[{attacker}][{defender}]",
                     f"multiplier {value!r} not in {{0, 0.5, 1, 2}}"))
@@ -248,7 +248,7 @@ def _parse_moves(raw: object, types: tuple[str, ...], issues: list[DexIssue]) ->
             issues.append(DexIssue(INVARIANT_VIOLATION, label, f"bad category {category!r}"))
             continue
         power = entry.get("power")
-        if not isinstance(power, int) or power < 0:
+        if type(power) is not int or power < 0:  # exact types: a bool is no number
             issues.append(DexIssue(INVARIANT_VIOLATION, label, f"power must be an integer >= 0, got {power!r}"))
             continue
         if category == "Status" and power != 0:
@@ -256,12 +256,12 @@ def _parse_moves(raw: object, types: tuple[str, ...], issues: list[DexIssue]) ->
         if category != "Status" and power < 1:
             issues.append(DexIssue(INVARIANT_VIOLATION, label, "damaging moves must have power >= 1"))
         accuracy = entry.get("accuracy")
-        if accuracy is not None and (not isinstance(accuracy, int) or not 1 <= accuracy <= 100):
+        if accuracy is not None and (type(accuracy) is not int or not 1 <= accuracy <= 100):
             issues.append(DexIssue(
                 INVARIANT_VIOLATION, label, f"accuracy must be 1-100 or null, got {accuracy!r}"))
             accuracy = 100
         priority = entry.get("priority", 0)
-        if not isinstance(priority, int) or not -7 <= priority <= 7:
+        if type(priority) is not int or not -7 <= priority <= 7:
             issues.append(DexIssue(INVARIANT_VIOLATION, label, f"priority out of [-7, 7]: {priority!r}"))
             priority = 0
         effect = None
@@ -271,7 +271,7 @@ def _parse_moves(raw: object, types: tuple[str, ...], issues: list[DexIssue]) ->
             chance = raw_effect.get("chance") if isinstance(raw_effect, dict) else None
             if status not in STATUS_NAMES:
                 issues.append(DexIssue(UNKNOWN_REFERENCE, label, f"unknown status {status!r}"))
-            elif not isinstance(chance, (int, float)) or not 0 <= chance <= 1:
+            elif type(chance) not in (int, float) or not 0 <= chance <= 1:
                 issues.append(DexIssue(INVARIANT_VIOLATION, label, f"effect chance not in [0,1]: {chance!r}"))
             else:
                 effect = MoveEffect(status=status, chance=float(chance))
@@ -304,7 +304,7 @@ def _parse_species(
         ok = True
 
         dex_id = entry.get("dex_id")
-        if not isinstance(dex_id, int):
+        if type(dex_id) is not int:
             issues.append(DexIssue(INVARIANT_VIOLATION, label, f"dex_id must be an integer, got {dex_id!r}"))
             ok = False
 
@@ -328,7 +328,7 @@ def _parse_species(
         else:
             for k in STAT_KEYS:
                 v = stats[k]
-                if not isinstance(v, int) or not 1 <= v <= 255:
+                if type(v) is not int or not 1 <= v <= 255:
                     issues.append(DexIssue(INVARIANT_VIOLATION, label, f"base stat {k}={v!r} out of 1-255"))
                     ok = False
 

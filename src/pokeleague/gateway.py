@@ -17,7 +17,7 @@ import os
 import threading
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .agents import AgentDecision, ConfigError, PoolEntry
 from .dex import TEAM_SIZE, Dex, MoveDef
@@ -267,9 +267,9 @@ def repair_prompt(original: str, error: ParseError) -> str:
 # response parsing
 # ---------------------------------------------------------------------------
 
-# Characters extract_first_json accounts for, summed over every candidate
-# start: a start whose braces never balance counts every character to the
-# end of the text, so without a cap the count grows with the square of the
+# Characters extract_first_json scans, summed over every candidate start:
+# a start whose braces never balance scans every character to the end of
+# the text, so without a cap the count grows with the square of the
 # response length.
 MAX_SCAN_CHARS = 1_000_000
 
@@ -278,121 +278,59 @@ MAX_SCAN_CHARS = 1_000_000
 _DECODER = json.JSONDecoder(strict=False)
 
 
-def _joined(a: list, b: list) -> list:
-    """Two stacks of open starts that scan alike from here on, as one stack.
-
-    A stack lists levels, innermost last; a level is the start, or the list
-    of starts, at one depth.  Depth counts from the top, so the stacks are
-    joined at their tops, each shorter level into the longer one: a start
-    then moves only into a level at least twice the size of its own, so
-    joins cost O(n log n) starts over a reply of n characters.
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    for depth in range(-len(b), 0):
-        level, other = a[depth], b[depth]
-        if type(level) is int:
-            level = [level]
-        if type(other) is int:
-            level.append(other)
-        elif len(level) < len(other):
-            other.extend(level)
-            level = other
-        else:
-            level.extend(other)
-        a[depth] = level
-    return a
-
-
-def _balanced_spans(raw: str) -> Iterator[tuple[int, int | None]]:
-    """(start, end) for each "{" of raw, in order, from one pass over raw.
-
-    A brace scan from start counts the "{" and "}" outside strings, which
-    it tracks by quotes and backslash escapes; end is the index after the
-    "}" that brings its count back to zero, or None if none does.  Scans
-    from different starts differ only in their counts and in their string
-    state, and two in the same state at one character go on alike.  So the
-    open starts are kept in three stacks, one per state (outside a string,
-    inside one, just after a backslash inside one), and only the stack
-    outside a string counts braces.  The pass skips to the next "{" while
-    no start is open, and stops once the first start not yet yielded has
-    been open for MAX_SCAN_CHARS characters: it costs more than the parse
-    may spend, so it is yielded with end None.
-    """
-    ends: dict[int, int] = {}
-    pending = raw.find("{")  # the first start not yet yielded
-    out: list = []
-    inside: list = []
-    escaped: list = []
-    pos = pending
-    while pending != -1:
-        for pos in range(pos, min(len(raw), pending + MAX_SCAN_CHARS)):
-            char = raw[pos]
-            if escaped:  # char is escaped for these starts
-                if char == "\\":
-                    inside, escaped = escaped, inside
-                    continue
-                if char == '"':
-                    out, inside, escaped = inside, _joined(out, escaped) if out else escaped, []
-                    continue
-                inside, escaped = _joined(inside, escaped) if inside else escaped, []
-            if char == '"':
-                out, inside = inside, out
-            elif char == "\\":
-                inside, escaped = escaped, inside
-            elif char == "{":
-                out.append(pos)  # a start, one level deeper than the open ones
-            elif char == "}" and out:  # closes the innermost level outside a string
-                level = out.pop()
-                for start in [level] if type(level) is int else level:
-                    ends[start] = pos + 1
-                if pending in ends:
-                    break
-        else:  # the end of raw, or pending is given up
-            break
-        while pending in ends:
-            yield pending, ends.pop(pending)
-            pending = raw.find("{", pending + 1)
-        pos = pos + 1 if out or inside or escaped else pending
-    while pending != -1:
-        yield pending, ends.pop(pending, None)
-        pending = raw.find("{", pending + 1)
-
-
 def extract_first_json(raw: str) -> dict:
     """First JSON object found in the text, however it is wrapped.
 
     Models routinely wrap their JSON in prose or markdown fences.  Each
     "{" starts a candidate, in order: the text from it to the "}" that
-    balances it (_balanced_spans).  The first candidate that parses is
-    the answer.  A candidate costs the characters it spans, or those to
-    the end of the text if its braces never balance; once the cost summed
-    over the candidates would pass MAX_SCAN_CHARS, the parse gives up with
-    a no_json_found ParseError.
+    balances it, found by a brace count that skips strings (by quotes and
+    backslash escapes).  The first candidate that parses is the answer.
+    Each candidate is scanned from its own start, and the scan counts
+    against MAX_SCAN_CHARS: to its balancing "}", or to the end of the text
+    if its braces never balance.  A scan that reaches the remaining budget
+    before the end of the text gives up with a no_json_found ParseError.
     """
-    first = raw.find("{")
-    if first != -1:
+    start = raw.find("{")
+    if start != -1:
         # Most replies: the first candidate parses.  An object that decodes
         # from a start ends at the "}" that balances it, so it is that candidate.
         try:
-            obj, end = _DECODER.raw_decode(raw, first)
+            obj, end = _DECODER.raw_decode(raw, start)
         except (ValueError, RecursionError):  # not JSON, too deep, or an int too long
             pass
         else:
-            if end - first <= MAX_SCAN_CHARS:
+            if end - start <= MAX_SCAN_CHARS:
                 return obj
     budget = MAX_SCAN_CHARS
-    for start, end in _balanced_spans(raw):
-        cost = (len(raw) if end is None else end) - start
-        if cost > budget:
-            raise ParseError("no_json_found",
-                             f"gave up after scanning {MAX_SCAN_CHARS} characters")
-        if end is not None:
-            try:
-                return _DECODER.decode(raw[start:end])  # a "{...}" that parses is an object
-            except (ValueError, RecursionError):  # nested too deep, or an int too long
-                pass
-        budget -= cost
+    while start != -1:
+        stop = min(len(raw), start + budget)
+        depth, in_string, escaped = 0, False, False
+        for pos in range(start, stop):
+            char = raw[pos]
+            if in_string:
+                if escaped:
+                    escaped = False
+                elif char == "\\":
+                    escaped = True
+                elif char == '"':
+                    in_string = False
+            elif char == '"':
+                in_string = True
+            elif char == "{":
+                depth += 1
+            elif char == "}":
+                depth -= 1
+                if depth == 0:
+                    try:
+                        return _DECODER.decode(raw[start:pos + 1])  # a "{...}" that parses is an object
+                    except (ValueError, RecursionError):  # not JSON, too deep, or an int too long
+                        break
+        else:
+            if stop < len(raw):
+                raise ParseError("no_json_found",
+                                 f"gave up after scanning {MAX_SCAN_CHARS} characters")
+        budget -= pos + 1 - start
+        start = raw.find("{", start + 1)
     raise ParseError("no_json_found", "no JSON object in response")
 
 
@@ -523,12 +461,16 @@ def _build_request(config: ProviderConfig, api_key: str, prompt: str) -> tuple[s
 def _extract_text(provider: str, payload: dict) -> str:
     try:
         if provider == PROVIDER_OPENAI:
-            return payload["choices"][0]["message"]["content"]
-        if provider == PROVIDER_ANTHROPIC:
-            return payload["content"][0]["text"]
-        return payload["candidates"][0]["content"]["parts"][0]["text"]
+            text = payload["choices"][0]["message"]["content"]
+        elif provider == PROVIDER_ANTHROPIC:
+            text = payload["content"][0]["text"]
+        else:
+            text = payload["candidates"][0]["content"]["parts"][0]["text"]
     except (KeyError, IndexError, TypeError) as exc:
         raise ProviderError(200, f"unexpected response shape: {exc}")
+    if not isinstance(text, str):  # "content": null, say
+        raise ProviderError(200, f"unexpected response shape: text is {type(text).__name__}")
+    return text
 
 
 def _requests_transport(url: str, headers: dict, body: dict, timeout: float) -> tuple[int, object]:

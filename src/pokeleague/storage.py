@@ -389,6 +389,9 @@ def _lacking_inside(path: str | Path, kind: str, record: dict,
     Action, in place, and sets log.winner_side from a BattleEnded event.
     """
     if kind == "meta":
+        for key in ("agents", "team_names"):
+            if type(record[key]) is not dict:
+                raise StorageError(f"{path}: meta record: {key} is not an object")
         agents, teams = record["agents"], record["team_names"]
         lacking = frozenset(k for k in SIDE_KEYS if k not in agents or k not in teams)
         if lacking:
@@ -447,7 +450,11 @@ def _lacking_inside(path: str | Path, kind: str, record: dict,
             if action.is_attack and not listed:
                 raise _fault(path, record, f"illegal action {action}")
     elif kind == "events":
+        if type(record["events"]) is not list:
+            raise StorageError(f"{path}: turn {record['turn']}: events is not a list")
         for event in record["events"]:
+            if type(event) is not dict:
+                raise StorageError(f"{path}: turn {record['turn']}: an event is not an object")
             if "kind" not in event or event["kind"] == "BattleEnded" and "winner" not in event:
                 return frozenset({"kind", "winner"}).difference(event)
             if event["kind"] == "BattleEnded":

@@ -716,6 +716,17 @@ NO_ATTACK = "context attack is not an object holding move_index, effectiveness a
                  id="string-seed"),
     pytest.param(set_in("meta", "turn_limit", 500.0), "meta record: turn_limit is not an integer",
                  id="float-turn-limit"),
+    pytest.param(set_in("meta", "agents", "ab"), "meta record: agents is not an object",
+                 id="agents-string"),
+    pytest.param(set_in("meta", "agents", None), "meta record: agents is not an object",
+                 id="agents-null"),
+    pytest.param(set_in("meta", "team_names", "ab"), "meta record: team_names is not an object",
+                 id="team-names-string"),
+    pytest.param(set_in("meta", "team_names", None), "meta record: team_names is not an object",
+                 id="team-names-null"),
+    pytest.param(set_in("events", "events", 7), "turn 1: events is not a list", id="events-7"),
+    pytest.param(set_in("events", "events", [3]), "turn 1: an event is not an object",
+                 id="event-3"),
     pytest.param(set_in("team_names", "b", 5), "meta record: team_names 'b' is not a list",
                  id="team-5"),
     pytest.param(set_in("team_names", "a", "abcdef"),

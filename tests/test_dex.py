@@ -149,6 +149,25 @@ def test_bad_cell_value_rejected(dex_doc, write_dex):
     assert INVARIANT_VIOLATION in excinfo.value.kinds()
 
 
+@pytest.mark.parametrize("holder, key, entry", [
+    (lambda doc: doc["moves"][0], "power", "move 'Thunderbolt'"),
+    (lambda doc: doc["moves"][0], "accuracy", "move 'Thunderbolt'"),
+    (lambda doc: doc["moves"][0], "priority", "move 'Thunderbolt'"),
+    (lambda doc: doc["moves"][0]["effect"], "chance", "move 'Thunderbolt'"),
+    (lambda doc: doc["species"][0], "dex_id", "species 'Venusaur'"),
+    (lambda doc: doc["species"][0]["base_stats"], "spe", "species 'Venusaur'"),
+    (lambda doc: doc["chart"]["Fire"], "Water", "chart[Fire][Water]"),
+], ids=["power", "accuracy", "priority", "chance", "dex-id", "base-stat", "chart-cell"])
+def test_a_json_bool_is_not_a_number(dex_doc, write_dex, holder, key, entry):
+    doc = copy.deepcopy(dex_doc)
+    holder(doc)[key] = True
+    with pytest.raises(DexValidationError) as excinfo:
+        load_dex(write_dex(doc))
+    first = excinfo.value.issues[0]
+    assert (first.kind, first.entry) == (INVARIANT_VIOLATION, entry)
+    assert "True" in first.message
+
+
 def test_dual_types_must_be_distinct(dex_doc, write_dex):
     doc = copy.deepcopy(dex_doc)
     doc["species"][0]["types"] = ["Water", "Water"]

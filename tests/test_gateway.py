@@ -264,7 +264,7 @@ def test_extract_first_json_raises_only_parse_errors(raw):
 
 
 def rescanning_extract(raw, max_scan_chars):
-    """extract_first_json as it was before its one-pass scan: each candidate start is
+    """extract_first_json without its raw_decode fast path: each candidate start is
     scanned afresh and handed to json.loads.  The reference for every parse outcome."""
     budget = max_scan_chars
     start = raw.find("{")
@@ -324,7 +324,7 @@ def test_one_pass_parse_agrees_with_rescanning_every_start(max_scan_chars, raw):
 @pytest.mark.parametrize("max_scan_chars", [1_000_000, 40, 13])
 def test_one_pass_parse_agrees_on_many_random_replies(max_scan_chars):
     """A seeded sweep wider than the property above: the string-state bookkeeping
-    (escapes, quotes, stacks joined at their tops) shows only on some replies."""
+    (escapes, quotes) and the fast path's cutoff show only on some replies."""
     rng = random.Random(max_scan_chars)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gateway, "MAX_SCAN_CHARS", max_scan_chars)
@@ -341,11 +341,13 @@ def test_one_pass_parse_agrees_on_many_random_replies(max_scan_chars):
     "{" * 100_000, '{"a":' * 3000 + "1" + "}" * 3000, '{"a":' * 20_000,
     'x {"s": "}{\\"{"} {"a": {"b": [1, {"c": "\\\\"}]}} tail',
     '{"\\"' * 25_000, '{"\\"' * 250_000, '{"' * 500_000, '{"a": "' + "x y " * 500_000,
+    '{]' * 500_000, ('{' * 500 + '}' * 500 + 'x') * 1000,
 ], ids=["brace-run", "deep-nesting", "unclosed-keys", "strings-and-escapes",
-        "escaped-quotes-100k", "escaped-quotes-1m", "brace-quote-1m", "open-string-2m"])
+        "escaped-quotes-100k", "escaped-quotes-1m", "brace-quote-1m", "open-string-2m",
+        "brace-bracket-1m", "balanced-blocks"])
 def test_one_pass_parse_agrees_on_the_worst_cases(raw):
-    """Every start opens inside another's string in the escaped-quote cases, so the
-    stacks are joined on every repeat; the parse stays one bounded pass."""
+    """Replies that make the scans cost the most: every start open to the budget's
+    end, or a long balanced span per start that does not parse; the work stays bounded."""
     started = time.perf_counter()
     outcome = parse_outcome(extract_first_json, raw)
     assert time.perf_counter() - started < 2.0
@@ -556,6 +558,24 @@ def test_anthropic_and_gemini_wire_shapes(monkeypatch):
     assert exchange.response_text == "gemini says hi"
     assert "key=secret" in seen["url"]
     assert seen["body"]["contents"][0]["parts"][0]["text"] == "p"
+
+
+@pytest.mark.parametrize("provider, payload", [
+    ("openai_compatible", {"choices": [{"message": {"content": None}}]}),
+    ("anthropic", {"content": [{"text": 7}]}),
+    ("gemini", {"candidates": [{"content": {"parts": [{"text": ["a"]}]}}]}),
+], ids=["openai-null", "anthropic-int", "gemini-list"])
+def test_a_reply_text_that_is_not_a_string_is_a_provider_error(monkeypatch, dex, provider, payload):
+    """It fails the decision like any provider error, so the league falls back."""
+    monkeypatch.setenv("POKELEAGUE_TEST_KEY", "k")
+    monkeypatch.setattr(gateway, "_requests_transport", lambda *args: (200, payload))
+    config = make_config(provider=provider)
+    with pytest.raises(ProviderError, match="unexpected response shape: text is ") as excinfo:
+        complete(config, "p", sleep=lambda s: None)
+    assert excinfo.value.status == 200
+    with pytest.raises(AgentFailure) as failure:
+        LlmAgent("m", config, dex).select_team(make_pool_view(dex))
+    assert failure.value.errors == (f"ProviderError: {excinfo.value}",)
 
 
 def test_provider_config_validation():
