@@ -6,8 +6,9 @@ inputs, so identical situations always produce identical decisions and
 whole matches replay exactly.
 
 Every decision is an AgentDecision: an engine.Action or a team pick, a
-tuple of pool indices.  The league holds every agent's pick to one rule,
-gateway.check_team, and every action to engine.is_legal.
+tuple of positions in the draft pool, the dex's own Species in pool
+order.  The league holds every agent's pick to one rule,
+gateway.check_team, and every action to another, gateway.check_action.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-from .dex import TEAM_SIZE, Dex, type_multiplier
+from .dex import TEAM_SIZE, Dex, Species, type_multiplier
 from .engine import Action, BattleView, compute_stats, expected_damage
 from .rng import SeededStream, stable_hash64
 
@@ -47,23 +48,12 @@ class AgentDecision:
 
 
 @dataclass(frozen=True)
-class PoolEntry:
-    """One draftable species as shown to agents."""
-
-    index: int
-    name: str
-    types: tuple[str, ...]
-    base_stats: dict[str, int]
-    moves: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class AgentProfile:
     """Tournament entrant description, as written in config files.
 
-    kind is one of "random", "greedy", "llm", or "mock".  LLM entrants
-    reference a named provider config; mock entrants carry a canned
-    response script path.
+    kind is one of "random", "greedy", "llm", or "mock" (league.build_agent
+    makes each).  LLM entrants reference a named provider config; mock
+    entrants carry a canned response script path.
     """
 
     agent_id: str
@@ -98,20 +88,15 @@ class Agent(Protocol):
 
     agent_id: str
 
-    def select_team(self, pool: Sequence[PoolEntry]) -> AgentDecision: ...
+    def select_team(self, pool: Sequence[Species]) -> AgentDecision: ...
 
     def choose_action(self, view: BattleView, legal: Sequence[Action]) -> AgentDecision: ...
 
 
-def make_pool_view(dex: Dex) -> list[PoolEntry]:
-    """The draft pool exactly as agents (and prompts) see it."""
-    entries = []
-    for i, name in enumerate(dex.pool):
-        sp = dex.species[name]
-        entries.append(PoolEntry(
-            index=i, name=sp.name, types=sp.types,
-            base_stats=dict(sp.base_stats), moves=sp.moves))
-    return entries
+def make_pool_view(dex: Dex) -> list[Species]:
+    """The draft pool exactly as agents (and prompts) see it: the dex's
+    species in pool order, each picked by its position."""
+    return [dex.species[name] for name in dex.pool]
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +133,7 @@ class RandomAgent:
     def _stream_for(self, *inputs: object) -> SeededStream:
         return SeededStream(stable_hash64(self.agent_id, self.seed, *inputs))
 
-    def select_team(self, pool: Sequence[PoolEntry]) -> AgentDecision:
+    def select_team(self, pool: Sequence[Species]) -> AgentDecision:
         rng = self._stream_for("team", len(pool), *(e.name for e in pool))
         remaining = list(range(len(pool)))
         picks = []
@@ -168,7 +153,7 @@ class GreedyAgent:
     """Maximizes immediate expected damage, mirroring type-chart play.
 
     Drafting: the six highest base-stat totals with all-distinct primary
-    types, ties broken by lower pool index.  In battle: the attack with
+    types, ties broken by lower pool position.  In battle: the attack with
     the highest damage at roll 100 and no crit; if every attack deals 0
     (all immune), switch to the teammate whose best move multiplier
     against the opposing active is highest.
@@ -178,14 +163,14 @@ class GreedyAgent:
         self.agent_id = agent_id
         self.dex = dex
 
-    def select_team(self, pool: Sequence[PoolEntry]) -> AgentDecision:
-        order = sorted(pool, key=lambda e: (-sum(e.base_stats.values()), e.index))
-        # The first entry of each primary type in that order (reversed, so it is written last).
-        first = {e.types[0]: e.index for e in reversed(order)}
+    def select_team(self, pool: Sequence[Species]) -> AgentDecision:
+        order = sorted(range(len(pool)), key=lambda i: (-sum(pool[i].base_stats.values()), i))
+        # The first position of each primary type in that order (reversed, so it is written last).
+        first = {pool[i].types[0]: i for i in reversed(order)}
         # A stable sort puts those first and the rest after, which top up a pool
         # with fewer distinct primaries than team slots.
-        ranked = sorted(order, key=lambda e: first[e.types[0]] != e.index)
-        picks = [e.index for e in ranked[:TEAM_SIZE]]
+        ranked = sorted(order, key=lambda i: first[pool[i].types[0]] != i)
+        picks = ranked[:TEAM_SIZE]
         names = ", ".join(pool[i].name for i in picks)
         return AgentDecision(
             team=tuple(picks),
@@ -215,7 +200,8 @@ class GreedyAgent:
             def best_multiplier(action: Action) -> float:
                 member = view.own_team[action.index]
                 mults = [
-                    self._type_mult(m, view.opponent_active.types)
+                    type_multiplier(self.dex.chart, self.dex.moves[m].move_type,
+                                    view.opponent_active.types)
                     for m in member.moves if self.dex.moves[m].is_damaging
                 ]
                 return max(mults, default=0.0)
@@ -227,6 +213,3 @@ class GreedyAgent:
                 reasoning=f"Switching to {member.species} for a better matchup.")
 
         return AgentDecision(action=legal[0], reasoning="No damaging option; using the first move.")
-
-    def _type_mult(self, move_name: str, defender_types: Sequence[str]) -> float:
-        return type_multiplier(self.dex.chart, self.dex.moves[move_name].move_type, defender_types)

@@ -21,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import analytics, storage
-from .agents import ConfigError, GreedyAgent, RandomAgent
+from .agents import AgentProfile, ConfigError
 from .dex import DexValidationError, open_dex
 from .rng import stable_hash64
 
@@ -30,13 +30,12 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
-def _make_scripted_agent(spec: str, agent_id: str, dex):
+def _scripted_profile(spec: str, prefix: str) -> AgentProfile:
     """Agent spec grammar: "greedy", "random", or "random:<seed>"."""
-    if spec == "greedy":
-        return GreedyAgent(agent_id, dex)
-    name, _, arg = spec.partition(":")
-    if name == "random" and re.fullmatch(r"(-?[0-9]+)?", arg):
-        return RandomAgent(agent_id, int(arg or 0))
+    kind, _, arg = spec.partition(":")
+    if spec == "greedy" or kind == "random" and re.fullmatch(r"(-?[0-9]+)?", arg):
+        agent_id = f"{prefix}-{spec.replace(':', '-')}"
+        return AgentProfile(agent_id=agent_id, kind=kind, seed=int(arg or 0))
     raise ConfigError(f"unknown scripted agent spec {spec!r} (expected greedy or random[:seed])")
 
 
@@ -63,11 +62,12 @@ def cmd_simulate(args) -> int:
     if args.count <= 0:
         raise ConfigError("--count must be positive")
     dex, fingerprint = open_dex(args.dex)
-    agent_a = _make_scripted_agent(args.agent_a, "a-" + args.agent_a.replace(":", "-"), dex)
-    agent_b = _make_scripted_agent(args.agent_b, "b-" + args.agent_b.replace(":", "-"), dex)
-    config = league.LeagueConfig(turn_limit=args.turn_cap)
+    config = league.TournamentConfig(
+        entrants=[_scripted_profile(args.agent_a, "a"), _scripted_profile(args.agent_b, "b")],
+        league=league.LeagueConfig(turn_limit=args.turn_cap))
+    agent_a, agent_b = (league.build_agent(profile, dex, config) for profile in config.entrants)
 
-    runner = league.MatchRunner(dex, config, args.out, fingerprint)
+    runner = league.MatchRunner(dex, config.league, args.out, fingerprint)
     tallies = {agent_a.agent_id: 0, agent_b.agent_id: 0}
     total_turns = 0
     for i in range(args.count):

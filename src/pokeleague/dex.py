@@ -11,7 +11,8 @@ import json
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from types import MappingProxyType
+from typing import Container, Mapping, Sequence
 
 TYPE_NAMES: tuple[str, ...] = (
     "Normal", "Fire", "Water", "Electric", "Grass", "Ice",
@@ -98,10 +99,12 @@ class MoveDef:
 
 @dataclass(frozen=True)
 class Species:
+    """One species; agents draft from these very values, so base_stats is read-only."""
+
     dex_id: int
     name: str
     types: tuple[str, ...]
-    base_stats: dict[str, int]
+    base_stats: Mapping[str, int]
     moves: tuple[str, str, str, str]
     auto_weather: str | None = None
 
@@ -168,9 +171,9 @@ def load_dex(path: str | Path) -> Dex:
 
     types = _parse_types(doc["types"], issues)
     chart = _parse_chart(doc["chart"], types, issues)
-    moves = _parse_moves(doc["moves"], types, issues)
-    species = _parse_species(doc["species"], types, moves, issues)
-    pool = _parse_pool(doc["pool"], species, issues)
+    moves, move_names = _parse_moves(doc["moves"], types, issues)
+    species, species_names = _parse_species(doc["species"], types, move_names, issues)
+    pool = _parse_pool(doc["pool"], species_names, issues)
 
     if issues:
         raise DexValidationError(issues)
@@ -224,21 +227,26 @@ def _parse_chart(raw: object, types: tuple[str, ...], issues: list[DexIssue]) ->
     return TypeChart(cells)
 
 
-def _parse_moves(raw: object, types: tuple[str, ...], issues: list[DexIssue]) -> dict[str, MoveDef]:
+def _parse_moves(raw: object, types: tuple[str, ...],
+                 issues: list[DexIssue]) -> tuple[dict[str, MoveDef], set[str]]:
+    """The valid moves, and the name of every move entry: one that fails a
+    value check is still known, so the species listing it raise no issue."""
     moves: dict[str, MoveDef] = {}
+    names: set[str] = set()
     if not isinstance(raw, list):
         issues.append(DexIssue(MALFORMED_FILE, "moves", "must be a list"))
-        return moves
+        return moves, names
     for i, entry in enumerate(raw):
         label = f"moves[{i}]"
-        if not isinstance(entry, dict) or "name" not in entry:
-            issues.append(DexIssue(MALFORMED_FILE, label, "move entry must be an object with a name"))
+        if not isinstance(entry, dict) or type(entry.get("name")) is not str:
+            issues.append(DexIssue(MALFORMED_FILE, label, "move entry must be an object with a string name"))
             continue
         name = entry["name"]
         label = f"move {name!r}"
-        if name in moves:
+        if name in names:
             issues.append(DexIssue(INVARIANT_VIOLATION, label, "duplicate move name"))
             continue
+        names.add(name)
         move_type = entry.get("type")
         if move_type not in types:
             issues.append(DexIssue(UNKNOWN_REFERENCE, label, f"unknown move type {move_type!r}"))
@@ -278,29 +286,32 @@ def _parse_moves(raw: object, types: tuple[str, ...], issues: list[DexIssue]) ->
         moves[name] = MoveDef(
             name=name, move_type=move_type, category=category, power=power,
             accuracy=accuracy, priority=priority, effect=effect)
-    return moves
+    return moves, names
 
 
 def _parse_species(
     raw: object,
     types: tuple[str, ...],
-    moves: dict[str, MoveDef],
+    moves: Container[str],
     issues: list[DexIssue],
-) -> dict[str, Species]:
+) -> tuple[dict[str, Species], set[str]]:
+    """The valid species, and the name of every species entry (as _parse_moves)."""
     species: dict[str, Species] = {}
+    names: set[str] = set()
     if not isinstance(raw, list):
         issues.append(DexIssue(MALFORMED_FILE, "species", "must be a list"))
-        return species
+        return species, names
     for i, entry in enumerate(raw):
         label = f"species[{i}]"
-        if not isinstance(entry, dict) or "name" not in entry:
-            issues.append(DexIssue(MALFORMED_FILE, label, "species entry must be an object with a name"))
+        if not isinstance(entry, dict) or type(entry.get("name")) is not str:
+            issues.append(DexIssue(MALFORMED_FILE, label, "species entry must be an object with a string name"))
             continue
         name = entry["name"]
         label = f"species {name!r}"
-        if name in species:
+        if name in names:
             issues.append(DexIssue(INVARIANT_VIOLATION, label, "duplicate species name"))
             continue
+        names.add(name)
         ok = True
 
         dex_id = entry.get("dex_id")
@@ -350,12 +361,12 @@ def _parse_species(
         if ok:
             species[name] = Species(
                 dex_id=dex_id, name=name, types=tuple(raw_types),
-                base_stats={k: stats[k] for k in STAT_KEYS},
+                base_stats=MappingProxyType({k: stats[k] for k in STAT_KEYS}),
                 moves=tuple(move_names), auto_weather=auto_weather)
-    return species
+    return species, names
 
 
-def _parse_pool(raw: object, species: dict[str, Species], issues: list[DexIssue]) -> tuple[str, ...]:
+def _parse_pool(raw: object, species: Container[str], issues: list[DexIssue]) -> tuple[str, ...]:
     if not isinstance(raw, list) or not all(isinstance(n, str) for n in raw):
         issues.append(DexIssue(MALFORMED_FILE, "pool", "must be a list of species names"))
         return ()

@@ -17,10 +17,10 @@ import os
 import threading
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .agents import AgentDecision, ConfigError, PoolEntry
-from .dex import TEAM_SIZE, Dex, MoveDef
+from .agents import AgentDecision, ConfigError
+from .dex import TEAM_SIZE, Dex, MoveDef, Species
 from .engine import Action, BattleView
 
 SYSTEM_PREAMBLE = (
@@ -39,11 +39,13 @@ PROVIDERS = (PROVIDER_OPENAI, PROVIDER_ANTHROPIC, PROVIDER_GEMINI)
 # ---------------------------------------------------------------------------
 
 class ParseError(Exception):
-    """A model response that cannot be turned into a valid decision.
+    """A model response that cannot be turned into a valid decision, or any
+    agent's decision that breaks its rule (check_team or check_action).
 
     kind names the defect: no_json_found, wrong_arity, index_out_of_range,
     duplicate_index, unknown_action_type or illegal_action.  It is logged
-    as the exchange's parse_outcome; str() is "kind: detail".
+    as the exchange's parse_outcome, or among the errors of a decision the
+    league replaced; str() is "kind: detail".
     """
 
     def __init__(self, kind: str, detail: str):
@@ -164,23 +166,23 @@ class RawExchange:
 # prompt rendering
 # ---------------------------------------------------------------------------
 
-def _format_stats(stats: dict[str, int]) -> str:
+def _format_stats(stats: Mapping[str, int]) -> str:
     return (f"HP {stats['hp']}, Atk {stats['atk']}, Def {stats['def']}, "
             f"SpA {stats['spa']}, SpD {stats['spd']}, Spe {stats['spe']}")
 
 
-def build_team_prompt(pool: Sequence[PoolEntry]) -> str:
-    """Draft instructions, the numbered pool, and the JSON shape to return."""
+def build_team_prompt(pool: Sequence[Species]) -> str:
+    """Draft instructions, the pool numbered by position, and the JSON shape to return."""
     lines = [
         "Select 6 Pokémon from the list below. Consider type coverage, "
         "weaknesses, and synergy. Provide a brief explanation for your team "
         "composition.",
         "",
     ]
-    for entry in pool:
+    for index, entry in enumerate(pool):
         types = "/".join(entry.types)
         moves = ", ".join(entry.moves)
-        lines.append(f"{entry.index}. {entry.name} ({types}) | "
+        lines.append(f"{index}. {entry.name} ({types}) | "
                      f"{_format_stats(entry.base_stats)} | Moves: {moves}")
     lines += [
         "",
@@ -353,6 +355,14 @@ def check_team(team: object, pool_size: int) -> tuple[int, ...]:
     return tuple(team)
 
 
+def check_action(action: object, legal: Sequence[Action]) -> Action:
+    """The action rule for every agent: one of the legal actions.
+    Returns the action; anything else raises an illegal_action ParseError."""
+    if action not in legal:
+        raise ParseError("illegal_action", f"{action} is not in the legal action set")
+    return action
+
+
 def parse_team_response(raw: str, pool_size: int) -> tuple[tuple[int, ...], str]:
     """Extract a team pick that passes check_team, and its reasoning."""
     obj = extract_first_json(raw)
@@ -360,7 +370,7 @@ def parse_team_response(raw: str, pool_size: int) -> tuple[tuple[int, ...], str]
 
 
 def parse_action_response(raw: str, legal: Sequence[Action]) -> tuple[Action, str]:
-    """Extract an action (Action.from_dict) and check it against the legal set."""
+    """Extract an action (Action.from_dict) that passes check_action, and its reasoning."""
     obj = extract_first_json(raw)
     payload = obj.get("action")
     if not isinstance(payload, dict):
@@ -372,9 +382,7 @@ def parse_action_response(raw: str, legal: Sequence[Action]) -> tuple[Action, st
         action = Action.from_dict(payload)
     except ValueError as exc:  # an index that is not an int
         raise ParseError("illegal_action", str(exc)) from None
-    if action not in legal:
-        raise ParseError("illegal_action", f"{action} is not in the legal action set")
-    return action, _reasoning_of(obj)
+    return check_action(action, legal), _reasoning_of(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +611,7 @@ class LlmAgent:
                                  exchanges=tuple(exchanges), errors=tuple(errors))
         raise AgentFailure(exchanges=tuple(exchanges), errors=tuple(errors))
 
-    def select_team(self, pool: Sequence[PoolEntry]) -> AgentDecision:
+    def select_team(self, pool: Sequence[Species]) -> AgentDecision:
         prompt = build_team_prompt(pool)
         return self._decide(prompt, "team", lambda raw: parse_team_response(raw, len(pool)))
 
@@ -651,11 +659,3 @@ class ScriptCompleter:
         text = responses[self._cursor[kind] % len(responses)]
         self._cursor[kind] += 1
         return RawExchange(prompt=prompt, response_text=text, latency_ms=0.0, attempt=1)
-
-
-def make_mock_agent(agent_id: str, script_path: str, dex: Dex) -> LlmAgent:
-    """LLM agent wired to a canned-response script instead of a provider."""
-    config = ProviderConfig(
-        provider=PROVIDER_OPENAI, endpoint="mock://script", model="mock",
-        api_key_env="POKELEAGUE_MOCK_KEY")
-    return LlmAgent(agent_id, config, dex, completer=ScriptCompleter.from_file(script_path))

@@ -21,12 +21,13 @@ from .agents import (
     fallback_action, fallback_team, make_pool_view,
 )
 from .dex import Dex
-from .engine import (
-    Action, BattleState, DEFAULT_TURN_LIMIT, init_battle, is_legal, legal_actions, view_for,
-)
+from .engine import Action, BattleState, DEFAULT_TURN_LIMIT, init_battle, legal_actions, view_for
 # Not called here (storage.play_battle is); benchmarks/tracing.py wraps league.<name>.
 from .engine import resolve_replacements, resolve_turn  # noqa: F401
-from .gateway import AgentFailure, LlmAgent, ParseError, ProviderConfig, check_team, make_mock_agent
+from .gateway import (
+    PROVIDER_OPENAI, AgentFailure, LlmAgent, ParseError, ProviderConfig, ScriptCompleter,
+    check_action, check_team,
+)
 from .rng import stable_hash64
 
 END_FORFEIT = "Forfeit"
@@ -119,6 +120,7 @@ class TournamentConfig:
 
 
 def build_agent(profile: AgentProfile, dex: Dex, config: TournamentConfig) -> Agent:
+    """The agent of an entrant, for every kind; the one place that makes agents."""
     if profile.kind == "random":
         return RandomAgent(profile.agent_id, profile.seed)
     if profile.kind == "greedy":
@@ -128,9 +130,13 @@ def build_agent(profile: AgentProfile, dex: Dex, config: TournamentConfig) -> Ag
             raise ConfigError(
                 f"mock entrant {profile.agent_id!r}: no script file {profile.script!r}")
         try:
-            return make_mock_agent(profile.agent_id, profile.script, dex)
+            completer = ScriptCompleter.from_file(profile.script)
         except ConfigError as exc:
             raise ConfigError(f"mock entrant {profile.agent_id!r}: {exc}") from None
+        # An LLM agent wired to its canned-response script instead of a provider.
+        mock = ProviderConfig(provider=PROVIDER_OPENAI, endpoint="mock://script", model="mock",
+                              api_key_env="POKELEAGUE_MOCK_KEY")
+        return LlmAgent(profile.agent_id, mock, dex, completer=completer)
     if profile.kind == "llm":
         if profile.provider not in config.providers:
             raise ConfigError(f"entrant {profile.agent_id!r} references unknown provider "
@@ -203,13 +209,14 @@ class MatchRunner:
 
     # -- asking an agent -----------------------------------------------------
 
-    def _ask(self, side: int, call, miss, fallback) -> AgentDecision:
+    def _ask(self, side: int, call, check, fallback) -> AgentDecision:
         """One agent call, for a draft or a battle action.
 
-        miss(decision) names why a decision lies outside its legal set, or
-        is empty.  If the agent fails or misses, the decision is fallback()
-        with the exchanges and errors behind the failure (a miss adds its
-        own) and fallback_used set, or under disqualify_on_failure the side
+        check(decision) raises the ParseError of the decision's rule
+        (gateway.check_team or gateway.check_action) if it breaks it.  If
+        the agent fails or breaks the rule, the decision is fallback() with
+        the exchanges and errors behind the failure (a breach adds its own)
+        and fallback_used set, or under disqualify_on_failure the side
         forfeits the match.
         """
         try:
@@ -217,10 +224,12 @@ class MatchRunner:
         except AgentFailure as failure:
             exchanges, errors = failure.exchanges, failure.errors
         else:
-            error = miss(decision)
-            if not error:
+            try:
+                check(decision)
+            except ParseError as err:
+                exchanges, errors = decision.exchanges, (*decision.errors, str(err))
+            else:
                 return decision
-            exchanges, errors = decision.exchanges, (*decision.errors, error)
         if self.config.disqualify_on_failure:
             raise _Forfeit(side)
         return replace(fallback(), exchanges=exchanges, errors=errors, fallback_used=True)
@@ -242,10 +251,10 @@ class MatchRunner:
 
         # Sampling parameters of LLM-backed sides, recorded for reproducibility.
         provider_params = {}
-        for side in (0, 1):
+        for side, key in enumerate(storage.SIDE_KEYS):
             provider = getattr(agents[side], "config", None)
             if isinstance(provider, ProviderConfig):
-                provider_params["a" if side == 0 else "b"] = provider.to_dict()
+                provider_params[key] = provider.to_dict()
 
         with storage.MatchLog(self.log_dir / log_name) as log:
             def choose(state: BattleState, side: int, phase: str) -> Action:
@@ -254,8 +263,7 @@ class MatchRunner:
                 legal = legal_actions(state, side)
                 decision = self._ask(
                     side, lambda: agent.choose_action(view, legal),
-                    lambda d: "" if is_legal(state, side, d.action)
-                    else f"illegal_action: {d.action} is not in the legal action set",
+                    lambda d: check_action(d.action, legal),
                     lambda: AgentDecision(action=fallback_action(legal)))
                 log.append(storage.decision_record(
                     decision, turn=state.turn_number, agent_id=agent.agent_id, side=side,
@@ -271,8 +279,8 @@ class MatchRunner:
                 seed=seed,
                 turn_limit=self.config.turn_limit,
                 dex_fingerprint=self.dex_fingerprint,
-                agents={"a": agents[0].agent_id, "b": agents[1].agent_id},
-                team_names={"a": team_names[0], "b": team_names[1]},
+                agents=dict(zip(storage.SIDE_KEYS, (agents[0].agent_id, agents[1].agent_id))),
+                team_names=dict(zip(storage.SIDE_KEYS, team_names)),
                 initial_digest=init_record["post_digest"],
                 config=self.config.to_dict(),
                 provider_params=provider_params,
@@ -300,17 +308,7 @@ class MatchRunner:
         if agent_a.agent_id == agent_b.agent_id:
             raise ConfigError("a match needs two distinct agents")
         agents = {0: agent_a, 1: agent_b}
-        pool_view = make_pool_view(self.dex)
-
-        def team_fallback() -> AgentDecision:
-            return AgentDecision(team=fallback_team())
-
-        def team_miss(decision: AgentDecision) -> str:
-            try:
-                check_team(decision.team, len(pool_view))
-            except ParseError as err:
-                return str(err)
-            return ""
+        pool = make_pool_view(self.dex)
 
         # Both sides draft even if one forfeits; the first side that fails loses.
         forfeit_side: int | None = None
@@ -320,11 +318,13 @@ class MatchRunner:
                 decision = self._cached_teams[agent.agent_id]
             else:
                 try:
-                    decision = self._ask(side, lambda: agent.select_team(pool_view), team_miss,
-                                         team_fallback)
+                    decision = self._ask(
+                        side, lambda: agent.select_team(pool),
+                        lambda d: check_team(d.team, len(pool)),
+                        lambda: AgentDecision(team=fallback_team()))
                 except _Forfeit:
                     forfeit_side = side if forfeit_side is None else forfeit_side
-                    decision = replace(team_fallback(), fallback_used=True)
+                    decision = AgentDecision(team=fallback_team(), fallback_used=True)
                 else:
                     if not self.config.draft_per_match:
                         self._cached_teams[agent.agent_id] = replace(
@@ -355,7 +355,8 @@ class MatchRunner:
             winner_side, end_reason = 1 - forfeit_side, END_FORFEIT
         return MatchResult(
             match_id=match_id, agent_a=agent_a.agent_id, agent_b=agent_b.agent_id,
-            teams={"a": drafts[0][0]["decision"]["team"], "b": drafts[1][0]["decision"]["team"]},
+            teams={key: draft[0]["decision"]["team"]
+                   for key, draft in zip(storage.SIDE_KEYS, drafts)},
             winner=agents[winner_side].agent_id, loser=agents[1 - winner_side].agent_id,
             winner_side=winner_side,
             turn_count=sum(g.turn_count for g in games),

@@ -15,12 +15,12 @@ from conftest import set_battler
 
 
 def greedy_team_oracle(pool):
-    """Independent re-implementation: sort by (-total, index), scan distinct primaries."""
-    ranked = sorted(pool, key=lambda e: (-sum(e.base_stats.values()), e.index))
+    """Independent re-implementation: sort by (-total, position), scan distinct primaries."""
+    ranked = sorted(enumerate(pool), key=lambda item: (-sum(item[1].base_stats.values()), item[0]))
     picks, seen = [], set()
-    for entry in ranked:
+    for position, entry in ranked:
         if entry.types[0] not in seen:
-            picks.append(entry.index)
+            picks.append(position)
             seen.add(entry.types[0])
         if len(picks) == 6:
             break
@@ -32,6 +32,15 @@ def test_greedy_team_matches_oracle(dex):
     decision = GreedyAgent("g", dex).select_team(pool)
     assert decision.team == greedy_team_oracle(pool)
     assert decision.reasoning
+
+
+def test_the_pool_is_the_dex_species_read_only(dex):
+    pool = make_pool_view(dex)
+    assert all(entry is dex.species[name] for entry, name in zip(pool, dex.pool, strict=True))
+    before = {name: dict(sp.base_stats) for name, sp in dex.species.items()}
+    with pytest.raises(TypeError):
+        pool[0].base_stats["hp"] = 1
+    assert {name: dict(sp.base_stats) for name, sp in dex.species.items()} == before
 
 
 def test_greedy_team_primaries_distinct(dex):

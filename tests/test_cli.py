@@ -55,6 +55,23 @@ def test_dex_validate_chart_gap(dex_doc, write_dex, capsys):
     assert "Steel" in err and "Ghost" in err
 
 
+@pytest.mark.parametrize("holder, key, issue", [
+    (lambda doc: doc["moves"][0], "power",
+     "[invariant_violation] move 'Thunderbolt': power must be an integer >= 0, got True"),
+    (lambda doc: doc["species"][0], "dex_id",
+     "[invariant_violation] species 'Venusaur': dex_id must be an integer, got True"),
+], ids=["move", "species"])
+def test_dex_validate_lists_one_defect_once(dex_doc, write_dex, capsys, holder, key, issue):
+    """An entry that fails a value check stays a known name: the species that
+    list the move, and the pool slot of the species, add no issue."""
+    import copy
+
+    doc = copy.deepcopy(dex_doc)
+    holder(doc)[key] = True
+    assert main(["dex", "validate", str(write_dex(doc))]) == 1
+    assert capsys.readouterr().err.splitlines() == [issue, "1 issue(s) found"]
+
+
 POOL_ISSUE = "[invariant_violation] pool: a pool of 5 species cannot field a team of 6"
 
 

@@ -168,6 +168,15 @@ def test_a_json_bool_is_not_a_number(dex_doc, write_dex, holder, key, entry):
     assert "True" in first.message
 
 
+@pytest.mark.parametrize("section", ["moves", "species"])
+def test_an_entry_whose_name_is_not_a_string_is_malformed(dex_doc, write_dex, section):
+    doc = copy.deepcopy(dex_doc)
+    doc[section][0]["name"] = [doc[section][0]["name"]]
+    with pytest.raises(DexValidationError) as excinfo:
+        load_dex(write_dex(doc))
+    assert (MALFORMED_FILE, f"{section}[0]") in [(i.kind, i.entry) for i in excinfo.value.issues]
+
+
 def test_dual_types_must_be_distinct(dex_doc, write_dex):
     doc = copy.deepcopy(dex_doc)
     doc["species"][0]["types"] = ["Water", "Water"]

@@ -82,9 +82,9 @@ def test_team_prompt_matches_golden(dex):
 def test_team_prompt_numbers_every_pool_entry(dex):
     pool = make_pool_view(dex)
     prompt = build_team_prompt(pool)
-    for entry in pool:
-        assert f"\n{entry.index}. {entry.name} (" in prompt or prompt.startswith(
-            f"{entry.index}. {entry.name} (")
+    for position, entry in enumerate(pool):
+        assert f"\n{position}. {entry.name} (" in prompt or prompt.startswith(
+            f"{position}. {entry.name} (")
     assert "30." not in prompt
     assert prompt.startswith("Select 6 Pokémon from the list below.")
     assert '"team"' in prompt and '"reasoning"' in prompt

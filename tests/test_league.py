@@ -187,34 +187,46 @@ def test_mid_game_failure_forfeits_the_match(dex, tmp_path, best_of, game, compl
 
 
 class IllegalIn(GreedyAgent):
-    """Greedy, except that in a decision of `phase` it picks a switch to no team slot."""
+    """Greedy, except that in a decision of `phase` it returns `decision`."""
 
-    def __init__(self, agent_id, dex, phase):
+    def __init__(self, agent_id, dex, phase, decision):
         super().__init__(agent_id, dex)
         self.phase = phase
+        self.decision = decision
 
     def choose_action(self, view, legal):
         phase = PHASE_FORCED_REPLACE if view.forced_replacement else PHASE_BATTLE
         if phase == self.phase:
-            return AgentDecision(action=Action.switch(TEAM_SIZE))
+            return self.decision
         return super().choose_action(view, legal)
 
 
-@pytest.mark.parametrize("phase", [PHASE_BATTLE, PHASE_FORCED_REPLACE])
-def test_an_action_outside_the_legal_set_is_an_agent_failure(dex, tmp_path, phase):
+NO_SLOT = (AgentDecision(action=Action.switch(TEAM_SIZE)),
+           f"illegal_action: {Action.switch(TEAM_SIZE)} is not in the legal action set")
+# A team pick where an action is due: its action is None.
+TEAM_PICK = (AgentDecision(team=tuple(range(TEAM_SIZE))),
+             "illegal_action: None is not in the legal action set")
+
+
+@pytest.mark.parametrize("phase, decision, error", [
+    (PHASE_BATTLE, *NO_SLOT), (PHASE_FORCED_REPLACE, *NO_SLOT),
+    (PHASE_BATTLE, *TEAM_PICK), (PHASE_FORCED_REPLACE, *TEAM_PICK),
+], ids=[PHASE_BATTLE, PHASE_FORCED_REPLACE,
+        f"{PHASE_BATTLE}-team-pick", f"{PHASE_FORCED_REPLACE}-team-pick"])
+def test_an_action_outside_the_legal_set_is_an_agent_failure(dex, tmp_path, phase, decision, error):
     lenient = MatchRunner(dex, LeagueConfig(), tmp_path)
-    result = lenient.run_match(IllegalIn("illegal", dex, phase), RandomAgent("random", 0), seed=0)
+    result = lenient.run_match(IllegalIn("illegal", dex, phase, decision), RandomAgent("random", 0),
+                               seed=0)
     assert result.end_reason != END_FORFEIT
     misses = [r for r in read_log(tmp_path / "m0.jsonl").records
               if r["kind"] == "decision" and r["agent_id"] == "illegal" and r["phase"] == phase]
     assert misses and all(
-        (r["fallback_used"], r["errors"]) == (True, [
-            f"illegal_action: {Action.switch(TEAM_SIZE)} is not in the legal action set"])
-        for r in misses)
+        (r["fallback_used"], r["errors"]) == (True, [error]) for r in misses)
     assert replay(tmp_path / "m0.jsonl", dex).winner_agent == result.winner
 
     strict = MatchRunner(dex, LeagueConfig(disqualify_on_failure=True), tmp_path / "strict")
-    result = strict.run_match(IllegalIn("illegal", dex, phase), RandomAgent("random", 0), seed=0)
+    result = strict.run_match(IllegalIn("illegal", dex, phase, decision), RandomAgent("random", 0),
+                              seed=0)
     assert (result.winner, result.loser, result.end_reason) == ("random", "illegal", END_FORFEIT)
 
 
