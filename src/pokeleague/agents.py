@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
+from .codec import make_encoder
 from .dex import TEAM_SIZE, Dex, Species, type_multiplier
 from .engine import Action, BattleView, compute_stats, expected_damage
 from .rng import SeededStream, stable_hash64
@@ -119,8 +120,8 @@ def fallback_action(legal: Sequence[Action]) -> Action:
 # baselines
 # ---------------------------------------------------------------------------
 
-# json.dumps(key, sort_keys=True) without building an encoder per decision.
-_KEY_ENCODER = json.JSONEncoder(sort_keys=True)
+# json.dumps(key, sort_keys=True), encoder built once.
+_KEY_ENCODER = make_encoder(json.JSONEncoder(sort_keys=True))
 
 
 class RandomAgent:
@@ -142,9 +143,9 @@ class RandomAgent:
         return AgentDecision(team=tuple(picks))
 
     def choose_action(self, view: BattleView, legal: Sequence[Action]) -> AgentDecision:
-        key = _KEY_ENCODER.encode([view.turn_number, view.side, [a.to_dict() for a in legal],
-                                   [(b.species, b.current_hp) for b in view.own_team],
-                                   view.opponent_active.species, view.opponent_active.hp_percent])
+        key = _KEY_ENCODER([view.turn_number, view.side, [a.to_dict() for a in legal],
+                            [(b.species, b.current_hp) for b in view.own_team],
+                            view.opponent_active.species, view.opponent_active.hp_percent])
         rng = self._stream_for("action", key)
         return AgentDecision(action=legal[rng.choice_index(len(legal))])
 

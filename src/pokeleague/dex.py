@@ -197,6 +197,7 @@ def _parse_types(raw: object, issues: list[DexIssue]) -> tuple[str, ...]:
 
 def _parse_chart(raw: object, types: tuple[str, ...], issues: list[DexIssue]) -> TypeChart:
     cells: dict[tuple[str, str], float] = {}
+    present: set[tuple[str, str]] = set()  # every cell given, one with a bad value too
     if not isinstance(raw, dict):
         issues.append(DexIssue(MALFORMED_FILE, "chart", "must be an object of objects"))
         return TypeChart(cells)
@@ -212,6 +213,7 @@ def _parse_chart(raw: object, types: tuple[str, ...], issues: list[DexIssue]) ->
                 issues.append(DexIssue(
                     UNKNOWN_REFERENCE, f"chart[{attacker}][{defender}]", "unknown defending type"))
                 continue
+            present.add((attacker, defender))
             if type(value) not in (int, float) or float(value) not in LEGAL_CELL_VALUES:  # a bool is no number
                 issues.append(DexIssue(
                     INVARIANT_VIOLATION, f"chart[{attacker}][{defender}]",
@@ -220,7 +222,7 @@ def _parse_chart(raw: object, types: tuple[str, ...], issues: list[DexIssue]) ->
             cells[(attacker, defender)] = float(value)
     for attacker in types:
         for defender in types:
-            if (attacker, defender) not in cells:
+            if (attacker, defender) not in present:
                 issues.append(DexIssue(
                     INVARIANT_VIOLATION, f"chart[{attacker}][{defender}]",
                     "matrix not total: missing cell"))

@@ -16,7 +16,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .agents import AgentDecision, ConfigError
@@ -136,7 +136,7 @@ class ProviderConfig:
             raise ConfigError(f"bad provider config: {exc}") from None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # asdict(self): every field is a scalar
 
 
 @dataclass
@@ -274,10 +274,18 @@ def repair_prompt(original: str, error: ParseError) -> str:
 # the text, so without a cap the count grows with the square of the
 # response length.
 MAX_SCAN_CHARS = 1_000_000
+# What a candidate that balances but does not decode also counts against
+# MAX_SCAN_CHARS: a failed decode costs about as much time as scanning this
+# many characters, so a reply made of short malformed candidates cannot
+# buy a million decode attempts.
+FAILED_DECODE_CHARS = 100
 
-# One decoder for every candidate; strict=False tolerates the literal
-# newlines inside strings that models frequently emit.
-_DECODER = json.JSONDecoder(strict=False)
+# One scanner for every candidate: the C scanner of a strict=False decoder
+# (which tolerates the literal newlines inside strings that models
+# frequently emit), called directly.  _SCAN(raw, i) decodes the value
+# starting at raw[i] into (value, end).  It raises StopIteration where the
+# text ends before a value it expects, and ValueError where it is not JSON.
+_SCAN = json.JSONDecoder(strict=False).scan_once
 
 
 def extract_first_json(raw: str) -> dict:
@@ -289,17 +297,19 @@ def extract_first_json(raw: str) -> dict:
     backslash escapes).  The first candidate that parses is the answer.
     Each candidate is scanned from its own start, and the scan counts
     against MAX_SCAN_CHARS: to its balancing "}", or to the end of the text
-    if its braces never balance.  A scan that reaches the remaining budget
-    before the end of the text gives up with a no_json_found ParseError.
+    if its braces never balance.  A candidate that balances but does not
+    decode counts FAILED_DECODE_CHARS more.  A scan that reaches the
+    remaining budget before the end of the text gives up with a
+    no_json_found ParseError.
     """
     start = raw.find("{")
     if start != -1:
         # Most replies: the first candidate parses.  An object that decodes
         # from a start ends at the "}" that balances it, so it is that candidate.
         try:
-            obj, end = _DECODER.raw_decode(raw, start)
-        except (ValueError, RecursionError):  # not JSON, too deep, or an int too long
-            pass
+            obj, end = _SCAN(raw, start)
+        except (StopIteration, ValueError, RecursionError):
+            pass  # not JSON, too deep, or an int too long
         else:
             if end - start <= MAX_SCAN_CHARS:
                 return obj
@@ -323,10 +333,18 @@ def extract_first_json(raw: str) -> dict:
             elif char == "}":
                 depth -= 1
                 if depth == 0:
+                    # Decoded from a copy of the candidate alone: a decode error
+                    # counts the newlines before its position in the text it is
+                    # given, so one from the whole reply would cost O(start).
+                    candidate = raw[start:pos + 1]
                     try:
-                        return _DECODER.decode(raw[start:pos + 1])  # a "{...}" that parses is an object
-                    except (ValueError, RecursionError):  # not JSON, too deep, or an int too long
-                        break
+                        obj, end = _SCAN(candidate, 0)
+                        if end == len(candidate):  # a "{...}" that parses is an object
+                            return obj
+                    except (StopIteration, ValueError, RecursionError):
+                        pass  # not JSON, too deep, or an int too long
+                    budget -= FAILED_DECODE_CHARS
+                    break
         else:
             if stop < len(raw):
                 raise ParseError("no_json_found",

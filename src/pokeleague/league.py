@@ -60,7 +60,7 @@ class LeagueConfig:
                 raise ConfigError(f"{name} must be true or false, got {value!r}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # asdict(self): every field is a scalar
 
 
 @dataclass
@@ -178,7 +178,10 @@ class MatchResult:
     log_files: list[str]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """asdict(self), copying only the fields that are not scalars."""
+        return {**vars(self), "teams": {side: list(team) for side, team in self.teams.items()},
+                "games": [dict(vars(game)) for game in self.games],
+                "log_files": list(self.log_files)}
 
 
 class _Forfeit(Exception):

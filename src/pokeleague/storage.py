@@ -24,6 +24,12 @@ strict about types as the encoder (true is not 1, 1 is not 1.0, -0.0 is
 not 0.0; key order is ignored) and encodes both only when the compare
 cannot vouch for a match.
 
+Lines are encoded as json.dumps(record, ensure_ascii=False) encodes them,
+by the stdlib's C encoder built once (codec.make_encoder), as are
+canonical_json's digests.  read_log decodes each line with the C scanner
+json.loads calls, and hands a line that is not one value with nothing after
+it to json.loads, so the error text stays the decoder's own.
+
 Digests cost one encoding per battler object: battlers are immutable and
 successive states share the ones a step leaves unchanged, so state_json
 keeps each battler's JSON by identity.  A battler a step creates costs
@@ -43,6 +49,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from .agents import AgentDecision
+from .codec import make_encoder
 from .dex import Dex
 from .engine import (
     Action, BattlerState, BattleState, init_battle, is_legal, needs_replacement,
@@ -74,21 +81,22 @@ class DigestMismatch(StorageError):
         super().__init__(f"replay diverged at turn {turn}" + (f": {detail}" if detail else ""))
 
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-# json.dumps(record, ensure_ascii=False) without building an encoder per record.
-_LOG_ENCODER = json.JSONEncoder(ensure_ascii=False)
+_CANONICAL = make_encoder(json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                           ensure_ascii=False))
+# json.dumps(record, ensure_ascii=False), encoder built once.
+_LOG_ENCODER = make_encoder(json.JSONEncoder(ensure_ascii=False))
 
 
 def canonical_json(obj: object) -> str:
     """Stable serialization used for digests and byte-equality checks."""
-    return _CANONICAL.encode(obj)
+    return _CANONICAL(obj)
 
 
 def _optional(value: object) -> str:
     """canonical_json(value), with None and int formatted directly."""
     if value is None:
         return "null"
-    return str(value) if type(value) is int else _CANONICAL.encode(value)
+    return str(value) if type(value) is int else _CANONICAL(value)
 
 
 # id(battler) -> (battler, its canonical JSON).  Battlers are immutable and
@@ -128,7 +136,7 @@ def _encode_battler(b: BattlerState) -> str:
     stats are not all exact ints is encoded whole.
     """
     if {type(b.level), type(b.max_hp), *map(type, b.stats.values())} != _INT_ONLY:
-        return _CANONICAL.encode(b.to_dict())
+        return _CANONICAL(b.to_dict())
     key = (b.species, b.types, b.moves, b.level, b.max_hp, tuple(b.stats.items()))
     fixed = _FIXED_JSON.get(key)
     if fixed is None:
@@ -136,10 +144,10 @@ def _encode_battler(b: BattlerState) -> str:
             _FIXED_JSON.clear()
         fixed = _FIXED_JSON[key] = (
             f',"level":{b.level},"max_hp":{b.max_hp},'
-            f'"moves":{_CANONICAL.encode(list(b.moves))},'
-            f'"species":{_CANONICAL.encode(b.species)},'
-            f'"stats":{_CANONICAL.encode(dict(b.stats))},"status":',
-            f',"types":{_CANONICAL.encode(list(b.types))}}}')
+            f'"moves":{_CANONICAL(list(b.moves))},'
+            f'"species":{_CANONICAL(b.species)},'
+            f'"stats":{_CANONICAL(dict(b.stats))},"status":',
+            f',"types":{_CANONICAL(list(b.types))}}}')
     status = ("null" if b.status is None else f'{{"kind":{_optional(b.status.kind)},'
               f'"turns_left":{_optional(b.status.turns_left)}}}')
     return f'{{"current_hp":{_optional(b.current_hp)}{fixed[0]}{status}{fixed[1]}'
@@ -187,7 +195,7 @@ class MatchLog:
     def append(self, *records: dict) -> None:
         if self._handle is None:
             raise StorageError(f"log {self.path} is closed")
-        self._handle.write("".join([_LOG_ENCODER.encode(record) + "\n" for record in records]))
+        self._handle.write("".join([_LOG_ENCODER(record) + "\n" for record in records]))
         self._handle.flush()
 
     def close(self) -> None:
@@ -465,6 +473,22 @@ def _lacking_inside(path: str | Path, kind: str, record: dict,
     return frozenset()
 
 
+# The C scanner json.loads calls, without the Python frames in front of it:
+# _SCAN(text, i) decodes the value starting at i into (value, end).  It raises
+# StopIteration where the text ends before a value it expects.
+_SCAN = json.JSONDecoder().scan_once
+
+
+def _decode_line(line: str) -> object:
+    """json.loads(line), by the C scanner alone when the line is one value and nothing else."""
+    try:
+        value, end = _SCAN(line, 0)
+    except StopIteration:
+        end = -1
+    # No value, or data after it: json.loads raises the decoder's own error.
+    return value if end == len(line) else json.loads(line)
+
+
 def read_log(path: str | Path) -> MatchLogData:
     """Parse and check a match log, walking its records once.
 
@@ -484,7 +508,7 @@ def read_log(path: str | Path) -> MatchLogData:
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
+                    record = _decode_line(line)
                 except (ValueError, RecursionError) as exc:  # or an int of over 4300 digits
                     raise StorageError(f"{path}:{line_no}: invalid JSON: {exc}")
                 if type(record) is not dict:

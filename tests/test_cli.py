@@ -60,10 +60,13 @@ def test_dex_validate_chart_gap(dex_doc, write_dex, capsys):
      "[invariant_violation] move 'Thunderbolt': power must be an integer >= 0, got True"),
     (lambda doc: doc["species"][0], "dex_id",
      "[invariant_violation] species 'Venusaur': dex_id must be an integer, got True"),
-], ids=["move", "species"])
+    (lambda doc: doc["chart"]["Fire"], "Water",
+     "[invariant_violation] chart[Fire][Water]: multiplier True not in {0, 0.5, 1, 2}"),
+], ids=["move", "species", "chart-cell"])
 def test_dex_validate_lists_one_defect_once(dex_doc, write_dex, capsys, holder, key, issue):
     """An entry that fails a value check stays a known name: the species that
-    list the move, and the pool slot of the species, add no issue."""
+    list the move, and the pool slot of the species, add no issue; a chart cell
+    with a bad value is still present, so the chart is still total."""
     import copy
 
     doc = copy.deepcopy(dex_doc)

@@ -263,9 +263,11 @@ def test_extract_first_json_raises_only_parse_errors(raw):
         pass
 
 
-def rescanning_extract(raw, max_scan_chars):
-    """extract_first_json without its raw_decode fast path: each candidate start is
-    scanned afresh and handed to json.loads.  The reference for every parse outcome."""
+def rescanning_extract(raw, max_scan_chars, failed_decode_chars):
+    """extract_first_json without its decode-from-the-first-start fast path: each
+    candidate start is scanned afresh and handed to json.loads, and a candidate
+    that fails to decode costs failed_decode_chars more.  The reference for
+    every parse outcome."""
     budget = max_scan_chars
     start = raw.find("{")
     while start != -1:
@@ -290,6 +292,7 @@ def rescanning_extract(raw, max_scan_chars):
                     try:
                         return json.loads(raw[start:pos + 1], strict=False)
                     except (json.JSONDecodeError, RecursionError):
+                        budget -= failed_decode_chars
                         break
         else:
             if stop < len(raw):
@@ -310,31 +313,40 @@ def parse_outcome(extract, *args):
 REPLY_PIECES = ['{', '}', '"', '\\', '\\"', '{"a": ', '"}', '1', ', ', ' x ', '[', ']', '\n']
 
 
+# MAX_SCAN_CHARS -> the FAILED_DECODE_CHARS tried with it: the shipped pair,
+# and small budgets that a few scans and failed decodes exhaust.
+FAILED_DECODE_CHARS_AT = {1_000_000: gateway.FAILED_DECODE_CHARS, 40: 3, 9: 1, 13: 100}
+
+
 @pytest.mark.parametrize("max_scan_chars", [1_000_000, 40, 9])
 @given(raw=st.text(alphabet='{}[]":,\\ a1', max_size=80)
        | st.lists(st.sampled_from(REPLY_PIECES), max_size=40).map("".join))
 def test_one_pass_parse_agrees_with_rescanning_every_start(max_scan_chars, raw):
     """Same object or same ParseError as the rescanning parser, budget exhaustion included."""
+    failed_decode_chars = FAILED_DECODE_CHARS_AT[max_scan_chars]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gateway, "MAX_SCAN_CHARS", max_scan_chars)
+        patch.setattr(gateway, "FAILED_DECODE_CHARS", failed_decode_chars)
         assert parse_outcome(extract_first_json, raw) == parse_outcome(
-            rescanning_extract, raw, max_scan_chars)
+            rescanning_extract, raw, max_scan_chars, failed_decode_chars)
 
 
 @pytest.mark.parametrize("max_scan_chars", [1_000_000, 40, 13])
 def test_one_pass_parse_agrees_on_many_random_replies(max_scan_chars):
     """A seeded sweep wider than the property above: the string-state bookkeeping
     (escapes, quotes) and the fast path's cutoff show only on some replies."""
+    failed_decode_chars = FAILED_DECODE_CHARS_AT[max_scan_chars]
     rng = random.Random(max_scan_chars)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gateway, "MAX_SCAN_CHARS", max_scan_chars)
+        patch.setattr(gateway, "FAILED_DECODE_CHARS", failed_decode_chars)
         for _ in range(10_000):
             if rng.random() < 0.5:
                 raw = "".join(rng.choices('{}[]":,\\ a1', k=rng.randint(0, 60)))
             else:
                 raw = "".join(rng.choices(REPLY_PIECES, k=rng.randint(0, 30)))
             assert parse_outcome(extract_first_json, raw) == parse_outcome(
-                rescanning_extract, raw, max_scan_chars), raw
+                rescanning_extract, raw, max_scan_chars, failed_decode_chars), raw
 
 
 @pytest.mark.parametrize("raw", [
@@ -342,16 +354,35 @@ def test_one_pass_parse_agrees_on_many_random_replies(max_scan_chars):
     'x {"s": "}{\\"{"} {"a": {"b": [1, {"c": "\\\\"}]}} tail',
     '{"\\"' * 25_000, '{"\\"' * 250_000, '{"' * 500_000, '{"a": "' + "x y " * 500_000,
     '{]' * 500_000, ('{' * 500 + '}' * 500 + 'x') * 1000,
+    ('{"a": 1 x}' * 5) * 20_000, '{x}' * 333_333,
 ], ids=["brace-run", "deep-nesting", "unclosed-keys", "strings-and-escapes",
         "escaped-quotes-100k", "escaped-quotes-1m", "brace-quote-1m", "open-string-2m",
-        "brace-bracket-1m", "balanced-blocks"])
+        "brace-bracket-1m", "balanced-blocks", "malformed-objects", "short-malformed"])
 def test_one_pass_parse_agrees_on_the_worst_cases(raw):
     """Replies that make the scans cost the most: every start open to the budget's
-    end, or a long balanced span per start that does not parse; the work stays bounded."""
+    end, a long balanced span per start that does not parse, or many short ones;
+    the work stays bounded."""
     started = time.perf_counter()
     outcome = parse_outcome(extract_first_json, raw)
     assert time.perf_counter() - started < 2.0
-    assert outcome == parse_outcome(rescanning_extract, raw, gateway.MAX_SCAN_CHARS)
+    assert outcome == parse_outcome(rescanning_extract, raw, gateway.MAX_SCAN_CHARS,
+                                    gateway.FAILED_DECODE_CHARS)
+
+
+@pytest.mark.parametrize("piece", ['{"a": 1 x}', "{x}"])
+def test_failed_decodes_are_charged_against_the_scan_budget(piece, monkeypatch):
+    """A reply of short malformed candidates gives up after the budget buys, in scanned
+    characters and FAILED_DECODE_CHARS per failed decode, not after a decode per start."""
+    decodes = []
+    scan = gateway._SCAN
+    monkeypatch.setattr(gateway, "_SCAN", lambda text, i: decodes.append(i) or scan(text, i))
+    raw = piece * (gateway.MAX_SCAN_CHARS // len(piece))
+    with pytest.raises(ParseError, match="gave up after scanning"):
+        extract_first_json(raw)
+    # One decode from the first start, then one per candidate while the budget
+    # left still reaches that candidate's "}".
+    cost = len(piece) + gateway.FAILED_DECODE_CHARS
+    assert len(decodes) == 2 + (gateway.MAX_SCAN_CHARS - len(piece)) // cost
 
 
 def test_extract_first_json_picks_first_object():

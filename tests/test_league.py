@@ -1,6 +1,7 @@
 """Match orchestration and the single-elimination bracket."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -344,6 +345,25 @@ def test_best_of_three(dex, tmp_path):
     winner_side_wins = sum(1 for g in result.games if g.winner_side == result.winner_side)
     assert winner_side_wins == 2
     assert result.log_files == [g.log_file for g in result.games]
+
+
+@pytest.mark.parametrize("best_of", [1, 3])
+def test_to_dict_is_asdict_with_fresh_containers(dex, tmp_path, best_of):
+    config = LeagueConfig(best_of=best_of)
+    result = MatchRunner(dex, config, tmp_path).run_match(
+        GreedyAgent("g", dex), RandomAgent("r", 4), seed=21, match_id="m0")
+    assert len(result.games) >= min(best_of, 2)
+    provider = ProviderConfig(provider="openai_compatible", endpoint="mock://x", model="m",
+                              api_key_env="POKELEAGUE_TEST_KEY")
+    for value in (result, config, provider):
+        got, want = value.to_dict(), asdict(value)
+        assert got == want and list(got) == list(want)
+    # Writing into the dict leaves the result as it was.
+    got, want = result.to_dict(), asdict(result)
+    got["teams"]["a"].append(99)
+    got["games"][0]["turn_count"] = -1
+    got["log_files"].append("extra.jsonl")
+    assert asdict(result) == want
 
 
 def test_a_drafts_exchanges_are_logged_in_the_first_game_only(dex, tmp_path):
