@@ -9,13 +9,17 @@ Every decision is an AgentDecision: an engine.Action or a team pick, a
 tuple of positions in the draft pool, the dex's own Species in pool
 order.  The league holds every agent's pick to one rule,
 gateway.check_team, and every action to another, gateway.check_action.
+
+Every config class checks its input with what sits beside ConfigError:
+check_setting, read_config_file and build_config.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from pathlib import Path
+from typing import Any, Callable, Protocol, Sequence
 
 from .codec import make_encoder
 from .dex import TEAM_SIZE, Dex, Species, type_multiplier
@@ -25,6 +29,31 @@ from .rng import SeededStream, stable_hash64
 
 class ConfigError(ValueError):
     """A setting, from a config file or the command line, that cannot be used."""
+
+
+def check_setting(name: str, value: object, kinds: tuple[type, ...], expected: str,
+                  in_range: Callable[[Any], object] = lambda value: True) -> None:
+    """The rule for every setting: value's exact type is one of kinds (so a bool
+    is not a number) and in_range(value) holds, or ConfigError says what it must be."""
+    if type(value) not in kinds or not in_range(value):
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+
+
+def read_config_file(path: str | Path, what: str) -> object:
+    """The JSON value in a config file; ConfigError, naming the file, if it is not JSON."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
+            raise ConfigError(f"{what} {str(path)!r} is not valid JSON: {exc}") from None
+
+
+def build_config(cls: type, raw: object, what: str) -> Any:
+    """cls(**raw); ConfigError, after what, for unknown or missing keys or a non-object."""
+    try:
+        return cls(**raw)
+    except TypeError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -66,11 +95,9 @@ class AgentProfile:
     script: str = ""
 
     def __post_init__(self):
-        # type(), not isinstance: a bool is not a seed
         for name, value in vars(self).items():
-            expected = int if name == "seed" else str
-            if type(value) is not expected:
-                raise ConfigError(f"entrant {name} must be {expected.__name__}, got {value!r}")
+            kind = int if name == "seed" else str
+            check_setting(f"entrant {name}", value, (kind,), kind.__name__)
 
     @property
     def label(self) -> str:
@@ -78,10 +105,7 @@ class AgentProfile:
 
     @staticmethod
     def from_dict(raw: dict) -> "AgentProfile":
-        try:
-            return AgentProfile(**raw)
-        except TypeError as exc:  # unknown or missing keys, or not an object
-            raise ConfigError(f"bad entrant {raw!r}: {exc}") from None
+        return build_config(AgentProfile, raw, f"bad entrant {raw!r}")
 
 
 class Agent(Protocol):

@@ -1,17 +1,16 @@
 """Evaluation metrics and reports computed from match logs.
 
-decision_context is the one builder of the per-decision "context" record
-that league logs with every battle-time decision.  All metrics are pure
-functions of the logs, as storage.read_log checks and returns them: each
-battle-time decision's action is an engine.Action there, so the metrics
-read its is_attack and index, never payload keys.
+All metrics are pure functions of the logs, as storage.read_log checks
+and returns them: each battle-time decision's action is an engine.Action
+there, so the metrics read its is_attack and index, never payload keys.
 
-Attack quality has one rule: decision_context builds each decision's
-context, and build_report, one walk over the logs, tallies the contexts
-logged at decision time; load_log_dir streams it a directory's logs, one
-in memory at a time.  The tests hold a replay route as an oracle: it
-replays the logged decisions through the engine and builds each context
-afresh from the replayed state, and the tests assert the two routes agree.
+Attack quality has one rule: storage.decision_context builds each
+decision's context, and build_report, one walk over the logs, tallies the
+contexts logged at decision time; load_log_dir streams it a directory's
+logs, one in memory at a time.  The tests hold a replay route as an
+oracle: it replays the logged decisions through the engine and builds
+each context afresh from the replayed state, and the tests assert the two
+routes agree.
 
 Rates reported per agent:
   win_rate                  wins / matches
@@ -37,8 +36,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import storage
-from .dex import Dex, type_multiplier
-from .engine import Action, BattleState, expected_damage
 from .storage import MatchLogData
 
 SUPER_EFFECTIVE_THRESHOLD = 2.0
@@ -57,34 +54,6 @@ def load_log_dir(log_dir: str | Path) -> Iterator[MatchLogData]:
     if not paths:
         raise NoLogs(f"no .jsonl logs under {log_dir}")
     return map(storage.read_log, paths)
-
-
-# ---------------------------------------------------------------------------
-# the per-decision metric context
-# ---------------------------------------------------------------------------
-
-def decision_context(dex: Dex, state: BattleState, side: int, legal: Sequence[Action]) -> dict:
-    """The "context" record of a battle-time decision made in this state.
-
-    Holds what the metrics read: the active battler's HP percent for
-    switch timing, the legal switches, and each legal attack's move index
-    with its effectiveness against the opposing active battler and its
-    engine.expected_damage, which the attack metrics rank.  The species,
-    types and weather are in the meta record, the events and the dex.
-    """
-    own = state.sides[side].active
-    opponent = state.sides[1 - side].active
-    attacks = []
-    for action in legal:
-        if action.is_attack:
-            move = dex.moves[own.moves[action.index]]
-            attacks.append({
-                "move_index": action.index,
-                "effectiveness": type_multiplier(dex.chart, move.move_type, opponent.types),
-                "expected_damage": expected_damage(own, opponent, move, dex.chart, state.weather),
-            })
-    return {"own_hp_percent": own.hp_percent,
-            "switches": [a.index for a in legal if not a.is_attack], "attacks": attacks}
 
 
 # ---------------------------------------------------------------------------

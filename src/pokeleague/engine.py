@@ -54,7 +54,8 @@ class BattleAlreadyEnded(Exception):
 
 
 class IllegalActionError(Exception):
-    """An action outside the legal set reached the engine: a harness bug."""
+    """An action outside the legal set reached the engine: in live play a harness
+    bug; storage.replay reports it, as a StorageError, for a tampered log."""
 
     def __init__(self, side: int, action: "Action", reason: str = ""):
         self.side = side

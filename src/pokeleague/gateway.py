@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .agents import AgentDecision, ConfigError
+from .agents import AgentDecision, ConfigError, build_config, check_setting, read_config_file
 from .dex import TEAM_SIZE, Dex, MoveDef, Species
 from .engine import Action, BattleView
 
@@ -108,32 +108,24 @@ class ProviderConfig:
 
     def __post_init__(self):
         for name in ("provider", "endpoint", "model", "api_key_env"):
-            self._check(name, str, "a string")
+            check_setting(name, getattr(self, name), (str,), "a string")
         if self.provider not in PROVIDERS:
             raise ConfigError(f"unknown provider {self.provider!r}, expected one of {PROVIDERS}")
-        self._check("temperature", (int, float), "a number")
-        self._check("timeout_s", (int, float), "a number > 0", lambda v: v > 0)
-        self._check("rate_refill_per_s", (int, float), "a number >= 0", lambda v: v >= 0)
-        self._check("max_tokens", int, "an integer >= 1", lambda v: v >= 1)
+        number = (int, float)
+        check_setting("temperature", self.temperature, number, "a number")
+        check_setting("timeout_s", self.timeout_s, number, "a number > 0", lambda v: v > 0)
+        check_setting("rate_refill_per_s", self.rate_refill_per_s, number, "a number >= 0",
+                      lambda v: v >= 0)
+        check_setting("max_tokens", self.max_tokens, (int,), "an integer >= 1", lambda v: v >= 1)
         for name in ("max_retries", "backoff_ms", "max_repair_attempts", "rate_capacity"):
-            self._check(name, int, "an integer >= 0", lambda v: v >= 0)
+            check_setting(name, getattr(self, name), (int,), "an integer >= 0", lambda v: v >= 0)
         if self.rate_capacity > 0 and self.rate_refill_per_s == 0:
             raise ConfigError("a rate_capacity > 0 needs a rate_refill_per_s > 0, "
                               "or the bucket never refills")
 
-    def _check(self, name: str, kinds: type | tuple[type, ...], expected: str,
-               in_range=lambda v: True) -> None:
-        value = getattr(self, name)
-        # bool is an int subclass, but true/false is never a count or a rate
-        if isinstance(value, bool) or not isinstance(value, kinds) or not in_range(value):
-            raise ConfigError(f"{name} must be {expected}, got {value!r}")
-
     @staticmethod
     def from_dict(raw: dict) -> "ProviderConfig":
-        try:
-            return ProviderConfig(**raw)
-        except TypeError as exc:  # unknown or missing keys, or a value of the wrong type
-            raise ConfigError(f"bad provider config: {exc}") from None
+        return build_config(ProviderConfig, raw, "bad provider config")
 
     def to_dict(self) -> dict:
         return dict(vars(self))  # asdict(self): every field is a scalar
@@ -347,8 +339,8 @@ def extract_first_json(raw: str) -> dict:
                     break
         else:
             if stop < len(raw):
-                raise ParseError("no_json_found",
-                                 f"gave up after scanning {MAX_SCAN_CHARS} characters")
+                raise ParseError("no_json_found", f"gave up: the scan budget of "
+                                                  f"{MAX_SCAN_CHARS} characters is spent")
         budget -= pos + 1 - start
         start = raw.find("{", start + 1)
     raise ParseError("no_json_found", "no JSON object in response")
@@ -660,11 +652,7 @@ class ScriptCompleter:
     @staticmethod
     def from_file(path: str) -> "ScriptCompleter":
         """Read a script; ConfigError, naming the file, if it is not of the script shape."""
-        with open(path, encoding="utf-8") as handle:
-            try:
-                script = json.load(handle)
-            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
-                raise ConfigError(f"script {path!r} is not valid JSON: {exc}") from None
+        script = read_config_file(path, "script")
         if not isinstance(script, dict) or not script.keys() <= {"team", "action"} or not all(
                 isinstance(responses, list) and all(isinstance(r, str) for r in responses)
                 for responses in script.values()):

@@ -15,10 +15,10 @@ from pathlib import Path
 from typing import Sequence
 
 from . import storage
-from .analytics import decision_context, text_table
+from .analytics import text_table
 from .agents import (
-    Agent, AgentDecision, AgentProfile, ConfigError, GreedyAgent, RandomAgent,
-    fallback_action, fallback_team, make_pool_view,
+    Agent, AgentDecision, AgentProfile, ConfigError, GreedyAgent, RandomAgent, check_setting,
+    fallback_action, fallback_team, make_pool_view, read_config_file,
 )
 from .dex import Dex
 from .engine import Action, BattleState, DEFAULT_TURN_LIMIT, init_battle, legal_actions, view_for
@@ -48,16 +48,11 @@ class LeagueConfig:
 
     def __post_init__(self):
         for name in ("turn_limit", "best_of", "jobs"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+            check_setting(name, getattr(self, name), (int,), "a positive integer", lambda v: v >= 1)
         # A match ends when one side holds a majority of its games.
-        if self.best_of % 2 == 0:
-            raise ConfigError(f"best_of must be a positive odd integer, got {self.best_of!r}")
+        check_setting("best_of", self.best_of, (int,), "a positive odd integer", lambda v: v % 2)
         for name in ("disqualify_on_failure", "draft_per_match", "include_history"):
-            value = getattr(self, name)
-            if type(value) is not bool:
-                raise ConfigError(f"{name} must be true or false, got {value!r}")
+            check_setting(name, getattr(self, name), (bool,), "true or false")
 
     def to_dict(self) -> dict:
         return dict(vars(self))  # asdict(self): every field is a scalar
@@ -75,28 +70,16 @@ class TournamentConfig:
     tournament_id: str = ""
 
     def __post_init__(self):
-        # type(), not isinstance: a bool is not a seed
-        pool = self.pool
-        valid = {
-            "master_seed": (type(self.master_seed) is int, "an integer"),
-            "dex_path": (self.dex_path is None or type(self.dex_path) is str, "a string or null"),
-            "pool": (pool is None or type(pool) is list and all(type(n) is str for n in pool),
-                     "a list of species names or null"),
-            "output_dir": (type(self.output_dir) is str, "a string"),
-            "tournament_id": (type(self.tournament_id) is str, "a string"),
-        }
-        for name, (ok, expected) in valid.items():
-            if not ok:
-                raise ConfigError(f"{name} must be {expected}, got {getattr(self, name)!r}")
+        check_setting("master_seed", self.master_seed, (int,), "an integer")
+        check_setting("dex_path", self.dex_path, (str, type(None)), "a string or null")
+        check_setting("pool", self.pool, (list, type(None)), "a list of species names or null",
+                      lambda pool: pool is None or all(type(name) is str for name in pool))
+        check_setting("output_dir", self.output_dir, (str,), "a string")
+        check_setting("tournament_id", self.tournament_id, (str,), "a string")
 
     @staticmethod
     def from_file(path: str | Path) -> "TournamentConfig":
-        with open(path, encoding="utf-8") as handle:
-            try:
-                raw = json.load(handle)
-            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
-                raise ConfigError(f"config {str(path)!r} is not valid JSON: {exc}") from None
-        return TournamentConfig.from_dict(raw)
+        return TournamentConfig.from_dict(read_config_file(path, "config"))
 
     @staticmethod
     def from_dict(raw: dict) -> "TournamentConfig":
@@ -270,7 +253,7 @@ class MatchRunner:
                     lambda: AgentDecision(action=fallback_action(legal)))
                 log.append(storage.decision_record(
                     decision, turn=state.turn_number, agent_id=agent.agent_id, side=side,
-                    phase=phase, context=decision_context(self.dex, state, side, legal)),
+                    phase=phase, context=storage.decision_context(self.dex, state, side, legal)),
                     *storage.exchanges_record(decision))
                 return decision.action
 

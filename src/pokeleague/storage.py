@@ -18,11 +18,12 @@ Live play and replay run one turn protocol, play_battle: live play logs the
 events records it yields; replay feeds it the logged decisions and checks
 every record it yields against the log, so any nondeterminism or
 corruption is pinpointed to a turn; a tampered log fails as a
-StorageError.  A step's events equal the logged ones when their
-canonical_json encodings would; replay decides that by a value compare as
-strict about types as the encoder (true is not 1, 1 is not 1.0, -0.0 is
-not 0.0; key order is ignored) and encodes both only when the compare
-cannot vouch for a match.
+StorageError.  decision_context builds the "context" that live play logs
+with each battle-time decision and read_log checks.  A step's events
+equal the logged ones when their canonical_json encodings would; replay
+decides that by a value compare as strict about types as the encoder
+(true is not 1, 1 is not 1.0, -0.0 is not 0.0; key order is ignored) and
+encodes both only when the compare cannot vouch for a match.
 
 Lines are encoded as json.dumps(record, ensure_ascii=False) encodes them,
 by the stdlib's C encoder built once (codec.make_encoder), as are
@@ -46,14 +47,14 @@ from dataclasses import dataclass
 from itertools import dropwhile
 from math import isfinite
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .agents import AgentDecision
 from .codec import make_encoder
-from .dex import Dex
+from .dex import Dex, type_multiplier
 from .engine import (
-    Action, BattlerState, BattleState, init_battle, is_legal, needs_replacement,
-    resolve_replacements, resolve_turn,
+    Action, BattlerState, BattleState, IllegalActionError, expected_damage, init_battle,
+    needs_replacement, resolve_replacements, resolve_turn,
 )
 
 SCHEMA_VERSION = "1.2"
@@ -338,6 +339,30 @@ def play_battle(
                                 pre_digest=pre, post_digest=digest), state
 
 
+def decision_context(dex: Dex, state: BattleState, side: int, legal: Sequence[Action]) -> dict:
+    """The "context" record of a battle-time decision made in this state.
+
+    Holds what the metrics read: the active battler's HP percent for
+    switch timing, the legal switches, and each legal attack's move index
+    with its effectiveness against the opposing active battler and its
+    engine.expected_damage, which the attack metrics rank.  The species,
+    types and weather are in the meta record, the events and the dex.
+    """
+    own = state.sides[side].active
+    opponent = state.sides[1 - side].active
+    attacks = []
+    for action in legal:
+        if action.is_attack:
+            move = dex.moves[own.moves[action.index]]
+            attacks.append({
+                "move_index": action.index,
+                "effectiveness": type_multiplier(dex.chart, move.move_type, opponent.types),
+                "expected_damage": expected_damage(own, opponent, move, dex.chart, state.weather),
+            })
+    return {"own_hp_percent": own.hp_percent,
+            "switches": [a.index for a in legal if not a.is_attack], "attacks": attacks}
+
+
 # ---------------------------------------------------------------------------
 # reading and replay
 # ---------------------------------------------------------------------------
@@ -408,6 +433,8 @@ def _lacking_inside(path: str | Path, kind: str, record: dict,
             if type(record[key]) is not int:
                 raise StorageError(f"{path}: meta record: {key} is not an integer")
         for key in SIDE_KEYS:
+            if type(agents[key]) is not str:
+                raise StorageError(f"{path}: meta record: agents {key!r} is not a string")
             if type(teams[key]) is not list:
                 raise StorageError(f"{path}: meta record: team_names {key!r} is not a list")
             if any(type(name) is not str for name in teams[key]):
@@ -497,8 +524,9 @@ def read_log(path: str | Path) -> MatchLogData:
     record that is not meta, an unknown schema major version, a record
     that lacks a key (RECORD_KEYS), an unreadable battle-time action or a
     bad value (_lacking_inside) raises StorageError.  Records of a kind
-    not in RECORD_KEYS, such as "exchanges", are skipped: each is decoded
-    as a JSON object, and nothing inside it is checked.
+    not in RECORD_KEYS, such as "exchanges" or a kind that is not a
+    string, are skipped: each is decoded as a JSON object, and nothing
+    inside it is checked.
     """
     records = []
     try:
@@ -524,7 +552,7 @@ def read_log(path: str | Path) -> MatchLogData:
     log = MatchLogData(path=Path(path), meta=records[0], records=[], winner_side=None)
     for record in records:
         kind = record.get("kind")
-        if kind not in RECORD_KEYS:
+        if type(kind) is not str or kind not in RECORD_KEYS:  # a list kind is unhashable
             continue
         lacking = RECORD_KEYS[kind].difference(record) or _lacking_inside(
             path, kind, record, log)
@@ -604,9 +632,9 @@ def replay(path: str | Path, dex: Dex, expected_dex_fingerprint: str | None = No
     DigestMismatch names the turn).  A missing decision or a log that stops
     before the battle ends raises IncompleteLog; a dex fingerprint other
     than the expected one, meta teams that init_battle rejects, a logged
-    action that is illegal in its state (engine.is_legal), or a decision
-    or events record after the end raises StorageError, as read_log does
-    for a log it cannot read.
+    action that the engine rejects in its state (IllegalActionError, its
+    one legality check), or a decision or events record after the end
+    raises StorageError, as read_log does for a log it cannot read.
     """
     log = read_log(path)
     meta = log.meta
@@ -625,11 +653,7 @@ def replay(path: str | Path, dex: Dex, expected_dex_fingerprint: str | None = No
         if record["kind"] != "decision" or (record["side"], record["phase"]) != (side, phase):
             what = "battle" if phase == PHASE_BATTLE else "replacement"
             raise IncompleteLog(f"turn {state.turn_number}: missing {what} decisions")
-        action = record["decision"]["action"]
-        if not is_legal(state, side, action):
-            raise StorageError(f"turn {state.turn_number}: side {side}: "
-                               f"illegal action {action}")
-        return action
+        return record["decision"]["action"]
 
     if (expected_dex_fingerprint is not None
             and meta["dex_fingerprint"] != expected_dex_fingerprint):
@@ -641,10 +665,15 @@ def replay(path: str | Path, dex: Dex, expected_dex_fingerprint: str | None = No
             dex, teams["a"], teams["b"], meta["seed"], meta["turn_limit"])
     except ValueError as exc:  # e.g. a team that is not 6 species
         raise StorageError(f"meta record: {exc}") from exc
-    for expected, state in play_battle(state, init_events, dex, meta["match_id"], choose):
-        if expected["phase"] == EVENTS_INIT and meta["initial_digest"] != expected["post_digest"]:
-            raise DigestMismatch(0, "initial digest")
-        _check_step(next_logged(expected["turn"]), expected)
+    try:
+        for expected, state in play_battle(state, init_events, dex, meta["match_id"], choose):
+            if (expected["phase"] == EVENTS_INIT
+                    and meta["initial_digest"] != expected["post_digest"]):
+                raise DigestMismatch(0, "initial digest")
+            _check_step(next_logged(expected["turn"]), expected)
+    except IllegalActionError as exc:  # the actions were chosen in the state last yielded
+        raise StorageError(f"turn {state.turn_number}: side {exc.side}: "
+                           f"illegal action {exc.action}") from None
     extra = next(logged, None)
     if extra is not None:
         raise StorageError(f"turn {extra['turn']}: {extra['kind']} record after the battle ended")

@@ -10,14 +10,14 @@ import pytest
 from pokeleague import storage
 from pokeleague.agents import GreedyAgent, RandomAgent
 from pokeleague.analytics import (
-    MatchLogData, NoLogs, build_report, decision_context, jaccard_matrix, load_log_dir,
-    pick_frequency, team_diversity, write_report,
+    MatchLogData, NoLogs, build_report, jaccard_matrix, load_log_dir, pick_frequency,
+    team_diversity, write_report,
 )
 from pokeleague.engine import Action, init_battle, legal_actions
 from pokeleague.gateway import LlmAgent, ProviderConfig, ScriptCompleter
 from pokeleague.league import LeagueConfig, MatchRunner
 from pokeleague.storage import (
-    PHASE_BATTLE, PHASE_TEAM_SELECT, play_battle, read_log, replay,
+    PHASE_BATTLE, PHASE_TEAM_SELECT, decision_context, play_battle, read_log, replay,
 )
 
 # Team rosters as reported for the eight tournament entrants; the fixture

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from pokeleague import storage
+from pokeleague.agents import AgentProfile
 from pokeleague.cli import main
 from pokeleague.dex import default_dex_path
+from pokeleague.gateway import ProviderConfig
 
 
 MOCK_SCRIPT = {
@@ -214,42 +216,69 @@ PROVIDER = {"provider": "openai_compatible", "endpoint": "https://x.test", "mode
 RANDOM_ENTRANTS = [{"agent_id": f"random-{i}", "kind": "random", "seed": i} for i in range(3)]
 
 
-@pytest.mark.parametrize("overrides", [
-    {"providers": {"p": {"provider": "openai_compatible", "endpoint": "https://x.test",
-                         "modle": "m", "api_key_env": "K"}}},
-    {"best_of": "3"},
-    {"best_of": 2},
-    {"best_of": 0},
-    {"turn_limit": "500"},
-    {"turn_limit": 0},
-    {"jobs": "2"},
-    {"jobs": 0},
-    {"disqualify_on_failure": "yes"},
-    {"draft_per_match": 1},
-    {"include_history": None},
-    {"providers": {"p": {**PROVIDER, "max_repair_attempts": "3"}}},
-    {"providers": {"p": {**PROVIDER, "max_repair_attempts": -1}}},
-    {"providers": {"p": {**PROVIDER, "rate_capacity": "5"}}},
-    {"providers": {"p": {**PROVIDER, "rate_capacity": 2, "rate_refill_per_s": 0}}},
-    {"providers": {"p": {**PROVIDER, "temperature": True}}},
-    {"providers": {"p": {**PROVIDER, "max_tokens": 0}}},
-    {"providers": {"p": {**PROVIDER, "model": 4}}},
-    {"providers": ["p"]},
-    {"best_off": 3, "turn_limt": 5},
-    {"entrants": RANDOM_ENTRANTS + [{"agent_id": "random-3", "kind": "random", "sead": 3}]},
-    {"entrants": RANDOM_ENTRANTS + [{"agent_id": "random-3"}]},
-    {"entrants": RANDOM_ENTRANTS + ["random-3"]},
-    {"entrants": {"random-0": "random"}},
-    {"entrants": RANDOM_ENTRANTS + [{"agent_id": 3, "kind": "random"}]},
-    {"entrants": RANDOM_ENTRANTS + [{"agent_id": "mock-3", "kind": "mock", "script": 7}]},
-    {"master_seed": "x"},
-    {"master_seed": True},
-    {"dex_path": 5},
-    {"pool": 5},
-    {"pool": ["Pikachu", 3]},
-    {"output_dir": 7},
-    {"tournament_id": 3},
-    {"league": {"best_of": 3}},
+def type_error(cls, raw):
+    """What cls(**raw) raises on the running interpreter: 3.13 adds "Did you mean" hints."""
+    try:
+        cls(**raw)
+    except TypeError as exc:
+        return str(exc)
+    raise AssertionError(f"{cls.__name__}(**{raw!r}) raised no TypeError")
+
+
+MISSPELLED_PROVIDER = {"provider": "openai_compatible", "endpoint": "https://x.test",
+                       "modle": "m", "api_key_env": "K"}
+MISSPELLED_ENTRANT = {"agent_id": "random-3", "kind": "random", "sead": 3}
+
+
+# Each case's whole error line: a change to the setting checks must keep every message.
+@pytest.mark.parametrize("overrides, message", [
+    ({"providers": {"p": MISSPELLED_PROVIDER}},
+     f"bad provider config: {type_error(ProviderConfig, MISSPELLED_PROVIDER)}"),
+    ({"best_of": "3"}, "best_of must be a positive integer, got '3'"),
+    ({"best_of": 2}, "best_of must be a positive odd integer, got 2"),
+    ({"best_of": 0}, "best_of must be a positive integer, got 0"),
+    ({"turn_limit": "500"}, "turn_limit must be a positive integer, got '500'"),
+    ({"turn_limit": 0}, "turn_limit must be a positive integer, got 0"),
+    ({"jobs": "2"}, "jobs must be a positive integer, got '2'"),
+    ({"jobs": 0}, "jobs must be a positive integer, got 0"),
+    ({"disqualify_on_failure": "yes"}, "disqualify_on_failure must be true or false, got 'yes'"),
+    ({"draft_per_match": 1}, "draft_per_match must be true or false, got 1"),
+    ({"include_history": None}, "include_history must be true or false, got None"),
+    ({"providers": {"p": {**PROVIDER, "max_repair_attempts": "3"}}},
+     "max_repair_attempts must be an integer >= 0, got '3'"),
+    ({"providers": {"p": {**PROVIDER, "max_repair_attempts": -1}}},
+     "max_repair_attempts must be an integer >= 0, got -1"),
+    ({"providers": {"p": {**PROVIDER, "rate_capacity": "5"}}},
+     "rate_capacity must be an integer >= 0, got '5'"),
+    ({"providers": {"p": {**PROVIDER, "rate_capacity": 2, "rate_refill_per_s": 0}}},
+     "a rate_capacity > 0 needs a rate_refill_per_s > 0, or the bucket never refills"),
+    ({"providers": {"p": {**PROVIDER, "temperature": True}}},
+     "temperature must be a number, got True"),
+    ({"providers": {"p": {**PROVIDER, "max_tokens": 0}}},
+     "max_tokens must be an integer >= 1, got 0"),
+    ({"providers": {"p": {**PROVIDER, "model": 4}}}, "model must be a string, got 4"),
+    ({"providers": ["p"]}, "providers must be an object and entrants a list"),
+    ({"best_off": 3, "turn_limt": 5}, "unknown config keys: best_off, turn_limt"),
+    ({"entrants": RANDOM_ENTRANTS + [MISSPELLED_ENTRANT]},
+     f"bad entrant {MISSPELLED_ENTRANT!r}: {type_error(AgentProfile, MISSPELLED_ENTRANT)}"),
+    ({"entrants": RANDOM_ENTRANTS + [{"agent_id": "random-3"}]},
+     "bad entrant {'agent_id': 'random-3'}: "
+     f"{type_error(AgentProfile, {'agent_id': 'random-3'})}"),
+    ({"entrants": RANDOM_ENTRANTS + ["random-3"]},
+     f"bad entrant 'random-3': {type_error(AgentProfile, 'random-3')}"),
+    ({"entrants": {"random-0": "random"}}, "providers must be an object and entrants a list"),
+    ({"entrants": RANDOM_ENTRANTS + [{"agent_id": 3, "kind": "random"}]},
+     "entrant agent_id must be str, got 3"),
+    ({"entrants": RANDOM_ENTRANTS + [{"agent_id": "mock-3", "kind": "mock", "script": 7}]},
+     "entrant script must be str, got 7"),
+    ({"master_seed": "x"}, "master_seed must be an integer, got 'x'"),
+    ({"master_seed": True}, "master_seed must be an integer, got True"),
+    ({"dex_path": 5}, "dex_path must be a string or null, got 5"),
+    ({"pool": 5}, "pool must be a list of species names or null, got 5"),
+    ({"pool": ["Pikachu", 3]}, "pool must be a list of species names or null, got ['Pikachu', 3]"),
+    ({"output_dir": 7}, "output_dir must be a string, got 7"),
+    ({"tournament_id": 3}, "tournament_id must be a string, got 3"),
+    ({"league": {"best_of": 3}}, "unknown config keys: league"),
 ], ids=["misspelled-provider-key", "best-of-string", "best-of-even", "best-of-zero",
         "turn-limit-string", "turn-limit-zero", "jobs-string", "jobs-zero",
         "disqualify-string", "draft-per-match-int", "include-history-null",
@@ -259,12 +288,12 @@ RANDOM_ENTRANTS = [{"agent_id": f"random-{i}", "kind": "random", "seed": i} for 
         "entrant-without-kind", "string-entrant", "entrants-object", "entrant-id-int",
         "mock-script-int", "master-seed-string", "master-seed-bool", "dex-path-int", "pool-int",
         "pool-item-int", "output-dir-int", "tournament-id-int", "nested-league-object"])
-def test_tournament_bad_config_is_usage_error(tmp_path, capsys, overrides):
+def test_tournament_bad_config_is_usage_error(tmp_path, capsys, overrides, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({**scripted_config(tmp_path, count=4), **overrides}),
                            encoding="utf-8")
     assert main(["tournament", str(config_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()  # rejected before any match was played
 
 
@@ -314,11 +343,15 @@ def test_tournament_config_not_an_object_is_usage_error(tmp_path, capsys, monkey
 
 
 def test_tournament_config_not_json_names_the_file(tmp_path, capsys):
+    text = '{"entrants": [], }'
     config_path = tmp_path / "config.json"
-    config_path.write_text('{"entrants": [], }', encoding="utf-8")
+    config_path.write_text(text, encoding="utf-8")
+    # The running decoder's own message: 3.13 words this one differently from 3.11.
+    with pytest.raises(json.JSONDecodeError) as decoded:
+        json.loads(text)
     assert main(["tournament", str(config_path)]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"error: config {str(config_path)!r} is not valid JSON: Expecting property name")
+    assert capsys.readouterr().err == (
+        f"error: config {str(config_path)!r} is not valid JSON: {decoded.value}\n")
 
 
 def test_tournament_config_nested_too_deep_is_usage_error(tmp_path, capsys):
@@ -688,6 +721,16 @@ def context_attacks(records):
     return KEY_HOLDERS["decision"](records)["context"]["attacks"]
 
 
+def agent_of_side_a(value):
+    """A tamper that sets the meta agent of side a, and its decisions' agent_id, to value."""
+    def tamper(records):
+        for record in records:
+            if record["kind"] == "decision" and record["side"] == 0:
+                record["agent_id"] = value
+        records[0]["agents"]["a"] = value
+    return tamper
+
+
 NO_CONTEXT = "context is not an object holding own_hp_percent, switches and attacks"
 NO_ATTACK = "context attack is not an object holding move_index, effectiveness and expected_damage"
 
@@ -732,6 +775,9 @@ NO_ATTACK = "context attack is not an object holding move_index, effectiveness a
                  "turn {end}: BattleEnded winner 5 is not 0 or 1", id="winner-5"),
     pytest.param(set_in("agents", "b", "a-greedy"),
                  "meta record: agent 'a-greedy' plays both sides", id="one-agent"),
+    pytest.param(agent_of_side_a(1), "meta record: agents 'a' is not a string", id="agent-int"),
+    pytest.param(agent_of_side_a(["x"]), "meta record: agents 'a' is not a string",
+                 id="agent-list"),
     pytest.param(set_in("meta", "seed", "9"), "meta record: seed is not an integer",
                  id="string-seed"),
     pytest.param(set_in("meta", "turn_limit", 500.0), "meta record: turn_limit is not an integer",
@@ -820,6 +866,23 @@ def test_exchanges_records_are_skipped_unchecked(mock_log, tmp_path, capsys):
     outputs = []
     for log_dir in (mock_log.parent, logs):
         assert main(["replay", str(log_dir / mock_log.name)]) == 0
+        assert main(["report", str(log_dir), "--out", str(log_dir / "report")]) == 0
+        outputs.append((capsys.readouterr().out.splitlines()[0],
+                        (log_dir / "report" / "report.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("kind", [["decision"], {"kind": "events"}], ids=["list", "object"])
+def test_a_record_whose_kind_is_not_a_string_is_skipped(simulated_log, tmp_path, capsys, kind):
+    """Like a record without a kind, it is of no kind read_log checks."""
+    lines = simulated_log.read_text(encoding="utf-8").splitlines()
+    lines.insert(1, json.dumps({"kind": kind}))
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / simulated_log.name).write_text("\n".join(lines), encoding="utf-8")
+    outputs = []
+    for log_dir in (simulated_log.parent, logs):
+        assert main(["replay", str(log_dir / simulated_log.name)]) == 0
         assert main(["report", str(log_dir), "--out", str(log_dir / "report")]) == 0
         outputs.append((capsys.readouterr().out.splitlines()[0],
                         (log_dir / "report" / "report.json").read_bytes()))

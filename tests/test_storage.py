@@ -656,6 +656,45 @@ def test_replay_rejects_an_illegal_logged_action(dex, match_log, tmp_path):
         replay(tampered, dex)
 
 
+def switch_into_own_active(records):
+    """The first battle decision switches into its side's active slot, 0 (slot 0
+    leads), which its context lists as a switch.  Returns replay's error."""
+    record = first_record(records, "decision", "Battle")
+    record["decision"] = {"action": {"type": "switch", "team_index": 0}}
+    record["context"]["switches"].insert(0, 0)
+    return "turn 1: side 0: illegal action switch:0"
+
+
+def replace_with_a_fainted_member(records):
+    """A side's second replacement switches into the member its first replaced,
+    which fainted and is not active.  Returns replay's error."""
+    active, fainted = {0: 0, 1: 0}, {}
+    for record in records:
+        if record["kind"] != "decision" or record["phase"] == "TeamSelect":
+            continue
+        side, action = record["side"], record["decision"]["action"]
+        if record["phase"] == "ForcedReplace" and side in fainted:
+            record["decision"]["action"] = {"type": "switch", "team_index": fainted[side]}
+            return f"turn {record['turn']}: side {side}: illegal action switch:{fainted[side]}"
+        if record["phase"] == "ForcedReplace":
+            fainted[side] = active[side]
+        if action["type"] == "switch":
+            active[side] = action["team_index"]
+    raise AssertionError("no side replaced twice")
+
+
+@pytest.mark.parametrize("change", [switch_into_own_active, replace_with_a_fainted_member],
+                         ids=["battle-switch-into-active", "replace-with-fainted"])
+def test_replay_rejects_a_switch_the_engine_rejects(dex, match_log, tmp_path, change):
+    path, _ = match_log
+    errors = []
+    tampered = rewrite_log(path, tmp_path / "illegal.jsonl",
+                           lambda records: errors.append(change(records)))
+    with pytest.raises(StorageError) as excinfo:
+        replay(tampered, dex)
+    assert str(excinfo.value) == errors[0]
+
+
 @pytest.mark.parametrize("action", [{"type": "attack"}, {"type": "fly", "move_index": 0},
                                     {"type": "switch", "team_index": "two"}, 3])
 def test_replay_rejects_an_unreadable_logged_action(dex, match_log, tmp_path, action):
