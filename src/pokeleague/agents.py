@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Protocol, Sequence
 
-from .codec import make_encoder
 from .dex import TEAM_SIZE, Dex, Species, type_multiplier
 from .engine import Action, BattleView, compute_stats, expected_damage
 from .rng import SeededStream, stable_hash64
@@ -144,8 +143,21 @@ def fallback_action(legal: Sequence[Action]) -> Action:
 # baselines
 # ---------------------------------------------------------------------------
 
-# json.dumps(key, sort_keys=True), encoder built once.
-_KEY_ENCODER = make_encoder(json.JSONEncoder(sort_keys=True))
+# Each action's text in RandomAgent's decision key: its to_dict() as
+# json.dumps(..., sort_keys=True) writes it, for an int index.
+_ACTION_KEYS = {"attack": '{"move_index": %d, "type": "attack"}',
+                "switch": '{"team_index": %d, "type": "switch"}'}
+_QUOTE = json.encoder.encode_basestring_ascii  # json.dumps's string encoder
+
+
+def _decision_key(view: BattleView, legal: Sequence[Action]) -> str:
+    """json.dumps([turn, side, legal as dicts, (species, current_hp) of each own
+    battler, opposing species, its hp_percent], sort_keys=True), formatted directly."""
+    actions = ", ".join([_ACTION_KEYS[a.kind] % a.index for a in legal])
+    team = ", ".join([f"[{_QUOTE(b.species)}, {b.current_hp}]" for b in view.own_team])
+    opponent = view.opponent_active
+    return (f"[{view.turn_number}, {view.side}, [{actions}], [{team}], "
+            f"{_QUOTE(opponent.species)}, {opponent.hp_percent}]")
 
 
 class RandomAgent:
@@ -167,10 +179,7 @@ class RandomAgent:
         return AgentDecision(team=tuple(picks))
 
     def choose_action(self, view: BattleView, legal: Sequence[Action]) -> AgentDecision:
-        key = _KEY_ENCODER([view.turn_number, view.side, [a.to_dict() for a in legal],
-                            [(b.species, b.current_hp) for b in view.own_team],
-                            view.opponent_active.species, view.opponent_active.hp_percent])
-        rng = self._stream_for("action", key)
+        rng = self._stream_for("action", _decision_key(view, legal))
         return AgentDecision(action=legal[rng.choice_index(len(legal))])
 
 
@@ -187,6 +196,11 @@ class GreedyAgent:
     def __init__(self, agent_id: str, dex: Dex):
         self.agent_id = agent_id
         self.dex = dex
+        # The attack decision of each matchup, or None where every attack deals 0,
+        # keyed on what decides it: own moves, types, Atk, SpA and burn, the
+        # opposing species, the weather and the legal attacks.  Bounded by the
+        # dex's matchups; match threads that fill one entry at once write equal values.
+        self._attack_memo: dict[tuple, AgentDecision | None] = {}
 
     def select_team(self, pool: Sequence[Species]) -> AgentDecision:
         order = sorted(range(len(pool)), key=lambda i: (-sum(pool[i].base_stats.values()), i))
@@ -203,24 +217,19 @@ class GreedyAgent:
 
     def choose_action(self, view: BattleView, legal: Sequence[Action]) -> AgentDecision:
         attacks = [a for a in legal if a.is_attack]
-        switches = [a for a in legal if not a.is_attack]
-        opponent = compute_stats(self.dex.species[view.opponent_active.species])
-
         if attacks:
-            attacker = view.own_active
-            damages = {a.index: expected_damage(attacker, opponent,
-                                                self.dex.moves[attacker.moves[a.index]],
-                                                self.dex.chart, view.weather)
-                       for a in attacks}
-            best = max(damages.values())
-            if best > 0:
-                choice = next(a for a in attacks if damages[a.index] == best)
-                move = self.dex.moves[attacker.moves[choice.index]]
-                return AgentDecision(
-                    action=choice,
-                    reasoning=(f"{move.name} deals the most expected damage "
-                               f"({best}) to {opponent.species}."))
+            own = view.own_active
+            key = (own.moves, own.types, own.stats["atk"], own.stats["spa"],
+                   own.status_kind == "Burn", view.opponent_active.species, view.weather,
+                   tuple([a.index for a in attacks]))
+            try:
+                decision = self._attack_memo[key]
+            except KeyError:
+                decision = self._attack_memo[key] = self._best_attack(view, attacks)
+            if decision is not None:
+                return decision
 
+        switches = [a for a in legal if not a.is_attack]
         if switches:
             def best_multiplier(action: Action) -> float:
                 member = view.own_team[action.index]
@@ -238,3 +247,21 @@ class GreedyAgent:
                 reasoning=f"Switching to {member.species} for a better matchup.")
 
         return AgentDecision(action=legal[0], reasoning="No damaging option; using the first move.")
+
+    def _best_attack(self, view: BattleView, attacks: Sequence[Action]) -> AgentDecision | None:
+        """The attack with the highest expected damage, first in order on a tie;
+        None if every attack deals 0."""
+        attacker = view.own_active
+        opponent = compute_stats(self.dex.species[view.opponent_active.species])
+        damages = {a.index: expected_damage(attacker, opponent,
+                                            self.dex.moves[attacker.moves[a.index]],
+                                            self.dex.chart, view.weather)
+                   for a in attacks}
+        best = max(damages.values())
+        if best <= 0:
+            return None
+        choice = next(a for a in attacks if damages[a.index] == best)
+        move = self.dex.moves[attacker.moves[choice.index]]
+        return AgentDecision(
+            action=choice,
+            reasoning=f"{move.name} deals the most expected damage ({best}) to {opponent.species}.")

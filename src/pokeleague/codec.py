@@ -1,4 +1,4 @@
-"""JSON encoders built once, for the hot paths that encode per record or per decision.
+"""JSON encoders built once, for the hot paths that encode per record or per digest.
 
 json.JSONEncoder.encode builds a new C encoder on every call; make_encoder
 builds it once and calls it directly.  The text is enc.encode's, byte for

@@ -111,13 +111,19 @@ class Species:
 
 @dataclass(frozen=True)
 class Dex:
-    """Loaded game data plus the ordered draft pool."""
+    """Loaded game data plus the ordered draft pool.
+
+    context_memo is storage.decision_context's memo, as chart.damage_memo
+    is engine.expected_damage's: its values follow from the moves and the
+    chart, and a copy with another pool shares it.
+    """
 
     types: tuple[str, ...]
     chart: TypeChart
     moves: dict[str, MoveDef]
     species: dict[str, Species]
     pool: tuple[str, ...] = field(default_factory=tuple)
+    context_memo: dict[tuple, tuple] = field(default_factory=dict, compare=False, repr=False)
 
     def with_pool(self, pool: list[str]) -> "Dex":
         """Return a copy drafting from a different ordered species list,

@@ -13,6 +13,7 @@ tests, so any wording change is a deliberate, reviewed diff.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -111,11 +112,15 @@ class ProviderConfig:
             check_setting(name, getattr(self, name), (str,), "a string")
         if self.provider not in PROVIDERS:
             raise ConfigError(f"unknown provider {self.provider!r}, expected one of {PROVIDERS}")
+        # Finite too, as a request body's JSON has no NaN or infinity.  A NaN
+        # compares false and a huge int compares exactly, so neither raises.
         number = (int, float)
-        check_setting("temperature", self.temperature, number, "a number")
-        check_setting("timeout_s", self.timeout_s, number, "a number > 0", lambda v: v > 0)
+        check_setting("temperature", self.temperature, number, "a number",
+                      lambda v: -math.inf < v < math.inf)
+        check_setting("timeout_s", self.timeout_s, number, "a number > 0",
+                      lambda v: 0 < v < math.inf)
         check_setting("rate_refill_per_s", self.rate_refill_per_s, number, "a number >= 0",
-                      lambda v: v >= 0)
+                      lambda v: 0 <= v < math.inf)
         check_setting("max_tokens", self.max_tokens, (int,), "an integer >= 1", lambda v: v >= 1)
         for name in ("max_retries", "backoff_ms", "max_repair_attempts", "rate_capacity"):
             check_setting(name, getattr(self, name), (int,), "an integer >= 0", lambda v: v >= 0)

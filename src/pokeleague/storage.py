@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
 from dataclasses import dataclass
 from itertools import dropwhile
@@ -347,18 +348,29 @@ def decision_context(dex: Dex, state: BattleState, side: int, legal: Sequence[Ac
     with its effectiveness against the opposing active battler and its
     engine.expected_damage, which the attack metrics rank.  The species,
     types and weather are in the meta record, the events and the dex.
+
+    The attacks' values are memoized in dex.context_memo, keyed on what
+    decides them: own moves, types, Atk, SpA and burn, the opposing types,
+    Def and SpD, the weather and the legal attacks.  Every call returns
+    new dicts and lists.
     """
     own = state.sides[side].active
     opponent = state.sides[1 - side].active
+    indices = tuple([a.index for a in legal if a.is_attack])
     attacks = []
-    for action in legal:
-        if action.is_attack:
-            move = dex.moves[own.moves[action.index]]
-            attacks.append({
-                "move_index": action.index,
-                "effectiveness": type_multiplier(dex.chart, move.move_type, opponent.types),
-                "expected_damage": expected_damage(own, opponent, move, dex.chart, state.weather),
-            })
+    if indices:
+        key = (own.moves, own.types, own.stats["atk"], own.stats["spa"],
+               own.status_kind == "Burn", opponent.types, opponent.stats["def"],
+               opponent.stats["spd"], state.weather, indices)
+        rows = dex.context_memo.get(key)
+        if rows is None:
+            moves = [dex.moves[own.moves[i]] for i in indices]
+            rows = dex.context_memo[key] = tuple(
+                (i, type_multiplier(dex.chart, move.move_type, opponent.types),
+                 expected_damage(own, opponent, move, dex.chart, state.weather))
+                for i, move in zip(indices, moves))
+        attacks = [{"move_index": i, "effectiveness": effectiveness, "expected_damage": damage}
+                   for i, effectiveness, damage in rows]
     return {"own_hp_percent": own.hp_percent,
             "switches": [a.index for a in legal if not a.is_attack], "attacks": attacks}
 
@@ -516,14 +528,43 @@ def _decode_line(line: str) -> object:
     return value if end == len(line) else json.loads(line)
 
 
+# The deepest a log line may nest arrays and objects.  The C scanner's own
+# limit is the recursion limit less the depth of its caller, so without a cap
+# far below that limit, whether a deep line decodes would depend on the caller.
+# read_log asks _too_deep of every line that fails to decode, and of a decoded
+# one only if it is longer than twice the cap: a whole value takes two
+# characters a level, so no shorter one can be too deep.
+MAX_NESTING = 500
+_STRINGS = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
+_NOT_BRACKETS = re.compile(r"[^\[\]{}]+")
+
+
+def _too_deep(line: str) -> bool:
+    """Whether line nests arrays and objects deeper than MAX_NESTING, strings
+    skipped; str.count rules out most lines before the exact scan."""
+    if line.count("[") + line.count("{") <= MAX_NESTING:
+        return False
+    depth = 0
+    for bracket in _NOT_BRACKETS.sub("", _STRINGS.sub("", line)):
+        depth += 1 if bracket in "[{" else -1
+        if depth > MAX_NESTING:
+            return True
+    return False
+
+
+def _nested_too_deep(path: str | Path, line_no: int) -> StorageError:
+    return StorageError(f"{path}:{line_no}: nested deeper than {MAX_NESTING} arrays and objects")
+
+
 def read_log(path: str | Path) -> MatchLogData:
     """Parse and check a match log, walking its records once.
 
-    A file that is not UTF-8 text, a line that is not a JSON object (or
-    nests too deeply, or holds an integer too long, to decode), a first
-    record that is not meta, an unknown schema major version, a record
-    that lacks a key (RECORD_KEYS), an unreadable battle-time action or a
-    bad value (_lacking_inside) raises StorageError.  Records of a kind
+    A file that is not UTF-8 text, a line that nests arrays and objects
+    deeper than MAX_NESTING (whoever the caller) or is not a JSON object
+    (or holds an integer too long to decode), a first record that is not
+    meta, an unknown schema major version, a record that lacks a key
+    (RECORD_KEYS), an unreadable battle-time action or a bad value
+    (_lacking_inside) raises StorageError.  Records of a kind
     not in RECORD_KEYS, such as "exchanges" or a kind that is not a
     string, are skipped: each is decoded as a JSON object, and nothing
     inside it is checked.
@@ -538,7 +579,11 @@ def read_log(path: str | Path) -> MatchLogData:
                 try:
                     record = _decode_line(line)
                 except (ValueError, RecursionError) as exc:  # or an int of over 4300 digits
+                    if _too_deep(line):  # the decoder may have run out of the caller's stack
+                        raise _nested_too_deep(path, line_no) from None
                     raise StorageError(f"{path}:{line_no}: invalid JSON: {exc}")
+                if len(line) > 2 * MAX_NESTING and _too_deep(line):  # two characters a level
+                    raise _nested_too_deep(path, line_no)
                 if type(record) is not dict:
                     raise StorageError(f"{path}:{line_no}: a record must be a JSON object")
                 records.append(record)

@@ -4,11 +4,16 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from pokeleague.agents import AgentDecision
-from pokeleague.dex import default_dex_path, dex_fingerprint, load_dex
+from pokeleague.dex import WEATHER_NAMES, default_dex_path, dex_fingerprint, load_dex
+from pokeleague.engine import (
+    StatusState, init_battle, legal_actions, needs_replacement, resolve_replacements,
+    resolve_turn,
+)
 
 
 class FixedTeam:
@@ -38,6 +43,72 @@ def set_battler(state, side, index=None, **changes):
     if index is None:
         index = state.sides[side].active_index
     team[index] = replace(team[index], **changes)
+
+
+def walk_steps(dex, order, seed, turn_limit, choices):
+    """Yield (state, events) for each step of a battle between pool[order[:6]] and
+    pool[order[6:12]], starting with the initial state and its init events.
+
+    Each choice picks legal[choice % len(legal)] for the next side to act;
+    the walk stops when the battle ends or the choices run out.  Each state
+    is yielded before the next one is computed from it.
+    """
+    names = [dex.pool[i] for i in order[:12]]
+    state, events = init_battle(dex, names[:6], names[6:], seed, turn_limit)
+    yield state, events
+    picks = iter(choices)
+    while not state.ended:
+        pending = [s for s in (0, 1) if needs_replacement(state, s)]
+        chosen = {}
+        for side in pending or (0, 1):
+            legal = legal_actions(state, side)
+            pick = next(picks, None)
+            if pick is None:
+                return
+            chosen[side] = legal[pick % len(legal)]
+        if pending:
+            state, events = resolve_replacements(state, chosen, dex)
+        else:
+            state, events = resolve_turn(state, chosen[0], chosen[1], dex)
+        yield state, events
+
+
+def walk_states(dex, order, seed, turn_limit, choices):
+    """The states of walk_steps, in order."""
+    return (state for state, _ in walk_steps(dex, order, seed, turn_limit, choices))
+
+
+# Gengar (Hypnosis) leads against Tyranitar (Sand): a full game to AllFainted
+# with a sleeping battler and infinite weather, and a 3-turn game to the cap.
+GENGAR_VS_TYRANITAR = [4, 1, 2, 3, 5, 6, 17, 0, 8, 9, 10, 11]
+FULL_GAME = dict(order=GENGAR_VS_TYRANITAR, seed=0, turn_limit=500,
+                 choices=[i % 3 for i in range(400)])
+CAPPED_GAME = dict(order=GENGAR_VS_TYRANITAR, seed=0, turn_limit=3, choices=[0] * 10)
+ANY_WALK = dict(
+    order=st.permutations(range(30)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    turn_limit=st.integers(min_value=1, max_value=60),
+    choices=st.lists(st.integers(min_value=0, max_value=8), max_size=150),
+)
+
+
+def decision_variants(state, side):
+    """(state, legal) for a decision of side: state under every weather, as it is,
+    with the side's active battler burned, or with the opposing one Ghost-typed,
+    and with the legal actions whole and without the first one.  These vary the
+    inputs of the scripted-decision memos' keys that a walk alone may not reach."""
+    legal = legal_actions(state, side)
+    for weather in (None, *WEATHER_NAMES):
+        for change in (None, "burn", "retype"):
+            variant = state.clone()
+            variant.weather = weather
+            if change == "burn":
+                set_battler(variant, side, status=StatusState("Burn"))
+            elif change == "retype":
+                set_battler(variant, 1 - side, types=("Ghost",))
+            yield variant, legal
+            if len(legal) > 1:
+                yield variant, legal[1:]
 
 
 @pytest.fixture(scope="session")

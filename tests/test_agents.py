@@ -1,6 +1,7 @@
 """Scripted baselines: determinism, argmax properties, fallbacks."""
 
 import pytest
+from hypothesis import example, given, settings
 
 from pokeleague.agents import (
     GreedyAgent, RandomAgent, AgentDecision, fallback_action,
@@ -11,7 +12,7 @@ from pokeleague.engine import (
     resolve_turn, view_for,
 )
 
-from conftest import set_battler
+from conftest import ANY_WALK, FULL_GAME, decision_variants, set_battler, walk_states
 
 
 def greedy_team_oracle(pool):
@@ -143,6 +144,23 @@ def test_greedy_action_matches_exhaustive_oracle(dex):
         assert choice == greedy_action_oracle(dex, view, legal)
         probed += 1
     assert probed > 30
+
+
+@settings(max_examples=20, deadline=None)
+@given(**ANY_WALK)
+@example(**FULL_GAME)
+def test_memoized_greedy_decides_as_a_fresh_agent(dex, order, seed, turn_limit, choices):
+    """One warm GreedyAgent decides every decision variant of every state of a
+    walk as a fresh agent does, with the same action and reasoning."""
+    warm = GreedyAgent("g", dex)
+    for state in walk_states(dex, order, seed, turn_limit, choices):
+        if state.ended:
+            continue
+        for side in (0, 1):
+            for variant, legal in decision_variants(state, side):
+                view = view_for(variant, side)
+                assert warm.choose_action(view, legal) == GreedyAgent("g", dex).choose_action(
+                    view, legal)
 
 
 def test_greedy_prefers_stab_super_effective(dex):

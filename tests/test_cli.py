@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -254,6 +255,22 @@ MISSPELLED_ENTRANT = {"agent_id": "random-3", "kind": "random", "sead": 3}
      "a rate_capacity > 0 needs a rate_refill_per_s > 0, or the bucket never refills"),
     ({"providers": {"p": {**PROVIDER, "temperature": True}}},
      "temperature must be a number, got True"),
+    ({"providers": {"p": {**PROVIDER, "temperature": math.nan}}},
+     "temperature must be a number, got nan"),
+    ({"providers": {"p": {**PROVIDER, "temperature": math.inf}}},
+     "temperature must be a number, got inf"),
+    ({"providers": {"p": {**PROVIDER, "temperature": -math.inf}}},
+     "temperature must be a number, got -inf"),
+    ({"providers": {"p": {**PROVIDER, "timeout_s": math.nan}}},
+     "timeout_s must be a number > 0, got nan"),
+    ({"providers": {"p": {**PROVIDER, "timeout_s": math.inf}}},
+     "timeout_s must be a number > 0, got inf"),
+    ({"providers": {"p": {**PROVIDER, "rate_refill_per_s": math.nan}}},
+     "rate_refill_per_s must be a number >= 0, got nan"),
+    ({"providers": {"p": {**PROVIDER, "rate_refill_per_s": math.inf}}},
+     "rate_refill_per_s must be a number >= 0, got inf"),
+    ({"providers": {"p": {**PROVIDER, "rate_refill_per_s": -math.inf}}},
+     "rate_refill_per_s must be a number >= 0, got -inf"),
     ({"providers": {"p": {**PROVIDER, "max_tokens": 0}}},
      "max_tokens must be an integer >= 1, got 0"),
     ({"providers": {"p": {**PROVIDER, "model": 4}}}, "model must be a string, got 4"),
@@ -283,7 +300,9 @@ MISSPELLED_ENTRANT = {"agent_id": "random-3", "kind": "random", "sead": 3}
         "turn-limit-string", "turn-limit-zero", "jobs-string", "jobs-zero",
         "disqualify-string", "draft-per-match-int", "include-history-null",
         "repair-attempts-string", "repair-attempts-negative", "rate-capacity-string",
-        "rate-never-refills", "temperature-bool", "max-tokens-zero", "model-int",
+        "rate-never-refills", "temperature-bool", "temperature-nan", "temperature-infinity",
+        "temperature-minus-infinity", "timeout-nan", "timeout-infinity", "rate-refill-nan",
+        "rate-refill-infinity", "rate-refill-minus-infinity", "max-tokens-zero", "model-int",
         "providers-list", "misspelled-top-level-keys", "misspelled-entrant-key",
         "entrant-without-kind", "string-entrant", "entrants-object", "entrant-id-int",
         "mock-script-int", "master-seed-string", "master-seed-bool", "dex-path-int", "pool-int",
@@ -504,12 +523,17 @@ def test_log_starting_with_a_list_is_a_clean_failure(simulated_log, tmp_path, ca
         assert capsys.readouterr().err.startswith("error: ")
 
 
+NESTED_TOO_DEEP = f"{{log}}:2: nested deeper than {storage.MAX_NESTING} arrays and objects\n"
+
+
 @pytest.mark.parametrize("undecodable, error", [
     (lambda lines: [NOT_UTF8], "{log}: not UTF-8 text (invalid start byte)"),
-    (lambda lines: [lines[0], TOO_DEEP + b"\n", *lines[1:]], "{log}:2: invalid JSON: "),
+    (lambda lines: [lines[0], TOO_DEEP + b"\n", *lines[1:]], NESTED_TOO_DEEP),
+    (lambda lines: [lines[0], b'{"kind": "exchanges", "x": ' + b"[" * 984 + b"]" * 984 + b"}\n",
+                    *lines[1:]], NESTED_TOO_DEEP),
     (lambda lines: [lines[0], b'{"kind": "note", "n": ' + b"9" * 5000 + b"}\n", *lines[1:]],
      "{log}:2: invalid JSON: Exceeds the limit"),
-], ids=["not-utf-8", "too-deep", "integer-of-5000-digits"])
+], ids=["not-utf-8", "too-deep", "exchanges-985-deep", "integer-of-5000-digits"])
 def test_replay_and_report_reject_an_undecodable_log_alike(simulated_log, tmp_path, capsys,
                                                             undecodable, error):
     logs = tmp_path / "logs"

@@ -2,20 +2,25 @@
 
 import json
 import math
+import sys
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pokeleague import agents, storage
 from pokeleague.agents import GreedyAgent, RandomAgent
 from pokeleague.codec import make_encoder
+from pokeleague.engine import legal_actions, view_for
 from pokeleague.league import LeagueConfig, MatchRunner
+from pokeleague.rng import SeededStream, stable_hash64
 from pokeleague.storage import StorageError, read_log
+
+from conftest import ANY_WALK, FULL_GAME, walk_states
 
 # The encoders the package builds once, each with the json.dumps call it stands for.
 FORMS = {
     "log": (storage._LOG_ENCODER, dict(ensure_ascii=False)),
-    "key": (agents._KEY_ENCODER, dict(sort_keys=True)),
     "canonical": (storage.canonical_json,
                   dict(sort_keys=True, separators=(",", ":"), ensure_ascii=False)),
 }
@@ -41,6 +46,40 @@ VALUES = st.recursive(
 def test_built_encoders_write_what_json_dumps_writes(form, value):
     encode, options = FORMS[form]
     assert encode(value) == json.dumps(value, **options)
+
+
+def reference_key(view, legal):
+    """RandomAgent's decision key as json.dumps writes it."""
+    return json.dumps([view.turn_number, view.side, [a.to_dict() for a in legal],
+                       [(b.species, b.current_hp) for b in view.own_team],
+                       view.opponent_active.species, view.opponent_active.hp_percent],
+                      sort_keys=True)
+
+
+@settings(max_examples=30, deadline=None)
+@example(**FULL_GAME, names=["é", "名前", '"', "\\", "\x00\x1f", "\u2028", "\U0001f600"])
+@given(**ANY_WALK, names=st.lists(st.text() | st.sampled_from(SPECIAL_TEXT), min_size=7,
+                                  max_size=7))
+def test_random_decision_key_is_what_json_dumps_writes(dex, order, seed, turn_limit, choices,
+                                                       names):
+    """On every view of a legal walk, and on that view with its species renamed
+    (non-ASCII text, quotes, backslashes, control characters, U+2028); and the
+    agent's choice is drawn from that text."""
+    for state in walk_states(dex, order, seed, turn_limit, choices):
+        if state.ended:
+            continue
+        for side in (0, 1):
+            view, legal = view_for(state, side), legal_actions(state, side)
+            renamed = replace(
+                view, own_team=tuple(replace(b, species=name)
+                                     for b, name in zip(view.own_team, names)),
+                opponent_active=replace(view.opponent_active, species=names[6]))
+            for shown in (view, renamed):
+                key = reference_key(shown, legal)
+                assert agents._decision_key(shown, legal) == key
+                rng = SeededStream(stable_hash64("r", 7, "action", key))
+                assert (RandomAgent("r", 7).choose_action(shown, legal).action
+                        == legal[rng.choice_index(len(legal))])
 
 
 @pytest.fixture()
@@ -79,10 +118,10 @@ META = json.dumps({"kind": "meta", "schema_version": storage.SCHEMA_VERSION, "ma
 @pytest.mark.parametrize("line", [
     "\ufeff" + META, META + " x", META + " " + META, META + "}",
     '{"kind":\x0c"meta"}', '{\x1c"kind": "meta"}', '{"kind": "meta",}',
-    '{"a":' * 100_000 + "1" + "}" * 100_000, '{"a": ' + "9" * 4301 + "}", '{"a": "\x01"}',
+    '{"a": ' + "9" * 4301 + "}", '{"a": "\x01"}',
     '{"a": [1, 2}', '{"a": ', "NaN x", "nul",
 ], ids=["bom", "trailing-data", "two-objects", "extra-brace", "x0c-inside", "x1c-inside",
-        "trailing-comma", "too-deep", "int-4301-digits", "control-char-in-string",
+        "trailing-comma", "int-4301-digits", "control-char-in-string",
         "unclosed-array", "cut-short", "constant-then-data", "bad-literal"])
 @pytest.mark.parametrize("line_no", [1, 2])
 def test_read_log_names_the_line_and_the_decoders_error(tmp_path, line, line_no):
@@ -93,6 +132,63 @@ def test_read_log_names_the_line_and_the_decoders_error(tmp_path, line, line_no)
     with pytest.raises(StorageError) as excinfo:
         read_log(path)
     assert str(excinfo.value) == f"{path}:{line_no}: invalid JSON: {decoding.value}"
+
+
+@pytest.mark.parametrize("line_no", [1, 2])
+def test_read_log_rejects_a_line_nested_past_the_cap(tmp_path, line_no):
+    path = tmp_path / "deep.jsonl"
+    line = '{"a":' * 100_000 + "1" + "}" * 100_000
+    path.write_text("\n".join([META] * (line_no - 1) + [line, META]) + "\n", encoding="utf-8")
+    with pytest.raises(StorageError) as excinfo:
+        read_log(path)
+    assert str(excinfo.value) == (f"{path}:{line_no}: nested deeper than "
+                                  f"{storage.MAX_NESTING} arrays and objects")
+
+
+def call_at_depth(depth, call):
+    """call(), made with the Python stack depth frames deep."""
+    frame, here = sys._getframe(), 0
+    while frame is not None:
+        frame, here = frame.f_back, here + 1
+
+    def down(levels):
+        return call() if levels <= 0 else down(levels - 1)
+
+    return down(depth - here)
+
+
+def deep_exchanges(levels, closed=True):
+    """An exchanges record line that nests arrays and objects levels deep,
+    or that opens as many and closes none."""
+    line = '{"kind": "exchanges", "x": ' + "[" * (levels - 1)
+    return line + "]" * (levels - 1) + "}" if closed else line
+
+
+@pytest.mark.parametrize("levels, closed", [
+    (storage.MAX_NESTING, True), (storage.MAX_NESTING + 1, True), (985, True),
+    (storage.MAX_NESTING + 1, False), (985, False),
+], ids=["at-cap", "past-cap", "985", "unclosed-past-cap", "unclosed-985"])
+def test_a_deep_line_has_one_verdict_from_any_caller(tmp_path, levels, closed):
+    """A line at the cap reads from a caller as deep as the recursion limit less
+    the cap and a margin; a deeper one, whole or unclosed, fails with one
+    message from any caller."""
+    path = tmp_path / "deep.jsonl"
+    path.write_text(f"{META}\n{deep_exchanges(levels, closed)}\n", encoding="utf-8")
+
+    def verdict():
+        try:
+            read_log(path)
+        except StorageError as exc:
+            return str(exc)
+        return "read"
+
+    deepest = sys.getrecursionlimit() - storage.MAX_NESTING - 50
+    verdicts = {verdict(), call_at_depth(60, verdict), call_at_depth(deepest, verdict)}
+    if levels <= storage.MAX_NESTING:
+        assert verdicts == {"read"}
+    else:
+        assert verdicts == {f"{path}:2: nested deeper than {storage.MAX_NESTING} "
+                            "arrays and objects"}
 
 
 @pytest.mark.parametrize("line", ["[1, 2]", "7", '"meta"', "null"],

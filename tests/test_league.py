@@ -1,7 +1,8 @@
 """Match orchestration and the single-elimination bracket."""
 
 import json
-from dataclasses import asdict
+import re
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -21,6 +22,8 @@ from pokeleague.storage import (
 )
 
 from conftest import FixedTeam, logged_decisions
+
+TS_FIELD = re.compile(rb'"ts": -?[0-9][0-9.eE+-]*')  # a record's wall-clock time
 
 
 def scripted_entrants(count):
@@ -58,6 +61,31 @@ def test_match_is_deterministic(dex, bundled_fingerprint, tmp_path):
             GreedyAgent("greedy", dex), RandomAgent("random", 7), seed=42, match_id="m0")
         results.append(canonical_json(result.to_dict()))
     assert results[0] == results[1]
+
+
+def test_warm_scripted_agents_write_the_same_logs_in_either_order(dex, bundled_fingerprint,
+                                                                  tmp_path):
+    """Eight greedy-vs-random matches, played forward from cold memos, then in
+    reverse by the same warm agents on the same dex, then in reverse from cold
+    memos again, write the same logs, "ts" aside.  A memo keyed on too little
+    answers a matchup as the match that first met it did, so the cold orders differ."""
+    randoms = [RandomAgent(f"random-{i}", i) for i in range(8)]
+
+    def play(order, out, greedy):
+        runner = MatchRunner(greedy.dex, LeagueConfig(), out, bundled_fingerprint)
+        for i in order:
+            runner.run_match(greedy, randoms[i], seed=stable_hash64(0, "simulate", i),
+                             match_id=f"m{i}")
+        return {path.name: TS_FIELD.sub(b"", path.read_bytes()) for path in out.iterdir()}
+
+    def cold():
+        return GreedyAgent("greedy", replace(dex, context_memo={}))
+
+    warm = cold()
+    forward = play(range(8), tmp_path / "forward", warm)
+    assert len(forward) == 8
+    assert play(reversed(range(8)), tmp_path / "reverse-warm", warm) == forward
+    assert play(reversed(range(8)), tmp_path / "reverse-cold", cold()) == forward
 
 
 def test_match_rejects_same_agent_id(dex, tmp_path):

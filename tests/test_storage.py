@@ -13,19 +13,22 @@ from hypothesis import example, given, settings, strategies as st
 
 from pokeleague import storage
 from pokeleague.agents import AgentDecision, GreedyAgent, RandomAgent
-from pokeleague.dex import STATUS_NAMES
+from pokeleague.dex import STATUS_NAMES, type_multiplier
 from pokeleague.engine import (
-    Action, BattleAlreadyEnded, IllegalActionError, StatusState, init_battle, is_legal,
-    legal_actions, needs_replacement, resolve_replacements, resolve_turn,
+    Action, BattleAlreadyEnded, IllegalActionError, StatusState, compute_damage, init_battle,
+    is_legal, legal_actions, needs_replacement, resolve_replacements, resolve_turn,
 )
 from pokeleague.league import LeagueConfig, MatchRunner
 from pokeleague.storage import (
     RECORD_KEYS, DigestMismatch, IncompleteLog, MatchLog, StorageError, canonical_json,
-    decision_record, events_record, exchanges_record, meta_record, read_log, replay, state_digest,
-    state_json,
+    decision_context, decision_record, events_record, exchanges_record, meta_record, read_log,
+    replay, state_digest, state_json,
 )
 
-from conftest import FixedTeam, set_battler
+from conftest import (
+    ANY_WALK, CAPPED_GAME, FULL_GAME, FixedTeam, decision_variants, set_battler, walk_steps,
+    walk_states,
+)
 
 
 @pytest.fixture()
@@ -176,53 +179,6 @@ def test_state_digest_sensitive_to_state(dex):
     assert state_digest(mutated) != digest
 
 
-def walk_steps(dex, order, seed, turn_limit, choices):
-    """Yield (state, events) for each step of a battle between pool[order[:6]] and
-    pool[order[6:12]], starting with the initial state and its init events.
-
-    Each choice picks legal[choice % len(legal)] for the next side to act;
-    the walk stops when the battle ends or the choices run out.  Each state
-    is yielded before the next one is computed from it.
-    """
-    names = [dex.pool[i] for i in order[:12]]
-    state, events = init_battle(dex, names[:6], names[6:], seed, turn_limit)
-    yield state, events
-    picks = iter(choices)
-    while not state.ended:
-        pending = [s for s in (0, 1) if needs_replacement(state, s)]
-        chosen = {}
-        for side in pending or (0, 1):
-            legal = legal_actions(state, side)
-            pick = next(picks, None)
-            if pick is None:
-                return
-            chosen[side] = legal[pick % len(legal)]
-        if pending:
-            state, events = resolve_replacements(state, chosen, dex)
-        else:
-            state, events = resolve_turn(state, chosen[0], chosen[1], dex)
-        yield state, events
-
-
-def walk_states(dex, order, seed, turn_limit, choices):
-    """The states of walk_steps, in order."""
-    return (state for state, _ in walk_steps(dex, order, seed, turn_limit, choices))
-
-
-# Gengar (Hypnosis) leads against Tyranitar (Sand): a full game to AllFainted
-# with a sleeping battler and infinite weather, and a 3-turn game to the cap.
-GENGAR_VS_TYRANITAR = [4, 1, 2, 3, 5, 6, 17, 0, 8, 9, 10, 11]
-FULL_GAME = dict(order=GENGAR_VS_TYRANITAR, seed=0, turn_limit=500,
-                 choices=[i % 3 for i in range(400)])
-CAPPED_GAME = dict(order=GENGAR_VS_TYRANITAR, seed=0, turn_limit=3, choices=[0] * 10)
-ANY_WALK = dict(
-    order=st.permutations(range(30)),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    turn_limit=st.integers(min_value=1, max_value=60),
-    choices=st.lists(st.integers(min_value=0, max_value=8), max_size=150),
-)
-
-
 def test_fixed_walks_cover_digest_edge_cases(dex):
     states = [*walk_states(dex, **FULL_GAME), *walk_states(dex, **CAPPED_GAME)]
     statuses = [b.status for s in states for side in s.sides for b in side.team]
@@ -255,6 +211,58 @@ def test_later_steps_never_change_an_earlier_state(dex, order, seed, turn_limit,
     last = walk[-1][0]
     if last.ended:
         assert last.turn_number - 1 <= last.turn_limit  # turns played
+
+
+def reference_context(dex, state, side, legal):
+    """decision_context computed from scratch: no memo, compute_damage for each attack."""
+    own, opponent = state.sides[side].active, state.sides[1 - side].active
+    attacks = []
+    for action in legal:
+        if action.is_attack:
+            move = dex.moves[own.moves[action.index]]
+            attacks.append({
+                "move_index": action.index,
+                "effectiveness": type_multiplier(dex.chart, move.move_type, opponent.types),
+                "expected_damage": (compute_damage(own, opponent, move, dex.chart,
+                                                   weather=state.weather).damage
+                                    if move.is_damaging else 0)})
+    return {"own_hp_percent": own.hp_percent,
+            "switches": [a.index for a in legal if not a.is_attack], "attacks": attacks}
+
+
+def check_memoized_contexts(dex, states):
+    """decision_context, memoized, writes the reference's bytes for every decision
+    variant of every state; mutating what it returns changes no later result.
+    Returns the number of variants checked in a forced replacement."""
+    replacements = 0
+    for state in states:
+        if state.ended:
+            continue
+        for side in (0, 1):
+            for variant, legal in decision_variants(state, side):
+                expected = json.dumps(reference_context(dex, variant, side, legal))
+                context = decision_context(dex, variant, side, legal)
+                assert json.dumps(context) == expected  # as the log writes it: types and order
+                context["switches"].append(99)
+                for attack in context["attacks"]:
+                    attack["expected_damage"] = attack["effectiveness"] = -1
+                context["attacks"].append({})
+                assert json.dumps(decision_context(dex, variant, side, legal)) == expected
+                replacements += needs_replacement(variant, side)
+    return replacements
+
+
+def test_memoized_decision_context_equals_the_reference_along_a_full_game(dex):
+    fresh = replace(dex, context_memo={})
+    assert check_memoized_contexts(fresh, walk_states(fresh, **FULL_GAME)) > 0
+    assert fresh.context_memo  # the memo was used, and the checks ran against it
+
+
+@settings(max_examples=20, deadline=None)
+@given(**ANY_WALK)
+def test_memoized_decision_context_equals_the_reference_along_any_walk(
+        dex, order, seed, turn_limit, choices):
+    check_memoized_contexts(dex, walk_states(dex, order, seed, turn_limit, choices))
 
 
 def test_state_json_keys_cached_fragments_by_value(dex):
