@@ -262,6 +262,7 @@ class MatchRunner:
             log.append(storage.meta_record(
                 match_id=match_id,
                 tournament_id=self.tournament_id,
+                game_index=game_index,
                 seed=seed,
                 turn_limit=self.config.turn_limit,
                 dex_fingerprint=self.dex_fingerprint,

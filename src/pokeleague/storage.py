@@ -1,19 +1,19 @@
 """Append-only match logs and bit-exact replay.
 
-Each match writes one JSONL file.  Records carry a "kind" discriminator:
-"meta" (seeds, teams, config), "decision" (parsed decision, rationale,
-metric context, fallback flag, and errors if there were any),
-"exchanges" (the model exchanges behind the decision just before it,
-written only for a decision that has some, and for a draft only in its
-match's first game log), and "events" (engine events
-with pre/post state digests).  An exchange logs the full prompt if it is
-the decision's first; a repair exchange logs only its prompt_suffix, the
-text gateway.repair_prompt added after that first prompt, so the text
-sent is the first prompt plus the suffix.  read_log, the one reader,
-walks the records once: it checks each record's keys and the values
-replay and the metrics read, reads each battle-time action into an
-engine.Action (Action.from_dict, the one action reader), and returns the
-MatchLogData that replay and the metrics share.
+Each game writes one JSONL file.  Records carry a "kind" discriminator:
+"meta" (seeds, the game's index within its match, teams, config),
+"decision" (parsed decision, rationale, metric context, fallback flag,
+and errors if there were any), "exchanges" (the model exchanges behind
+the decision just before it, written only for a decision that has some,
+and for a draft only in its match's first game log), and "events"
+(engine events with pre/post state digests).  An exchange logs the full
+prompt if it is the decision's first; a repair exchange logs only its
+prompt_suffix, the text gateway.repair_prompt added after that first
+prompt, so the text sent is the first prompt plus the suffix.  read_log,
+the one reader, walks the records once: it checks each record's keys and
+the values replay and the metrics read, reads each battle-time action
+into an engine.Action (Action.from_dict, the one action reader), and
+returns the MatchLogData that replay and the metrics share.
 Live play and replay run one turn protocol, play_battle: live play logs the
 events records it yields; replay feeds it the logged decisions and checks
 every record it yields against the log, so any nondeterminism or
@@ -25,8 +25,9 @@ decides that by a value compare as strict about types as the encoder
 (true is not 1, 1 is not 1.0, -0.0 is not 0.0; key order is ignored) and
 encodes both only when the compare cannot vouch for a match.
 
-Lines are encoded as json.dumps(record, ensure_ascii=False) encodes them,
-by the stdlib's C encoder built once (codec.make_encoder), as are
+Lines are encoded as json.dumps(record, ensure_ascii=False,
+separators=(",", ":")) encodes them, with no space after a comma or a
+colon, by the stdlib's C encoder built once (codec.make_encoder), as are
 canonical_json's digests.  read_log decodes each line with the C scanner
 json.loads calls, and hands a line that is not one value with nothing after
 it to json.loads, so the error text stays the decoder's own.
@@ -58,7 +59,7 @@ from .engine import (
     needs_replacement, resolve_replacements, resolve_turn,
 )
 
-SCHEMA_VERSION = "1.2"
+SCHEMA_VERSION = "1.3"
 
 PHASE_TEAM_SELECT = "TeamSelect"
 PHASE_BATTLE = "Battle"
@@ -85,8 +86,8 @@ class DigestMismatch(StorageError):
 
 _CANONICAL = make_encoder(json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                                            ensure_ascii=False))
-# json.dumps(record, ensure_ascii=False), encoder built once.
-_LOG_ENCODER = make_encoder(json.JSONEncoder(ensure_ascii=False))
+# json.dumps(record, ensure_ascii=False, separators=(",", ":")), encoder built once.
+_LOG_ENCODER = make_encoder(json.JSONEncoder(separators=(",", ":"), ensure_ascii=False))
 
 
 def canonical_json(obj: object) -> str:
@@ -220,6 +221,7 @@ def meta_record(
     *,
     match_id: str,
     tournament_id: str,
+    game_index: int,
     seed: int,
     turn_limit: int,
     dex_fingerprint: str,
@@ -234,6 +236,7 @@ def meta_record(
         "schema_version": SCHEMA_VERSION,
         "match_id": match_id,
         "tournament_id": tournament_id,
+        "game_index": game_index,
         "seed": seed,
         "turn_limit": turn_limit,
         "dex_fingerprint": dex_fingerprint,

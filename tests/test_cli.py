@@ -918,28 +918,55 @@ def test_a_record_whose_kind_is_not_a_string_is_skipped(simulated_log, tmp_path,
 # weather and each attack's move and type, each decision repeats the match
 # id, and the meta record repeats the draft indices as "teams".
 LOGS_1_0 = Path(__file__).parent / "data" / "logs-1.0"
+# Logs written at schema 1.2, with ", " and ": " separators and no meta
+# "game_index": a simulate game and a mock entrant's game with repairs and
+# fallbacks.
+LOGS_1_2 = Path(__file__).parent / "data" / "logs-1.2"
 
 
-@pytest.mark.parametrize("name, outcome", [
-    ("mock-r0m0.jsonl", "winner side 1 (random-1) after 16 turn(s)"),
-    ("sim0.jsonl", "winner side 0 (a-greedy) after 13 turn(s)"),
-    ("sim1.jsonl", "winner side 0 (a-greedy) after 10 turn(s)"),
-])
-def test_a_1_0_log_replays_as_it_did(capsys, name, outcome):
-    meta = storage.read_log(LOGS_1_0 / name).meta
-    assert (meta["schema_version"], "teams" in meta) == ("1.0", True)
-    assert main(["replay", str(LOGS_1_0 / name)]) == 0
+def log_id(value):
+    """A 1.0 log is named by its file name, a later one also by its directory."""
+    if isinstance(value, Path):
+        return value.name if value.parent == LOGS_1_0 else f"{value.parent.name}/{value.name}"
+    return None
+
+
+@pytest.mark.parametrize("log, outcome", [
+    (LOGS_1_0 / "mock-r0m0.jsonl", "winner side 1 (random-1) after 16 turn(s)"),
+    (LOGS_1_0 / "sim0.jsonl", "winner side 0 (a-greedy) after 13 turn(s)"),
+    (LOGS_1_0 / "sim1.jsonl", "winner side 0 (a-greedy) after 10 turn(s)"),
+    (LOGS_1_2 / "mock-r0m0.jsonl", "winner side 0 (mock-0) after 20 turn(s)"),
+    (LOGS_1_2 / "sim0.jsonl", "winner side 0 (a-greedy) after 13 turn(s)"),
+], ids=log_id)
+def test_a_1_0_log_replays_as_it_did(capsys, log, outcome):
+    meta = storage.read_log(log).meta
+    version = "1.0" if log.parent == LOGS_1_0 else "1.2"
+    assert (meta["schema_version"], "teams" in meta, "game_index" in meta) == (
+        version, version == "1.0", False)
+    assert main(["replay", str(log)]) == 0
     assert capsys.readouterr().out == f"ok: {outcome}; all digests match\n"
 
 
 def test_report_over_1_0_logs_is_unchanged(tmp_path, capsys):
-    assert main(["report", str(LOGS_1_0), "--out", str(tmp_path)]) == 0
-    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in ("report.json", "report.txt", "pick_frequency.csv")} == {
-        "report.json": "a8fb8cf9a6c7e806fd0c0503780ac3e36aad6a2cd392f34ca8040a54e95d0716",
-        "report.txt": "4c1ead4fabc5205bd9af9e6920f711f107dc65783af443134108dcaf7a057969",
-        "pick_frequency.csv": "1bb9592b723caa8d5fcf45f25438a6d5b7fe797e5593b9dc13256dd8ac9f0a5d",
-    }
+    """Nor is it over the 1.2 logs: each set gives the bytes it gave when written."""
+    for logs, expected in {
+        LOGS_1_0: {
+            "report.json": "a8fb8cf9a6c7e806fd0c0503780ac3e36aad6a2cd392f34ca8040a54e95d0716",
+            "report.txt": "4c1ead4fabc5205bd9af9e6920f711f107dc65783af443134108dcaf7a057969",
+            "pick_frequency.csv":
+                "1bb9592b723caa8d5fcf45f25438a6d5b7fe797e5593b9dc13256dd8ac9f0a5d",
+        },
+        LOGS_1_2: {
+            "report.json": "f164dede3ad46e5ccaeadab583c48087dcac954515a89f47d4e1cd6f5ffefaf4",
+            "report.txt": "a2de41a2e44419065049342fc47a3bed5b4e7a9deb74cbeac65c504f6be48525",
+            "pick_frequency.csv":
+                "6b77f5089705817dbcf6cae35168a7b5ee5a09c948fd717a2070c2140fc80286",
+        },
+    }.items():
+        out = tmp_path / logs.name
+        assert main(["report", str(logs), "--out", str(out)]) == 0
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in expected} == expected
 
 
 def test_report_skips_a_directory_named_like_a_log(tmp_path, capsys):

@@ -20,7 +20,7 @@ from conftest import ANY_WALK, FULL_GAME, walk_states
 
 # The encoders the package builds once, each with the json.dumps call it stands for.
 FORMS = {
-    "log": (storage._LOG_ENCODER, dict(ensure_ascii=False)),
+    "log": (storage._LOG_ENCODER, dict(separators=(",", ":"), ensure_ascii=False)),
     "canonical": (storage.canonical_json,
                   dict(sort_keys=True, separators=(",", ":"), ensure_ascii=False)),
 }

@@ -52,7 +52,7 @@ ENTRANTS = [
     {"agent_id": "random-3", "kind": "random", "seed": 3},
 ]
 
-TS_FIELD = re.compile(rb'"ts": -?[0-9][0-9.eE+-]*')
+TS_FIELD = re.compile(rb'"ts": ?-?[0-9][0-9.eE+-]*')
 
 GOLDEN = {
     "bo1-draft-per-match": {
@@ -61,7 +61,7 @@ GOLDEN = {
         "report.json": "51e948b9a8f8a5d8689fdfb23aa8e64eed87cb40bab12930efc8abec6430592f",
         "report.txt": "0568ed680d9f8f54abec2628c092738e282cd47d1abbe9c84d12f18077b8f095",
         "pick_frequency.csv": "7644fdd1fc5bf5e35b35dfe391a5da855c7889337a9cff0e9370dacf00f8d57c",
-        "logs": "5cb8b2927240ca9151b5537e26ed5b0d84dd7dbcc8150f2f39d750dbbe559cd4",
+        "logs": "b3dab622be32c4d3985d82870f712373a693186ede57f6afa42d3f6dcb504fd4",
     },
     "bo3-draft-once": {
         "bracket.json": "1f19935bdf94350f5dab40ec5a676d5eff73b764b3e054b10cef166ebd86f36c",
@@ -69,7 +69,7 @@ GOLDEN = {
         "report.json": "c06228175a0d1cc482069fb6dc0d66f039bc3c034e3cc34406e34dc14e500e17",
         "report.txt": "1e7113acd5690f5be7dc90fc2c4ba8a2b2f00b88f1ae57f122b21f64d16db469",
         "pick_frequency.csv": "f9572f53067f9aafebdf6522ea157518a80895abfbf2b8949f87859b3dde26a3",
-        "logs": "c8712dc6224a613a23ba98de4410f6fe4d01ddb151be4a23e345bb5557009dad",
+        "logs": "7e94b7dd72955760dec7483afd742ba6df639b987995cbea4a9160adaddcdbc3",
     },
 }
 

@@ -23,7 +23,7 @@ from pokeleague.storage import (
 
 from conftest import FixedTeam, logged_decisions
 
-TS_FIELD = re.compile(rb'"ts": -?[0-9][0-9.eE+-]*')  # a record's wall-clock time
+TS_FIELD = re.compile(rb'"ts": ?-?[0-9][0-9.eE+-]*')  # a record's wall-clock time
 
 
 def scripted_entrants(count):
@@ -373,6 +373,9 @@ def test_best_of_three(dex, tmp_path):
     winner_side_wins = sum(1 for g in result.games if g.winner_side == result.winner_side)
     assert winner_side_wins == 2
     assert result.log_files == [g.log_file for g in result.games]
+    # Each game log's meta record gives the index its file name ends with.
+    for index, name in enumerate(result.log_files):
+        assert (name, read_log(tmp_path / name).meta["game_index"]) == (f"m0g{index}.jsonl", index)
 
 
 @pytest.mark.parametrize("best_of", [1, 3])

@@ -49,7 +49,7 @@ def test_append_read_roundtrip(tmp_path):
                  "attacks": [{"move_index": 1, "effectiveness": 1.0, "expected_damage": 9}]})
     with MatchLog(path) as log:
         log.append(meta_record(
-            match_id="m", tournament_id="t", seed=1, turn_limit=500,
+            match_id="m", tournament_id="t", game_index=0, seed=1, turn_limit=500,
             dex_fingerprint="f", agents={"a": "x", "b": "y"},
             team_names={"a": [], "b": []}, initial_digest="d"))
         log.append(record)
@@ -63,8 +63,9 @@ def test_append_read_roundtrip(tmp_path):
 
 def test_each_record_builder_writes_every_required_key():
     meta = meta_record(
-        match_id="m", tournament_id="t", seed=1, turn_limit=500, dex_fingerprint="f",
-        agents={"a": "x", "b": "y"}, team_names={"a": [], "b": []}, initial_digest="d")
+        match_id="m", tournament_id="t", game_index=0, seed=1, turn_limit=500,
+        dex_fingerprint="f", agents={"a": "x", "b": "y"}, team_names={"a": [], "b": []},
+        initial_digest="d")
     draft = decision_record(AgentDecision(team=tuple(range(6))), turn=0, agent_id="x", side=0,
                             phase="TeamSelect")
     battle = decision_record(AgentDecision(action=Action.attack(0)), turn=1, agent_id="x",
@@ -95,7 +96,7 @@ def test_a_decision_logs_its_exchanges_in_the_next_record_and_errors_only_if_any
     path = tmp_path / "log.jsonl"
     with MatchLog(path) as log:
         log.append(meta_record(
-            match_id="m", tournament_id="t", seed=1, turn_limit=500,
+            match_id="m", tournament_id="t", game_index=0, seed=1, turn_limit=500,
             dex_fingerprint="f", agents={"a": "x", "b": "y"},
             team_names={"a": [], "b": []}, initial_digest="d"))
         log.append(records[1], *exchanges_record(asked))  # one line per record
@@ -106,9 +107,11 @@ def test_a_decision_logs_its_exchanges_in_the_next_record_and_errors_only_if_any
 
 def test_written_records_hold_only_what_a_reader_reads(match_log):
     """A context holds three keys and each of its attacks three; no decision
-    repeats the match id and no meta record the draft indices."""
+    repeats the match id and no meta record the draft indices; a best-of-1
+    meta record gives the game index 0."""
     log = read_log(match_log[0])
-    assert log.meta["schema_version"] == "1.2" and "teams" not in log.meta
+    assert (log.meta["schema_version"], log.meta["game_index"]) == ("1.3", 0)
+    assert "teams" not in log.meta
     decisions = [r for r in log.records if r["kind"] == "decision"]
     assert not any("match_id" in decision for decision in decisions)
     contexts = [d["context"] for d in decisions if d["phase"] == "Battle"]
@@ -118,6 +121,12 @@ def test_written_records_hold_only_what_a_reader_reads(match_log):
         frozenset({"own_hp_percent", "switches", "attacks"})}
     assert {frozenset(attack) for attack in attacks} == {
         frozenset({"move_index", "effectiveness", "expected_damage"})}
+
+
+def test_every_line_is_its_records_compact_json(match_log):
+    lines = match_log[0].read_text(encoding="utf-8").splitlines()
+    assert lines == [json.dumps(json.loads(line), ensure_ascii=False, separators=(",", ":"))
+                     for line in lines]
 
 
 def test_one_json_object_per_line(tmp_path):
