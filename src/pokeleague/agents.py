@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, Protocol, Sequence
 
 from .dex import TEAM_SIZE, Dex, Species, type_multiplier
-from .engine import Action, BattleView, compute_stats, expected_damage
+from .engine import Action, BattleView, attack_table, compute_stats
 from .rng import SeededStream, stable_hash64
 
 
@@ -253,15 +253,13 @@ class GreedyAgent:
         None if every attack deals 0."""
         attacker = view.own_active
         opponent = compute_stats(self.dex.species[view.opponent_active.species])
-        damages = {a.index: expected_damage(attacker, opponent,
-                                            self.dex.moves[attacker.moves[a.index]],
-                                            self.dex.chart, view.weather)
-                   for a in attacks}
-        best = max(damages.values())
+        rows = attack_table(self.dex, attacker, opponent, view.weather,
+                            tuple([a.index for a in attacks]))
+        # max keeps the first of equal rows.
+        choice, (index, _, best) = max(zip(attacks, rows), key=lambda pair: pair[1][2])
         if best <= 0:
             return None
-        choice = next(a for a in attacks if damages[a.index] == best)
-        move = self.dex.moves[attacker.moves[choice.index]]
+        move = self.dex.moves[attacker.moves[index]]
         return AgentDecision(
             action=choice,
             reasoning=f"{move.name} deals the most expected damage ({best}) to {opponent.species}.")

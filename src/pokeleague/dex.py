@@ -58,15 +58,9 @@ class DexValidationError(Exception):
 
 @dataclass(frozen=True)
 class TypeChart:
-    """Total 18x18 matrix of single-type damage multipliers.
-
-    damage_memo is engine.expected_damage's memo: its values follow from
-    the cells, so it lives and dies with them, and match threads that
-    fill one entry at once write equal values.
-    """
+    """Total 18x18 matrix of single-type damage multipliers."""
 
     cells: dict[tuple[str, str], float]
-    damage_memo: dict[tuple, int] = field(default_factory=dict, compare=False, repr=False)
 
     def cell(self, attacking: str, defending: str) -> float:
         return self.cells[(attacking, defending)]
@@ -113,9 +107,9 @@ class Species:
 class Dex:
     """Loaded game data plus the ordered draft pool.
 
-    context_memo is storage.decision_context's memo, as chart.damage_memo
-    is engine.expected_damage's: its values follow from the moves and the
-    chart, and a copy with another pool shares it.
+    attack_memo is engine.attack_table's memo: its values follow from the
+    moves and the chart, a copy with another pool shares it, and match
+    threads that fill one entry at once write equal values.
     """
 
     types: tuple[str, ...]
@@ -123,7 +117,7 @@ class Dex:
     moves: dict[str, MoveDef]
     species: dict[str, Species]
     pool: tuple[str, ...] = field(default_factory=tuple)
-    context_memo: dict[tuple, tuple] = field(default_factory=dict, compare=False, repr=False)
+    attack_memo: dict[tuple, tuple] = field(default_factory=dict, compare=False, repr=False)
 
     def with_pool(self, pool: list[str]) -> "Dex":
         """Return a copy drafting from a different ordered species list,

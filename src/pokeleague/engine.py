@@ -8,10 +8,11 @@ the team lists and replaces only the battlers it changes, so successive
 states share every other battler.  resolve_turn and resolve_replacements
 never mutate their input.
 
-Each value the decision path asks for is computed once:
-expected_damage is memoized per type chart on the values that decide it,
-legality is checked by one predicate (is_legal) instead of a list, and
-legal_actions hands out shared Action values.
+Each value the decision path asks for is computed once: attack_table
+ranks a matchup's attacks (effectiveness and expected_damage) for the
+logged decision context and GreedyAgent alike, memoized in the dex on the
+values that decide them; legality is checked by one predicate (is_legal)
+instead of a list; and legal_actions hands out shared Action values.
 
 Mechanics summary (level 50, no IVs/EVs):
   max_hp = base_hp + 60, other stats = base + 5
@@ -385,33 +386,34 @@ def compute_damage(
     return DamageOutcome(damage=damage, effectiveness=effectiveness, stab=stab)
 
 
-def expected_damage(
-    attacker: BattlerState,
-    defender: BattlerState,
-    move: MoveDef,
-    chart: TypeChart,
-    weather: str | None,
-) -> int:
-    """The damage agents and metrics rank moves by: roll 100, no crit, 0 for status moves.
-
-    Memoized in chart.damage_memo, keyed on exactly the values
-    compute_damage reads for this move: its power, type and category, the
-    attacker's types, attacking stat and burn, the defender's types and
-    defending stat, and the weather.
-    """
+def expected_damage(attacker: BattlerState, defender: BattlerState, move: MoveDef,
+                    chart: TypeChart, weather: str | None) -> int:
+    """The damage agents and metrics rank moves by: roll 100, no crit, 0 for status moves."""
     if not move.is_damaging:
         return 0
-    physical = move.category == "Physical"
-    key = (move.power, move.move_type, move.category,
-           attacker.types, attacker.stats["atk" if physical else "spa"],
-           physical and attacker.status_kind == "Burn",
-           defender.types, defender.stats["def" if physical else "spd"], weather)
-    memo = chart.damage_memo
-    damage = memo.get(key)
-    if damage is None:
-        damage = memo[key] = compute_damage(
-            attacker, defender, move, chart, weather=weather).damage
-    return damage
+    return compute_damage(attacker, defender, move, chart, weather=weather).damage
+
+
+def attack_table(dex: Dex, attacker: BattlerState, defender: BattlerState, weather: str | None,
+                 indices: tuple[int, ...]) -> tuple[tuple[int, float, int], ...]:
+    """The (move_index, effectiveness, expected_damage) row of each listed move
+    of attacker against defender: what decision contexts log and GreedyAgent ranks.
+
+    Memoized in dex.attack_memo, keyed on what decides the rows: the
+    attacker's moves, types, Atk, SpA and burn, the defender's types, Def
+    and SpD, the weather and the indices.
+    """
+    key = (attacker.moves, attacker.types, attacker.stats["atk"], attacker.stats["spa"],
+           attacker.status_kind == "Burn", defender.types, defender.stats["def"],
+           defender.stats["spd"], weather, indices)
+    rows = dex.attack_memo.get(key)
+    if rows is None:
+        moves = [dex.moves[attacker.moves[i]] for i in indices]
+        rows = dex.attack_memo[key] = tuple(
+            (i, type_multiplier(dex.chart, move.move_type, defender.types),
+             expected_damage(attacker, defender, move, dex.chart, weather))
+            for i, move in zip(indices, moves))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +584,6 @@ def _execute_attack(state, dex, side, move_index, rng, events):
         events.append({"kind": "Missed", "side": side, "move": move.name})
         return
 
-    effectiveness = type_multiplier(dex.chart, move.move_type, defender.types)
-
     if move.is_damaging:
         crit = rng.randint(1, CRIT_DENOMINATOR) == 1
         roll = rng.randint(MIN_DAMAGE_ROLL, MAX_DAMAGE_ROLL)
@@ -605,8 +605,10 @@ def _execute_attack(state, dex, side, move_index, rng, events):
                            "team_index": state.sides[defender_side].active_index,
                            "species": defender.species})
 
-    # secondary (or primary, for Status moves) effect
-    if move.effect is not None and effectiveness > 0.0 and not defender.fainted:
+    # secondary (or primary, for Status moves) effect, where the move's type
+    # reaches the defender (a damaging move that got here did)
+    if move.effect is not None and not defender.fainted and (
+            move.is_damaging or type_multiplier(dex.chart, move.move_type, defender.types) > 0.0):
         if defender.status is None and rng.percent_roll(move.effect.chance_percent):
             turns = rng.randint(1, 4) if move.effect.status == "Sleep" else 0
             _replace_active(state, defender_side, status=StatusState(move.effect.status, turns))

@@ -496,13 +496,19 @@ def _extract_text(provider: str, payload: dict) -> str:
     return text
 
 
+_local = threading.local()  # .session: the thread's requests.Session, kept for its connections
+
+
 def _requests_transport(url: str, headers: dict, body: dict, timeout: float) -> tuple[int, object]:
     # Imported on the first provider call, so a process that sends no
     # request (replay, report, scripted or mock brackets) never loads it.
     import requests
 
+    session = getattr(_local, "session", None)
+    if session is None:
+        session = _local.session = requests.Session()
     try:
-        response = requests.post(url, headers=headers, json=body, timeout=timeout)
+        response = session.post(url, headers=headers, json=body, timeout=timeout)
     except requests.Timeout as exc:
         raise RequestTimeout(str(exc))
     except requests.RequestException as exc:

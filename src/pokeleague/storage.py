@@ -53,9 +53,9 @@ from typing import Callable, Iterator, Sequence
 
 from .agents import AgentDecision
 from .codec import make_encoder
-from .dex import Dex, type_multiplier
+from .dex import Dex
 from .engine import (
-    Action, BattlerState, BattleState, IllegalActionError, expected_damage, init_battle,
+    Action, BattlerState, BattleState, IllegalActionError, attack_table, init_battle,
     needs_replacement, resolve_replacements, resolve_turn,
 )
 
@@ -352,26 +352,15 @@ def decision_context(dex: Dex, state: BattleState, side: int, legal: Sequence[Ac
     engine.expected_damage, which the attack metrics rank.  The species,
     types and weather are in the meta record, the events and the dex.
 
-    The attacks' values are memoized in dex.context_memo, keyed on what
-    decides them: own moves, types, Atk, SpA and burn, the opposing types,
-    Def and SpD, the weather and the legal attacks.  Every call returns
-    new dicts and lists.
+    The attacks' values are engine.attack_table's rows, memoized in the
+    dex, so GreedyAgent and the context rank a matchup once between them.
+    Every call returns new dicts and lists.
     """
     own = state.sides[side].active
-    opponent = state.sides[1 - side].active
     indices = tuple([a.index for a in legal if a.is_attack])
     attacks = []
     if indices:
-        key = (own.moves, own.types, own.stats["atk"], own.stats["spa"],
-               own.status_kind == "Burn", opponent.types, opponent.stats["def"],
-               opponent.stats["spd"], state.weather, indices)
-        rows = dex.context_memo.get(key)
-        if rows is None:
-            moves = [dex.moves[own.moves[i]] for i in indices]
-            rows = dex.context_memo[key] = tuple(
-                (i, type_multiplier(dex.chart, move.move_type, opponent.types),
-                 expected_damage(own, opponent, move, dex.chart, state.weather))
-                for i, move in zip(indices, moves))
+        rows = attack_table(dex, own, state.sides[1 - side].active, state.weather, indices)
         attacks = [{"move_index": i, "effectiveness": effectiveness, "expected_damage": damage}
                    for i, effectiveness, damage in rows]
     return {"own_hp_percent": own.hp_percent,

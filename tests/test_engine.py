@@ -6,11 +6,11 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pokeleague.dex import Species, load_dex
+from pokeleague.dex import Species, load_dex, type_multiplier
 from pokeleague.engine import (
     Action, BattleAlreadyEnded, BattlerState, IllegalActionError, NotADamagingMove,
-    StatusState, compute_damage, compute_stats, expected_damage, init_battle, is_legal,
-    legal_actions, needs_replacement, resolve_replacements, resolve_turn, view_for,
+    StatusState, attack_table, compute_damage, compute_stats, expected_damage, init_battle,
+    is_legal, legal_actions, needs_replacement, resolve_replacements, resolve_turn, view_for,
 )
 from pokeleague.storage import canonical_json
 
@@ -215,32 +215,43 @@ STATUSES = (None, "Burn", "Poison", "Paralysis", "Sleep", "Freeze")
 WEATHERS = (None, "Rain", "Sun", "Sand")
 
 
-def fresh_expected_damage(attacker, defender, move, chart, weather):
-    """expected_damage's rule, recomputed without the memo."""
-    if not move.is_damaging:
-        return 0
-    return compute_damage(attacker, defender, move, chart, weather=weather).damage
+def fresh_rows(dex, attacker, defender, weather):
+    """attack_table's rows for all four moves, computed without the memo."""
+    rows = []
+    for i, name in enumerate(attacker.moves):
+        move = dex.moves[name]
+        effectiveness = type_multiplier(dex.chart, move.move_type, defender.types)
+        damage = (compute_damage(attacker, defender, move, dex.chart, weather=weather).damage
+                  if move.is_damaging else 0)
+        rows.append((i, effectiveness, damage))
+    return tuple(rows)
 
 
-def test_memoized_expected_damage_equals_fresh_over_the_pool(dex):
+def check_table(dex, attacker, defender, weather):
+    """attack_table gives the fresh rows on the miss that fills its entry, and on the hit."""
+    expected = fresh_rows(dex, attacker, defender, weather)
+    entries = len(dex.attack_memo)
+    for _ in range(2):  # the miss, then the hit
+        assert attack_table(dex, attacker, defender, weather, (0, 1, 2, 3)) == expected
+    assert len(dex.attack_memo) <= entries + 1
+
+
+def test_attack_table_equals_fresh_over_the_pool(dex):
+    dex = replace(dex, attack_memo={})
     battlers = [compute_stats(dex.species[name]) for name in dex.pool]
     burned = [replace(b, status=StatusState("Burn")) for b in battlers]
     for attacker in battlers + burned:
         for defender in battlers:
-            for name in attacker.moves:
-                move = dex.moves[name]
-                for weather in WEATHERS:
-                    expected = fresh_expected_damage(attacker, defender, move, dex.chart, weather)
-                    for _ in range(2):  # the miss, then the hit
-                        assert expected_damage(
-                            attacker, defender, move, dex.chart, weather) == expected
+            for weather in WEATHERS:
+                check_table(dex, attacker, defender, weather)
+    assert len(dex.attack_memo) == len(battlers + burned) * len(battlers) * len(WEATHERS)
 
 
 @settings(max_examples=150, deadline=2000)
 @given(
     attacker=st.integers(min_value=0, max_value=29),
     defender=st.integers(min_value=0, max_value=29),
-    move_rank=st.integers(min_value=0, max_value=10**6),
+    moves=st.lists(st.integers(min_value=0, max_value=10**6), min_size=4, max_size=4),
     weather=st.sampled_from(WEATHERS),
     statuses=st.tuples(st.sampled_from(STATUSES), st.sampled_from(STATUSES)),
     stat_changes=st.dictionaries(
@@ -248,9 +259,9 @@ def test_memoized_expected_damage_equals_fresh_over_the_pool(dex):
                   st.sampled_from(["atk", "def", "spa", "spd", "spe"])),
         st.integers(min_value=1, max_value=400), max_size=4),
 )
-def test_memoized_expected_damage_equals_fresh(
-        dex, attacker, defender, move_rank, weather, statuses, stat_changes):
-    """Any move, any status on either side, stats changed on a live state."""
+def test_attack_table_equals_fresh(
+        dex, attacker, defender, moves, weather, statuses, stat_changes):
+    """Any moves, any status on either side, stats changed on a live state."""
     teams = [[lead, *[n for n in dex.pool if n != lead][:5]]
              for lead in (dex.pool[attacker], dex.pool[defender])]
     state, _ = fresh_battle(dex, *teams)
@@ -259,10 +270,9 @@ def test_memoized_expected_damage_equals_fresh(
     for side in (0, 1):
         changes = {stat: value for (s, stat), value in stat_changes.items() if s == side}
         set_battler(state, side, stats={**state.sides[side].active.stats, **changes})
-    move = dex.moves[sorted(dex.moves)[move_rank % len(dex.moves)]]
-    own, opponent = state.sides[0].active, state.sides[1].active
-    assert expected_damage(own, opponent, move, dex.chart, weather) == \
-        fresh_expected_damage(own, opponent, move, dex.chart, weather)
+    names = sorted(dex.moves)
+    set_battler(state, 0, moves=tuple(names[rank % len(names)] for rank in moves))
+    check_table(dex, state.sides[0].active, state.sides[1].active, weather)
 
 
 def test_a_changed_chart_cell_gets_its_own_memo(dex, dex_doc, write_dex):
@@ -270,12 +280,12 @@ def test_a_changed_chart_cell_gets_its_own_memo(dex, dex_doc, write_dex):
         **dex_doc["chart"], "Water": {**dex_doc["chart"]["Water"], "Fire": 0.5}}}))
     attacker = compute_stats(dex.species["Swampert"])
     defender = compute_stats(dex.species["Arcanine"])
-    surf = dex.moves["Surf"]
-    first = expected_damage(attacker, defender, surf, dex.chart, None)  # fills dex's memo
-    changed = expected_damage(attacker, defender, surf, other.chart, None)
-    assert changed == fresh_expected_damage(attacker, defender, surf, other.chart, None)
-    assert changed < first
-    assert expected_damage(attacker, defender, surf, dex.chart, None) == first
+    surf = attacker.moves.index("Surf")
+    first = attack_table(dex, attacker, defender, None, (surf,))  # fills dex's memo
+    changed = attack_table(other, attacker, defender, None, (surf,))
+    assert changed == (fresh_rows(other, attacker, defender, None)[surf],)
+    assert changed[0][1] < first[0][1] and changed[0][2] < first[0][2]
+    assert attack_table(dex, attacker, defender, None, (surf,)) == first
 
 
 # ---------------------------------------------------------------------------

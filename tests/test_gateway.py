@@ -1,8 +1,10 @@
 """Prompt rendering, response parsing, provider transport, repair loop."""
 
+import http.server
 import json
 import random
 import socket
+import threading
 import time
 from pathlib import Path
 
@@ -514,8 +516,8 @@ def test_complete_401_is_auth_error_no_retry(monkeypatch):
 
 @pytest.fixture()
 def posted(monkeypatch):
-    """Stands in for requests.post: give it what the call returns or raises;
-    it records each call's arguments.  Any socket connect fails the test."""
+    """Stands in for the thread's session's post: give it what the call returns
+    or raises; it records each call's arguments.  Any socket connect fails the test."""
     calls, outcome = [], {}
 
     def post(url, **kwargs):
@@ -527,7 +529,9 @@ def posted(monkeypatch):
     def refuse(*args, **kwargs):
         pytest.fail(f"a socket was opened: {args!r}")
 
-    monkeypatch.setattr(requests, "post", post)
+    session = requests.Session()
+    monkeypatch.setattr(session, "post", post)
+    monkeypatch.setattr(gateway._local, "session", session, raising=False)
     monkeypatch.setattr(socket.socket, "connect", refuse)
     monkeypatch.setattr(socket, "create_connection", refuse)
     return lambda value: outcome.update(value=value) or calls
@@ -567,6 +571,47 @@ def test_requests_transport_maps_a_connection_error_to_provider_error_0(posted):
         send()
     assert excinfo.value.status == 0
     assert "connection refused" in excinfo.value.body
+
+
+def test_provider_calls_reuse_one_connection(monkeypatch):
+    """Three completions through the real transport to a loopback server open one
+    connection between them."""
+    connections = []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"  # keeps the connection open between requests
+
+        def setup(self):
+            connections.append(self.client_address)
+            super().setup()
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            body = json.dumps(openai_payload("ok")).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    monkeypatch.setenv("POKELEAGUE_TEST_KEY", "k")
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")  # or a proxy would see the connections
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        config = make_config(endpoint=f"http://127.0.0.1:{server.server_port}/v1")
+        for _ in range(3):
+            assert complete(config, "p").response_text == "ok"
+    finally:
+        session = vars(gateway._local).pop("session", None)  # this thread's
+        if session is not None:
+            session.close()
+        server.shutdown()
+        server.server_close()
+    assert len(connections) == 1
 
 
 def test_anthropic_and_gemini_wire_shapes(monkeypatch):

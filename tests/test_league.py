@@ -79,7 +79,7 @@ def test_warm_scripted_agents_write_the_same_logs_in_either_order(dex, bundled_f
         return {path.name: TS_FIELD.sub(b"", path.read_bytes()) for path in out.iterdir()}
 
     def cold():
-        return GreedyAgent("greedy", replace(dex, context_memo={}))
+        return GreedyAgent("greedy", replace(dex, attack_memo={}))
 
     warm = cold()
     forward = play(range(8), tmp_path / "forward", warm)

@@ -16,7 +16,7 @@ from pokeleague.agents import AgentDecision, GreedyAgent, RandomAgent
 from pokeleague.dex import STATUS_NAMES, type_multiplier
 from pokeleague.engine import (
     Action, BattleAlreadyEnded, IllegalActionError, StatusState, compute_damage, init_battle,
-    is_legal, legal_actions, needs_replacement, resolve_replacements, resolve_turn,
+    is_legal, legal_actions, needs_replacement, resolve_replacements, resolve_turn, view_for,
 )
 from pokeleague.league import LeagueConfig, MatchRunner
 from pokeleague.storage import (
@@ -262,9 +262,9 @@ def check_memoized_contexts(dex, states):
 
 
 def test_memoized_decision_context_equals_the_reference_along_a_full_game(dex):
-    fresh = replace(dex, context_memo={})
+    fresh = replace(dex, attack_memo={})
     assert check_memoized_contexts(fresh, walk_states(fresh, **FULL_GAME)) > 0
-    assert fresh.context_memo  # the memo was used, and the checks ran against it
+    assert fresh.attack_memo  # the memo was used, and the checks ran against it
 
 
 @settings(max_examples=20, deadline=None)
@@ -272,6 +272,18 @@ def test_memoized_decision_context_equals_the_reference_along_a_full_game(dex):
 def test_memoized_decision_context_equals_the_reference_along_any_walk(
         dex, order, seed, turn_limit, choices):
     check_memoized_contexts(dex, walk_states(dex, order, seed, turn_limit, choices))
+
+
+def test_greedy_and_the_context_rank_a_new_matchup_once(dex):
+    """GreedyAgent's decision on a new matchup adds one attack-table entry, and
+    the decision context of the same state reads it without adding one."""
+    fresh = replace(dex, attack_memo={})
+    state, _ = init_battle(fresh, fresh.pool[:6], fresh.pool[6:12], 1)
+    legal = legal_actions(state, 0)
+    GreedyAgent("greedy", fresh).choose_action(view_for(state, 0), legal)
+    assert len(fresh.attack_memo) == 1
+    decision_context(fresh, state, 0, legal)
+    assert len(fresh.attack_memo) == 1
 
 
 def test_state_json_keys_cached_fragments_by_value(dex):
