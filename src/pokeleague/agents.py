@@ -8,7 +8,7 @@ whole matches replay exactly.
 Every decision is an AgentDecision: an engine.Action or a team pick, a
 tuple of positions in the draft pool, the dex's own Species in pool
 order.  The league holds every agent's pick to one rule,
-gateway.check_team, and every action to another, gateway.check_action.
+prompts.check_team, and every action to another, prompts.check_action.
 
 Every config class checks its input with what sits beside ConfigError:
 check_setting, read_config_file and build_config.

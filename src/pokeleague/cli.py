@@ -2,11 +2,11 @@
 
 Subcommands: dex validate | simulate | tournament | replay | report.
 Exit codes are a stable contract: 0 success, 1 domain failure (invalid
-dex data, a log that fails to replay or read, no logs), 2 usage or
-config failure (a bad setting, a dex that fails to load, an input path
-that is missing or a directory, an output path that is or lies under a
-file).  Commands raise; main maps each error to its exit code in one
-place.
+dex data, a log that fails to replay or read, no logs, a stdout closed
+by its reader, as in report | head), 2 usage or config failure (a bad
+setting, a dex that fails to load, an input path that is missing or a
+directory, an output path that is or lies under a file).  Commands
+raise; main maps each error to its exit code in one place.
 
 Only simulate and tournament import league (and through it gateway), so
 replay, report and dex validate start without loading the match code.
@@ -15,6 +15,7 @@ replay, report and dex validate start without loading the match code.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import replace
@@ -175,7 +176,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Point fd 1 at devnull, so the shutdown flush of what is left is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILURE
     except (storage.StorageError, analytics.NoLogs) as exc:
         prefix = "replay diverged" if isinstance(exc, storage.DigestMismatch) else "error"
         print(f"{prefix}: {exc}", file=sys.stderr)

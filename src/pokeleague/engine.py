@@ -715,7 +715,6 @@ class BattleView:
     own_active_index: int
     opponent_active: OpponentView
     opponent_revealed: tuple[str, ...]
-    forced_replacement: bool
 
     @property
     def own_active(self) -> BattlerState:
@@ -737,5 +736,4 @@ def view_for(state: BattleState, side: int) -> BattleView:
             species=opp_active.species, types=opp_active.types,
             hp_percent=opp_active.hp_percent, status=opp_active.status_kind),
         opponent_revealed=tuple(opp.team[i].species for i in sorted(opp.revealed)),
-        forced_replacement=own.active.fainted and not state.ended,
     )

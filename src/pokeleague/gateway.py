@@ -1,13 +1,9 @@
 """Bridge between agents and LLM chat providers.
 
-Renders battle views and draft pools into prompts, calls
-OpenAI-compatible / Anthropic / Gemini chat endpoints, and parses the
-JSON decisions back out of whatever prose or markdown fencing the model
-wrapped them in.  Malformed output triggers a bounded repair loop; after
-that the league falls back to a canonical decision.
-
-Prompts are pure functions of their inputs and are covered by golden
-tests, so any wording change is a deliberate, reviewed diff.
+Calls OpenAI-compatible / Anthropic / Gemini chat endpoints with retries
+and backoff, and runs LlmAgent, which asks a model through the prompt
+protocol of pokeleague.prompts.  Malformed output triggers a bounded
+repair loop; after that the league falls back to a canonical decision.
 """
 
 from __future__ import annotations
@@ -18,15 +14,15 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .agents import AgentDecision, ConfigError, build_config, check_setting, read_config_file
-from .dex import TEAM_SIZE, Dex, MoveDef, Species
+from .dex import Dex, Species
 from .engine import Action, BattleView
-
-SYSTEM_PREAMBLE = (
-    "You are a competitive Pokémon battle assistant. Follow the instructions "
-    "and respond with only the requested JSON object."
+# LlmAgent calls these through this module's names: benchmarks/tracing.py wraps them here.
+from .prompts import (
+    SYSTEM_PREAMBLE, ParseError, build_battle_prompt, build_team_prompt, history_entry,
+    parse_action_response, parse_team_response, repair_prompt,
 )
 
 PROVIDER_OPENAI = "openai_compatible"
@@ -38,22 +34,6 @@ PROVIDERS = (PROVIDER_OPENAI, PROVIDER_ANTHROPIC, PROVIDER_GEMINI)
 # ---------------------------------------------------------------------------
 # errors
 # ---------------------------------------------------------------------------
-
-class ParseError(Exception):
-    """A model response that cannot be turned into a valid decision, or any
-    agent's decision that breaks its rule (check_team or check_action).
-
-    kind names the defect: no_json_found, wrong_arity, index_out_of_range,
-    duplicate_index, unknown_action_type or illegal_action.  It is logged
-    as the exchange's parse_outcome, or among the errors of a decision the
-    league replaced; str() is "kind: detail".
-    """
-
-    def __init__(self, kind: str, detail: str):
-        self.kind = kind
-        self.detail = detail
-        super().__init__(f"{kind}: {detail}")
-
 
 class GatewayError(Exception):
     """Transport-level failure talking to a provider."""
@@ -157,247 +137,6 @@ class RawExchange:
         return {**prompt, "response_text": self.response_text,
                 "latency_ms": self.latency_ms, "attempt": self.attempt,
                 "parse_outcome": parse_outcome}
-
-
-# ---------------------------------------------------------------------------
-# prompt rendering
-# ---------------------------------------------------------------------------
-
-def _format_stats(stats: Mapping[str, int]) -> str:
-    return (f"HP {stats['hp']}, Atk {stats['atk']}, Def {stats['def']}, "
-            f"SpA {stats['spa']}, SpD {stats['spd']}, Spe {stats['spe']}")
-
-
-def build_team_prompt(pool: Sequence[Species]) -> str:
-    """Draft instructions, the pool numbered by position, and the JSON shape to return."""
-    lines = [
-        "Select 6 Pokémon from the list below. Consider type coverage, "
-        "weaknesses, and synergy. Provide a brief explanation for your team "
-        "composition.",
-        "",
-    ]
-    for index, entry in enumerate(pool):
-        types = "/".join(entry.types)
-        moves = ", ".join(entry.moves)
-        lines.append(f"{index}. {entry.name} ({types}) | "
-                     f"{_format_stats(entry.base_stats)} | Moves: {moves}")
-    lines += [
-        "",
-        'Respond with only a JSON object with keys "team" (a list of 6 '
-        'distinct indices from the list above) and "reasoning" (a brief '
-        'explanation), e.g. {"team": [0, 1, 2, 3, 4, 5], "reasoning": "..."}.',
-    ]
-    return "\n".join(lines)
-
-
-def _status_text(status: str | None) -> str:
-    return status if status is not None else "Healthy"
-
-
-def _describe_move(move: MoveDef) -> str:
-    if not move.is_damaging:
-        detail = "status move"
-    else:
-        detail = f"power {move.power}"
-    if move.accuracy is None:
-        return f"{move.name} ({move.move_type}, {detail}, never misses)"
-    return f"{move.name} ({move.move_type}, {detail}, accuracy {move.accuracy})"
-
-
-def build_battle_prompt(
-    view: BattleView,
-    legal: Sequence[Action],
-    dex: Dex,
-    history: Sequence[str] = (),
-) -> str:
-    """Battle state, the legal actions, and the JSON shape to return."""
-    own = view.own_active
-    opp = view.opponent_active
-    lines = [
-        f"You are in a battle. Your active Pokémon: {own.species} "
-        f"(HP: {own.hp_percent}%, Status: {_status_text(own.status_kind)}).",
-        f"Opponent's active Pokémon: {opp.species} "
-        f"(HP: {opp.hp_percent}%, Status: {_status_text(opp.status)}).",
-        f"Weather: {view.weather or 'None'}. Turn: {view.turn_number}.",
-        "Opponent's revealed Pokémon: " + ", ".join(view.opponent_revealed) + ".",
-        "",
-        "Your team:",
-    ]
-    for index, member in enumerate(view.own_team):
-        marker = " [active]" if index == view.own_active_index else ""
-        state = "fainted" if member.fainted else (
-            f"HP: {member.hp_percent}%, Status: {_status_text(member.status_kind)}")
-        lines.append(f"- {index}: {member.species} ({state}){marker}")
-    if history:
-        lines += ["", "Previous turns:"]
-        lines += [f"- {entry}" for entry in history]
-    attacks = [a for a in legal if a.is_attack]
-    switches = [a for a in legal if not a.is_attack]
-    lines += ["", "Legal actions:"]
-    if attacks:
-        lines.append("Attacks:")
-        for action in attacks:
-            move = dex.moves[own.moves[action.index]]
-            lines.append(f"- move_index {action.index}: {_describe_move(move)}")
-    if switches:
-        lines.append("Switches:")
-        for action in switches:
-            member = view.own_team[action.index]
-            lines.append(f"- team_index {action.index}: {member.species} "
-                         f"(HP: {member.hp_percent}%)")
-    lines += [
-        "",
-        "What do you do? Choose a move or switch, and explain your reasoning.",
-        'Respond with only a JSON object with keys "action" and "reasoning". '
-        'For an attack use {"action": {"type": "attack", "move_index": N}, '
-        '"reasoning": "..."}; for a switch use {"action": {"type": "switch", '
-        '"team_index": N}, "reasoning": "..."}.',
-    ]
-    return "\n".join(lines)
-
-
-def repair_prompt(original: str, error: ParseError) -> str:
-    """Original prompt plus the machine error, asking for bare JSON."""
-    return (f"{original}\n\nYour previous response was invalid: {error}. "
-            "Respond with only the JSON object.")
-
-
-# ---------------------------------------------------------------------------
-# response parsing
-# ---------------------------------------------------------------------------
-
-# Characters extract_first_json scans, summed over every candidate start:
-# a start whose braces never balance scans every character to the end of
-# the text, so without a cap the count grows with the square of the
-# response length.
-MAX_SCAN_CHARS = 1_000_000
-# What a candidate that balances but does not decode also counts against
-# MAX_SCAN_CHARS: a failed decode costs about as much time as scanning this
-# many characters, so a reply made of short malformed candidates cannot
-# buy a million decode attempts.
-FAILED_DECODE_CHARS = 100
-
-# One scanner for every candidate: the C scanner of a strict=False decoder
-# (which tolerates the literal newlines inside strings that models
-# frequently emit), called directly.  _SCAN(raw, i) decodes the value
-# starting at raw[i] into (value, end).  It raises StopIteration where the
-# text ends before a value it expects, and ValueError where it is not JSON.
-_SCAN = json.JSONDecoder(strict=False).scan_once
-
-
-def extract_first_json(raw: str) -> dict:
-    """First JSON object found in the text, however it is wrapped.
-
-    Models routinely wrap their JSON in prose or markdown fences.  Each
-    "{" starts a candidate, in order: the text from it to the "}" that
-    balances it, found by a brace count that skips strings (by quotes and
-    backslash escapes).  The first candidate that parses is the answer.
-    Each candidate is scanned from its own start, and the scan counts
-    against MAX_SCAN_CHARS: to its balancing "}", or to the end of the text
-    if its braces never balance.  A candidate that balances but does not
-    decode counts FAILED_DECODE_CHARS more.  A scan that reaches the
-    remaining budget before the end of the text gives up with a
-    no_json_found ParseError.
-    """
-    start = raw.find("{")
-    if start != -1:
-        # Most replies: the first candidate parses.  An object that decodes
-        # from a start ends at the "}" that balances it, so it is that candidate.
-        try:
-            obj, end = _SCAN(raw, start)
-        except (StopIteration, ValueError, RecursionError):
-            pass  # not JSON, too deep, or an int too long
-        else:
-            if end - start <= MAX_SCAN_CHARS:
-                return obj
-    budget = MAX_SCAN_CHARS
-    while start != -1:
-        stop = min(len(raw), start + budget)
-        depth, in_string, escaped = 0, False, False
-        for pos in range(start, stop):
-            char = raw[pos]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif char == "\\":
-                    escaped = True
-                elif char == '"':
-                    in_string = False
-            elif char == '"':
-                in_string = True
-            elif char == "{":
-                depth += 1
-            elif char == "}":
-                depth -= 1
-                if depth == 0:
-                    # Decoded from a copy of the candidate alone: a decode error
-                    # counts the newlines before its position in the text it is
-                    # given, so one from the whole reply would cost O(start).
-                    candidate = raw[start:pos + 1]
-                    try:
-                        obj, end = _SCAN(candidate, 0)
-                        if end == len(candidate):  # a "{...}" that parses is an object
-                            return obj
-                    except (StopIteration, ValueError, RecursionError):
-                        pass  # not JSON, too deep, or an int too long
-                    budget -= FAILED_DECODE_CHARS
-                    break
-        else:
-            if stop < len(raw):
-                raise ParseError("no_json_found", f"gave up: the scan budget of "
-                                                  f"{MAX_SCAN_CHARS} characters is spent")
-        budget -= pos + 1 - start
-        start = raw.find("{", start + 1)
-    raise ParseError("no_json_found", "no JSON object in response")
-
-
-def _reasoning_of(obj: dict) -> str:
-    reasoning = obj.get("reasoning", "")
-    return reasoning if isinstance(reasoning, str) else json.dumps(reasoning)
-
-
-def check_team(team: object, pool_size: int) -> tuple[int, ...]:
-    """The team pick rule for every agent: six distinct int indices inside the pool.
-    Returns the pick as a tuple; any defect raises a ParseError of its kind."""
-    count = len(team) if isinstance(team, (list, tuple)) else 0
-    if count != TEAM_SIZE:
-        raise ParseError("wrong_arity", f"expected {TEAM_SIZE} team indices, got {count}")
-    for position, item in enumerate(team):
-        if type(item) is not int or not 0 <= item < pool_size:  # a bool is not an index
-            raise ParseError("index_out_of_range", f"index {item!r} is outside the pool")
-        if item in team[:position]:
-            raise ParseError("duplicate_index", f"index {item} appears more than once")
-    return tuple(team)
-
-
-def check_action(action: object, legal: Sequence[Action]) -> Action:
-    """The action rule for every agent: one of the legal actions.
-    Returns the action; anything else raises an illegal_action ParseError."""
-    if action not in legal:
-        raise ParseError("illegal_action", f"{action} is not in the legal action set")
-    return action
-
-
-def parse_team_response(raw: str, pool_size: int) -> tuple[tuple[int, ...], str]:
-    """Extract a team pick that passes check_team, and its reasoning."""
-    obj = extract_first_json(raw)
-    return check_team(obj.get("team"), pool_size), _reasoning_of(obj)
-
-
-def parse_action_response(raw: str, legal: Sequence[Action]) -> tuple[Action, str]:
-    """Extract an action (Action.from_dict) that passes check_action, and its reasoning."""
-    obj = extract_first_json(raw)
-    payload = obj.get("action")
-    if not isinstance(payload, dict):
-        raise ParseError("unknown_action_type", f"missing or non-object 'action': {payload!r}")
-    action_type = payload.get("type")
-    if not isinstance(action_type, str) or action_type not in Action.INDEX_KEYS:
-        raise ParseError("unknown_action_type", f"unknown action type {action_type!r}")
-    try:
-        action = Action.from_dict(payload)
-    except ValueError as exc:  # an index that is not an int
-        raise ParseError("illegal_action", str(exc)) from None
-    return check_action(action, legal), _reasoning_of(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -643,9 +382,7 @@ class LlmAgent:
         prompt = build_battle_prompt(view, legal, self.dex, history)
         decision = self._decide(prompt, "action", lambda raw: parse_action_response(raw, legal))
         if self.include_history:
-            self._history.append(
-                f"Turn {view.turn_number}: {view.own_active.species} chose {decision.action} "
-                f"vs {view.opponent_active.species}")
+            self._history.append(history_entry(view, decision.action))
         return decision
 
 

@@ -10,6 +10,7 @@ the whole tournament is reproducible bit for bit.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -24,10 +25,8 @@ from .dex import Dex
 from .engine import Action, BattleState, DEFAULT_TURN_LIMIT, init_battle, legal_actions, view_for
 # Not called here (storage.play_battle is); benchmarks/tracing.py wraps league.<name>.
 from .engine import resolve_replacements, resolve_turn  # noqa: F401
-from .gateway import (
-    PROVIDER_OPENAI, AgentFailure, LlmAgent, ParseError, ProviderConfig, ScriptCompleter,
-    check_action, check_team,
-)
+from .gateway import PROVIDER_OPENAI, AgentFailure, LlmAgent, ProviderConfig, ScriptCompleter
+from .prompts import ParseError, check_action, check_team
 from .rng import stable_hash64
 
 END_FORFEIT = "Forfeit"
@@ -125,6 +124,9 @@ def build_agent(profile: AgentProfile, dex: Dex, config: TournamentConfig) -> Ag
             raise ConfigError(f"entrant {profile.agent_id!r} references unknown provider "
                               f"{profile.provider!r}")
         provider = config.providers[profile.provider]
+        if not os.environ.get(provider.api_key_env):  # fail before any match, not on each call
+            raise ConfigError(f"llm entrant {profile.agent_id!r}: environment variable "
+                              f"{provider.api_key_env} is not set")
         if profile.model:
             provider = replace(provider, model=profile.model)
         return LlmAgent(profile.agent_id, provider, dex,
@@ -199,7 +201,7 @@ class MatchRunner:
         """One agent call, for a draft or a battle action.
 
         check(decision) raises the ParseError of the decision's rule
-        (gateway.check_team or gateway.check_action) if it breaks it.  If
+        (prompts.check_team or prompts.check_action) if it breaks it.  If
         the agent fails or breaks the rule, the decision is fallback() with
         the exchanges and errors behind the failure (a breach adds its own)
         and fallback_used set, or under disqualify_on_failure the side
@@ -387,10 +389,7 @@ class TournamentResult:
 
 def placement_label(rounds_from_final: int) -> str:
     """Exit-round label: final loser is Runner-up, one earlier Semi-finalist, ..."""
-    label = PLACEMENT_LABELS.get(rounds_from_final + 1)
-    if label is not None:
-        return label
-    return f"Round of {2 ** (rounds_from_final + 1)}"
+    return PLACEMENT_LABELS.get(rounds_from_final + 1, f"Round of {2 ** (rounds_from_final + 1)}")
 
 
 def run_tournament(

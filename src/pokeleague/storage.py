@@ -8,7 +8,7 @@ the decision just before it, written only for a decision that has some,
 and for a draft only in its match's first game log), and "events"
 (engine events with pre/post state digests).  An exchange logs the full
 prompt if it is the decision's first; a repair exchange logs only its
-prompt_suffix, the text gateway.repair_prompt added after that first
+prompt_suffix, the text prompts.repair_prompt added after that first
 prompt, so the text sent is the first prompt plus the suffix.  read_log,
 the one reader, walks the records once: it checks each record's keys and
 the values replay and the metrics read, reads each battle-time action

@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +15,14 @@ from pokeleague.engine import (
     StatusState, init_battle, legal_actions, needs_replacement, resolve_replacements,
     resolve_turn,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env(**changes):
+    """The environment for a fresh interpreter that imports pokeleague from this checkout."""
+    return {**os.environ, **changes, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
 
 
 class FixedTeam:

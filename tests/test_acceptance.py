@@ -18,7 +18,7 @@ from pokeleague.engine import (
     Action, compute_damage, init_battle, legal_actions, needs_replacement,
     resolve_replacements, resolve_turn,
 )
-from pokeleague.gateway import parse_action_response, parse_team_response
+from pokeleague.prompts import parse_action_response, parse_team_response
 from pokeleague.league import (
     LeagueConfig, MatchRunner, TournamentConfig, run_tournament,
     write_tournament_outputs,

@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from pokeleague.cli import main
 from pokeleague.dex import default_dex_path
 from pokeleague.gateway import ProviderConfig
 
+from conftest import child_env
 
 MOCK_SCRIPT = {
     "team": ['{"team": [0, 1, 2, 3, 4, 5], "reasoning": "lead with the pool order"}'],
@@ -404,6 +408,27 @@ def test_report_win_loss_equals_bracket(tmp_path, capsys):
 
 def test_tournament_missing_config(tmp_path):
     assert main(["tournament", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("key", [None, ""], ids=["unset", "empty"])
+def test_an_llm_entrant_without_its_key_fails_before_any_match(tmp_path, capsys, monkeypatch,
+                                                               key):
+    """No request could succeed, so the bracket is a config error (exit 2) that names the
+    entrant and the variable, and writes nothing; a mock entrant beside it needs no key."""
+    monkeypatch.delenv("POKELEAGUE_UNSET_KEY", raising=False)
+    if key is not None:
+        monkeypatch.setenv("POKELEAGUE_UNSET_KEY", key)
+    config = {
+        "entrants": [{"agent_id": "mock", "kind": "mock", "script": str(write_mock_script(tmp_path))},
+                     {"agent_id": "llm", "kind": "llm", "provider": "p"}],
+        "providers": {"p": {**PROVIDER, "api_key_env": "POKELEAGUE_UNSET_KEY"}},
+        "master_seed": 2, "output_dir": str(tmp_path / "out")}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["tournament", str(config_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: llm entrant 'llm': environment variable POKELEAGUE_UNSET_KEY is not set\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_tournament_with_mock_llm_entrants(tmp_path, capsys):
@@ -978,6 +1003,29 @@ def test_report_skips_a_directory_named_like_a_log(tmp_path, capsys):
     for name in ("report.json", "report.txt", "pick_frequency.csv"):
         assert (tmp_path / "with" / name).read_bytes() == (
             tmp_path / "without" / name).read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_report_into_a_closed_pipe_exits_1_quietly(simulated_log, tmp_path, unbuffered):
+    """report | head: a reader that closed stdout early gets exit 1 and no traceback,
+    whether print meets the closed pipe or the flush after the command does, and the
+    report files are written in full before anything is printed."""
+    logs = simulated_log.parent
+    assert main(["report", str(logs), "--out", str(tmp_path / "expected")]) == 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "pokeleague.cli", "report", str(logs),
+             "--out", str(tmp_path / "piped")],
+            stdout=write_end, stderr=subprocess.PIPE, env=child_env(PYTHONUNBUFFERED=unbuffered),
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (1, b"")
+    for name in ("report.json", "report.txt", "pick_frequency.csv"):
+        assert ((tmp_path / "piped" / name).read_bytes()
+                == (tmp_path / "expected" / name).read_bytes())
 
 
 def test_report_empty_dir(tmp_path):

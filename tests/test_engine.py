@@ -714,13 +714,6 @@ def test_view_tracks_revealed_switches(dex):
     assert view.opponent_active.species == "Zapdos"
 
 
-def test_view_flags_forced_replacement(dex):
-    state, _ = fresh_battle(dex)
-    nxt, _ = resolve_turn(state, Action.attack(0), Action.attack(0), dex)
-    assert view_for(nxt, 1).forced_replacement
-    assert not view_for(nxt, 0).forced_replacement
-
-
 def test_opponent_status_visible_without_sleep_turns(dex):
     state, _ = fresh_battle(dex)
     set_battler(state, 1, status=StatusState("Sleep", turns_left=3))

@@ -99,6 +99,7 @@ def play(dex, schedules, seed, disqualify, out: Path):
         league=LeagueConfig(turn_limit=40, disqualify_on_failure=disqualify))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gateway, "complete", ScheduledProvider(schedules))
+        patch.setenv("POKELEAGUE_TEST_KEY", "test-key")  # build_agent refuses an unset key
         result = run_tournament(ENTRANTS, dex, config, seed)
     return result, out / "logs" / result.tournament_id
 

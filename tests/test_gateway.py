@@ -1,4 +1,5 @@
-"""Prompt rendering, response parsing, provider transport, repair loop."""
+"""Prompt rendering and response parsing (pokeleague.prompts); provider transport and
+the repair loop (pokeleague.gateway)."""
 
 import http.server
 import json
@@ -12,13 +13,15 @@ import pytest
 import requests
 from hypothesis import given, strategies as st
 
-from pokeleague import gateway
+from pokeleague import gateway, prompts
 from pokeleague.agents import make_pool_view
 from pokeleague.engine import Action, init_battle, legal_actions, view_for
 from pokeleague.gateway import (
-    AgentFailure, AuthError, LlmAgent, ParseError, ProviderConfig, ProviderError,
-    RateLimited, RawExchange, RequestTimeout, ScriptCompleter, TokenBucket,
-    build_battle_prompt, build_team_prompt, complete, extract_first_json,
+    AgentFailure, AuthError, LlmAgent, ProviderConfig, ProviderError, RateLimited,
+    RawExchange, RequestTimeout, ScriptCompleter, TokenBucket, complete,
+)
+from pokeleague.prompts import (
+    ParseError, build_battle_prompt, build_team_prompt, extract_first_json, history_entry,
     parse_action_response, parse_team_response, repair_prompt,
 )
 
@@ -129,6 +132,14 @@ def test_prompts_are_pure(dex):
     state = battle_fixture(dex)
     view, legal = view_for(state, 0), legal_actions(state, 0)
     assert build_battle_prompt(view, legal, dex) == build_battle_prompt(view, legal, dex)
+
+
+def test_history_entry_text(dex):
+    view = view_for(battle_fixture(dex), 0)
+    entry = history_entry(view, Action.attack(1))
+    assert entry == "Turn 3: Jolteon chose attack:1 vs Gyarados"
+    prompt = build_battle_prompt(view, legal_actions(battle_fixture(dex), 0), dex, (entry,))
+    assert "\nPrevious turns:\n- Turn 3: Jolteon chose attack:1 vs Gyarados\n" in prompt
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +330,7 @@ REPLY_PIECES = ['{', '}', '"', '\\', '\\"', '{"a": ', '"}', '1', ', ', ' x ', '[
 
 # MAX_SCAN_CHARS -> the FAILED_DECODE_CHARS tried with it: the shipped pair,
 # and small budgets that a few scans and failed decodes exhaust.
-FAILED_DECODE_CHARS_AT = {1_000_000: gateway.FAILED_DECODE_CHARS, 40: 3, 9: 1, 13: 100}
+FAILED_DECODE_CHARS_AT = {1_000_000: prompts.FAILED_DECODE_CHARS, 40: 3, 9: 1, 13: 100}
 
 
 @pytest.mark.parametrize("max_scan_chars", [1_000_000, 40, 9])
@@ -329,8 +340,8 @@ def test_one_pass_parse_agrees_with_rescanning_every_start(max_scan_chars, raw):
     """Same object or same ParseError as the rescanning parser, budget exhaustion included."""
     failed_decode_chars = FAILED_DECODE_CHARS_AT[max_scan_chars]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gateway, "MAX_SCAN_CHARS", max_scan_chars)
-        patch.setattr(gateway, "FAILED_DECODE_CHARS", failed_decode_chars)
+        patch.setattr(prompts, "MAX_SCAN_CHARS", max_scan_chars)
+        patch.setattr(prompts, "FAILED_DECODE_CHARS", failed_decode_chars)
         assert parse_outcome(extract_first_json, raw) == parse_outcome(
             rescanning_extract, raw, max_scan_chars, failed_decode_chars)
 
@@ -342,8 +353,8 @@ def test_one_pass_parse_agrees_on_many_random_replies(max_scan_chars):
     failed_decode_chars = FAILED_DECODE_CHARS_AT[max_scan_chars]
     rng = random.Random(max_scan_chars)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gateway, "MAX_SCAN_CHARS", max_scan_chars)
-        patch.setattr(gateway, "FAILED_DECODE_CHARS", failed_decode_chars)
+        patch.setattr(prompts, "MAX_SCAN_CHARS", max_scan_chars)
+        patch.setattr(prompts, "FAILED_DECODE_CHARS", failed_decode_chars)
         for _ in range(10_000):
             if rng.random() < 0.5:
                 raw = "".join(rng.choices('{}[]":,\\ a1', k=rng.randint(0, 60)))
@@ -369,8 +380,8 @@ def test_one_pass_parse_agrees_on_the_worst_cases(raw):
     started = time.perf_counter()
     outcome = parse_outcome(extract_first_json, raw)
     assert time.perf_counter() - started < 2.0
-    assert outcome == parse_outcome(rescanning_extract, raw, gateway.MAX_SCAN_CHARS,
-                                    gateway.FAILED_DECODE_CHARS)
+    assert outcome == parse_outcome(rescanning_extract, raw, prompts.MAX_SCAN_CHARS,
+                                    prompts.FAILED_DECODE_CHARS)
 
 
 @pytest.mark.parametrize("piece", ['{"a": 1 x}', "{x}"])
@@ -378,15 +389,15 @@ def test_failed_decodes_are_charged_against_the_scan_budget(piece, monkeypatch):
     """A reply of short malformed candidates gives up after the budget buys, in scanned
     characters and FAILED_DECODE_CHARS per failed decode, not after a decode per start."""
     decodes = []
-    scan = gateway._SCAN
-    monkeypatch.setattr(gateway, "_SCAN", lambda text, i: decodes.append(i) or scan(text, i))
-    raw = piece * (gateway.MAX_SCAN_CHARS // len(piece))
+    scan = prompts._SCAN
+    monkeypatch.setattr(prompts, "_SCAN", lambda text, i: decodes.append(i) or scan(text, i))
+    raw = piece * (prompts.MAX_SCAN_CHARS // len(piece))
     with pytest.raises(ParseError, match="gave up: the scan budget of "):
         extract_first_json(raw)
     # One decode from the first start, then one per candidate while the budget
     # left still reaches that candidate's "}".
-    cost = len(piece) + gateway.FAILED_DECODE_CHARS
-    assert len(decodes) == 2 + (gateway.MAX_SCAN_CHARS - len(piece)) // cost
+    cost = len(piece) + prompts.FAILED_DECODE_CHARS
+    assert len(decodes) == 2 + (prompts.MAX_SCAN_CHARS - len(piece)) // cost
 
 
 def test_extract_first_json_picks_first_object():

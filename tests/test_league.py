@@ -224,7 +224,7 @@ class IllegalIn(GreedyAgent):
         self.decision = decision
 
     def choose_action(self, view, legal):
-        phase = PHASE_FORCED_REPLACE if view.forced_replacement else PHASE_BATTLE
+        phase = PHASE_FORCED_REPLACE if view.own_active.fainted else PHASE_BATTLE
         if phase == self.phase:
             return self.decision
         return super().choose_action(view, legal)
@@ -621,6 +621,7 @@ def test_provider_failure_falls_back_in_tournament(dex, tmp_path, monkeypatch):
         raise gateway.ProviderError(503, "service unavailable")
 
     monkeypatch.setattr(gateway, "complete", unavailable)
+    monkeypatch.setenv("POKELEAGUE_TEST_KEY", "test-key")  # build_agent refuses an unset key
     config = TournamentConfig.from_dict({
         "entrants": [{"agent_id": "llm", "kind": "llm", "provider": "p"},
                      {"agent_id": "greedy", "kind": "greedy"}],
