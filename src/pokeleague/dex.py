@@ -154,8 +154,14 @@ def load_dex(path: str | Path) -> Dex:
     Validation is total: every unknown reference and invariant violation
     in the file is collected and reported in a single DexValidationError.
     """
+    return _parse_dex(Path(path).read_bytes(), path)
+
+
+def _parse_dex(data: bytes, path: str | Path) -> Dex:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        # Decoded as Path.read_text decodes (UTF-8 only, universal newlines), since
+        # json.loads(bytes) would also take UTF-16 and count "\r\n" as two chars.
+        doc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise DexValidationError(
             [DexIssue(MALFORMED_FILE, str(path), f"invalid JSON: {exc}")]) from None
@@ -385,20 +391,27 @@ def _parse_pool(raw: object, species: Container[str], issues: list[DexIssue]) ->
 
 def dex_fingerprint(path: str | Path) -> str:
     """Hex digest of the dex file bytes, recorded in logs for replay checks."""
+    return _fingerprint(Path(path).read_bytes())
+
+
+def _fingerprint(data: bytes) -> str:
     import hashlib
 
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def open_dex(path: str | Path | None = None, pool: list[str] | None = None) -> tuple[Dex, str]:
     """The dex at path (the bundled one if None), drafting from pool if given, and its fingerprint.
 
-    A path that is not a file raises FileNotFoundError("dex file not found: <path>").
+    The file is read once, so the fingerprint is of the bytes the dex was
+    parsed from.  A path that is not a file raises
+    FileNotFoundError("dex file not found: <path>").
     """
     dex_path = Path(path) if path is not None else default_dex_path()
     if not dex_path.is_file():
         raise FileNotFoundError(f"dex file not found: {dex_path}")
-    dex = load_dex(dex_path)
+    data = dex_path.read_bytes()
+    dex = _parse_dex(data, dex_path)
     if pool is not None:
         dex = dex.with_pool(pool)
-    return dex, dex_fingerprint(dex_path)
+    return dex, _fingerprint(data)

@@ -2,8 +2,13 @@
 
 Calls OpenAI-compatible / Anthropic / Gemini chat endpoints with retries
 and backoff, and runs LlmAgent, which asks a model through the prompt
-protocol of pokeleague.prompts.  Malformed output triggers a bounded
-repair loop; after that the league falls back to a canonical decision.
+protocol of pokeleague.prompts.  Every provider posts to its configured
+endpoint with the API key in a header, never in the URL, so no transport
+error text can carry it.  A completion is the reply dict
+{"response_text", "latency_ms", "attempt"}; LlmAgent logs each one as an
+exchange, with its prompt (or a repair's prompt_suffix) first and its
+parse_outcome last.  Malformed output triggers a bounded repair loop;
+after that the league falls back to a canonical decision.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ class AgentFailure(Exception):
 
 
 # ---------------------------------------------------------------------------
-# configuration and audit records
+# configuration
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -116,29 +121,6 @@ class ProviderConfig:
         return dict(vars(self))  # asdict(self): every field is a scalar
 
 
-@dataclass
-class RawExchange:
-    """One verbatim prompt/response round trip, kept in full for audit."""
-
-    prompt: str
-    response_text: str
-    latency_ms: float
-    attempt: int
-
-    def to_dict(self, parse_outcome: str, prompt_suffix: str | None) -> dict:
-        """The exchange as an exchanges record logs it, with what its parse gave.
-
-        A decision's first exchange logs its whole prompt.  A repair
-        exchange logs only prompt_suffix, what repair_prompt added to the
-        first prompt.
-        """
-        prompt = ({"prompt": self.prompt} if prompt_suffix is None
-                  else {"prompt_suffix": prompt_suffix})
-        return {**prompt, "response_text": self.response_text,
-                "latency_ms": self.latency_ms, "attempt": self.attempt,
-                "parse_outcome": parse_outcome}
-
-
 # ---------------------------------------------------------------------------
 # provider transport
 # ---------------------------------------------------------------------------
@@ -168,23 +150,25 @@ class TokenBucket:
             self._sleep(wait)
 
 
-_buckets: dict[tuple[str, str], TokenBucket] = {}
+_buckets: dict[tuple, TokenBucket] = {}
 _buckets_lock = threading.Lock()
 
 
 def _bucket_for(config: ProviderConfig) -> TokenBucket | None:
+    """One bucket per endpoint, key and rate settings: entrants that differ by model share it."""
     if config.rate_capacity <= 0:
         return None
-    key = (config.provider, config.endpoint)
+    key = (config.provider, config.endpoint, config.api_key_env,
+           config.rate_capacity, config.rate_refill_per_s)
     with _buckets_lock:
         if key not in _buckets:
             _buckets[key] = TokenBucket(config.rate_capacity, config.rate_refill_per_s)
         return _buckets[key]
 
 
-def _build_request(config: ProviderConfig, api_key: str, prompt: str) -> tuple[str, dict, dict]:
+def _build_request(config: ProviderConfig, api_key: str, prompt: str) -> tuple[dict, dict]:
+    """Headers and body; the request goes to config.endpoint."""
     if config.provider == PROVIDER_OPENAI:
-        url = config.endpoint
         headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
         body = {
             "model": config.model,
@@ -196,7 +180,6 @@ def _build_request(config: ProviderConfig, api_key: str, prompt: str) -> tuple[s
             "max_tokens": config.max_tokens,
         }
     elif config.provider == PROVIDER_ANTHROPIC:
-        url = config.endpoint
         headers = {"x-api-key": api_key, "anthropic-version": "2023-06-01",
                    "Content-Type": "application/json"}
         body = {
@@ -207,8 +190,7 @@ def _build_request(config: ProviderConfig, api_key: str, prompt: str) -> tuple[s
             "max_tokens": config.max_tokens,
         }
     else:  # gemini
-        url = f"{config.endpoint}?key={api_key}"
-        headers = {"Content-Type": "application/json"}
+        headers = {"x-goog-api-key": api_key, "Content-Type": "application/json"}
         body = {
             "system_instruction": {"parts": [{"text": SYSTEM_PREAMBLE}]},
             "contents": [{"role": "user", "parts": [{"text": prompt}]}],
@@ -217,7 +199,7 @@ def _build_request(config: ProviderConfig, api_key: str, prompt: str) -> tuple[s
                 "maxOutputTokens": config.max_tokens,
             },
         }
-    return url, headers, body
+    return headers, body
 
 
 def _extract_text(provider: str, payload: dict) -> str:
@@ -268,8 +250,8 @@ def complete(
     *,
     transport: Transport | None = None,
     sleep: Callable[[float], None] = time.sleep,
-) -> RawExchange:
-    """One chat round trip with retries and exponential backoff.
+) -> dict:
+    """One chat round trip with retries and exponential backoff: the reply dict.
 
     Retries transport failures, 429s, and 5xx responses up to
     config.max_retries times; 401/403 raise AuthError immediately, as
@@ -280,22 +262,21 @@ def complete(
         raise AuthError(f"environment variable {config.api_key_env} is not set")
     bucket = _bucket_for(config)
     send = transport or _requests_transport
-    url, headers, body = _build_request(config, api_key, prompt)
+    headers, body = _build_request(config, api_key, prompt)
     started = time.monotonic()
     last_error: GatewayError | None = None
     for attempt in range(1, config.max_retries + 2):
         if bucket is not None:
             bucket.acquire()
         try:
-            status, payload = send(url, headers, body, config.timeout_s)
+            status, payload = send(config.endpoint, headers, body, config.timeout_s)
         except GatewayError as exc:
             last_error = exc
         else:
             if status == 200:
                 text = _extract_text(config.provider, payload if isinstance(payload, dict) else {})
                 latency = (time.monotonic() - started) * 1000
-                return RawExchange(prompt=prompt, response_text=text,
-                                   latency_ms=latency, attempt=attempt)
+                return {"response_text": text, "latency_ms": latency, "attempt": attempt}
             if status in (401, 403):
                 raise AuthError(f"provider rejected credentials (HTTP {status})")
             body_text = payload if isinstance(payload, str) else json.dumps(payload)
@@ -315,7 +296,7 @@ def complete(
 # the LLM-backed agent (and its offline stand-in)
 # ---------------------------------------------------------------------------
 
-Completer = Callable[[str, str], RawExchange]
+Completer = Callable[[str, str], dict]  # (prompt, kind) -> the reply dict complete() returns
 
 
 class LlmAgent:
@@ -342,7 +323,7 @@ class LlmAgent:
         self._completer = completer or self._provider_completer
         self._history: list[str] = []
 
-    def _provider_completer(self, prompt: str, kind: str) -> RawExchange:
+    def _provider_completer(self, prompt: str, kind: str) -> dict:
         return complete(self.config, prompt)
 
     def _decide(self, prompt: str, kind: str, parse) -> AgentDecision:
@@ -353,20 +334,21 @@ class LlmAgent:
         current = prompt
         for _ in range(1 + self.config.max_repair_attempts):
             try:
-                exchange = self._completer(current, kind)
+                reply = self._completer(current, kind)
             except GatewayError as err:
                 errors.append(f"{type(err).__name__}: {err}")
                 raise AgentFailure(f"provider call failed: {err}",
                                    exchanges=tuple(exchanges), errors=tuple(errors)) from err
-            suffix = current[len(prompt):] if exchanges else None  # a repair's addition
+            # The first exchange logs its whole prompt, a repair only what repair_prompt added.
+            sent = {"prompt_suffix": current[len(prompt):]} if exchanges else {"prompt": prompt}
             try:
-                value, reasoning = parse(exchange.response_text)
+                value, reasoning = parse(reply["response_text"])
             except ParseError as err:
-                exchanges.append(exchange.to_dict(err.kind, suffix))
+                exchanges.append({**sent, **reply, "parse_outcome": err.kind})
                 errors.append(str(err))
                 current = repair_prompt(prompt, err)
                 continue
-            exchanges.append(exchange.to_dict("success", suffix))
+            exchanges.append({**sent, **reply, "parse_outcome": "success"})
             return AgentDecision(**{kind: value}, reasoning=reasoning,
                                  exchanges=tuple(exchanges), errors=tuple(errors))
         raise AgentFailure(exchanges=tuple(exchanges), errors=tuple(errors))
@@ -408,8 +390,8 @@ class ScriptCompleter:
                               "action, each hold a list of strings")
         return ScriptCompleter(script)
 
-    def __call__(self, prompt: str, kind: str) -> RawExchange:
+    def __call__(self, prompt: str, kind: str) -> dict:
         responses = self.script.get(kind) or ['{}']
         text = responses[self._cursor[kind] % len(responses)]
         self._cursor[kind] += 1
-        return RawExchange(prompt=prompt, response_text=text, latency_ms=0.0, attempt=1)
+        return {"response_text": text, "latency_ms": 0.0, "attempt": 1}

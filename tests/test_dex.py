@@ -2,13 +2,15 @@
 
 import copy
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pokeleague.dex import (
     INVARIANT_VIOLATION, MALFORMED_FILE, TYPE_NAMES, UNKNOWN_REFERENCE,
-    DexValidationError, default_dex_path, load_dex, type_multiplier,
+    DexValidationError, default_dex_path, dex_fingerprint, load_dex, open_dex, type_multiplier,
 )
 
 from data.chart_oracle import ORACLE_TYPES, oracle_cell
@@ -115,6 +117,38 @@ def test_syntax_error_is_malformed_file(tmp_path):
     with pytest.raises(DexValidationError) as excinfo:
         load_dex(path)
     assert excinfo.value.kinds() == {MALFORMED_FILE}
+
+
+@pytest.mark.parametrize("raw", [
+    b'{\r\n  "types": [1,\r\n  ]\r\n}', b'{\r"types": x}', '{"types": 1}'.encode("utf-16"),
+    b'\xef\xbb\xbf{}', b'{"name": "caf\xe9"}',
+], ids=["crlf", "lone-cr", "utf-16", "utf-8-bom", "latin-1"])
+def test_a_malformed_file_reports_the_error_of_its_utf_8_text(tmp_path, raw):
+    """The text json sees is the file read as UTF-8 text, so each error says
+    what json.loads says of read_text's result, position included."""
+    path = tmp_path / "dex.json"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as decoding:
+        json.loads(path.read_text(encoding="utf-8"))
+    with pytest.raises(DexValidationError) as excinfo:
+        load_dex(path)
+    assert [issue.message for issue in excinfo.value.issues] == [f"invalid JSON: {decoding.value}"]
+
+
+def test_open_dex_reads_the_file_once(monkeypatch):
+    """The fingerprint is of the very bytes the dex was parsed from."""
+    opened = []
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(self)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    dex, fingerprint = open_dex()
+    assert opened == [default_dex_path()]
+    assert fingerprint == dex_fingerprint(default_dex_path())
+    assert dex == load_dex(default_dex_path())
 
 
 def test_status_move_with_power_rejected(dex_doc, write_dex):

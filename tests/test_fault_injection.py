@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from pokeleague import analytics, gateway
 from pokeleague.agents import AgentProfile
 from pokeleague.gateway import (
-    AuthError, ProviderConfig, ProviderError, RateLimited, RawExchange, RequestTimeout,
+    AuthError, ProviderConfig, ProviderError, RateLimited, RequestTimeout,
 )
 from pokeleague.league import (
     END_FORFEIT, LeagueConfig, TournamentConfig, run_tournament, write_tournament_outputs,
@@ -84,13 +84,12 @@ class ScheduledProvider:
         self.schedules = schedules
         self.calls = dict.fromkeys(schedules, 0)
 
-    def __call__(self, config: ProviderConfig, prompt: str) -> RawExchange:
+    def __call__(self, config: ProviderConfig, prompt: str) -> dict:
         schedule, n = self.schedules[config.model], self.calls[config.model]
         self.calls[config.model] += 1
         choice = schedule[n] if n < len(schedule) else "valid"
         kind = "team" if prompt.startswith("Select 6") else "action"
-        return RawExchange(prompt=prompt, response_text=REPLIES[choice](prompt, kind),
-                           latency_ms=0.0, attempt=1)
+        return {"response_text": REPLIES[choice](prompt, kind), "latency_ms": 0.0, "attempt": 1}
 
 
 def play(dex, schedules, seed, disqualify, out: Path):

@@ -14,16 +14,20 @@ import requests
 from hypothesis import given, strategies as st
 
 from pokeleague import gateway, prompts
-from pokeleague.agents import make_pool_view
+from pokeleague.agents import AgentProfile, make_pool_view
 from pokeleague.engine import Action, init_battle, legal_actions, view_for
 from pokeleague.gateway import (
     AgentFailure, AuthError, LlmAgent, ProviderConfig, ProviderError, RateLimited,
-    RawExchange, RequestTimeout, ScriptCompleter, TokenBucket, complete,
+    RequestTimeout, ScriptCompleter, TokenBucket, complete,
+)
+from pokeleague.league import (
+    LeagueConfig, TournamentConfig, run_tournament, write_tournament_outputs,
 )
 from pokeleague.prompts import (
     ParseError, build_battle_prompt, build_team_prompt, extract_first_json, history_entry,
     parse_action_response, parse_team_response, repair_prompt,
 )
+from pokeleague.storage import read_log
 
 from conftest import set_battler
 
@@ -458,8 +462,8 @@ def test_complete_success_first_attempt(monkeypatch):
         return 200, openai_payload('{"team":[0,1,2,3,4,5]}')
 
     exchange = complete(make_config(), "prompt text", transport=transport, sleep=lambda s: None)
-    assert exchange.attempt == 1
-    assert exchange.response_text == '{"team":[0,1,2,3,4,5]}'
+    assert exchange["attempt"] == 1
+    assert exchange["response_text"] == '{"team":[0,1,2,3,4,5]}'
     assert len(calls) == 1
     url, headers, body = calls[0]
     assert headers["Authorization"] == "Bearer k"
@@ -476,8 +480,8 @@ def test_complete_retries_429_then_succeeds(monkeypatch):
         return responses.pop(0)
 
     exchange = complete(make_config(), "p", transport=transport, sleep=sleeps.append)
-    assert exchange.attempt == 3
-    assert exchange.response_text == "ok"
+    assert exchange["attempt"] == 3
+    assert exchange["response_text"] == "ok"
     assert len(sleeps) == 2
     assert sleeps[1] == sleeps[0] * 2  # exponential backoff
 
@@ -615,7 +619,7 @@ def test_provider_calls_reuse_one_connection(monkeypatch):
     try:
         config = make_config(endpoint=f"http://127.0.0.1:{server.server_port}/v1")
         for _ in range(3):
-            assert complete(config, "p").response_text == "ok"
+            assert complete(config, "p")["response_text"] == "ok"
     finally:
         session = vars(gateway._local).pop("session", None)  # this thread's
         if session is not None:
@@ -623,6 +627,44 @@ def test_provider_calls_reuse_one_connection(monkeypatch):
         server.shutdown()
         server.server_close()
     assert len(connections) == 1
+
+
+def test_a_refused_gemini_call_keeps_the_key_out_of_errors_and_logs(monkeypatch, dex, tmp_path):
+    """The transport error of a refused connection quotes the URL it tried, so
+    the key must not be in it: not in AgentFailure.errors, and not in any file
+    a bracket writes."""
+    key = "loopback-key-marker-7f3a"
+    monkeypatch.setenv("POKELEAGUE_TEST_KEY", key)
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")  # or a proxy would take the connection
+    refuser = socket.socket()  # bound and not listening: every connect is refused
+    refuser.bind(("127.0.0.1", 0))
+    endpoint = (f"http://127.0.0.1:{refuser.getsockname()[1]}"
+                "/v1beta/models/m:generateContent")
+    provider = make_config(provider="gemini", endpoint=endpoint, max_retries=0)
+    try:
+        with pytest.raises(AgentFailure) as failure:
+            LlmAgent("gemini", provider, dex).select_team(make_pool_view(dex))
+        assert failure.value.errors and failure.value.errors[0].startswith("ProviderError: ")
+        assert not any(key in error for error in failure.value.errors)
+
+        config = TournamentConfig(
+            entrants=[AgentProfile(agent_id="gemini", kind="llm", provider="p"),
+                      AgentProfile(agent_id="random", kind="random", seed=1)],
+            providers={"p": provider}, output_dir=str(tmp_path / "out"),
+            league=LeagueConfig(turn_limit=20))
+        result = run_tournament(config.entrants, dex, config, master_seed=2)
+        write_tournament_outputs(result, config.output_dir)
+    finally:
+        refuser.close()
+        session = vars(gateway._local).pop("session", None)  # this thread's
+        if session is not None:
+            session.close()
+    log = read_log(next((tmp_path / "out" / "logs").rglob("*.jsonl")))
+    llm = [r for r in log.records if r["kind"] == "decision" and r["agent_id"] == "gemini"]
+    assert llm and all(r["fallback_used"] and "127.0.0.1" in r["errors"][-1] for r in llm)
+    files = [path for path in (tmp_path / "out").rglob("*") if path.is_file()]
+    assert len(files) >= 3  # a game log, bracket.json and standings.txt
+    assert not [path for path in files if key.encode() in path.read_bytes()]
 
 
 def test_anthropic_and_gemini_wire_shapes(monkeypatch):
@@ -637,15 +679,17 @@ def test_anthropic_and_gemini_wire_shapes(monkeypatch):
 
     anthropic = make_config(provider="anthropic", endpoint="https://anthropic.test/v1/messages")
     exchange = complete(anthropic, "p", transport=transport, sleep=lambda s: None)
-    assert exchange.response_text == "claude says hi"
+    assert exchange["response_text"] == "claude says hi"
+    assert seen["url"] == anthropic.endpoint
     assert seen["headers"]["x-api-key"] == "secret"
     assert seen["body"]["system"]
     assert seen["body"]["messages"] == [{"role": "user", "content": "p"}]
 
     gemini = make_config(provider="gemini", endpoint="https://gemini.test/v1/models/x:generateContent")
     exchange = complete(gemini, "p", transport=transport, sleep=lambda s: None)
-    assert exchange.response_text == "gemini says hi"
-    assert "key=secret" in seen["url"]
+    assert exchange["response_text"] == "gemini says hi"
+    assert seen["url"] == gemini.endpoint  # the key travels in a header, never in the URL
+    assert seen["headers"]["x-goog-api-key"] == "secret"
     assert seen["body"]["contents"][0]["parts"][0]["text"] == "p"
 
 
@@ -691,6 +735,23 @@ def test_token_bucket_blocks_until_refill():
     assert waits and abs(sum(waits) - 1.0) < 1e-6
 
 
+def test_token_buckets_are_shared_only_by_entries_alike_but_for_model(monkeypatch):
+    """An entry with another key variable or other rate settings on the same
+    endpoint gets its own bucket; one that differs only by model shares it."""
+    monkeypatch.setattr(gateway, "_buckets", {})
+    rates = {"rate_capacity": 5, "rate_refill_per_s": 1.0}
+    bucket = gateway._bucket_for(make_config(**rates))
+    assert bucket is not None
+    assert gateway._bucket_for(make_config(**rates, model="other-model")) is bucket
+    for other in ({"api_key_env": "POKELEAGUE_OTHER_KEY"}, {"rate_capacity": 9},
+                  {"rate_refill_per_s": 4.0}):
+        config = make_config(**{**rates, **other})
+        own = gateway._bucket_for(config)
+        assert own is not bucket
+        assert (own.capacity, own.refill_per_s) == (config.rate_capacity, config.rate_refill_per_s)
+    assert gateway._bucket_for(make_config()) is None  # rate_capacity 0: no bucket
+
+
 # ---------------------------------------------------------------------------
 # repair loop
 # ---------------------------------------------------------------------------
@@ -703,7 +764,7 @@ class RecordingCompleter:
     def __call__(self, prompt, kind):
         self.prompts.append(prompt)
         text = self.responses.pop(0) if self.responses else "garbage"
-        return RawExchange(prompt=prompt, response_text=text, latency_ms=0.0, attempt=1)
+        return {"response_text": text, "latency_ms": 0.0, "attempt": 1}
 
 
 def make_llm_agent(dex, responses, max_repair_attempts=3):
@@ -788,10 +849,10 @@ def test_script_completer_cycles(tmp_path, dex):
     path = tmp_path / "script.json"
     path.write_text(json.dumps(script), encoding="utf-8")
     completer = ScriptCompleter.from_file(str(path))
-    assert completer("p", "action").response_text.endswith('"hit"}')
-    assert completer("p", "action").response_text.endswith('"hit harder"}')
-    assert completer("p", "action").response_text.endswith('"hit"}')  # cycles
-    assert "canned" in completer("p", "team").response_text
+    assert completer("p", "action")["response_text"].endswith('"hit"}')
+    assert completer("p", "action")["response_text"].endswith('"hit harder"}')
+    assert completer("p", "action")["response_text"].endswith('"hit"}')  # cycles
+    assert "canned" in completer("p", "team")["response_text"]
 
 
 def test_repair_prompt_wording():

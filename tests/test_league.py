@@ -10,7 +10,7 @@ from pokeleague.agents import AgentDecision, AgentProfile, GreedyAgent, RandomAg
 from pokeleague.dex import TEAM_SIZE, open_dex
 from pokeleague.engine import Action
 from pokeleague.gateway import (
-    AgentFailure, LlmAgent, ProviderConfig, RawExchange, ScriptCompleter,
+    AgentFailure, LlmAgent, ProviderConfig, ScriptCompleter,
 )
 from pokeleague.league import (
     END_FORFEIT, ConfigError, LeagueConfig, MatchRunner, TournamentConfig,
@@ -44,8 +44,7 @@ def garbage_llm_agent(dex, agent_id="broken", prompts=None):
     def completer(prompt, kind):
         if prompts is not None:
             prompts.append(prompt)
-        return RawExchange(prompt=prompt, response_text="I refuse to answer in JSON.",
-                           latency_ms=0.0, attempt=1)
+        return {"response_text": "I refuse to answer in JSON.", "latency_ms": 0.0, "attempt": 1}
     return LlmAgent(agent_id, config, dex, completer=completer)
 
 
