@@ -2,7 +2,10 @@
 
 All metrics are pure functions of the logs, as storage.read_log checks
 and returns them: each battle-time decision's action is an engine.Action
-there, so the metrics read its is_attack and index, never payload keys.
+there, so the metrics read its is_attack and index, never payload keys,
+and each Battle context attack is a [move_index, effectiveness,
+expected_damage] row, whatever the log's schema version, so the metrics
+read a row's items by position.
 
 Attack quality has one rule: storage.decision_context builds each
 decision's context, and build_report, one walk over the logs, tallies the
@@ -204,12 +207,11 @@ def build_report(logs: Iterable[MatchLogData]) -> MetricsReport:
             if not action.is_attack:
                 tally.hp_at_switch.append(context["own_hp_percent"])
                 continue
-            attacks = context["attacks"]
-            chosen = next(a for a in attacks if a["move_index"] == action.index)
+            attacks = context["attacks"]  # [move_index, effectiveness, expected_damage] rows
+            chosen = next(a for a in attacks if a[0] == action.index)
             tally.attacks += 1
-            tally.effective += chosen["effectiveness"] >= SUPER_EFFECTIVE_THRESHOLD
-            tally.optimal += chosen["expected_damage"] == max(
-                a["expected_damage"] for a in attacks)
+            tally.effective += chosen[1] >= SUPER_EFFECTIVE_THRESHOLD
+            tally.optimal += chosen[2] == max(a[2] for a in attacks)
     all_teams = [team for tally in tallies.values() for team in tally.teams]
     jaccard_agents, matrix = jaccard_matrix({a: t.teams[-1] for a, t in tallies.items()})
     return MetricsReport(agents={a: tallies[a].metrics(a) for a in sorted(tallies)},

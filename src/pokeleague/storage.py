@@ -25,6 +25,11 @@ decides that by a value compare as strict about types as the encoder
 (true is not 1, 1 is not 1.0, -0.0 is not 0.0; key order is ignored) and
 encodes both only when the compare cannot vouch for a match.
 
+Schema 2.0 writes each legal attack of a Battle context as
+engine.attack_table's row, [move_index, effectiveness, expected_damage].
+read_log also reads 1.x logs, whose attacks are objects with those keys:
+it turns each into the same row, so every reader of a log sees rows.
+
 Lines are encoded as json.dumps(record, ensure_ascii=False,
 separators=(",", ":")) encodes them, with no space after a comma or a
 colon, by the stdlib's C encoder built once (codec.make_encoder), as are
@@ -59,7 +64,7 @@ from .engine import (
     needs_replacement, resolve_replacements, resolve_turn,
 )
 
-SCHEMA_VERSION = "1.3"
+SCHEMA_VERSION = "2.0"
 
 PHASE_TEAM_SELECT = "TeamSelect"
 PHASE_BATTLE = "Battle"
@@ -352,17 +357,17 @@ def decision_context(dex: Dex, state: BattleState, side: int, legal: Sequence[Ac
     engine.expected_damage, which the attack metrics rank.  The species,
     types and weather are in the meta record, the events and the dex.
 
-    The attacks' values are engine.attack_table's rows, memoized in the
-    dex, so GreedyAgent and the context rank a matchup once between them.
-    Every call returns new dicts and lists.
+    The attacks are engine.attack_table's rows as they are, one
+    (move_index, effectiveness, expected_damage) tuple per legal attack,
+    memoized in the dex, so GreedyAgent and the context rank a matchup once
+    between them; the log writes each as a [move_index, effectiveness,
+    expected_damage] array.  Every call returns a new dict and new lists;
+    the rows are the memo's immutable tuples.
     """
     own = state.sides[side].active
     indices = tuple([a.index for a in legal if a.is_attack])
-    attacks = []
-    if indices:
-        rows = attack_table(dex, own, state.sides[1 - side].active, state.weather, indices)
-        attacks = [{"move_index": i, "effectiveness": effectiveness, "expected_damage": damage}
-                   for i, effectiveness, damage in rows]
+    attacks = (list(attack_table(dex, own, state.sides[1 - side].active, state.weather, indices))
+               if indices else [])
     return {"own_hp_percent": own.hp_percent,
             "switches": [a.index for a in legal if not a.is_attack], "attacks": attacks}
 
@@ -383,12 +388,23 @@ RECORD_KEYS = {
     "events": frozenset({"match_id", "turn", "phase", "events", "pre_digest", "post_digest"}),
 }
 SIDE_KEYS = ("a", "b")  # the meta agents and team_names keys of sides 0 and 1
+# What each item of a Battle context's attacks row holds, in order.
+_ATTACK_FIELDS = ("move_index", "effectiveness", "expected_damage")
+# The schema majors read_log reads.  A 1.x log writes each context attack as
+# an object with the _ATTACK_FIELDS keys; read_log turns it into its row.
+_READ_MAJORS = frozenset({"1", "2"})
+_NOT_AN_ATTACK = {
+    False: "context attack is not a [move_index, effectiveness, expected_damage] row",
+    True: "context attack is not an object holding move_index, effectiveness and expected_damage",
+}
 
 
 @dataclass
 class MatchLogData:
     """One checked match log, as read_log returns it: battle-time actions are Actions,
-    and records holds the decision and events records in log order."""
+    Battle context attacks are [move_index, effectiveness, expected_damage] lists
+    at any schema version, and records holds the decision and events records in
+    log order."""
 
     path: Path
     meta: dict
@@ -417,13 +433,15 @@ def _is_side(value: object) -> bool:
 
 
 def _lacking_inside(path: str | Path, kind: str, record: dict,
-                    log: MatchLogData) -> frozenset[str]:
+                    log: MatchLogData, legacy: bool) -> frozenset[str]:
     """The keys that a record with every key of its kind lacks inside (see RECORD_KEYS).
 
     A value that replay or the metrics read, in a type or range they cannot
     use (a NaN or infinite context number among them), raises StorageError.
     On the way it replaces a battle-time decision's action payload by its
     Action, in place, and sets log.winner_side from a BattleEnded event.
+    In a legacy (1.x) log it also replaces each Battle context attack object
+    by its row, in place, before the rows are checked as a 2.x log's are.
     """
     if kind == "meta":
         for key in ("agents", "team_names"):
@@ -473,19 +491,21 @@ def _lacking_inside(path: str | Path, kind: str, record: dict,
             if _not_finite(context["own_hp_percent"]):
                 raise _fault(path, record, f"context own_hp_percent "
                                            f"{context['own_hp_percent']} is not finite")
+            rows = context["attacks"]
+            if legacy:  # a 1.x attack is an object: read it as its row, in place
+                rows[:] = [[attack.get("move_index"), attack.get("effectiveness"),
+                            attack.get("expected_damage")] if type(attack) is dict else None
+                           for attack in rows]
             listed = False
-            for attack in context["attacks"]:
-                if not (type(attack) is dict and type(attack.get("move_index")) is int
-                        and type(attack.get("effectiveness")) in _NUMBER
-                        and type(attack.get("expected_damage")) in _NUMBER):
-                    raise _fault(path, record, "context attack is not an object holding "
-                                               "move_index, effectiveness and expected_damage")
-                if _not_finite(attack["effectiveness"]) or _not_finite(attack["expected_damage"]):
-                    key = ("effectiveness" if _not_finite(attack["effectiveness"])
-                           else "expected_damage")
-                    raise _fault(path, record, f"context attack {attack['move_index']}: "
-                                               f"{key} {attack[key]} is not finite")
-                listed = listed or attack["move_index"] == action.index
+            for row in rows:
+                if not (type(row) is list and len(row) == 3 and type(row[0]) is int
+                        and type(row[1]) in _NUMBER and type(row[2]) in _NUMBER):
+                    raise _fault(path, record, _NOT_AN_ATTACK[legacy])
+                if _not_finite(row[1]) or _not_finite(row[2]):
+                    n = 1 if _not_finite(row[1]) else 2
+                    raise _fault(path, record, f"context attack {row[0]}: "
+                                               f"{_ATTACK_FIELDS[n]} {row[n]} is not finite")
+                listed = listed or row[0] == action.index
             if action.is_attack and not listed:
                 raise _fault(path, record, f"illegal action {action}")
     elif kind == "events":
@@ -554,9 +574,12 @@ def read_log(path: str | Path) -> MatchLogData:
     A file that is not UTF-8 text, a line that nests arrays and objects
     deeper than MAX_NESTING (whoever the caller) or is not a JSON object
     (or holds an integer too long to decode), a first record that is not
-    meta, an unknown schema major version, a record that lacks a key
-    (RECORD_KEYS), an unreadable battle-time action or a bad value
-    (_lacking_inside) raises StorageError.  Records of a kind
+    meta, a schema major version other than 1 or 2, a record that lacks a
+    key (RECORD_KEYS), an unreadable battle-time action or a bad value
+    (_lacking_inside) raises StorageError.  Each Battle context attack is
+    checked as a row of an int move index and two finite numbers, one of
+    them the chosen attack's; a 1.x log's attack objects are checked with
+    the 1.x texts and returned as rows.  Records of a kind
     not in RECORD_KEYS, such as "exchanges" or a kind that is not a
     string, are skipped: each is decoded as a JSON object, and nothing
     inside it is checked.
@@ -584,15 +607,17 @@ def read_log(path: str | Path) -> MatchLogData:
     if not records or records[0].get("kind") != "meta":
         raise StorageError(f"{path}: first record must be meta")
     version = str(records[0].get("schema_version", ""))
-    if version.split(".")[0] != SCHEMA_VERSION.split(".")[0]:
+    major = version.split(".")[0]
+    if major not in _READ_MAJORS:
         raise StorageError(f"{path}: unsupported log schema version {version!r}")
+    legacy = major == "1"
     log = MatchLogData(path=Path(path), meta=records[0], records=[], winner_side=None)
     for record in records:
         kind = record.get("kind")
         if type(kind) is not str or kind not in RECORD_KEYS:  # a list kind is unhashable
             continue
         lacking = RECORD_KEYS[kind].difference(record) or _lacking_inside(
-            path, kind, record, log)
+            path, kind, record, log, legacy)
         if lacking:
             raise StorageError(f"{path}: a record lacks the key {min(lacking)!r}")
         if kind != "meta":

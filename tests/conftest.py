@@ -17,6 +17,9 @@ from pokeleague.engine import (
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# Logs written at schema 1.3, whose Battle contexts write each attack as an
+# object: a simulate game and a mock entrant's game with repairs and fallbacks.
+LOGS_1_3 = Path(__file__).parent / "data" / "logs-1.3"
 
 
 def child_env(**changes):

@@ -3,6 +3,7 @@
 Every per-agent metric is read from its row of build_report.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -61,9 +62,10 @@ def agent_row(decisions, agent_id="a"):
 
 
 def attack_context(effectiveness, expected, all_damages=None, own_hp=100):
-    attacks = [{"move_index": 0, "effectiveness": effectiveness, "expected_damage": expected}]
-    for i, dmg in enumerate(all_damages or [], start=1):
-        attacks.append({"move_index": i, "effectiveness": 1.0, "expected_damage": dmg})
+    """A Battle context as read_log returns it: move 0 with the given values, then
+    moves 1, 2, ... at 1.0 effectiveness with all_damages, as attack rows."""
+    attacks = [[0, effectiveness, expected]]
+    attacks += [[i, 1.0, dmg] for i, dmg in enumerate(all_damages or [], start=1)]
     return {"own_hp_percent": own_hp, "switches": [1, 2], "attacks": attacks}
 
 
@@ -307,8 +309,8 @@ def test_logged_context_is_decision_context_of_replayed_state(dex, request, fixt
         for record, state in decisions_with_states(path, dex):
             side = record["side"]
             assert state.turn_number == record["turn"]
-            assert record["context"] == decision_context(
-                dex, state, side, legal_actions(state, side))
+            context = decision_context(dex, state, side, legal_actions(state, side))
+            assert record["context"] == json.loads(json.dumps(context))  # rows read as lists
             checked.append(record)
     assert {r["phase"] for r in checked} == {"Battle", "ForcedReplace"}
     if fixture == "mock_llm_match_logs":

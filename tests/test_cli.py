@@ -16,7 +16,7 @@ from pokeleague.cli import main
 from pokeleague.dex import default_dex_path
 from pokeleague.gateway import ProviderConfig
 
-from conftest import child_env
+from conftest import LOGS_1_3, child_env
 
 MOCK_SCRIPT = {
     "team": ['{"team": [0, 1, 2, 3, 4, 5], "reasoning": "lead with the pool order"}'],
@@ -782,83 +782,129 @@ def agent_of_side_a(value):
 
 NO_CONTEXT = "context is not an object holding own_hp_percent, switches and attacks"
 NO_ATTACK = "context attack is not an object holding move_index, effectiveness and expected_damage"
+NO_ROW = "context attack is not a [move_index, effectiveness, expected_damage] row"
+# The log each case tampers with: NOW is the simulate log the fixture writes
+# (schema 2.0, attacks as rows); AT_1_3 is the 1.3 simulate fixture (attacks
+# as objects), which keeps each 1.x attack case with its 1.x text.
+NOW = None
+AT_1_3 = LOGS_1_3 / "sim0.jsonl"
+# json.dumps writes an infinity as Infinity; this string becomes the literal
+# 1e400, which json.loads also reads as inf.
+AS_1E400 = "<1e400>"
+
+
+def set_row(item, value):
+    """A tamper that sets item of the first attack row to value."""
+    return lambda records: context_attacks(records)[0].__setitem__(item, value)
+
+
+def unlist_attack_0(records):
+    """Choose attack 0 and drop its row from the attacks."""
+    KEY_HOLDERS["action"](records)["action"] = {"type": "attack", "move_index": 0}
+    rows = context_attacks(records)
+    rows[:] = [row for row in rows if row[0] != 0]
 
 
 # A value of a type or range that replay or the metrics cannot use, and the
 # error that follows the log's path ({end}: the turn of the BattleEnded event).
-@pytest.mark.parametrize("tamper, error", [
-    pytest.param(set_in("decision", "agent_id", "nobody"),
+@pytest.mark.parametrize("log, tamper, error", [
+    pytest.param(NOW, set_in("decision", "agent_id", "nobody"),
                  "turn 1: side 0: agent 'nobody' does not play this side", id="other-agent"),
-    pytest.param(set_in("decision", "side", 7), "turn 1: side 7: side is not 0 or 1",
+    pytest.param(NOW, set_in("decision", "side", 7), "turn 1: side 7: side is not 0 or 1",
                  id="side-7"),
-    pytest.param(set_in("decision", "decision", 5), "turn 1: side 0: decision is not an object",
-                 id="decision-5"),
-    pytest.param(set_in("decision", "reasoning", 5), "turn 1: side 0: reasoning is not a string",
-                 id="reasoning-5"),
-    pytest.param(set_in("decision", "context", None), f"turn 1: side 0: {NO_CONTEXT}",
+    pytest.param(NOW, set_in("decision", "decision", 5),
+                 "turn 1: side 0: decision is not an object", id="decision-5"),
+    pytest.param(NOW, set_in("decision", "reasoning", 5),
+                 "turn 1: side 0: reasoning is not a string", id="reasoning-5"),
+    pytest.param(NOW, set_in("decision", "context", None), f"turn 1: side 0: {NO_CONTEXT}",
                  id="null-context"),
-    pytest.param(drop_attacks, f"turn 1: side 0: {NO_CONTEXT}", id="no-attacks"),
-    pytest.param(lambda records: context_attacks(records)[0].pop("expected_damage"),
+    pytest.param(NOW, drop_attacks, f"turn 1: side 0: {NO_CONTEXT}", id="no-attacks"),
+    pytest.param(AT_1_3, lambda records: context_attacks(records)[0].pop("expected_damage"),
                  f"turn 1: side 0: {NO_ATTACK}", id="attack-without-damage"),
-    pytest.param(lambda records: context_attacks(records).insert(0, 5),
+    pytest.param(AT_1_3, lambda records: context_attacks(records).insert(0, 5),
                  f"turn 1: side 0: {NO_ATTACK}", id="attack-5"),
-    pytest.param(lambda records: context_attacks(records)[0].update(effectiveness=True),
+    pytest.param(AT_1_3, lambda records: context_attacks(records)[0].update(effectiveness=True),
                  f"turn 1: side 0: {NO_ATTACK}", id="bool-effectiveness"),
-    pytest.param(lambda records: KEY_HOLDERS["decision"](records)["context"].update(
+    pytest.param(NOW, lambda records: KEY_HOLDERS["decision"](records)["context"].update(
                      own_hp_percent=float("nan")),
                  "turn 1: side 0: context own_hp_percent nan is not finite", id="nan-hp"),
-    pytest.param(lambda records: context_attacks(records)[0].update(effectiveness=float("inf")),
+    pytest.param(AT_1_3, lambda records: context_attacks(records)[0].update(
+                     effectiveness=float("inf")),
                  "turn 1: side 0: context attack 0: effectiveness inf is not finite",
                  id="infinite-effectiveness"),
-    pytest.param(lambda records: context_attacks(records)[0].update(
+    pytest.param(AT_1_3, lambda records: context_attacks(records)[0].update(
                      expected_damage=float("-inf")),
                  "turn 1: side 0: context attack 0: expected_damage -inf is not finite",
                  id="negative-infinite-damage"),
-    pytest.param(lambda records: KEY_HOLDERS["decision"](records)["context"].update(
+    pytest.param(NOW, lambda records: KEY_HOLDERS["decision"](records)["context"].update(
                      own_hp_percent=10**400),
                  f"turn 1: side 0: context own_hp_percent {10**400} is not finite",
                  id="hp-past-any-float"),
-    pytest.param(set_in("action", "action", {"type": "attack", "move_index": 9}),
+    pytest.param(AT_1_3, set_in("action", "action", {"type": "attack", "move_index": 9}),
                  "turn 1: side 0: illegal action attack:9", id="unlisted-attack"),
-    pytest.param(set_in("BattleEnded", "winner", 5),
+    pytest.param(NOW, lambda records: context_attacks(records)[0].pop(),
+                 f"turn 1: side 0: {NO_ROW}", id="row-of-2"),
+    pytest.param(NOW, lambda records: context_attacks(records)[0].append(0),
+                 f"turn 1: side 0: {NO_ROW}", id="row-of-4"),
+    pytest.param(NOW, lambda records: context_attacks(records).insert(0, 5),
+                 f"turn 1: side 0: {NO_ROW}", id="row-5"),
+    pytest.param(NOW, lambda records: context_attacks(records).insert(
+                     0, {"move_index": 0, "effectiveness": 1.0, "expected_damage": 9}),
+                 f"turn 1: side 0: {NO_ROW}", id="row-object"),
+    pytest.param(NOW, set_row(0, True), f"turn 1: side 0: {NO_ROW}", id="row-bool-index"),
+    pytest.param(NOW, set_row(1, True), f"turn 1: side 0: {NO_ROW}", id="row-bool-effectiveness"),
+    pytest.param(NOW, set_row(2, "240"), f"turn 1: side 0: {NO_ROW}", id="row-string-damage"),
+    pytest.param(NOW, set_row(0, "0"), f"turn 1: side 0: {NO_ROW}", id="row-string-index"),
+    pytest.param(NOW, set_row(1, float("nan")),
+                 "turn 1: side 0: context attack 0: effectiveness nan is not finite",
+                 id="row-nan-effectiveness"),
+    pytest.param(NOW, set_row(2, AS_1E400),
+                 "turn 1: side 0: context attack 0: expected_damage inf is not finite",
+                 id="row-1e400-damage"),
+    pytest.param(NOW, unlist_attack_0, "turn 1: side 0: illegal action attack:0",
+                 id="row-unlisted-attack"),
+    pytest.param(NOW, set_in("BattleEnded", "winner", 5),
                  "turn {end}: BattleEnded winner 5 is not 0 or 1", id="winner-5"),
-    pytest.param(set_in("agents", "b", "a-greedy"),
+    pytest.param(NOW, set_in("agents", "b", "a-greedy"),
                  "meta record: agent 'a-greedy' plays both sides", id="one-agent"),
-    pytest.param(agent_of_side_a(1), "meta record: agents 'a' is not a string", id="agent-int"),
-    pytest.param(agent_of_side_a(["x"]), "meta record: agents 'a' is not a string",
+    pytest.param(NOW, agent_of_side_a(1), "meta record: agents 'a' is not a string",
+                 id="agent-int"),
+    pytest.param(NOW, agent_of_side_a(["x"]), "meta record: agents 'a' is not a string",
                  id="agent-list"),
-    pytest.param(set_in("meta", "seed", "9"), "meta record: seed is not an integer",
+    pytest.param(NOW, set_in("meta", "seed", "9"), "meta record: seed is not an integer",
                  id="string-seed"),
-    pytest.param(set_in("meta", "turn_limit", 500.0), "meta record: turn_limit is not an integer",
-                 id="float-turn-limit"),
-    pytest.param(set_in("meta", "agents", "ab"), "meta record: agents is not an object",
+    pytest.param(NOW, set_in("meta", "turn_limit", 500.0),
+                 "meta record: turn_limit is not an integer", id="float-turn-limit"),
+    pytest.param(NOW, set_in("meta", "agents", "ab"), "meta record: agents is not an object",
                  id="agents-string"),
-    pytest.param(set_in("meta", "agents", None), "meta record: agents is not an object",
+    pytest.param(NOW, set_in("meta", "agents", None), "meta record: agents is not an object",
                  id="agents-null"),
-    pytest.param(set_in("meta", "team_names", "ab"), "meta record: team_names is not an object",
-                 id="team-names-string"),
-    pytest.param(set_in("meta", "team_names", None), "meta record: team_names is not an object",
-                 id="team-names-null"),
-    pytest.param(set_in("events", "events", 7), "turn 1: events is not a list", id="events-7"),
-    pytest.param(set_in("events", "events", [3]), "turn 1: an event is not an object",
+    pytest.param(NOW, set_in("meta", "team_names", "ab"),
+                 "meta record: team_names is not an object", id="team-names-string"),
+    pytest.param(NOW, set_in("meta", "team_names", None),
+                 "meta record: team_names is not an object", id="team-names-null"),
+    pytest.param(NOW, set_in("events", "events", 7), "turn 1: events is not a list",
+                 id="events-7"),
+    pytest.param(NOW, set_in("events", "events", [3]), "turn 1: an event is not an object",
                  id="event-3"),
-    pytest.param(set_in("team_names", "b", 5), "meta record: team_names 'b' is not a list",
+    pytest.param(NOW, set_in("team_names", "b", 5), "meta record: team_names 'b' is not a list",
                  id="team-5"),
-    pytest.param(set_in("team_names", "a", "abcdef"),
+    pytest.param(NOW, set_in("team_names", "a", "abcdef"),
                  "meta record: team_names 'a' is not a list", id="team-string"),
-    pytest.param(lambda records: records[0]["team_names"]["b"].__setitem__(3, None),
+    pytest.param(NOW, lambda records: records[0]["team_names"]["b"].__setitem__(3, None),
                  "meta record: team_names 'b' holds a non-string", id="team-entry-null"),
 ])
 def test_replay_and_report_reject_a_bad_value_alike(simulated_log, tmp_path, capsys,
-                                                    tamper, error):
+                                                    log, tamper, error):
     logs = tmp_path / "logs"
     logs.mkdir()
-    records = [json.loads(line) for line in simulated_log.read_text().splitlines()]
+    records = [json.loads(line) for line in (log or simulated_log).read_text().splitlines()]
     end = next(r["turn"] for r in records if r["kind"] == "events"
                and any(e["kind"] == "BattleEnded" for e in r["events"]))
     tamper(records)
     tampered = logs / "tampered.jsonl"
-    tampered.write_text("\n".join(json.dumps(r) for r in records), encoding="utf-8")
+    tampered.write_text("\n".join(json.dumps(r) for r in records).replace(
+        json.dumps(AS_1E400), "1e400"), encoding="utf-8")
     capsys.readouterr()
     assert main(["replay", str(tampered)]) == 1
     replay_err = capsys.readouterr().err
@@ -947,6 +993,8 @@ LOGS_1_0 = Path(__file__).parent / "data" / "logs-1.0"
 # "game_index": a simulate game and a mock entrant's game with repairs and
 # fallbacks.
 LOGS_1_2 = Path(__file__).parent / "data" / "logs-1.2"
+# LOGS_1_3 (from conftest) holds a 1.3 simulate game and a 1.3 mock
+# entrant's game with repairs and fallbacks, each with a meta "game_index".
 
 
 def log_id(value):
@@ -962,18 +1010,20 @@ def log_id(value):
     (LOGS_1_0 / "sim1.jsonl", "winner side 0 (a-greedy) after 10 turn(s)"),
     (LOGS_1_2 / "mock-r0m0.jsonl", "winner side 0 (mock-0) after 20 turn(s)"),
     (LOGS_1_2 / "sim0.jsonl", "winner side 0 (a-greedy) after 13 turn(s)"),
+    (LOGS_1_3 / "mock-r0m0.jsonl", "winner side 0 (mock-0) after 20 turn(s)"),
+    (LOGS_1_3 / "sim0.jsonl", "winner side 0 (a-greedy) after 12 turn(s)"),
 ], ids=log_id)
 def test_a_1_0_log_replays_as_it_did(capsys, log, outcome):
     meta = storage.read_log(log).meta
-    version = "1.0" if log.parent == LOGS_1_0 else "1.2"
+    version = {LOGS_1_0: "1.0", LOGS_1_2: "1.2", LOGS_1_3: "1.3"}[log.parent]
     assert (meta["schema_version"], "teams" in meta, "game_index" in meta) == (
-        version, version == "1.0", False)
+        version, version == "1.0", version == "1.3")
     assert main(["replay", str(log)]) == 0
     assert capsys.readouterr().out == f"ok: {outcome}; all digests match\n"
 
 
 def test_report_over_1_0_logs_is_unchanged(tmp_path, capsys):
-    """Nor is it over the 1.2 logs: each set gives the bytes it gave when written."""
+    """Nor is it over the 1.2 or 1.3 logs: each set gives the bytes it gave when written."""
     for logs, expected in {
         LOGS_1_0: {
             "report.json": "a8fb8cf9a6c7e806fd0c0503780ac3e36aad6a2cd392f34ca8040a54e95d0716",
@@ -984,6 +1034,12 @@ def test_report_over_1_0_logs_is_unchanged(tmp_path, capsys):
         LOGS_1_2: {
             "report.json": "f164dede3ad46e5ccaeadab583c48087dcac954515a89f47d4e1cd6f5ffefaf4",
             "report.txt": "a2de41a2e44419065049342fc47a3bed5b4e7a9deb74cbeac65c504f6be48525",
+            "pick_frequency.csv":
+                "6b77f5089705817dbcf6cae35168a7b5ee5a09c948fd717a2070c2140fc80286",
+        },
+        LOGS_1_3: {
+            "report.json": "9046efd48d2c7d949e13e0da606d00eedbaf86c9935982686ff4b5dddf85abab",
+            "report.txt": "88bf5798c15c7ea350e9cc4dacbaf31be55df19fd0621bdaac631d5d66fa0652",
             "pick_frequency.csv":
                 "6b77f5089705817dbcf6cae35168a7b5ee5a09c948fd717a2070c2140fc80286",
         },

@@ -13,10 +13,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from pokeleague import storage
 from pokeleague.agents import AgentDecision, GreedyAgent, RandomAgent
+from pokeleague.analytics import build_report
+from pokeleague.cli import main
 from pokeleague.dex import STATUS_NAMES, type_multiplier
 from pokeleague.engine import (
-    Action, BattleAlreadyEnded, IllegalActionError, StatusState, compute_damage, init_battle,
-    is_legal, legal_actions, needs_replacement, resolve_replacements, resolve_turn, view_for,
+    Action, BattleAlreadyEnded, IllegalActionError, StatusState, attack_table, compute_damage,
+    init_battle, is_legal, legal_actions, needs_replacement, resolve_replacements, resolve_turn,
+    view_for,
 )
 from pokeleague.league import LeagueConfig, MatchRunner
 from pokeleague.storage import (
@@ -26,8 +29,8 @@ from pokeleague.storage import (
 )
 
 from conftest import (
-    ANY_WALK, CAPPED_GAME, FULL_GAME, FixedTeam, decision_variants, set_battler, walk_steps,
-    walk_states,
+    ANY_WALK, CAPPED_GAME, FULL_GAME, LOGS_1_3, FixedTeam, decision_variants, set_battler,
+    walk_steps, walk_states,
 )
 
 
@@ -45,8 +48,7 @@ def test_append_read_roundtrip(tmp_path):
     record = decision_record(
         AgentDecision(action=Action.attack(1), reasoning="because"),
         turn=3, agent_id="x", side=0, phase="Battle",
-        context={"own_hp_percent": 55, "switches": [],
-                 "attacks": [{"move_index": 1, "effectiveness": 1.0, "expected_damage": 9}]})
+        context={"own_hp_percent": 55, "switches": [], "attacks": [[1, 1.0, 9]]})
     with MatchLog(path) as log:
         log.append(meta_record(
             match_id="m", tournament_id="t", game_index=0, seed=1, turn_limit=500,
@@ -85,9 +87,8 @@ def test_a_decision_logs_its_exchanges_in_the_next_record_and_errors_only_if_any
     plain = AgentDecision(action=Action.attack(0))
     asked = AgentDecision(action=Action.attack(0), exchanges=exchanges, errors=("e: x",))
     records = [decision_record(decision, turn=1, agent_id="x", side=0, phase="Battle",
-                               context={"own_hp_percent": 100, "switches": [], "attacks": [
-                                   {"move_index": 0, "effectiveness": 1.0,
-                                    "expected_damage": 9}]})
+                               context={"own_hp_percent": 100, "switches": [],
+                                        "attacks": [[0, 1.0, 9]]})
                for decision in (plain, asked)]
     assert [("exchanges" in r, r.get("errors")) for r in records] == [
         (False, None), (False, ["e: x"])]
@@ -106,11 +107,11 @@ def test_a_decision_logs_its_exchanges_in_the_next_record_and_errors_only_if_any
 
 
 def test_written_records_hold_only_what_a_reader_reads(match_log):
-    """A context holds three keys and each of its attacks three; no decision
-    repeats the match id and no meta record the draft indices; a best-of-1
-    meta record gives the game index 0."""
+    """A context holds three keys and each of its attacks is a row of three
+    items; no decision repeats the match id and no meta record the draft
+    indices; a best-of-1 meta record gives the game index 0."""
     log = read_log(match_log[0])
-    assert (log.meta["schema_version"], log.meta["game_index"]) == ("1.3", 0)
+    assert (log.meta["schema_version"], log.meta["game_index"]) == ("2.0", 0)
     assert "teams" not in log.meta
     decisions = [r for r in log.records if r["kind"] == "decision"]
     assert not any("match_id" in decision for decision in decisions)
@@ -119,8 +120,7 @@ def test_written_records_hold_only_what_a_reader_reads(match_log):
     assert contexts and attacks
     assert {frozenset(context) for context in contexts} == {
         frozenset({"own_hp_percent", "switches", "attacks"})}
-    assert {frozenset(attack) for attack in attacks} == {
-        frozenset({"move_index", "effectiveness", "expected_damage"})}
+    assert {(type(attack), *map(type, attack)) for attack in attacks} == {(list, int, float, int)}
 
 
 def test_every_line_is_its_records_compact_json(match_log):
@@ -148,18 +148,27 @@ def test_append_after_close_raises(tmp_path):
         log.append({"kind": "events"})
 
 
-def test_reader_rejects_unknown_major_version(tmp_path):
-    path = tmp_path / "log.jsonl"
-    with MatchLog(path) as log:
-        log.append({"kind": "meta", "schema_version": "2.0"})
-    with pytest.raises(StorageError):
-        read_log(path)
+def test_reader_rejects_unknown_major_version(match_log, tmp_path):
+    for version in ("3.0", "0.9", "", "20.0"):
+        path = rewrite_log(match_log[0], tmp_path / "other.jsonl",
+                           lambda records: records[0].update(schema_version=version))
+        with pytest.raises(StorageError, match=f"unsupported log schema version {version!r}"):
+            read_log(path)
 
 
 def test_reader_accepts_same_major_newer_minor(match_log, tmp_path):
-    path = rewrite_log(match_log[0], tmp_path / "newer.jsonl",
-                       lambda records: records[0].update(schema_version="1.7"))
-    assert read_log(path).meta["schema_version"] == "1.7"
+    """Majors 1 and 2 read at any minor: a 1.x log (the 1.3 simulate fixture)
+    and a 2.x one (a log written now), each with every attack read as a row."""
+    for version in ("1.0", "1.3", "1.7", "2.0", "2.7"):
+        source = LOGS_1_3 / "sim0.jsonl" if version.startswith("1.") else match_log[0]
+        path = rewrite_log(source, tmp_path / "minor.jsonl",
+                           lambda records: records[0].update(schema_version=version))
+        log = read_log(path)
+        assert log.meta["schema_version"] == version
+        attacks = [attack for r in log.records
+                   if r["kind"] == "decision" and r["phase"] == "Battle"
+                   for attack in r["context"]["attacks"]]
+        assert attacks and all(type(attack) is list and len(attack) == 3 for attack in attacks)
 
 
 def test_reader_requires_meta_first(tmp_path):
@@ -229,20 +238,19 @@ def reference_context(dex, state, side, legal):
     for action in legal:
         if action.is_attack:
             move = dex.moves[own.moves[action.index]]
-            attacks.append({
-                "move_index": action.index,
-                "effectiveness": type_multiplier(dex.chart, move.move_type, opponent.types),
-                "expected_damage": (compute_damage(own, opponent, move, dex.chart,
-                                                   weather=state.weather).damage
-                                    if move.is_damaging else 0)})
+            attacks.append([
+                action.index, type_multiplier(dex.chart, move.move_type, opponent.types),
+                (compute_damage(own, opponent, move, dex.chart, weather=state.weather).damage
+                 if move.is_damaging else 0)])
     return {"own_hp_percent": own.hp_percent,
             "switches": [a.index for a in legal if not a.is_attack], "attacks": attacks}
 
 
 def check_memoized_contexts(dex, states):
     """decision_context, memoized, writes the reference's bytes for every decision
-    variant of every state; mutating what it returns changes no later result.
-    Returns the number of variants checked in a forced replacement."""
+    variant of every state; its rows are the memo's tuples, and mutating the dict
+    and lists it returns changes no later result.  Returns the number of
+    variants checked in a forced replacement."""
     replacements = 0
     for state in states:
         if state.ended:
@@ -252,10 +260,10 @@ def check_memoized_contexts(dex, states):
                 expected = json.dumps(reference_context(dex, variant, side, legal))
                 context = decision_context(dex, variant, side, legal)
                 assert json.dumps(context) == expected  # as the log writes it: types and order
+                assert all(type(row) is tuple for row in context["attacks"])
                 context["switches"].append(99)
-                for attack in context["attacks"]:
-                    attack["expected_damage"] = attack["effectiveness"] = -1
-                context["attacks"].append({})
+                context["attacks"][:0] = [(9, -1, -1)]
+                context["own_hp_percent"] = -1
                 assert json.dumps(decision_context(dex, variant, side, legal)) == expected
                 replacements += needs_replacement(variant, side)
     return replacements
@@ -272,6 +280,79 @@ def test_memoized_decision_context_equals_the_reference_along_a_full_game(dex):
 def test_memoized_decision_context_equals_the_reference_along_any_walk(
         dex, order, seed, turn_limit, choices):
     check_memoized_contexts(dex, walk_states(dex, order, seed, turn_limit, choices))
+
+
+def check_contexts_read_back(dex, states, path):
+    """Log a Battle decision with the decision_context of each decision variant of
+    each state, then read the log: each context reads back as the JSON of the one
+    decision_context gave, its attacks as lists holding attack_table's rows with
+    their exact types.  Returns the rows read back."""
+    expected = []
+    with MatchLog(path) as log:
+        log.append(meta_record(
+            match_id="m", tournament_id="t", game_index=0, seed=1, turn_limit=500,
+            dex_fingerprint="f", agents={"a": "x", "b": "y"},
+            team_names={"a": [], "b": []}, initial_digest="d"))
+        for state in states:
+            for side in () if state.ended else (0, 1):
+                for variant, legal in decision_variants(state, side):
+                    if needs_replacement(variant, side):
+                        continue
+                    context = decision_context(dex, variant, side, legal)
+                    indices = tuple(a.index for a in legal if a.is_attack)
+                    rows = attack_table(dex, variant.sides[side].active,
+                                        variant.sides[1 - side].active, variant.weather,
+                                        indices) if indices else ()
+                    expected.append((context, rows))
+                    log.append(decision_record(
+                        AgentDecision(action=legal[-1]), turn=variant.turn_number,
+                        agent_id="xy"[side], side=side, phase="Battle", context=context))
+    read = [record["context"] for record in read_log(path).records]
+    assert len(read) == len(expected)
+    for got, (context, rows) in zip(read, expected):
+        assert got == json.loads(json.dumps(context))
+        assert all(type(row) is list for row in got["attacks"])
+        assert [tuple(row) for row in got["attacks"]] == list(rows)
+        assert ([[type(item) for item in row] for row in got["attacks"]]
+                == [[type(item) for item in row] for row in rows])
+    return [row for got in read for row in got["attacks"]]
+
+
+def test_a_context_reads_back_as_attack_table_rows_along_a_full_game(dex, tmp_path):
+    """A 2x effectiveness reads back as the float 2.0 and a status move's expected
+    damage as the int 0, as attack_table holds them."""
+    rows = check_contexts_read_back(dex, walk_states(dex, **FULL_GAME), tmp_path / "log.jsonl")
+    assert any(type(row[1]) is float and row[1] == 2.0 for row in rows)
+    assert any(type(row[2]) is int and row[2] == 0 for row in rows)
+
+
+@settings(max_examples=20, deadline=None)
+@given(**ANY_WALK)
+@example(**CAPPED_GAME)
+def test_a_context_reads_back_as_attack_table_rows_along_any_walk(
+        dex, order, seed, turn_limit, choices):
+    with tempfile.TemporaryDirectory() as log_dir:
+        check_contexts_read_back(dex, walk_states(dex, order, seed, turn_limit, choices),
+                                 Path(log_dir) / "log.jsonl")
+
+
+def test_a_1_3_log_reads_back_as_a_2_0_log_of_its_game(dex, tmp_path, capsys):
+    """The 1.3 simulate fixture (simulate --count 1 --seed 6) and the same game
+    written now read back alike: every record but the meta, without its ts, is
+    equal, each context as the same rows of the same types; both replay and
+    report alike."""
+    assert main(["simulate", "--count", "1", "--seed", "6", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    logs = [read_log(LOGS_1_3 / "sim0.jsonl"), read_log(tmp_path / "sim0.jsonl")]
+    assert [log.meta["schema_version"] for log in logs] == ["1.3", "2.0"]
+    records = [[{k: v for k, v in r.items() if k != "ts"} for r in log.records] for log in logs]
+    assert records[0] == records[1]
+    contexts = [json.dumps([r.get("context") for r in log.records]) for log in logs]
+    assert contexts[0] == contexts[1]  # 2.0 is not 2 in JSON
+    rows = [a for r in logs[0].records if r.get("context") for a in r["context"]["attacks"]]
+    assert rows and {(type(a), *map(type, a)) for a in rows} == {(list, int, float, int)}
+    assert build_report(logs[:1]).to_dict() == build_report(logs[1:]).to_dict()
+    assert replay(LOGS_1_3 / "sim0.jsonl", dex) == replay(tmp_path / "sim0.jsonl", dex)
 
 
 def test_greedy_and_the_context_rank_a_new_matchup_once(dex):
