@@ -11,8 +11,8 @@ never mutate their input.
 Each value the decision path asks for is computed once: attack_table
 ranks a matchup's attacks (effectiveness and expected_damage) for the
 logged decision context and GreedyAgent alike, memoized in the dex on the
-values that decide them; legality is checked by one predicate (is_legal)
-instead of a list; and legal_actions hands out shared Action values.
+values that decide them; and legal_actions, the one legality rule, hands out
+shared Action values: a step rejects any action not in its list.
 
 Mechanics summary (level 50, no IVs/EVs):
   max_hp = base_hp + 60, other stats = base + 5
@@ -310,21 +310,6 @@ def legal_actions(state: BattleState, side: int) -> list[Action]:
     return [*map(Action.attack, range(moves)), *switches]
 
 
-def is_legal(state: BattleState, side: int, action: Action) -> bool:
-    """action in legal_actions(state, side), without building the list."""
-    if state.ended:
-        raise BattleAlreadyEnded(f"battle is over (winner: side {state.winner})")
-    side_state = state.sides[side]
-    index = action.index
-    # Range membership compares with ==, as the list's does (True == 1).
-    if action.kind == "attack":
-        return not side_state.active.fainted and index in range(len(side_state.active.moves))
-    if action.kind == "switch":
-        return (index in range(len(side_state.team)) and index != side_state.active_index
-                and not side_state.team[int(index)].fainted)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # damage
 # ---------------------------------------------------------------------------
@@ -431,12 +416,13 @@ def resolve_turn(
     Order: switches (faster current active first), then attacks by
     priority then effective speed, then end-of-turn chip damage, weather
     countdown, and win/turn-cap checks.  Speed ties are broken by a coin
-    flip from the battle's rng stream.  is_legal raises BattleAlreadyEnded
-    on an ended battle; an action it rejects raises IllegalActionError.
+    flip from the battle's rng stream.  An ended battle raises
+    BattleAlreadyEnded; an action not in legal_actions raises
+    IllegalActionError.
     """
     actions = {0: action_a, 1: action_b}
     for side, action in actions.items():
-        if not is_legal(state, side, action):
+        if action not in legal_actions(state, side):
             raise IllegalActionError(side, action)
 
     nxt = state.clone()
@@ -477,7 +463,7 @@ def resolve_replacements(
     for side, action in switches.items():
         if not needs_replacement(state, side):
             raise IllegalActionError(side, action, "no replacement pending")
-        if not is_legal(state, side, action):
+        if action not in legal_actions(state, side):
             raise IllegalActionError(side, action)
 
     nxt = state.clone()

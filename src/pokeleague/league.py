@@ -5,6 +5,10 @@ Pairings follow config order; per-match seeds are stable hashes of
 change an individual match's randomness.  Every decision and engine
 event is logged through the storage module, and with scripted entrants
 the whole tournament is reproducible bit for bit.
+
+A failed or rule-breaking agent call becomes a logged fallback decision
+carrying the call's exchanges and errors.  Under disqualify_on_failure the
+first side to fall back forfeits; in a battle, its game log ends there.
 """
 
 from __future__ import annotations
@@ -197,15 +201,15 @@ class MatchRunner:
 
     # -- asking an agent -----------------------------------------------------
 
-    def _ask(self, side: int, call, check, fallback) -> AgentDecision:
+    def _ask(self, call, check, fallback) -> AgentDecision:
         """One agent call, for a draft or a battle action.
 
         check(decision) raises the ParseError of the decision's rule
         (prompts.check_team or prompts.check_action) if it breaks it.  If
         the agent fails or breaks the rule, the decision is fallback() with
         the exchanges and errors behind the failure (a breach adds its own)
-        and fallback_used set, or under disqualify_on_failure the side
-        forfeits the match.
+        and fallback_used set; under disqualify_on_failure the caller makes
+        that side forfeit.
         """
         try:
             decision = call()
@@ -218,8 +222,6 @@ class MatchRunner:
                 exchanges, errors = decision.exchanges, (*decision.errors, str(err))
             else:
                 return decision
-        if self.config.disqualify_on_failure:
-            raise _Forfeit(side)
         return replace(fallback(), exchanges=exchanges, errors=errors, fallback_used=True)
 
     # -- one game --------------------------------------------------------
@@ -250,13 +252,15 @@ class MatchRunner:
                 view = view_for(state, side)
                 legal = legal_actions(state, side)
                 decision = self._ask(
-                    side, lambda: agent.choose_action(view, legal),
+                    lambda: agent.choose_action(view, legal),
                     lambda d: check_action(d.action, legal),
                     lambda: AgentDecision(action=fallback_action(legal)))
                 log.append(storage.decision_record(
                     decision, turn=state.turn_number, agent_id=agent.agent_id, side=side,
                     phase=phase, context=storage.decision_context(self.dex, state, side, legal)),
                     *storage.exchanges_record(decision))
+                if decision.fallback_used and self.config.disqualify_on_failure:
+                    raise _Forfeit(side)  # the game log ends with this decision
                 return decision.action
 
             steps = storage.play_battle(state, init_events, self.dex, match_id, choose)
@@ -271,7 +275,7 @@ class MatchRunner:
                 agents=dict(zip(storage.SIDE_KEYS, (agents[0].agent_id, agents[1].agent_id))),
                 team_names=dict(zip(storage.SIDE_KEYS, team_names)),
                 initial_digest=init_record["post_digest"],
-                config=self.config.to_dict(),
+                config={k: v for k, v in self.config.to_dict().items() if k != "jobs"},
                 provider_params=provider_params,
             ))
             for draft in drafts:  # a draft's exchanges go only into the match's first game log
@@ -303,21 +307,16 @@ class MatchRunner:
         forfeit_side: int | None = None
         drafts: list[tuple[dict, ...]] = []  # per side: the decision record, then its exchanges
         for side, agent in agents.items():
-            if agent.agent_id in self._cached_teams:
-                decision = self._cached_teams[agent.agent_id]
-            else:
-                try:
-                    decision = self._ask(
-                        side, lambda: agent.select_team(pool),
-                        lambda d: check_team(d.team, len(pool)),
-                        lambda: AgentDecision(team=fallback_team()))
-                except _Forfeit:
+            decision = self._cached_teams.get(agent.agent_id)
+            if decision is None:
+                decision = self._ask(
+                    lambda: agent.select_team(pool), lambda d: check_team(d.team, len(pool)),
+                    lambda: AgentDecision(team=fallback_team()))
+                if decision.fallback_used and self.config.disqualify_on_failure:
                     forfeit_side = side if forfeit_side is None else forfeit_side
-                    decision = AgentDecision(team=fallback_team(), fallback_used=True)
-                else:
-                    if not self.config.draft_per_match:
-                        self._cached_teams[agent.agent_id] = replace(
-                            decision, exchanges=(), errors=())
+                elif not self.config.draft_per_match:
+                    self._cached_teams[agent.agent_id] = replace(
+                        decision, exchanges=(), errors=())
             drafts.append((storage.decision_record(
                 decision, turn=0, agent_id=agent.agent_id, side=side,
                 phase=storage.PHASE_TEAM_SELECT), *storage.exchanges_record(decision)))

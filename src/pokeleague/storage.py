@@ -32,7 +32,7 @@ it turns each into the same row, so every reader of a log sees rows.
 
 Lines are encoded as json.dumps(record, ensure_ascii=False,
 separators=(",", ":")) encodes them, with no space after a comma or a
-colon, by the stdlib's C encoder built once (codec.make_encoder), as are
+colon, by the stdlib's C encoder built once (make_encoder), as are
 canonical_json's digests.  read_log decodes each line with the C scanner
 json.loads calls, and hands a line that is not one value with nothing after
 it to json.loads, so the error text stays the decoder's own.
@@ -57,7 +57,6 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from .agents import AgentDecision
-from .codec import make_encoder
 from .dex import Dex
 from .engine import (
     Action, BattlerState, BattleState, IllegalActionError, attack_table, init_battle,
@@ -87,6 +86,21 @@ class DigestMismatch(StorageError):
     def __init__(self, turn: int, detail: str = ""):
         self.turn = turn
         super().__init__(f"replay diverged at turn {turn}" + (f": {detail}" if detail else ""))
+
+
+def make_encoder(enc: json.JSONEncoder) -> Callable[[object], str]:
+    """enc.encode as one C encoder built once; enc.encode itself where there is
+    no C encoder.  The text is enc.encode's, byte for byte, except that the
+    built encoder leaves out the cycle check: a cyclic value, which nothing
+    here encodes, raises RecursionError where enc.encode raises ValueError."""
+    c_make_encoder = json.encoder.c_make_encoder  # looked up here, so a test can take it away
+    if c_make_encoder is None:
+        return enc.encode
+    quote = (json.encoder.encode_basestring_ascii if enc.ensure_ascii
+             else json.encoder.encode_basestring)
+    encode = c_make_encoder(None, enc.default, quote, None, enc.key_separator,
+                            enc.item_separator, enc.sort_keys, enc.skipkeys, enc.allow_nan)
+    return lambda obj: "".join(encode(obj, 0))
 
 
 _CANONICAL = make_encoder(json.JSONEncoder(sort_keys=True, separators=(",", ":"),

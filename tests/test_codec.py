@@ -10,11 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from pokeleague import agents, storage
 from pokeleague.agents import GreedyAgent, RandomAgent
-from pokeleague.codec import make_encoder
 from pokeleague.engine import legal_actions, view_for
 from pokeleague.league import LeagueConfig, MatchRunner
 from pokeleague.rng import SeededStream, stable_hash64
-from pokeleague.storage import StorageError, read_log
+from pokeleague.storage import StorageError, make_encoder, read_log
 
 from conftest import ANY_WALK, FULL_GAME, walk_states
 

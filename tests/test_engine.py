@@ -10,7 +10,7 @@ from pokeleague.dex import Species, load_dex, type_multiplier
 from pokeleague.engine import (
     Action, BattleAlreadyEnded, BattlerState, IllegalActionError, NotADamagingMove,
     StatusState, attack_table, compute_damage, compute_stats, expected_damage, init_battle,
-    is_legal, legal_actions, needs_replacement, resolve_replacements, resolve_turn, view_for,
+    legal_actions, needs_replacement, resolve_replacements, resolve_turn, view_for,
 )
 from pokeleague.storage import canonical_json
 
@@ -337,8 +337,11 @@ def test_legal_actions_for_other_team_and_move_counts(dex, team_size, move_count
                 + [Action("switch", i) for i in range(2, team_size)])
     assert legal_actions(state, 0) == expected
     candidates = [Action(kind, i) for kind in ("attack", "switch") for i in range(-1, 10)]
+    other = legal_actions(state, 1)[0]
     for action in candidates:
-        assert is_legal(state, 0, action) == (action in expected)
+        if action not in expected:
+            with pytest.raises(IllegalActionError):
+                resolve_turn(state, action, other, dex)
 
 
 def test_legal_actions_hands_out_shared_values(dex):

@@ -2,7 +2,8 @@
 
 Whatever a model sends or a provider raises, a tournament finishes.  With
 disqualify_on_failure off every failed decision is a logged fallback that
-carries its errors; with it on, the side that fails first forfeits.
+carries its errors; with it on, the side that fails first forfeits, and a
+battle forfeit's log ends with that fallback.
 """
 
 import json
@@ -162,3 +163,9 @@ def test_faulty_llm_entrants_never_break_a_tournament(dex, schedules, seed):
             assert match.end_reason != END_FORFEIT or match.loser in LLM_IDS
             for log_file in match.log_files:  # completed games never fall back
                 assert not any(r["fallback_used"] for r in decisions(strict_logs / log_file))
+            # A battle forfeit's partial log ends with the loser's fallback and its cause.
+            partial = strict_logs / f"{match.match_id}.jsonl"
+            if match.end_reason == END_FORFEIT and partial.exists():
+                record, exchanges = logged_decisions(partial)[-1]
+                assert (record["agent_id"], record["fallback_used"]) == (match.loser, True)
+                check_decision_record(record, exchanges)

@@ -61,7 +61,7 @@ GOLDEN = {
         "report.json": "51e948b9a8f8a5d8689fdfb23aa8e64eed87cb40bab12930efc8abec6430592f",
         "report.txt": "0568ed680d9f8f54abec2628c092738e282cd47d1abbe9c84d12f18077b8f095",
         "pick_frequency.csv": "7644fdd1fc5bf5e35b35dfe391a5da855c7889337a9cff0e9370dacf00f8d57c",
-        "logs": "5248a2004299579d4b0b245d80c0aeabea33173d0b08c78aa384e4f1a472a2ce",
+        "logs": "9be0d3038fdb54f9e7b9c4d3d1eab61b85ac1fd805baffb9771487e6de4fe699",
     },
     "bo3-draft-once": {
         "bracket.json": "1f19935bdf94350f5dab40ec5a676d5eff73b764b3e054b10cef166ebd86f36c",
@@ -69,7 +69,7 @@ GOLDEN = {
         "report.json": "c06228175a0d1cc482069fb6dc0d66f039bc3c034e3cc34406e34dc14e500e17",
         "report.txt": "1e7113acd5690f5be7dc90fc2c4ba8a2b2f00b88f1ae57f122b21f64d16db469",
         "pick_frequency.csv": "f9572f53067f9aafebdf6522ea157518a80895abfbf2b8949f87859b3dde26a3",
-        "logs": "fdc783a32935f43819c0ad496b74990c88245ce6da9d80d6dfce49c5ab35342f",
+        "logs": "cdfa7acb29c9113f1b7bcd661e5899d7d207ba06171c074bc4c26ed7ffec9c10",
     },
 }
 

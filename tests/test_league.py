@@ -208,6 +208,13 @@ def test_mid_game_failure_forfeits_the_match(dex, tmp_path, best_of, game, compl
     assert (result.winner, result.loser, result.winner_side) == ("random", "failing", 1)
     assert result.end_reason == END_FORFEIT
     assert [g.log_file for g in result.games] == result.log_files == completed
+    # The forfeited game's log ends with the failing side's fallback and its cause.
+    partial = tmp_path / ("m0.jsonl" if best_of == 1 else f"m0g{game - 1}.jsonl")
+    last = json.loads(partial.read_text(encoding="utf-8").splitlines()[-1])
+    assert (last["kind"], last["agent_id"], last["side"], last["turn"]) == (
+        "decision", "failing", 0, 3)
+    assert (last["fallback_used"], last["errors"]) == (True, ["model unavailable"])
+    assert [r["fallback_used"] for r, _ in logged_decisions(partial)].count(True) == 1
     assert result.turn_count == sum(g.turn_count for g in result.games)
     for summary in result.games:  # completed games are whole, replayable logs
         assert summary.turn_count > 0
@@ -507,6 +514,9 @@ def test_parallel_rounds_match_serial(dex, tmp_path):
     parallel = run_tournament(parallel_config.entrants, dex, parallel_config, 42,
                               log_dir=tmp_path / "parallel/logs")
     assert canonical_json(serial.to_dict()) == canonical_json(parallel.to_dict())
+    logs = [{path.name: TS_FIELD.sub(b"", path.read_bytes()) for path in (tmp_path / run).iterdir()}
+            for run in ("serial/logs", "parallel/logs")]
+    assert len(logs[0]) == 7 and logs[0] == logs[1]  # the logs do not name the thread count
 
 
 def test_per_match_seeds_stable_under_reordering():

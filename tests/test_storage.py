@@ -18,7 +18,7 @@ from pokeleague.cli import main
 from pokeleague.dex import STATUS_NAMES, type_multiplier
 from pokeleague.engine import (
     Action, BattleAlreadyEnded, IllegalActionError, StatusState, attack_table, compute_damage,
-    init_battle, is_legal, legal_actions, needs_replacement, resolve_replacements, resolve_turn,
+    init_battle, legal_actions, needs_replacement, resolve_replacements, resolve_turn,
     view_for,
 )
 from pokeleague.league import LeagueConfig, MatchRunner
@@ -388,29 +388,34 @@ NEAR_ACTIONS = [Action(kind, index) for kind in ("attack", "switch", "Attack")
 @given(**ANY_WALK, extra=st.lists(ANY_ACTION, max_size=6))
 @example(**FULL_GAME, extra=[])
 @example(**CAPPED_GAME, extra=[])
-def test_is_legal_agrees_with_legal_actions(dex, order, seed, turn_limit, choices, extra):
-    """The engine's legality predicate, checked against the list it replaces."""
+def test_a_step_rejects_every_action_outside_legal_actions(dex, order, seed, turn_limit, choices,
+                                                           extra):
+    """legal_actions is the one legality rule: on every state of a walk, a step
+    takes each action in the list (for a replacement, from a side that owes one)
+    and rejects every other, nearby indices, bools and unknown kinds included."""
     for state in walk_states(dex, order, seed, turn_limit, choices):
         if state.ended:
             for side in (0, 1):
                 with pytest.raises(BattleAlreadyEnded):
-                    is_legal(state, side, Action("attack", 0))
+                    resolve_turn(state, Action("attack", 0), Action("attack", 0), dex)
+                with pytest.raises(BattleAlreadyEnded):
+                    resolve_replacements(state, {side: Action("switch", 1)}, dex)
             continue
         pending = [side for side in (0, 1) if needs_replacement(state, side)]
         for side in (0, 1):
             legal = legal_actions(state, side)
+            other = legal_actions(state, 1 - side)[0]
             for action in [*NEAR_ACTIONS, *extra, *legal]:
-                assert is_legal(state, side, action) == (action in legal)
-                if action in legal:
-                    continue
-                # An action outside the list never reaches a step.
-                with pytest.raises(IllegalActionError):
+                def step():
                     if pending:
-                        resolve_replacements(state, {side: action}, dex)
-                    else:
-                        other = legal_actions(state, 1 - side)[0]
-                        resolve_turn(state, *((action, other) if side == 0 else (other, action)),
-                                     dex)
+                        return resolve_replacements(state, {side: action}, dex)
+                    return resolve_turn(state, *((action, other) if side == 0 else (other, action)),
+                                        dex)
+                if action in legal and (not pending or side in pending):
+                    step()
+                else:
+                    with pytest.raises(IllegalActionError):
+                        step()
 
 
 def test_state_json_after_the_battler_cache_overflows(dex):
