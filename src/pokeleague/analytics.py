@@ -76,7 +76,7 @@ def team_diversity(teams: list[list[str]]) -> float:
 
 
 def jaccard_matrix(teams_by_agent: dict[str, list[str]]) -> tuple[list[str], list[list[float]]]:
-    """Pairwise team-overlap similarity (|A&B| / |A|B|) between agents."""
+    """Pairwise team-overlap similarity (|A & B| / |A | B|) between agents."""
     ids = sorted(teams_by_agent)
     teams = [set(teams_by_agent[a]) for a in ids]
     return ids, [[len(a & b) / len(a | b) if a | b else 0.0 for b in teams] for a in teams]

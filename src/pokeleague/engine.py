@@ -11,8 +11,10 @@ never mutate their input.
 Each value the decision path asks for is computed once: attack_table
 ranks a matchup's attacks (effectiveness and expected_damage) for the
 logged decision context and GreedyAgent alike, memoized in the dex on the
-values that decide them; and legal_actions, the one legality rule, hands out
-shared Action values: a step rejects any action not in its list.
+values that decide them.  The legality conditions are written once:
+legal_actions lists what they admit, as shared Action values, and a step
+checks each submitted action against them directly, without building the
+list, so it rejects exactly the actions legal_actions leaves out.
 
 Mechanics summary (level 50, no IVs/EVs):
   max_hp = base_hp + 60, other stats = base + 5
@@ -179,14 +181,13 @@ class SideState:
     def active(self) -> BattlerState:
         return self.team[self.active_index]
 
-    def alive_count(self) -> int:
-        return sum(1 for b in self.team if not b.fainted)
-
     def clone(self) -> "SideState":
-        return SideState(
-            team=list(self.team),
-            active_index=self.active_index,
-            revealed=set(self.revealed))
+        # Built without the generated __init__, which costs a third of a state clone.
+        clone = object.__new__(SideState)
+        clone.team = list(self.team)
+        clone.active_index = self.active_index
+        clone.revealed = set(self.revealed)
+        return clone
 
     def to_dict(self) -> dict:
         return {
@@ -213,12 +214,18 @@ class BattleState:
         return self.winner is not None
 
     def clone(self) -> "BattleState":
-        return BattleState(
-            sides=[s.clone() for s in self.sides],
-            weather=self.weather, weather_remaining=self.weather_remaining,
-            turn_number=self.turn_number, turn_limit=self.turn_limit,
-            rng_seed=self.rng_seed, rng_position=self.rng_position,
-            winner=self.winner, end_reason=self.end_reason)
+        # As SideState.clone is, built without the generated __init__.
+        clone = object.__new__(BattleState)
+        clone.sides = [side.clone() for side in self.sides]
+        clone.weather = self.weather
+        clone.weather_remaining = self.weather_remaining
+        clone.turn_number = self.turn_number
+        clone.turn_limit = self.turn_limit
+        clone.rng_seed = self.rng_seed
+        clone.rng_position = self.rng_position
+        clone.winner = self.winner
+        clone.end_reason = self.end_reason
+        return clone
 
     def to_dict(self) -> dict:
         return {
@@ -290,6 +297,20 @@ def needs_replacement(state: BattleState, side: int) -> bool:
     return not state.ended and state.sides[side].active.fainted
 
 
+# The legality conditions, each written once: legal_actions lists what they
+# admit, and a step checks each submitted action against them directly.
+
+def _attack_count(team: list[BattlerState], active: int) -> int:
+    """Attack i is legal for i below this: the active's move count, 0 once it has fainted."""
+    battler = team[active]
+    return len(battler.moves) if battler.current_hp else 0
+
+
+def _may_switch_to(team: list[BattlerState], active: int, j: int) -> bool:
+    """A switch to slot j needs a live teammate other than the active."""
+    return j != active and team[j].current_hp != 0
+
+
 def legal_actions(state: BattleState, side: int) -> list[Action]:
     """All actions the side may submit, in canonical order.
 
@@ -299,15 +320,29 @@ def legal_actions(state: BattleState, side: int) -> list[Action]:
     if state.ended:
         raise BattleAlreadyEnded(f"battle is over (winner: side {state.winner})")
     side_state = state.sides[side]
-    active = side_state.active_index
-    switches = [_SWITCHES[i] if i < len(_SWITCHES) else Action.switch(i)
-                for i, b in enumerate(side_state.team) if i != active and not b.fainted]
-    if side_state.active.fainted:
-        return switches
-    moves = len(side_state.active.moves)
-    if moves <= len(_ATTACKS):
-        return [*_ATTACKS[:moves], *switches]
-    return [*map(Action.attack, range(moves)), *switches]
+    team, active = side_state.team, side_state.active_index
+    moves = _attack_count(team, active)
+    legal = list(_ATTACKS[:moves] if moves <= len(_ATTACKS) else map(Action.attack, range(moves)))
+    for j in range(len(team)):  # a loop: a comprehension calling the predicate is slower
+        if _may_switch_to(team, active, j):
+            legal.append(_SWITCHES[j] if j < len(_SWITCHES) else Action.switch(j))
+    return legal
+
+
+def _admits(side_state: SideState, action: object) -> bool:
+    """Whether action is in the side's legal_actions, found without building the list.
+
+    As with Action's ==, only an Action can match, and its index matches
+    the int it equals, so True is index 1.
+    """
+    if type(action) is not Action:
+        return False
+    team, active, index = side_state.team, side_state.active_index, action.index
+    if action.kind == "attack":
+        return index in range(_attack_count(team, active))
+    if action.kind == "switch":
+        return index in range(len(team)) and _may_switch_to(team, active, index)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +455,12 @@ def resolve_turn(
     BattleAlreadyEnded; an action not in legal_actions raises
     IllegalActionError.
     """
-    actions = {0: action_a, 1: action_b}
-    for side, action in actions.items():
-        if action not in legal_actions(state, side):
-            raise IllegalActionError(side, action)
+    if state.ended:
+        raise BattleAlreadyEnded(f"battle is over (winner: side {state.winner})")
+    actions = (action_a, action_b)
+    for side in (0, 1):
+        if not _admits(state.sides[side], actions[side]):
+            raise IllegalActionError(side, actions[side])
 
     nxt = state.clone()
     rng = SeededStream(nxt.rng_seed, nxt.rng_position)
@@ -431,8 +468,9 @@ def resolve_turn(
 
     # 1: switches, ordered by the outgoing active's speed
     switchers = [s for s in (0, 1) if actions[s].kind == "switch"]
-    for side in _speed_order(switchers, rng, lambda side: nxt.sides[side].active.stats["spe"]):
-        _emit_switch_in(nxt, dex, side, actions[side].index, events)
+    if switchers:
+        for side in _speed_order(switchers, rng, lambda side: nxt.sides[side].active.stats["spe"]):
+            _emit_switch_in(nxt, dex, side, actions[side].index, events)
 
     # 2-3: attacks, ordered by priority then effective speed
     attackers = [s for s in (0, 1) if actions[s].kind == "attack"]
@@ -463,7 +501,7 @@ def resolve_replacements(
     for side, action in switches.items():
         if not needs_replacement(state, side):
             raise IllegalActionError(side, action, "no replacement pending")
-        if action not in legal_actions(state, side):
+        if not _admits(state.sides[side], action):
             raise IllegalActionError(side, action)
 
     nxt = state.clone()
@@ -646,8 +684,16 @@ def _end_of_turn(state, rng, events):
             state.weather_remaining = 0
 
 
+def _has_hp_left(team):
+    """Whether any battler of the team has HP: a loop, twice as fast as any() on a generator."""
+    for battler in team:
+        if battler.current_hp:
+            return True
+    return False
+
+
 def _check_battle_end(state, rng, events):
-    wiped = [s for s in (0, 1) if state.sides[s].alive_count() == 0]
+    wiped = [s for s in (0, 1) if not _has_hp_left(state.sides[s].team)]
     if wiped:
         if len(wiped) == 2:
             # Both teams were wiped this turn: the side whose final faint

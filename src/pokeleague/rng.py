@@ -9,6 +9,11 @@ and Python versions.
 from __future__ import annotations
 
 import hashlib
+import struct
+
+_sha256 = hashlib.sha256
+# The first eight bytes of a digest as a big-endian integer, read in place.
+_read_u64 = struct.Struct(">Q").unpack_from
 
 
 def stable_hash64(*parts: object) -> int:
@@ -19,21 +24,30 @@ def stable_hash64(*parts: object) -> int:
     is randomized per process and is never used for this.
     """
     text = "\x1f".join(str(p) for p in parts)
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+    return _read_u64(_sha256(text.encode("utf-8")).digest())[0]
 
 
 class SeededStream:
-    """Counter-mode RNG: the i-th draw depends only on (seed, i)."""
+    """Counter-mode RNG: the i-th draw depends only on (seed, i).
+
+    Draw i is the first eight bytes, big-endian, of SHA-256 over
+    f"{seed}:{i}".encode(); the seed's part of that text is encoded once.
+    """
 
     def __init__(self, seed: int, position: int = 0) -> None:
-        self.seed = seed
+        self._seed = seed
         self.position = position
+        self._prefix = f"{seed}:".encode()
+
+    @property
+    def seed(self) -> int:
+        """Read-only: the encoded prefix is the seed's for the stream's life."""
+        return self._seed
 
     def _next_u64(self) -> int:
-        digest = hashlib.sha256(f"{self.seed}:{self.position}".encode()).digest()
+        digest = _sha256(self._prefix + f"{self.position}".encode()).digest()
         self.position += 1
-        return int.from_bytes(digest[:8], "big")
+        return _read_u64(digest)[0]
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high], inclusive."""

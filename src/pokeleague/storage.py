@@ -515,7 +515,11 @@ def _lacking_inside(path: str | Path, kind: str, record: dict,
                 if not (type(row) is list and len(row) == 3 and type(row[0]) is int
                         and type(row[1]) in _NUMBER and type(row[2]) in _NUMBER):
                     raise _fault(path, record, _NOT_AN_ATTACK[legacy])
-                if _not_finite(row[1]) or _not_finite(row[2]):
+                try:  # an int too large for a float raises OverflowError
+                    finite = isfinite(row[1]) and isfinite(row[2])
+                except OverflowError:
+                    finite = False
+                if not finite:
                     n = 1 if _not_finite(row[1]) else 2
                     raise _fault(path, record, f"context attack {row[0]}: "
                                                f"{_ATTACK_FIELDS[n]} {row[n]} is not finite")

@@ -823,6 +823,20 @@ def test_replay_rejects_an_unreadable_logged_action(dex, match_log, tmp_path, ac
         replay(tampered, dex)
 
 
+@pytest.mark.parametrize("field, n", [("effectiveness", 1), ("expected_damage", 2)])
+def test_read_log_names_a_context_number_too_large_for_a_float(match_log, tmp_path, field, n):
+    path, _ = match_log
+
+    def change(records):
+        first_record(records, "decision", "Battle")["context"]["attacks"][0][n] = 10**400
+
+    tampered = rewrite_log(path, tmp_path / "huge.jsonl", change)
+    with pytest.raises(StorageError) as excinfo:
+        read_log(tampered)
+    assert str(excinfo.value).endswith(f"turn 1: side 0: context attack 0: "
+                                       f"{field} {10**400} is not finite")
+
+
 @pytest.mark.parametrize("kind, phase, key", [
     ("events", "turn", "pre_digest"), ("events", "init", "events"),
     ("decision", "Battle", "side"), ("meta", None, "agents"),
