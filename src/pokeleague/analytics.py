@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -51,8 +52,9 @@ class NoLogs(Exception):
 def load_log_dir(log_dir: str | Path) -> Iterator[MatchLogData]:
     """Every .jsonl file under log_dir, read lazily with storage.read_log in path order.
 
-    NoLogs is raised at once; each log is read when the iterator reaches it.
+    A missing path or a file raises its OSError, and no logs NoLogs, at once.
     """
+    os.listdir(log_dir)  # raises for a missing path or a file, naming it
     paths = sorted(p for p in Path(log_dir).rglob("*.jsonl") if p.is_file())
     if not paths:
         raise NoLogs(f"no .jsonl logs under {log_dir}")

@@ -26,9 +26,9 @@ decides that by a value compare as strict about types as the encoder
 encodes both only when the compare cannot vouch for a match.
 
 Schema 2.0 writes each legal attack of a Battle context as
-engine.attack_table's row, [move_index, effectiveness, expected_damage].
-read_log also reads 1.x logs, whose attacks are objects with those keys:
-it turns each into the same row, so every reader of a log sees rows.
+engine.attack_table's row, [move_index, effectiveness, expected_damage];
+2.1 only drops 2.0's meta and decision "ts": no record carries a wall-clock
+time.  read_log also reads 1.x logs, turning their attack objects into rows.
 
 Lines are encoded as json.dumps(record, ensure_ascii=False,
 separators=(",", ":")) encodes them, with no space after a comma or a
@@ -49,7 +49,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import time
 from dataclasses import dataclass
 from itertools import dropwhile
 from math import isfinite
@@ -63,7 +62,7 @@ from .engine import (
     needs_replacement, resolve_replacements, resolve_turn,
 )
 
-SCHEMA_VERSION = "2.0"
+SCHEMA_VERSION = "2.1"
 
 PHASE_TEAM_SELECT = "TeamSelect"
 PHASE_BATTLE = "Battle"
@@ -264,7 +263,6 @@ def meta_record(
         "initial_digest": initial_digest,
         "config": config or {},
         "provider_params": provider_params or {},
-        "ts": time.time(),
     }
 
 
@@ -289,7 +287,6 @@ def decision_record(
         "fallback_used": decision.fallback_used,
         **({"errors": list(decision.errors)} if decision.errors else {}),
         "context": context,
-        "ts": time.time(),
     }
 
 

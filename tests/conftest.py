@@ -21,6 +21,29 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # object: a simulate game and a mock entrant's game with repairs and fallbacks.
 LOGS_1_3 = Path(__file__).parent / "data" / "logs-1.3"
 
+# A mock entrant's script whose replies are clean, need repairs or never parse,
+# so its drafts and actions meet the repair loop and both kinds of fallback.
+REPAIRS_SCRIPT = {
+    "team": [
+        '{"team": [0, 1, 2, 3, 4, 5], "reasoning": "the first six"}',
+        '{"team": [6, 6, 7, 8, 9, 10], "reasoning": "a duplicate index"}',
+        "I would pick the strongest six.",
+        "Still thinking about it.",
+        "No team yet.",
+        'Final answer: {"team": [11, 12, 13, 14, 15, 16], "reasoning": "bulk"}',
+    ],
+    "action": [
+        '{"action": {"type": "attack", "move_index": 0}, "reasoning": "lead move"}',
+        '```json\n{"action": {"type": "attack", "move_index": 1}, "reasoning": "coverage"}\n```',
+        '{"action": {"type": "switch", "team_index": 1}, "reasoning": "pivot"}',
+        '{"action": {"type": "attack", "move_index": 7}, "reasoning": "no such move"}',
+        "Attack with the strongest move!",
+        "Hmm.",
+        "Let me think.",
+        '{"action": {"type": "attack", "move_index": 2}, "reasoning": "third move"}',
+    ],
+}
+
 
 def child_env(**changes):
     """The environment for a fresh interpreter that imports pokeleague from this checkout."""

@@ -1,5 +1,6 @@
 """CLI subcommands and their exit-code contract."""
 
+import errno
 import hashlib
 import json
 import math
@@ -16,7 +17,7 @@ from pokeleague.cli import main
 from pokeleague.dex import default_dex_path
 from pokeleague.gateway import ProviderConfig
 
-from conftest import LOGS_1_3, child_env
+from conftest import LOGS_1_3, REPAIRS_SCRIPT, child_env
 
 MOCK_SCRIPT = {
     "team": ['{"team": [0, 1, 2, 3, 4, 5], "reasoning": "lead with the pool order"}'],
@@ -141,6 +142,16 @@ def test_simulate_deterministic_tallies(tmp_path, capsys):
     second = capsys.readouterr().out.splitlines()[-1]
     assert first.split("(")[0] == second.split("(")[0]
     assert len(list((tmp_path / "run1").glob("*.jsonl"))) == 5
+
+
+def test_simulate_writes_the_same_bytes_in_each_run(tmp_path, capsys):
+    """No record carries a wall-clock "ts", so a rerun writes byte-identical logs."""
+    runs = []
+    for run in ("first", "second"):
+        assert main(["simulate", "--count", "3", "--seed", "5", "--out", str(tmp_path / run)]) == 0
+        runs.append({path.name: path.read_bytes() for path in (tmp_path / run).iterdir()})
+    assert len(runs[0]) == 3 and runs[0] == runs[1]
+    assert not any("ts" in json.loads(line) for raw in runs[0].values() for line in raw.splitlines())
 
 
 def test_simulate_count_zero_is_usage_error(tmp_path):
@@ -995,6 +1006,17 @@ LOGS_1_0 = Path(__file__).parent / "data" / "logs-1.0"
 LOGS_1_2 = Path(__file__).parent / "data" / "logs-1.2"
 # LOGS_1_3 (from conftest) holds a 1.3 simulate game and a 1.3 mock
 # entrant's game with repairs and fallbacks, each with a meta "game_index".
+# Logs written at schema 2.0, each meta and decision record with a wall-clock
+# "ts": simulate --count 2 --seed 8 (sim0, sim1) and the three game logs of
+# LOGS_2_0_BRACKET, whose mock entrants play REPAIRS_SCRIPT.
+LOGS_2_0 = Path(__file__).parent / "data" / "logs-2.0"
+LOGS_2_0_BRACKET = {
+    "entrants": [{"agent_id": "mock-0", "kind": "mock"},
+                 {"agent_id": "random-1", "kind": "random", "seed": 1},
+                 {"agent_id": "mock-2", "kind": "mock"},
+                 {"agent_id": "greedy-3", "kind": "greedy"}],
+    "master_seed": 9, "turn_limit": 20,
+}
 
 
 def log_id(value):
@@ -1012,18 +1034,24 @@ def log_id(value):
     (LOGS_1_2 / "sim0.jsonl", "winner side 0 (a-greedy) after 13 turn(s)"),
     (LOGS_1_3 / "mock-r0m0.jsonl", "winner side 0 (mock-0) after 20 turn(s)"),
     (LOGS_1_3 / "sim0.jsonl", "winner side 0 (a-greedy) after 12 turn(s)"),
+    (LOGS_2_0 / "r0m0.jsonl", "winner side 0 (mock-0) after 20 turn(s)"),
+    (LOGS_2_0 / "r0m1.jsonl", "winner side 1 (greedy-3) after 8 turn(s)"),
+    (LOGS_2_0 / "r1m0.jsonl", "winner side 1 (greedy-3) after 8 turn(s)"),
+    (LOGS_2_0 / "sim0.jsonl", "winner side 0 (a-greedy) after 14 turn(s)"),
+    (LOGS_2_0 / "sim1.jsonl", "winner side 0 (a-greedy) after 13 turn(s)"),
 ], ids=log_id)
 def test_a_1_0_log_replays_as_it_did(capsys, log, outcome):
     meta = storage.read_log(log).meta
-    version = {LOGS_1_0: "1.0", LOGS_1_2: "1.2", LOGS_1_3: "1.3"}[log.parent]
+    version = {LOGS_1_0: "1.0", LOGS_1_2: "1.2", LOGS_1_3: "1.3", LOGS_2_0: "2.0"}[log.parent]
     assert (meta["schema_version"], "teams" in meta, "game_index" in meta) == (
-        version, version == "1.0", version == "1.3")
+        version, version == "1.0", version in ("1.3", "2.0"))
     assert main(["replay", str(log)]) == 0
     assert capsys.readouterr().out == f"ok: {outcome}; all digests match\n"
 
 
 def test_report_over_1_0_logs_is_unchanged(tmp_path, capsys):
-    """Nor is it over the 1.2 or 1.3 logs: each set gives the bytes it gave when written."""
+    """Nor is it over the 1.2, 1.3 or 2.0 logs: each set gives the bytes it gave when
+    written."""
     for logs, expected in {
         LOGS_1_0: {
             "report.json": "a8fb8cf9a6c7e806fd0c0503780ac3e36aad6a2cd392f34ca8040a54e95d0716",
@@ -1043,11 +1071,48 @@ def test_report_over_1_0_logs_is_unchanged(tmp_path, capsys):
             "pick_frequency.csv":
                 "6b77f5089705817dbcf6cae35168a7b5ee5a09c948fd717a2070c2140fc80286",
         },
+        LOGS_2_0: {
+            "report.json": "950b3a56a22906d5b3ca72331c3fd9e1aa56eb507f7f4d5dcbc6e37b1517eb95",
+            "report.txt": "a8da53fb54c2febef97d9f8a248d14340cce8ca07c02fe8b58ead4417e5806a3",
+            "pick_frequency.csv":
+                "9ef81348a7bdb27038c0e236c2fc057db6f8f976a4a050e5f2ee101c79d4e314",
+        },
     }.items():
         out = tmp_path / logs.name
         assert main(["report", str(logs), "--out", str(out)]) == 0
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in expected} == expected
+
+
+def test_2_0_logs_read_and_report_as_the_same_runs_written_now(tmp_path, capsys):
+    """The LOGS_2_0 runs, made again, write 2.1 logs whose records equal the
+    fixture's but for the meta schema_version and the 2.0 ts stamps, and the
+    two log sets report to the same bytes."""
+    now = tmp_path / "now"
+    assert main(["simulate", "--count", "2", "--seed", "8", "--out", str(now)]) == 0
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(REPAIRS_SCRIPT), encoding="utf-8")
+    entrants = [{**e, "script": str(script)} if e["kind"] == "mock" else e
+                for e in LOGS_2_0_BRACKET["entrants"]]
+    config = tmp_path / "bracket.json"
+    config.write_text(json.dumps({**LOGS_2_0_BRACKET, "entrants": entrants,
+                                  "output_dir": str(tmp_path / "bracket")}), encoding="utf-8")
+    assert main(["tournament", str(config)]) == 0
+    for log in (tmp_path / "bracket" / "logs" / "t9").iterdir():
+        log.rename(now / log.name)
+    names = sorted(path.name for path in LOGS_2_0.iterdir())
+    assert sorted(path.name for path in now.iterdir()) == names
+    for name in names:
+        then, written = ([json.loads(line) for line in (logs / name).read_bytes().splitlines()]
+                         for logs in (LOGS_2_0, now))
+        assert (then[0].pop("schema_version"), written[0].pop("schema_version")) == ("2.0", "2.1")
+        assert [{k: v for k, v in r.items() if k != "ts"} for r in then] == written
+    reports = []
+    for logs in (LOGS_2_0, now):
+        assert main(["report", str(logs), "--out", str(tmp_path / f"report-{logs.name}")]) == 0
+        reports.append({name: (tmp_path / f"report-{logs.name}" / name).read_bytes()
+                        for name in ("report.json", "report.txt", "pick_frequency.csv")})
+    assert reports[0] == reports[1]
 
 
 def test_report_skips_a_directory_named_like_a_log(tmp_path, capsys):
@@ -1086,6 +1151,20 @@ def test_report_into_a_closed_pipe_exits_1_quietly(simulated_log, tmp_path, unbu
 
 def test_report_empty_dir(tmp_path):
     assert main(["report", str(tmp_path)]) == 1
+
+
+def test_report_on_a_missing_path_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "nowhere"
+    assert main(["report", str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.ENOENT}] No such file or directory: {str(missing)!r}\n")
+    assert not missing.exists()
+
+
+def test_report_on_a_file_is_usage_error(simulated_log, capsys):
+    assert main(["report", str(simulated_log)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.ENOTDIR}] Not a directory: {str(simulated_log)!r}\n")
 
 
 def test_usage_error_exit_code_from_argparse():

@@ -4,42 +4,21 @@ Two 8-entrant brackets of mock-LLM, greedy and random entrants run
 through `pokeleague tournament` and `pokeleague report`: best-of-1 with a
 draft per match, and best-of-3 with one draft per entrant.  The mock
 scripts yield clean replies, repairs and fallbacks; one entrant never
-drafts a valid team.  Every log is hashed with its wall-clock "ts"
-fields blanked; the bracket, standings and report files are hashed as
-written.  A change that alters any of these bytes changes a hash here.
+drafts a valid team.  Every log, bracket, standings and report file is
+hashed as written.  A change that alters any of these bytes changes a
+hash here.
 """
 
 import hashlib
 import json
-import re
 
 import pytest
 
 from pokeleague.cli import main
 
-from conftest import logged_decisions
+from conftest import REPAIRS_SCRIPT, logged_decisions
 
-MOCK_SCRIPT = {
-    "team": [
-        '{"team": [0, 1, 2, 3, 4, 5], "reasoning": "the first six"}',
-        '{"team": [6, 6, 7, 8, 9, 10], "reasoning": "a duplicate index"}',
-        "I would pick the strongest six.",
-        "Still thinking about it.",
-        "No team yet.",
-        'Final answer: {"team": [11, 12, 13, 14, 15, 16], "reasoning": "bulk"}',
-    ],
-    "action": [
-        '{"action": {"type": "attack", "move_index": 0}, "reasoning": "lead move"}',
-        '```json\n{"action": {"type": "attack", "move_index": 1}, "reasoning": "coverage"}\n```',
-        '{"action": {"type": "switch", "team_index": 1}, "reasoning": "pivot"}',
-        '{"action": {"type": "attack", "move_index": 7}, "reasoning": "no such move"}',
-        "Attack with the strongest move!",
-        "Hmm.",
-        "Let me think.",
-        '{"action": {"type": "attack", "move_index": 2}, "reasoning": "third move"}',
-    ],
-}
-STUBBORN_SCRIPT = {"team": ["I cannot choose."], "action": MOCK_SCRIPT["action"]}
+STUBBORN_SCRIPT = {"team": ["I cannot choose."], "action": REPAIRS_SCRIPT["action"]}
 
 ENTRANTS = [
     {"agent_id": "mock-0", "kind": "mock", "display_name": "Mock Zero"},
@@ -52,8 +31,6 @@ ENTRANTS = [
     {"agent_id": "random-3", "kind": "random", "seed": 3},
 ]
 
-TS_FIELD = re.compile(rb'"ts": ?-?[0-9][0-9.eE+-]*')
-
 GOLDEN = {
     "bo1-draft-per-match": {
         "bracket.json": "8d6d59e6379f63fdf53d84d0898bc6a63d642eabafaef7e3d5360a2b2c331cf3",
@@ -61,7 +38,7 @@ GOLDEN = {
         "report.json": "51e948b9a8f8a5d8689fdfb23aa8e64eed87cb40bab12930efc8abec6430592f",
         "report.txt": "0568ed680d9f8f54abec2628c092738e282cd47d1abbe9c84d12f18077b8f095",
         "pick_frequency.csv": "7644fdd1fc5bf5e35b35dfe391a5da855c7889337a9cff0e9370dacf00f8d57c",
-        "logs": "9be0d3038fdb54f9e7b9c4d3d1eab61b85ac1fd805baffb9771487e6de4fe699",
+        "logs": "30889077e27746e3a55907d343b479c860fe2015fec877a959f52dd7c2df53a6",
     },
     "bo3-draft-once": {
         "bracket.json": "1f19935bdf94350f5dab40ec5a676d5eff73b764b3e054b10cef166ebd86f36c",
@@ -69,7 +46,7 @@ GOLDEN = {
         "report.json": "c06228175a0d1cc482069fb6dc0d66f039bc3c034e3cc34406e34dc14e500e17",
         "report.txt": "1e7113acd5690f5be7dc90fc2c4ba8a2b2f00b88f1ae57f122b21f64d16db469",
         "pick_frequency.csv": "f9572f53067f9aafebdf6522ea157518a80895abfbf2b8949f87859b3dde26a3",
-        "logs": "cdfa7acb29c9113f1b7bcd661e5899d7d207ba06171c074bc4c26ed7ffec9c10",
+        "logs": "33775d84d942abc71a461610c1bd3a8db717bd15b961b1d533bb2a5a5e4fb49b",
     },
 }
 
@@ -82,7 +59,7 @@ LEAGUES = {
 def tournament_digests(tmp_path, league: dict) -> tuple[dict[str, str], list[tuple]]:
     """Run one tournament and its report; return the digests and every decision record,
     paired with its exchanges (logged_decisions)."""
-    for name, script in (("script.json", MOCK_SCRIPT), ("stubborn.json", STUBBORN_SCRIPT)):
+    for name, script in (("script.json", REPAIRS_SCRIPT), ("stubborn.json", STUBBORN_SCRIPT)):
         (tmp_path / name).write_text(json.dumps(script), encoding="utf-8")
     out = tmp_path / "out"
     entrants = [{**e, "script": str(tmp_path / e.get("script", "script.json"))}
@@ -100,9 +77,8 @@ def tournament_digests(tmp_path, league: dict) -> tuple[dict[str, str], list[tup
     logs = hashlib.sha256()
     decisions = []
     for path in sorted((out / "logs").rglob("*.jsonl")):
-        raw = path.read_bytes()
         logs.update(path.relative_to(out / "logs").as_posix().encode() + b"\0")
-        logs.update(TS_FIELD.sub(b'"ts": null', raw) + b"\0")
+        logs.update(path.read_bytes() + b"\0")
         decisions += logged_decisions(path)
     digests["logs"] = logs.hexdigest()
     return digests, decisions

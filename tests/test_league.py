@@ -1,7 +1,6 @@
 """Match orchestration and the single-elimination bracket."""
 
 import json
-import re
 from dataclasses import asdict, replace
 
 import pytest
@@ -21,9 +20,7 @@ from pokeleague.storage import (
     PHASE_BATTLE, PHASE_FORCED_REPLACE, canonical_json, read_log, replay,
 )
 
-from conftest import FixedTeam, logged_decisions
-
-TS_FIELD = re.compile(rb'"ts": ?-?[0-9][0-9.eE+-]*')  # a record's wall-clock time
+from conftest import REPAIRS_SCRIPT, FixedTeam, logged_decisions
 
 
 def scripted_entrants(count):
@@ -66,7 +63,7 @@ def test_warm_scripted_agents_write_the_same_logs_in_either_order(dex, bundled_f
                                                                   tmp_path):
     """Eight greedy-vs-random matches, played forward from cold memos, then in
     reverse by the same warm agents on the same dex, then in reverse from cold
-    memos again, write the same logs, "ts" aside.  A memo keyed on too little
+    memos again, write the same log bytes.  A memo keyed on too little
     answers a matchup as the match that first met it did, so the cold orders differ."""
     randoms = [RandomAgent(f"random-{i}", i) for i in range(8)]
 
@@ -75,7 +72,7 @@ def test_warm_scripted_agents_write_the_same_logs_in_either_order(dex, bundled_f
         for i in order:
             runner.run_match(greedy, randoms[i], seed=stable_hash64(0, "simulate", i),
                              match_id=f"m{i}")
-        return {path.name: TS_FIELD.sub(b"", path.read_bytes()) for path in out.iterdir()}
+        return {path.name: path.read_bytes() for path in out.iterdir()}
 
     def cold():
         return GreedyAgent("greedy", replace(dex, attack_memo={}))
@@ -514,9 +511,24 @@ def test_parallel_rounds_match_serial(dex, tmp_path):
     parallel = run_tournament(parallel_config.entrants, dex, parallel_config, 42,
                               log_dir=tmp_path / "parallel/logs")
     assert canonical_json(serial.to_dict()) == canonical_json(parallel.to_dict())
-    logs = [{path.name: TS_FIELD.sub(b"", path.read_bytes()) for path in (tmp_path / run).iterdir()}
-            for run in ("serial/logs", "parallel/logs")]
+
+
+def test_a_mock_bracket_writes_the_same_log_bytes_at_any_jobs(dex, tmp_path):
+    """Mock entrants that repair and fall back, and scripted ones, at jobs 1 and 4:
+    each log file is the same bytes, and no record carries a wall-clock "ts"."""
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(REPAIRS_SCRIPT), encoding="utf-8")
+    entrants = [AgentProfile(agent_id=f"mock-{i}", kind="mock", script=str(script))
+                for i in range(4)] + scripted_entrants(4)
+    logs = []
+    for jobs in (1, 4):
+        config = TournamentConfig(entrants=entrants, league=LeagueConfig(turn_limit=20, jobs=jobs))
+        run_tournament(entrants, dex, config, 9, log_dir=tmp_path / f"jobs-{jobs}")
+        logs.append({path.name: path.read_bytes() for path in (tmp_path / f"jobs-{jobs}").iterdir()})
     assert len(logs[0]) == 7 and logs[0] == logs[1]  # the logs do not name the thread count
+    records = [json.loads(line) for raw in logs[0].values() for line in raw.splitlines()]
+    assert any(r["kind"] == "exchanges" for r in records)
+    assert not any("ts" in r for r in records)
 
 
 def test_per_match_seeds_stable_under_reordering():

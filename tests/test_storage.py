@@ -109,10 +109,12 @@ def test_a_decision_logs_its_exchanges_in_the_next_record_and_errors_only_if_any
 def test_written_records_hold_only_what_a_reader_reads(match_log):
     """A context holds three keys and each of its attacks is a row of three
     items; no decision repeats the match id and no meta record the draft
-    indices; a best-of-1 meta record gives the game index 0."""
+    indices; a best-of-1 meta record gives the game index 0; no record
+    carries a wall-clock "ts"."""
     log = read_log(match_log[0])
-    assert (log.meta["schema_version"], log.meta["game_index"]) == ("2.0", 0)
+    assert (log.meta["schema_version"], log.meta["game_index"]) == ("2.1", 0)
     assert "teams" not in log.meta
+    assert not any("ts" in record for record in [log.meta, *log.records])
     decisions = [r for r in log.records if r["kind"] == "decision"]
     assert not any("match_id" in decision for decision in decisions)
     contexts = [d["context"] for d in decisions if d["phase"] == "Battle"]
@@ -338,13 +340,13 @@ def test_a_context_reads_back_as_attack_table_rows_along_any_walk(
 
 def test_a_1_3_log_reads_back_as_a_2_0_log_of_its_game(dex, tmp_path, capsys):
     """The 1.3 simulate fixture (simulate --count 1 --seed 6) and the same game
-    written now read back alike: every record but the meta, without its ts, is
-    equal, each context as the same rows of the same types; both replay and
+    written now read back alike: every record but the meta, without the
+    fixture's ts, is equal, each context as the same rows of the same types; both replay and
     report alike."""
     assert main(["simulate", "--count", "1", "--seed", "6", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     logs = [read_log(LOGS_1_3 / "sim0.jsonl"), read_log(tmp_path / "sim0.jsonl")]
-    assert [log.meta["schema_version"] for log in logs] == ["1.3", "2.0"]
+    assert [log.meta["schema_version"] for log in logs] == ["1.3", "2.1"]
     records = [[{k: v for k, v in r.items() if k != "ts"} for r in log.records] for log in logs]
     assert records[0] == records[1]
     contexts = [json.dumps([r.get("context") for r in log.records]) for log in logs]
