@@ -754,18 +754,28 @@ class BattleView:
 
 
 def view_for(state: BattleState, side: int) -> BattleView:
-    """Own side fully visible; opponent reduced to active + revealed names."""
+    """Own side fully visible; opponent reduced to active + revealed names.
+
+    Both views are built without their generated frozen __init__, which
+    sets each field through object.__setattr__: the fields go straight into
+    the new instance's __dict__, so the views compare, hash and print as
+    constructed ones do, and stay frozen.
+    """
     own = state.sides[side]
     opp = state.sides[1 - side]
     opp_active = opp.active
-    return BattleView(
+    opponent = object.__new__(OpponentView)
+    opponent.__dict__.update(
+        species=opp_active.species, types=opp_active.types,
+        hp_percent=opp_active.hp_percent, status=opp_active.status_kind)
+    view = object.__new__(BattleView)
+    view.__dict__.update(
         side=side,
         turn_number=state.turn_number,
         weather=state.weather,
         own_team=tuple(own.team),
         own_active_index=own.active_index,
-        opponent_active=OpponentView(
-            species=opp_active.species, types=opp_active.types,
-            hp_percent=opp_active.hp_percent, status=opp_active.status_kind),
-        opponent_revealed=tuple(opp.team[i].species for i in sorted(opp.revealed)),
+        opponent_active=opponent,
+        opponent_revealed=tuple([opp.team[i].species for i in sorted(opp.revealed)]),
     )
+    return view

@@ -1,6 +1,13 @@
 """Append-only match logs and bit-exact replay.
 
-Each game writes one JSONL file.  Records carry a "kind" discriminator:
+Each game writes one JSONL file, in one write when its MatchLog closes:
+at the game's end, or when a forfeit or any other exception unwinds the
+game, which then leaves the lines appended before it.  A process killed
+without unwinding (SIGKILL, out of memory) leaves the logs of its unfinished
+games empty, which read_log rejects (no meta record), as replay rejects a log
+that stops before the battle ends (IncompleteLog).
+
+Records carry a "kind" discriminator:
 "meta" (seeds, the game's index within its match, teams, config),
 "decision" (parsed decision, rationale, metric context, fallback flag,
 and errors if there were any), "exchanges" (the model exchanges behind
@@ -206,23 +213,39 @@ def state_digest(state: BattleState) -> str:
 
 
 class MatchLog:
-    """One writer per match: JSON objects, one per line; each append is one write and one flush."""
+    """One writer per game log: JSON objects, one per line.
+
+    The file is created when the log is made, so an unusable path fails
+    before the game starts.  append encodes its records to UTF-8 at once,
+    so a record the encoder rejects raises there and adds none of that
+    call's lines.  The lines are kept, and close writes them all in one
+    write and closes the file, which is closed even if the write fails.
+    A with block closes the log also when an exception unwinds it (a
+    forfeit, an agent's error, an interrupt), so the file then holds every
+    line appended before it.  A process killed without unwinding (SIGKILL,
+    out of memory) leaves its open logs empty.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.path, "w", encoding="utf-8")
+        self._handle = open(self.path, "wb")
+        self._lines: list[bytes] = []
 
     def append(self, *records: dict) -> None:
         if self._handle is None:
             raise StorageError(f"log {self.path} is closed")
-        self._handle.write("".join([_LOG_ENCODER(record) + "\n" for record in records]))
-        self._handle.flush()
+        self._lines.append("".join([_LOG_ENCODER(record) + "\n" for record in records])
+                           .encode("utf-8"))
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            lines, self._lines = self._lines, []
+            try:
+                handle.write(b"".join(lines))
+            finally:
+                handle.close()
 
     def __enter__(self) -> "MatchLog":
         return self

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from pokeleague.dex import Species, load_dex, type_multiplier
 from pokeleague.engine import (
-    Action, BattleAlreadyEnded, BattlerState, IllegalActionError, NotADamagingMove,
-    StatusState, attack_table, compute_damage, compute_stats, expected_damage, init_battle,
-    legal_actions, needs_replacement, resolve_replacements, resolve_turn, view_for,
+    Action, BattleAlreadyEnded, BattlerState, BattleView, IllegalActionError, NotADamagingMove,
+    OpponentView, StatusState, attack_table, compute_damage, compute_stats, expected_damage,
+    init_battle, legal_actions, needs_replacement, resolve_replacements, resolve_turn, view_for,
 )
 from pokeleague.storage import canonical_json
 
-from conftest import set_battler
+from conftest import ANY_WALK, CAPPED_GAME, FULL_GAME, set_battler, walk_states
 
 
 TEAM_A = ["Jolteon", "Snorlax", "Swampert", "Gengar", "Metagross", "Salamence"]
@@ -715,6 +715,58 @@ def test_view_tracks_revealed_switches(dex):
     view = view_for(nxt, 0)
     assert set(view.opponent_revealed) == {"Gyarados", "Zapdos"}
     assert view.opponent_active.species == "Zapdos"
+
+
+def constructed_view(state, side):
+    """view_for(state, side) as the dataclass constructors build it."""
+    own, opp = state.sides[side], state.sides[1 - side]
+    return BattleView(
+        side=side, turn_number=state.turn_number, weather=state.weather,
+        own_team=tuple(own.team), own_active_index=own.active_index,
+        opponent_active=OpponentView(
+            species=opp.active.species, types=opp.active.types,
+            hp_percent=opp.active.hp_percent, status=opp.active.status_kind),
+        opponent_revealed=tuple(opp.team[i].species for i in sorted(opp.revealed)))
+
+
+def hash_or_error(value):
+    """hash(value), or the TypeError's text: a BattleView does not hash, as its
+    battlers' stats are mappingproxies."""
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+def check_views(states):
+    """Each side's view of each state equals the constructed one field for
+    field, hashes and prints as it does, and is frozen."""
+    checked = 0
+    for state in states:
+        for side in (0, 1):
+            view, expected = view_for(state, side), constructed_view(state, side)
+            assert view == expected
+            assert vars(view) == vars(expected)  # the same fields, each equal
+            assert vars(view.opponent_active) == vars(expected.opponent_active)
+            assert (repr(view), hash_or_error(view)) == (repr(expected), hash_or_error(expected))
+            assert hash(view.opponent_active) == hash(expected.opponent_active)
+            with pytest.raises(FrozenInstanceError):
+                view.turn_number = 0
+            with pytest.raises(FrozenInstanceError):
+                view.opponent_active.hp_percent = 0
+            checked += 1
+    return checked
+
+
+def test_views_equal_the_constructed_ones_in_the_fixed_games(dex):
+    assert check_views(walk_states(dex, **FULL_GAME)) > 0
+    assert check_views(walk_states(dex, **CAPPED_GAME)) > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(**ANY_WALK)
+def test_views_equal_the_constructed_ones_on_any_walk(dex, order, seed, turn_limit, choices):
+    check_views(walk_states(dex, order, seed, turn_limit, choices))
 
 
 def test_opponent_status_visible_without_sleep_turns(dex):

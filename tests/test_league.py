@@ -1,10 +1,13 @@
 """Match orchestration and the single-elimination bracket."""
 
+import hashlib
 import json
+from contextlib import nullcontext
 from dataclasses import asdict, replace
 
 import pytest
 
+from pokeleague import storage
 from pokeleague.agents import AgentDecision, AgentProfile, GreedyAgent, RandomAgent
 from pokeleague.dex import TEAM_SIZE, open_dex
 from pokeleague.engine import Action
@@ -17,7 +20,7 @@ from pokeleague.league import (
 )
 from pokeleague.rng import stable_hash64
 from pokeleague.storage import (
-    PHASE_BATTLE, PHASE_FORCED_REPLACE, canonical_json, read_log, replay,
+    PHASE_BATTLE, PHASE_FORCED_REPLACE, IncompleteLog, canonical_json, read_log, replay,
 )
 
 from conftest import REPAIRS_SCRIPT, FixedTeam, logged_decisions
@@ -216,6 +219,79 @@ def test_mid_game_failure_forfeits_the_match(dex, tmp_path, best_of, game, compl
     for summary in result.games:  # completed games are whole, replayable logs
         assert summary.turn_count > 0
         assert replay(tmp_path / summary.log_file, dex).turns == summary.turn_count
+
+
+class ChangedInGame(GreedyAgent):
+    """Greedy, except that from turn 3 it returns change(its greedy decision)."""
+
+    def __init__(self, agent_id, dex, change):
+        super().__init__(agent_id, dex)
+        self.change = change
+
+    def choose_action(self, view, legal):
+        decision = super().choose_action(view, legal)
+        return self.change(decision) if view.turn_number >= 3 else decision
+
+
+def raising(error):
+    def change(decision):
+        raise error
+    return change
+
+
+# The sha256 of the m0.jsonl that the per-record writer (one write and one
+# flush per append) left when the game below ended early: a forfeit's log ends
+# with the failing side's turn-3 fallback decision, and an exception's stops
+# before that side's turn-3 decision record.
+FORFEIT_LOG_SHA256 = "8b33a4f463242c80c60026f6754678b561a88fa35a14a8c146cc0f0fa226b403"
+STOPPED_LOG_SHA256 = "a0c9e431e0fc2d6f274be79c65d209d424cc260797a3eec1c5e6b15bd107b04b"
+# Each way a game can end early, as (agent, disqualify_on_failure, the
+# exception run_match raises or None, the log's sha256): the forfeit of a
+# failing agent, an agent that raises an error or an interrupt, and a
+# decision record the log encoder rejects (a lone surrogate in its reasoning
+# is not UTF-8; an object is not JSON).
+UNWINDING = {
+    "forfeit": (lambda dex: FailingInGame("failing", dex, 1), True, None, FORFEIT_LOG_SHA256),
+    "runtime-error": (
+        lambda dex: ChangedInGame("failing", dex, raising(RuntimeError("agent bug"))),
+        False, RuntimeError, STOPPED_LOG_SHA256),
+    "keyboard-interrupt": (
+        lambda dex: ChangedInGame("failing", dex, raising(KeyboardInterrupt())),
+        False, KeyboardInterrupt, STOPPED_LOG_SHA256),
+    "lone-surrogate-reasoning": (
+        lambda dex: ChangedInGame("failing", dex, lambda d: replace(d, reasoning="\ud800")),
+        False, UnicodeEncodeError, STOPPED_LOG_SHA256),
+    "unencodable-reasoning": (
+        lambda dex: ChangedInGame("failing", dex, lambda d: replace(d, reasoning=object())),
+        False, TypeError, STOPPED_LOG_SHA256),
+}
+
+
+@pytest.mark.parametrize("how", sorted(UNWINDING))
+def test_a_game_unwound_early_leaves_the_lines_appended_before_it(
+        dex, tmp_path, monkeypatch, how):
+    """The log is written at close, and the with block closes it on every way
+    out: the file holds exactly the lines of the appends that returned, the
+    bytes the per-record writer wrote, and replay rejects it as incomplete."""
+    appended = []
+    real_append = storage.MatchLog.append
+
+    def append(log, *records):
+        real_append(log, *records)
+        appended.extend(json.dumps(r, ensure_ascii=False, separators=(",", ":")) + "\n"
+                        for r in records)
+
+    monkeypatch.setattr(storage.MatchLog, "append", append)
+    make_agent, disqualify, error, sha256 = UNWINDING[how]
+    runner = MatchRunner(dex, LeagueConfig(disqualify_on_failure=disqualify), tmp_path)
+    with pytest.raises(error) if error else nullcontext():
+        runner.run_match(make_agent(dex), RandomAgent("random", 0), seed=0, match_id="m0")
+    written = (tmp_path / "m0.jsonl").read_bytes()
+    assert len(appended) > 4  # the meta, both drafts, the init record and more
+    assert written == "".join(appended).encode("utf-8")
+    assert hashlib.sha256(written).hexdigest() == sha256
+    with pytest.raises(IncompleteLog):
+        replay(tmp_path / "m0.jsonl", dex)
 
 
 class IllegalIn(GreedyAgent):

@@ -1,10 +1,13 @@
 """JSONL logging, digests, and replay verification."""
 
+import gc
 import hashlib
 import json
 import math
+import os
 import random
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -146,6 +149,39 @@ def test_append_after_close_raises(tmp_path):
     log = MatchLog(tmp_path / "log.jsonl")
     log.append({"kind": "meta", "schema_version": "1.0"})
     log.close()
+    with pytest.raises(StorageError):
+        log.append({"kind": "events"})
+
+
+def test_lines_reach_the_file_when_the_log_closes(tmp_path):
+    path = tmp_path / "log.jsonl"
+    log = MatchLog(path)
+    assert path.read_bytes() == b""  # made, and the directory with it, before any append
+    log.append({"kind": "meta", "text": "é"}, {"kind": "events", "events": []})
+    log.append({"kind": "events", "events": [1]})
+    assert path.read_bytes() == b""
+    log.close()
+    assert path.read_bytes() == '{"kind":"meta","text":"é"}\n{"kind":"events","events":[]}\n' \
+        '{"kind":"events","events":[1]}\n'.encode("utf-8")
+    log.close()  # a second close writes nothing more
+    assert len(path.read_bytes().splitlines()) == 3
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, a device that is always full")
+@pytest.mark.parametrize("size", [10, 100_000])  # kept in the buffer until close; written at once
+def test_a_write_that_fails_at_close_still_closes_the_file(size):
+    log = MatchLog("/dev/full")
+    log.append({"kind": "events", "text": "x" * size})
+    handle = log._handle
+    with pytest.raises(OSError):
+        log.close()
+    assert handle.closed
+    del handle
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     with pytest.raises(StorageError):
         log.append({"kind": "events"})
 
