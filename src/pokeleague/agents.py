@@ -22,8 +22,8 @@ from pathlib import Path
 from typing import Any, Callable, Protocol, Sequence
 
 from .dex import TEAM_SIZE, Dex, Species, type_multiplier
-from .engine import Action, BattleView, attack_table, compute_stats
-from .rng import SeededStream, stable_hash64
+from .engine import Action, BattleView, attack_table, compute_stats, split_legal
+from .rng import SeededStream, first_draw, stable_hash64, text_hash64
 
 
 class ConfigError(ValueError):
@@ -148,24 +148,85 @@ def fallback_action(legal: Sequence[Action]) -> Action:
 _ACTION_KEYS = {"attack": '{"move_index": %d, "type": "attack"}',
                 "switch": '{"team_index": %d, "type": "switch"}'}
 _QUOTE = json.encoder.encode_basestring_ascii  # json.dumps's string encoder
+# The caches below are bounded by the dex: its species, and the legal sets
+# of a team of its battlers and their actions.  Each is cleared whole once
+# it reaches its cap, like storage's caches; match threads that fill one
+# entry at once write equal values.
+_CACHE_CAP = 1024
+
+
+class _QuotedNames(dict):
+    """Species name -> its _QUOTE text, quoted on its first lookup."""
+
+    def __missing__(self, name: str) -> str:
+        if len(self) >= _CACHE_CAP:
+            self.clear()
+        text = self[name] = _QUOTE(name)
+        return text
+
+
+_QUOTED = _QuotedNames()
+# The ids of a legal list's actions -> (those actions, their text in the
+# decision key); and the id of an action -> (that action, the AgentDecision
+# that chooses it).  Each entry holds its actions, so no other object can
+# take one of their ids while the entry lives.
+_LEGAL_SETS: dict[tuple[int, ...], tuple[tuple[Action, ...], str]] = {}
+_DECISIONS: dict[int, tuple[Action, AgentDecision]] = {}
+
+
+def _legal_set(legal: Sequence[Action]) -> tuple[tuple[Action, ...], str]:
+    # From a list, not tuple(map(...)): a tuple built from an iterator is
+    # allocated at a guessed size and shrunk, and the shrunk tuples, once
+    # freed, fill free lists that no later such tuple is drawn from (about
+    # 1 MB more peak RSS after 30 units of 31 sim matches on Python 3.11).
+    key = tuple([id(action) for action in legal])
+    entry = _LEGAL_SETS.get(key)
+    if entry is None:
+        if len(_LEGAL_SETS) >= _CACHE_CAP:
+            _LEGAL_SETS.clear()
+        actions = tuple(legal)
+        entry = _LEGAL_SETS[key] = (
+            actions, ", ".join([_ACTION_KEYS[a.kind] % a.index for a in actions]))
+    return entry
+
+
+def _decision_for(action: Action) -> AgentDecision:
+    entry = _DECISIONS.get(id(action))
+    if entry is None:
+        if len(_DECISIONS) >= _CACHE_CAP:
+            _DECISIONS.clear()
+        entry = _DECISIONS[id(action)] = (action, AgentDecision(action=action))
+    return entry[1]
+
+
+def _key_text(view: BattleView, actions: str) -> str:
+    team = ", ".join([f"[{_QUOTED[b.species]}, {b.current_hp}]" for b in view.own_team])
+    opponent = view.opponent_active
+    return (f"[{view.turn_number}, {view.side}, [{actions}], [{team}], "
+            f"{_QUOTED[opponent.species]}, {opponent.hp_percent}]")
 
 
 def _decision_key(view: BattleView, legal: Sequence[Action]) -> str:
     """json.dumps([turn, side, legal as dicts, (species, current_hp) of each own
     battler, opposing species, its hp_percent], sort_keys=True), formatted directly."""
-    actions = ", ".join([_ACTION_KEYS[a.kind] % a.index for a in legal])
-    team = ", ".join([f"[{_QUOTE(b.species)}, {b.current_hp}]" for b in view.own_team])
-    opponent = view.opponent_active
-    return (f"[{view.turn_number}, {view.side}, [{actions}], [{team}], "
-            f"{_QUOTE(opponent.species)}, {opponent.hp_percent}]")
+    return _key_text(view, _legal_set(legal)[1])
 
 
 class RandomAgent:
-    """Uniform choice over the legal set, derived from (seed, inputs)."""
+    """Uniform choice over the legal set, derived from (seed, inputs).
+
+    A battle choice is legal[first_draw(h) % len(legal)], where h is
+    stable_hash64(agent_id, seed, "action", _decision_key(view, legal)):
+    one SHA-256 of the agent's fixed prefix plus the key, then draw 0 of
+    SeededStream(h).
+    """
 
     def __init__(self, agent_id: str, seed: int):
         self.agent_id = agent_id
         self.seed = seed
+        # The joined text of stable_hash64's parts before the decision key;
+        # agent_id and seed are fixed for the agent's life.
+        self._action_prefix = f"{agent_id}\x1f{seed}\x1faction\x1f"
 
     def _stream_for(self, *inputs: object) -> SeededStream:
         return SeededStream(stable_hash64(self.agent_id, self.seed, *inputs))
@@ -179,8 +240,11 @@ class RandomAgent:
         return AgentDecision(team=tuple(picks))
 
     def choose_action(self, view: BattleView, legal: Sequence[Action]) -> AgentDecision:
-        rng = self._stream_for("action", _decision_key(view, legal))
-        return AgentDecision(action=legal[rng.choice_index(len(legal))])
+        if not legal:
+            raise ValueError("cannot choose from an empty sequence")
+        actions, text = _legal_set(legal)
+        h = text_hash64(self._action_prefix + _key_text(view, text))
+        return _decision_for(actions[first_draw(h) % len(actions)])
 
 
 class GreedyAgent:
@@ -216,7 +280,7 @@ class GreedyAgent:
             reasoning=f"Highest stat totals with distinct primary types: {names}.")
 
     def choose_action(self, view: BattleView, legal: Sequence[Action]) -> AgentDecision:
-        attacks = [a for a in legal if a.is_attack]
+        attacks, switches = split_legal(legal)
         if attacks:
             own = view.own_active
             key = (own.moves, own.types, own.stats["atk"], own.stats["spa"],
@@ -229,7 +293,6 @@ class GreedyAgent:
             if decision is not None:
                 return decision
 
-        switches = [a for a in legal if not a.is_attack]
         if switches:
             def best_multiplier(action: Action) -> float:
                 member = view.own_team[action.index]

@@ -329,6 +329,19 @@ def legal_actions(state: BattleState, side: int) -> list[Action]:
     return legal
 
 
+def split_legal(legal: Sequence[Action]) -> tuple[list[Action], list[Action]]:
+    """A legal set's attacks and the rest, its switches, each in order, read
+    in one pass on kind (a loop: the is_attack property costs a call per read)."""
+    attacks: list[Action] = []
+    switches: list[Action] = []
+    for action in legal:
+        if action.kind == "attack":
+            attacks.append(action)
+        else:
+            switches.append(action)
+    return attacks, switches
+
+
 def _admits(side_state: SideState, action: object) -> bool:
     """Whether action is in the side's legal_actions, found without building the list.
 

@@ -27,7 +27,7 @@ from .engine import Action, BattleView
 # LlmAgent calls these through this module's names: benchmarks/tracing.py wraps them here.
 from .prompts import (
     SYSTEM_PREAMBLE, ParseError, build_battle_prompt, build_team_prompt, history_entry,
-    parse_action_response, parse_team_response, repair_prompt,
+    parse_action_response, parse_team_response, repair_prompt, replace_surrogates,
 )
 
 PROVIDER_OPENAI = "openai_compatible"
@@ -341,6 +341,8 @@ class LlmAgent:
                                    exchanges=tuple(exchanges), errors=tuple(errors)) from err
             # The first exchange logs its whole prompt, a repair only what repair_prompt added.
             sent = {"prompt_suffix": current[len(prompt):]} if exchanges else {"prompt": prompt}
+            # A lone surrogate cannot be logged: it is parsed and logged as U+FFFD.
+            reply = {**reply, "response_text": replace_surrogates(reply["response_text"])}
             try:
                 value, reasoning = parse(reply["response_text"])
             except ParseError as err:

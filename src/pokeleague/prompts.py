@@ -12,7 +12,7 @@ import json
 from typing import Mapping, Sequence
 
 from .dex import TEAM_SIZE, Dex, MoveDef, Species
-from .engine import Action, BattleView
+from .engine import Action, BattleView, split_legal
 
 SYSTEM_PREAMBLE = (
     "You are a competitive Pokémon battle assistant. Follow the instructions "
@@ -100,8 +100,7 @@ def build_battle_prompt(view: BattleView, legal: Sequence[Action], dex: Dex,
     if history:
         lines += ["", "Previous turns:"]
         lines += [f"- {entry}" for entry in history]
-    attacks = [a for a in legal if a.is_attack]
-    switches = [a for a in legal if not a.is_attack]
+    attacks, switches = split_legal(legal)
     lines += ["", "Legal actions:"]
     if attacks:
         lines.append("Attacks:")
@@ -226,9 +225,24 @@ def extract_first_json(raw: str) -> dict:
     raise ParseError("no_json_found", "no JSON object in response")
 
 
+def replace_surrogates(text: str) -> str:
+    """text with each lone surrogate replaced by U+FFFD, so a log can encode it.
+    A model's reply may hold one, raw or as a JSON escape such as \\ud800.
+    In a str no surrogate pairs with a neighbour (a decoded pair is one
+    character), and UTF-8 encodes every code point but a surrogate."""
+    if text.isascii():
+        return text
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return "".join(["\ufffd" if "\ud800" <= c <= "\udfff" else c for c in text])
+    return text
+
+
 def _reasoning_of(obj: dict) -> str:
     reasoning = obj.get("reasoning", "")
-    return reasoning if isinstance(reasoning, str) else json.dumps(reasoning)
+    # json.dumps escapes a surrogate, so only a str can carry one.
+    return replace_surrogates(reasoning) if isinstance(reasoning, str) else json.dumps(reasoning)
 
 
 def check_team(team: object, pool_size: int) -> tuple[int, ...]:
@@ -246,8 +260,14 @@ def check_team(team: object, pool_size: int) -> tuple[int, ...]:
 
 
 def check_action(action: object, legal: Sequence[Action]) -> Action:
-    """The action rule for every agent: one of the legal actions.
-    Returns the action; anything else raises an illegal_action ParseError."""
+    """The action rule for every agent: one of the legal actions, as == has it.
+    Returns the action; anything else raises an illegal_action ParseError.
+
+    Agents mostly return one of the list's own objects, which an identity
+    loop finds without calling Action's generated __eq__ on those before it."""
+    for candidate in legal:
+        if candidate is action:
+            return action
     if action not in legal:
         raise ParseError("illegal_action", f"{action} is not in the legal action set")
     return action

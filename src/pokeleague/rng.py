@@ -23,8 +23,18 @@ def stable_hash64(*parts: object) -> int:
     (per-match seeds, per-decision sub-seeds).  Python's builtin ``hash``
     is randomized per process and is never used for this.
     """
-    text = "\x1f".join(str(p) for p in parts)
+    return text_hash64("\x1f".join(str(p) for p in parts))
+
+
+def text_hash64(text: str) -> int:
+    """stable_hash64 of parts already joined: the first eight bytes, big-endian,
+    of SHA-256 over the UTF-8 text."""
     return _read_u64(_sha256(text.encode("utf-8")).digest())[0]
+
+
+def first_draw(seed: int) -> int:
+    """Draw 0 of SeededStream(seed), without building the stream."""
+    return _read_u64(_sha256(f"{seed}:0".encode()).digest())[0]
 
 
 class SeededStream:

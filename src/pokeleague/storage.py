@@ -66,7 +66,7 @@ from .agents import AgentDecision
 from .dex import Dex
 from .engine import (
     Action, BattlerState, BattleState, IllegalActionError, attack_table, init_battle,
-    needs_replacement, resolve_replacements, resolve_turn,
+    needs_replacement, resolve_replacements, resolve_turn, split_legal,
 )
 
 SCHEMA_VERSION = "2.1"
@@ -399,11 +399,12 @@ def decision_context(dex: Dex, state: BattleState, side: int, legal: Sequence[Ac
     the rows are the memo's immutable tuples.
     """
     own = state.sides[side].active
-    indices = tuple([a.index for a in legal if a.is_attack])
-    attacks = (list(attack_table(dex, own, state.sides[1 - side].active, state.weather, indices))
-               if indices else [])
+    attacks, switches = split_legal(legal)
+    indices = tuple([a.index for a in attacks])
+    rows = (list(attack_table(dex, own, state.sides[1 - side].active, state.weather, indices))
+            if indices else [])
     return {"own_hp_percent": own.hp_percent,
-            "switches": [a.index for a in legal if not a.is_attack], "attacks": attacks}
+            "switches": [a.index for a in switches], "attacks": rows}
 
 
 # ---------------------------------------------------------------------------

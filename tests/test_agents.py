@@ -1,7 +1,9 @@
 """Scripted baselines: determinism, argmax properties, fallbacks."""
 
+import json
+
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from pokeleague.agents import (
     GreedyAgent, RandomAgent, AgentDecision, fallback_action,
@@ -11,6 +13,7 @@ from pokeleague.engine import (
     Action, compute_damage, compute_stats, init_battle, legal_actions,
     resolve_turn, view_for,
 )
+from pokeleague.rng import SeededStream, stable_hash64
 
 from conftest import ANY_WALK, FULL_GAME, decision_variants, set_battler, walk_states
 
@@ -221,6 +224,63 @@ def test_random_forced_replacement_singleton(dex):
     assert legal == [Action.switch(1)]
     decision = RandomAgent("r", 99).choose_action(view_for(state, 1), legal)
     assert decision.action == Action.switch(1)
+
+
+def reference_random_choice(agent_id, seed, view, legal):
+    """RandomAgent's battle choice by its definition: a SeededStream seeded with
+    stable_hash64 of the id, the seed, "action" and the decision key as
+    json.dumps writes it."""
+    key = json.dumps([view.turn_number, view.side, [a.to_dict() for a in legal],
+                      [(b.species, b.current_hp) for b in view.own_team],
+                      view.opponent_active.species, view.opponent_active.hp_percent],
+                     sort_keys=True)
+    rng = SeededStream(stable_hash64(agent_id, seed, "action", key))
+    return legal[rng.choice_index(len(legal))]
+
+
+class Decisions:
+    """A list of (view, legal) that hypothesis prints briefly in a failure report."""
+
+    def __init__(self, items):
+        self.items = items
+
+    def __repr__(self):
+        return f"<{len(self.items)} decisions>"
+
+
+@pytest.fixture(scope="module")
+def full_game_decisions(dex):
+    """(view, legal) of every decision variant of both sides in FULL_GAME, with
+    each legal list also as freshly built equal Actions."""
+    decisions = []
+    for state in walk_states(dex, **FULL_GAME):
+        if state.ended:
+            continue
+        for side in (0, 1):
+            for variant, legal in decision_variants(state, side):
+                view = view_for(variant, side)
+                decisions += [(view, legal), (view, [Action(a.kind, a.index) for a in legal])]
+    return Decisions(decisions)
+
+
+@settings(max_examples=100, deadline=None)
+@example(agent_id="a\x1fb", seed=-1, pick=0)
+@example(agent_id='"quoted"\x1faction\x1f', seed=2**64, pick=1)
+@example(agent_id="名前 é \U0001f600", seed=-(2**70), pick=2)
+@example(agent_id="", seed=2**200 + 1, pick=3)
+@given(agent_id=st.text() | st.sampled_from(["\x1f", '"', "\\", "\x1f7\x1faction"]),
+       seed=st.integers() | st.sampled_from([-1, 2**63, 2**64, 2**64 + 1, -(2**64) - 1]),
+       pick=st.integers(min_value=0, max_value=49))
+def test_random_choice_is_the_reference_draw_for_any_id_and_seed(full_game_decisions, agent_id,
+                                                                 seed, pick):
+    """For ids holding the separator, quotes or non-ASCII text and seeds below 0 or
+    above 2**64, every choice equals the reference formula's, and is the legal
+    list's own object."""
+    agent = RandomAgent(agent_id, seed)
+    for view, legal in full_game_decisions.items[pick::50]:
+        action = agent.choose_action(view, legal).action
+        assert action == reference_random_choice(agent_id, seed, view, legal)
+        assert any(action is candidate for candidate in legal)
 
 
 def test_agents_pure_functions_of_inputs(dex):

@@ -23,13 +23,14 @@ from pokeleague.gateway import (
 from pokeleague.league import (
     LeagueConfig, TournamentConfig, run_tournament, write_tournament_outputs,
 )
+from pokeleague.cli import main
 from pokeleague.prompts import (
-    ParseError, build_battle_prompt, build_team_prompt, extract_first_json, history_entry,
-    parse_action_response, parse_team_response, repair_prompt,
+    ParseError, build_battle_prompt, build_team_prompt, check_action, extract_first_json,
+    history_entry, parse_action_response, parse_team_response, repair_prompt,
 )
 from pokeleague.storage import read_log
 
-from conftest import set_battler
+from conftest import logged_decisions, set_battler
 
 
 def render_action_json(action, reasoning=""):
@@ -421,6 +422,20 @@ def test_action_roundtrip_over_legal_sets(legal):
     for action in legal:
         parsed, _ = parse_action_response(render_action_json(action, "because"), legal)
         assert parsed == action
+
+
+def test_check_action_admits_what_equality_admits():
+    """The legal list's own object, a freshly built equal Action and an Action
+    equal by == (True == 1) pass and come back as given; an Action outside the
+    list, a payload dict, None or a string fail with illegal_action."""
+    legal = [Action.attack(0), Action.attack(1), Action.switch(2)]
+    for action in (*legal, Action("attack", 1), Action("switch", 2), Action("attack", True)):
+        assert check_action(action, legal) is action
+    for action in (Action.attack(2), Action.switch(1), {"type": "attack", "move_index": 0},
+                   None, "attack 0", "attack"):
+        with pytest.raises(ParseError) as err:
+            check_action(action, legal)
+        assert err.value.kind == "illegal_action"
 
 
 def test_team_roundtrip():
@@ -890,3 +905,45 @@ def test_provider_config_roundtrips_every_field():
     assert ProviderConfig.from_dict(config.to_dict()) == config
     assert config.to_dict()["rate_capacity"] == 5
     assert config.to_dict()["rate_refill_per_s"] == 2.5
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("plain", "plain"), ("é \U0001f600 \ud7ff \ue000", "é \U0001f600 \ud7ff \ue000"),
+    ("\ud800", "\ufffd"), ("a\udfffb", "a\ufffdb"), ("\ud83d\ude00", "\ufffd\ufffd"),
+], ids=["ascii", "no-surrogate", "high", "low", "adjacent-pair"])
+def test_replace_surrogates_replaces_each_surrogate_code_point(text, expected):
+    assert prompts.replace_surrogates(text) == expected
+    expected.encode("utf-8")
+
+
+SURROGATE_TEAM_REPLY = '{"team": [0, 1, 2, 3, 4, 5], "reasoning": "bad \\ud800 text"}'
+
+
+@pytest.mark.parametrize("reply", [SURROGATE_TEAM_REPLY,
+                                   SURROGATE_TEAM_REPLY.replace("\\ud800", "\ud800")],
+                         ids=["json-escape", "raw"])
+def test_a_lone_surrogate_in_a_reply_is_logged_as_u_fffd(tmp_path, capsys, reply):
+    """A two-entrant mock bracket whose draft reply holds a lone surrogate, as a
+    JSON escape or as the character itself, completes and every log replays;
+    the reasoning reads U+FFFD where the surrogate was, and so does the logged
+    reply text where the reply held the character."""
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"team": [reply], "action": [
+        '{"action": {"type": "attack", "move_index": 0}, "reasoning": "hit"}']}), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "entrants": [{"agent_id": f"mock-{i}", "kind": "mock", "script": str(script)}
+                     for i in range(2)],
+        "master_seed": 2, "output_dir": str(tmp_path / "out")}), encoding="utf-8")
+    assert main(["tournament", str(config)]) == 0
+    logs = sorted((tmp_path / "out" / "logs").rglob("*.jsonl"))
+    assert logs
+    drafts = []
+    for path in logs:
+        assert main(["replay", str(path)]) == 0
+        drafts += [(d, exchanges) for d, exchanges in logged_decisions(path)
+                   if d["phase"] == "TeamSelect"]
+    assert len(drafts) == 2
+    for decision, exchanges in drafts:
+        assert decision["reasoning"] == "bad \ufffd text"
+        assert [e["response_text"] for e in exchanges] == [reply.replace("\ud800", "\ufffd")]

@@ -1,11 +1,13 @@
-"""Golden SHA-256 of every output of two fixed-seed tournaments.
+"""Golden SHA-256 of every output of two fixed-seed tournaments and a simulate batch.
 
 Two 8-entrant brackets of mock-LLM, greedy and random entrants run
 through `pokeleague tournament` and `pokeleague report`: best-of-1 with a
 draft per match, and best-of-3 with one draft per entrant.  The mock
 scripts yield clean replies, repairs and fallbacks; one entrant never
 drafts a valid team.  Every log, bracket, standings and report file is
-hashed as written.  A change that alters any of these bytes changes a
+hashed as written.  A `pokeleague simulate` batch of random-vs-random
+games, long and with forced replacements on both sides, pins the random
+baseline's decisions.  A change that alters any of these bytes changes a
 hash here.
 """
 
@@ -94,3 +96,24 @@ def test_tournament_outputs_are_byte_identical(tmp_path, capsys, name):
     assert any(d["fallback_used"] and d["phase"] == "Battle" for d, _ in mock)
     assert any(d["fallback_used"] and d["phase"] == "TeamSelect" for d, _ in mock)
     assert digests == GOLDEN[name]
+
+
+# pokeleague simulate --agent-a random:1 --agent-b random:2 --count 3 --seed 0:
+# the SHA-256 of each log's name and bytes, in name order.
+SIMULATE_RANDOM_LOGS = "20188c2068411581a9ef90eef8b85030287b1ebc7d33db9a5bdcd06f445ead30"
+
+
+def test_random_vs_random_simulate_logs_are_byte_identical(tmp_path, capsys):
+    out = tmp_path / "logs"
+    assert main(["simulate", "--agent-a", "random:1", "--agent-b", "random:2", "--count", "3",
+                 "--seed", "0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    logs = hashlib.sha256()
+    phases = set()
+    for path in sorted(out.rglob("*.jsonl")):
+        logs.update(path.relative_to(out).as_posix().encode() + b"\0")
+        logs.update(path.read_bytes() + b"\0")
+        phases |= {(d["phase"], d["side"]) for d, _ in logged_decisions(path)}
+    # Both sides make forced replacements, the path their decisions share with battle turns.
+    assert {("ForcedReplace", 0), ("ForcedReplace", 1)} <= phases
+    assert logs.hexdigest() == SIMULATE_RANDOM_LOGS
