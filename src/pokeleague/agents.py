@@ -170,24 +170,23 @@ _QUOTED = _QuotedNames()
 # decision key); and the id of an action -> (that action, the AgentDecision
 # that chooses it).  Each entry holds its actions, so no other object can
 # take one of their ids while the entry lives.
-_LEGAL_SETS: dict[tuple[int, ...], tuple[tuple[Action, ...], str]] = {}
+_LEGAL_TEXTS: dict[tuple[int, ...], tuple[tuple[Action, ...], str]] = {}
 _DECISIONS: dict[int, tuple[Action, AgentDecision]] = {}
 
 
-def _legal_set(legal: Sequence[Action]) -> tuple[tuple[Action, ...], str]:
+def _legal_text(legal: Sequence[Action]) -> str:
     # From a list, not tuple(map(...)): a tuple built from an iterator is
     # allocated at a guessed size and shrunk, and the shrunk tuples, once
     # freed, fill free lists that no later such tuple is drawn from (about
     # 1 MB more peak RSS after 30 units of 31 sim matches on Python 3.11).
     key = tuple([id(action) for action in legal])
-    entry = _LEGAL_SETS.get(key)
+    entry = _LEGAL_TEXTS.get(key)
     if entry is None:
-        if len(_LEGAL_SETS) >= _CACHE_CAP:
-            _LEGAL_SETS.clear()
-        actions = tuple(legal)
-        entry = _LEGAL_SETS[key] = (
-            actions, ", ".join([_ACTION_KEYS[a.kind] % a.index for a in actions]))
-    return entry
+        if len(_LEGAL_TEXTS) >= _CACHE_CAP:
+            _LEGAL_TEXTS.clear()
+        entry = _LEGAL_TEXTS[key] = (
+            tuple(legal), ", ".join([_ACTION_KEYS[a.kind] % a.index for a in legal]))
+    return entry[1]
 
 
 def _decision_for(action: Action) -> AgentDecision:
@@ -209,7 +208,7 @@ def _key_text(view: BattleView, actions: str) -> str:
 def _decision_key(view: BattleView, legal: Sequence[Action]) -> str:
     """json.dumps([turn, side, legal as dicts, (species, current_hp) of each own
     battler, opposing species, its hp_percent], sort_keys=True), formatted directly."""
-    return _key_text(view, _legal_set(legal)[1])
+    return _key_text(view, _legal_text(legal))
 
 
 class RandomAgent:
@@ -242,9 +241,8 @@ class RandomAgent:
     def choose_action(self, view: BattleView, legal: Sequence[Action]) -> AgentDecision:
         if not legal:
             raise ValueError("cannot choose from an empty sequence")
-        actions, text = _legal_set(legal)
-        h = text_hash64(self._action_prefix + _key_text(view, text))
-        return _decision_for(actions[first_draw(h) % len(actions)])
+        h = text_hash64(self._action_prefix + _key_text(view, _legal_text(legal)))
+        return _decision_for(legal[first_draw(h) % len(legal)])
 
 
 class GreedyAgent:

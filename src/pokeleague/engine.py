@@ -394,9 +394,16 @@ def compute_damage(
 
     effectiveness = type_multiplier(chart, move.move_type, defender.types)
     stab = move.move_type in attacker.types
-    if effectiveness == 0.0:
-        return DamageOutcome(damage=0, effectiveness=0.0, stab=stab)
+    return DamageOutcome(
+        damage=_damage(attacker, defender, move, effectiveness, stab, weather, crit, roll),
+        effectiveness=effectiveness, stab=stab)
 
+
+def _damage(attacker: BattlerState, defender: BattlerState, move: MoveDef,
+            effectiveness: float, stab: bool, weather: str | None, crit: bool, roll: int) -> int:
+    """compute_damage's damage, from the effectiveness and STAB it has found."""
+    if effectiveness == 0.0:
+        return 0
     if move.category == "Physical":
         attack, defense = attacker.stats["atk"], defender.stats["def"]
         if attacker.status_kind == "Burn":
@@ -416,7 +423,7 @@ def compute_damage(
     damage = damage * roll // 100
     if damage == 0:
         damage = 1
-    return DamageOutcome(damage=damage, effectiveness=effectiveness, stab=stab)
+    return damage
 
 
 def expected_damage(attacker: BattlerState, defender: BattlerState, move: MoveDef,
@@ -441,11 +448,14 @@ def attack_table(dex: Dex, attacker: BattlerState, defender: BattlerState, weath
            defender.stats["spd"], weather, indices)
     rows = dex.attack_memo.get(key)
     if rows is None:
-        moves = [dex.moves[attacker.moves[i]] for i in indices]
-        rows = dex.attack_memo[key] = tuple(
-            (i, type_multiplier(dex.chart, move.move_type, defender.types),
-             expected_damage(attacker, defender, move, dex.chart, weather))
-            for i, move in zip(indices, moves))
+        rows = []
+        for i in indices:  # expected_damage, with each move's multiplier found once
+            move = dex.moves[attacker.moves[i]]
+            effectiveness = type_multiplier(dex.chart, move.move_type, defender.types)
+            rows.append((i, effectiveness, _damage(
+                attacker, defender, move, effectiveness, move.move_type in attacker.types,
+                weather, False, MAX_DAMAGE_ROLL) if move.is_damaging else 0))
+        rows = dex.attack_memo[key] = tuple(rows)
     return rows
 
 

@@ -255,10 +255,9 @@ class MatchRunner:
                     lambda: agent.choose_action(view, legal),
                     lambda d: check_action(d.action, legal),
                     lambda: AgentDecision(action=fallback_action(legal)))
-                log.append(storage.decision_record(
-                    decision, turn=state.turn_number, agent_id=agent.agent_id, side=side,
-                    phase=phase, context=storage.decision_context(self.dex, state, side, legal)),
-                    *storage.exchanges_record(decision))
+                log.append(storage.decision_line(self.dex, state, side, legal, decision,
+                                                 agent_id=agent.agent_id, phase=phase),
+                           *storage.exchanges_record(decision))
                 if decision.fallback_used and self.config.disqualify_on_failure:
                     raise _Forfeit(side)  # the game log ends with this decision
                 return decision.action

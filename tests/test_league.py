@@ -278,7 +278,8 @@ def test_a_game_unwound_early_leaves_the_lines_appended_before_it(
 
     def append(log, *records):
         real_append(log, *records)
-        appended.extend(json.dumps(r, ensure_ascii=False, separators=(",", ":")) + "\n"
+        appended.extend((r if type(r) is str else  # a line storage.decision_line formatted
+                         json.dumps(r, ensure_ascii=False, separators=(",", ":"))) + "\n"
                         for r in records)
 
     monkeypatch.setattr(storage.MatchLog, "append", append)

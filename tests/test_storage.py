@@ -320,6 +320,68 @@ def test_memoized_decision_context_equals_the_reference_along_any_walk(
     check_memoized_contexts(dex, walk_states(dex, order, seed, turn_limit, choices))
 
 
+def check_decision_lines(dex, states, decision, agent_id):
+    """decision_line writes json.dumps's text of the decision record, with the
+    decision_context, of each decision variant of each state; or raises what
+    encoding that record raises.  Returns the number of lines checked."""
+    checked = 0
+    for state in states:
+        for side in () if state.ended else (0, 1):
+            for variant, legal in decision_variants(state, side):
+                phase = "ForcedReplace" if needs_replacement(variant, side) else "Battle"
+                record = decision_record(
+                    decision, turn=variant.turn_number, agent_id=agent_id, side=side,
+                    phase=phase, context=decision_context(dex, variant, side, legal))
+                try:
+                    expected = json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+                except TypeError:
+                    with pytest.raises(TypeError):
+                        storage.decision_line(dex, variant, side, legal, decision,
+                                              agent_id=agent_id, phase=phase)
+                else:
+                    assert storage.decision_line(dex, variant, side, legal, decision,
+                                                 agent_id=agent_id, phase=phase) == expected
+                checked += 1
+    return checked
+
+
+ODD_DECISIONS = [
+    AgentDecision(action=Action.attack(0)),
+    AgentDecision(action=Action("attack", True), reasoning='"q" \\ é \n\x00 \ud800',
+                  errors=("e:  ", ""), fallback_used=True),
+    AgentDecision(action=Action("switch", 1.0), reasoning="r"),
+    AgentDecision(action=Action.switch(2), reasoning=object()),  # not JSON: TypeError
+]
+
+
+@pytest.mark.parametrize("decision", ODD_DECISIONS)
+@pytest.mark.parametrize("agent_id", ["random", 'ä "x"\x1f', 7])
+def test_a_decision_line_is_the_encoded_record_along_a_full_game(dex, decision, agent_id):
+    assert check_decision_lines(dex, walk_states(dex, **FULL_GAME), decision, agent_id) > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(**ANY_WALK, decision=st.builds(
+    AgentDecision,
+    action=st.builds(Action, kind=st.sampled_from(["attack", "switch"]),
+                     index=st.one_of(st.integers(min_value=-3, max_value=300), st.booleans())),
+    reasoning=st.text(max_size=8), errors=st.lists(st.text(max_size=4), max_size=2).map(tuple),
+    fallback_used=st.booleans()), agent_id=st.one_of(st.text(max_size=6), st.integers()))
+def test_a_decision_line_is_the_encoded_record_along_any_walk(
+        dex, order, seed, turn_limit, choices, decision, agent_id):
+    check_decision_lines(dex, walk_states(dex, order, seed, turn_limit, choices),
+                         decision, agent_id)
+
+
+def test_rows_json_after_rows_are_freed_and_the_cache_overflows():
+    """Each entry keeps its rows, so rows made after others are freed, which may
+    reuse their ids, get their own text; past the cap the cache is cleared."""
+    for i in range(3 * storage._ROWS_JSON_CAP):
+        rows = ((0, float(i % 5), i), (1, 2.0, 0))  # freed once the next one is made
+        assert storage._rows_json(rows) == json.dumps(rows, separators=(",", ":"))
+        assert len(storage._ROWS_JSON) <= storage._ROWS_JSON_CAP
+
+
 def check_contexts_read_back(dex, states, path):
     """Log a Battle decision with the decision_context of each decision variant of
     each state, then read the log: each context reads back as the JSON of the one
