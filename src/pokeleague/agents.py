@@ -33,9 +33,16 @@ class ConfigError(ValueError):
 def check_setting(name: str, value: object, kinds: tuple[type, ...], expected: str,
                   in_range: Callable[[Any], object] = lambda value: True) -> None:
     """The rule for every setting: value's exact type is one of kinds (so a bool
-    is not a number) and in_range(value) holds, or ConfigError says what it must be."""
+    is not a number) and in_range(value) holds, and a string holds no lone
+    surrogate, which no log, report or hash can encode as UTF-8; or
+    ConfigError says what it must be."""
     if type(value) not in kinds or not in_range(value):
         raise ConfigError(f"{name} must be {expected}, got {value!r}")
+    if type(value) is str:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"{name} must not hold a lone surrogate, got {value!r}") from None
 
 
 def read_config_file(path: str | Path, what: str) -> object:

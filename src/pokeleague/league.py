@@ -255,6 +255,12 @@ class MatchRunner:
                     lambda: agent.choose_action(view, legal),
                     lambda d: check_action(d.action, legal),
                     lambda: AgentDecision(action=fallback_action(legal)))
+                for own in legal:
+                    if own is decision.action:
+                        break
+                else:  # equal to a legal action by ==, as Action("attack", True) is attack 1:
+                    # play and log the list's own, whose index is an int
+                    decision = replace(decision, action=legal[legal.index(decision.action)])
                 log.append(storage.decision_line(self.dex, state, side, legal, decision,
                                                  agent_id=agent.agent_id, phase=phase),
                            *storage.exchanges_record(decision))

@@ -27,11 +27,19 @@ every record it yields against the log, so any nondeterminism or
 corruption is pinpointed to a turn; a tampered log fails as a
 StorageError.  decision_context builds the "context" of each battle-time
 decision, which read_log checks; live play logs the decision with it as
-decision_line formats them.  A step's events
-equal the logged ones when their canonical_json encodings would; replay
-decides that by a value compare as strict about types as the encoder
-(true is not 1, 1 is not 1.0, -0.0 is not 0.0; key order is ignored) and
-encodes both only when the compare cannot vouch for a match.
+decision_line formats them.
+
+Replay reads the events lines last: it encodes each record play_battle
+yields as the live writer does and compares that text with the logged
+line, so a line written by this encoder is never decoded.  Only when a
+line is not that text (the spaced separators of 1.0-1.2, reordered keys,
+any edit), or the log has any other fault, does replay decode: it reads
+the whole log with read_log, whose error comes first, and replays it
+again step by step.  There a step's events equal the logged ones when
+their canonical_json encodings would; replay decides that by a value
+compare as strict about types as the encoder (true is not 1, 1 is not
+1.0, -0.0 is not 0.0; key order is ignored) and encodes both only when
+the compare cannot vouch for a match.
 
 Schema 2.0 writes each legal attack of a Battle context as
 engine.attack_table's row, [move_index, effectiveness, expected_damage];
@@ -51,7 +59,8 @@ Digests cost one encoding per battler object: battlers are immutable and
 successive states share the ones a step leaves unchanged, so state_json
 keeps each battler's JSON by identity.  A battler a step creates costs
 less than one encoding: the fields a battle never changes are encoded
-once per value, and only its current_hp and status are formatted.
+once per value, and only its current_hp and status are formatted.  Each
+side's revealed set is formatted once per value.
 """
 
 from __future__ import annotations
@@ -116,6 +125,8 @@ _CANONICAL = make_encoder(json.JSONEncoder(sort_keys=True, separators=(",", ":")
                                            ensure_ascii=False))
 # json.dumps(record, ensure_ascii=False, separators=(",", ":")), encoder built once.
 _LOG_ENCODER = make_encoder(json.JSONEncoder(separators=(",", ":"), ensure_ascii=False))
+# The quoting both encoders apply to a str, ensure_ascii=False's.
+_QUOTE = json.encoder.encode_basestring
 
 
 def canonical_json(obj: object) -> str:
@@ -124,10 +135,11 @@ def canonical_json(obj: object) -> str:
 
 
 def _optional(value: object) -> str:
-    """canonical_json(value), with None and int formatted directly."""
+    """canonical_json(value), with None, an exact int and an exact str formatted directly."""
     if value is None:
         return "null"
-    return str(value) if type(value) is int else _CANONICAL(value)
+    kind = type(value)
+    return str(value) if kind is int else _QUOTE(value) if kind is str else _CANONICAL(value)
 
 
 # id(battler) -> (battler, its canonical JSON).  Battlers are immutable and
@@ -146,6 +158,12 @@ _FIXED_JSON: dict[tuple, tuple[str, str]] = {}
 _FIXED_JSON_CAP = 256
 _INT_ONLY = {int}
 
+# frozenset(side.revealed) -> its team indices in order, as the items of a
+# JSON array.  A team of six has 63 non-empty sets; shared and capped like
+# _BATTLER_JSON.
+_REVEALED_JSON: dict[frozenset, str] = {}
+_REVEALED_JSON_CAP = 128
+
 
 def _battler_json(b: BattlerState) -> str:
     entry = _BATTLER_JSON.get(id(b))
@@ -163,10 +181,12 @@ def _encode_battler(b: BattlerState) -> str:
 
     The keys are written in their sorted order.  A value key is as strict
     as the encoder only where equal values encode alike: a name equals only
-    a string, but 1 == 1.0 == True, so a battler whose level, max_hp or
-    stats are not all exact ints is encoded whole.
+    a string, but 1 == 1.0 == True, so a battler whose level, max_hp,
+    current_hp or stats are not all exact ints is encoded whole, and the
+    current_hp of one that is needs no type check of its own.
     """
-    if {type(b.level), type(b.max_hp), *map(type, b.stats.values())} != _INT_ONLY:
+    if {type(b.level), type(b.max_hp), type(b.current_hp),
+            *map(type, b.stats.values())} != _INT_ONLY:
         return _CANONICAL(b.to_dict())
     key = (b.species, b.types, b.moves, b.level, b.max_hp, tuple(b.stats.items()))
     fixed = _FIXED_JSON.get(key)
@@ -181,19 +201,25 @@ def _encode_battler(b: BattlerState) -> str:
             f',"types":{_CANONICAL(list(b.types))}}}')
     status = ("null" if b.status is None else f'{{"kind":{_optional(b.status.kind)},'
               f'"turns_left":{_optional(b.status.turns_left)}}}')
-    return f'{{"current_hp":{_optional(b.current_hp)}{fixed[0]}{status}{fixed[1]}'
+    return f'{{"current_hp":{b.current_hp}{fixed[0]}{status}{fixed[1]}'
 
 
 def state_json(state: BattleState) -> str:
     """canonical_json(state.to_dict()), byte for byte, without building the dicts.
 
     Keys are written in their sorted order.  Each battler object is
-    encoded once (_battler_json), so only the side and battle scalars
-    are formatted per call.
+    encoded once (_battler_json) and each revealed set's items once per
+    value (_REVEALED_JSON), so only the side and battle scalars are
+    formatted per call.
     """
     sides = []
     for side in state.sides:
-        revealed = ",".join(map(str, sorted(side.revealed)))
+        key = frozenset(side.revealed)
+        revealed = _REVEALED_JSON.get(key)
+        if revealed is None:
+            if len(_REVEALED_JSON) >= _REVEALED_JSON_CAP:
+                _REVEALED_JSON.clear()
+            revealed = _REVEALED_JSON[key] = ",".join(map(str, sorted(side.revealed)))
         sides.append(f'{{"active_index":{side.active_index},"revealed":[{revealed}],'
                      f'"team":[{",".join(map(_battler_json, side.team))}]}}')
     return (f'{{"end_reason":{_optional(state.end_reason)},'
@@ -691,12 +717,26 @@ def read_log(path: str | Path) -> MatchLogData:
     string, are skipped: each is decoded as a JSON object, and nothing
     inside it is checked.
     """
-    records = []
+    return _read_log(path, events_as_text=False)
+
+
+# How the log encoder begins every events line it writes.
+_EVENTS_LINE = '{"kind":"events",'
+
+
+def _read_log(path: str | Path, events_as_text: bool) -> MatchLogData:
+    """read_log(path); with events_as_text, each line after the first that
+    begins as _EVENTS_LINE is neither decoded nor checked, and its text
+    stands in log.records for the record, for replay to compare by its bytes."""
+    records: list[dict | str] = []
     try:
         with open(path, encoding="utf-8") as handle:
             for line_no, line in enumerate(handle, 1):
                 line = line.strip()
                 if not line:
+                    continue
+                if events_as_text and records and line.startswith(_EVENTS_LINE):
+                    records.append(line)
                     continue
                 try:
                     record = _decode_line(line)
@@ -720,6 +760,9 @@ def read_log(path: str | Path) -> MatchLogData:
     legacy = major == "1"
     log = MatchLogData(path=Path(path), meta=records[0], records=[], winner_side=None)
     for record in records:
+        if type(record) is str:  # an events line, kept as text
+            log.records.append(record)
+            continue
         kind = record.get("kind")
         if type(kind) is not str or kind not in RECORD_KEYS:  # a list kind is unhashable
             continue
@@ -804,14 +847,38 @@ def replay(path: str | Path, dex: Dex, expected_dex_fingerprint: str | None = No
     action that the engine rejects in its state (IllegalActionError, its
     one legality check), or a decision or events record after the end
     raises StorageError, as read_log does for a log it cannot read.
+
+    Each events line the log encoder wrote is checked by its bytes: it must
+    be the text the encoder writes for the record play_battle yields, so it
+    is not decoded.  A line that is not that text (spaced separators, as
+    1.0-1.2 wrote them; reordered keys; any edit), and any other fault,
+    sends the log to the decoded replay, which reads it with read_log and
+    checks each step with _check_step: its result, or its error, is replay's.
     """
-    log = read_log(path)
+    try:
+        return _replay(_read_log(path, events_as_text=True), dex, expected_dex_fingerprint)
+    except StorageError:
+        return _replay(read_log(path), dex, expected_dex_fingerprint)
+
+
+def _is_draft(record: dict | str) -> bool:
+    return (type(record) is dict and record["kind"] == "decision"
+            and record["phase"] == PHASE_TEAM_SELECT)
+
+
+def _replay(log: MatchLogData, dex: Dex, expected_dex_fingerprint: str | None) -> ReplayResult:
+    """replay of a log that read_log or _read_log(path, events_as_text=True) returned.
+
+    An events line kept as text passes if it is the text the log encoder
+    writes for the record play_battle yields.  One that is not, or one met
+    where a decision or the end is due, raises a StorageError that replay
+    does not show: it replays the decoded log instead.
+    """
     meta = log.meta
     # The drafts come before the init record.
-    logged = dropwhile(lambda r: r["kind"] == "decision" and r["phase"] == PHASE_TEAM_SELECT,
-                       log.records)
+    logged = dropwhile(_is_draft, log.records)
 
-    def next_logged(turn: int) -> dict:
+    def next_logged(turn: int) -> dict | str:
         record = next(logged, None)
         if record is None:
             raise IncompleteLog(f"turn {turn}: log ends before the battle ended")
@@ -819,7 +886,8 @@ def replay(path: str | Path, dex: Dex, expected_dex_fingerprint: str | None = No
 
     def choose(state: BattleState, side: int, phase: str) -> Action:
         record = next_logged(state.turn_number)
-        if record["kind"] != "decision" or (record["side"], record["phase"]) != (side, phase):
+        if (type(record) is str or record["kind"] != "decision"
+                or (record["side"], record["phase"]) != (side, phase)):
             what = "battle" if phase == PHASE_BATTLE else "replacement"
             raise IncompleteLog(f"turn {state.turn_number}: missing {what} decisions")
         return record["decision"]["action"]
@@ -839,11 +907,17 @@ def replay(path: str | Path, dex: Dex, expected_dex_fingerprint: str | None = No
             if (expected["phase"] == EVENTS_INIT
                     and meta["initial_digest"] != expected["post_digest"]):
                 raise DigestMismatch(0, "initial digest")
-            _check_step(next_logged(expected["turn"]), expected)
+            logged_step = next_logged(expected["turn"])
+            if type(logged_step) is not str:
+                _check_step(logged_step, expected)
+            elif logged_step != _LOG_ENCODER(expected):
+                raise StorageError(f"turn {expected['turn']}: events line differs")
     except IllegalActionError as exc:  # the actions were chosen in the state last yielded
         raise StorageError(f"turn {state.turn_number}: side {exc.side}: "
                            f"illegal action {exc.action}") from None
     extra = next(logged, None)
+    if type(extra) is str:
+        raise StorageError("events line after the battle ended")
     if extra is not None:
         raise StorageError(f"turn {extra['turn']}: {extra['kind']} record after the battle ended")
     return ReplayResult(winner_side=state.winner, turns=state.turn_number - 1,

@@ -63,6 +63,11 @@ class FixedTeam:
         return AgentDecision(team=self.team)
 
 
+def compact(record):
+    """The line the log encoder writes for record."""
+    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+
+
 def logged_decisions(path):
     """Each decision record of a log, in order, paired with the exchanges of the
     exchanges record that follows it, or [] if none does."""

@@ -14,10 +14,10 @@ import pytest
 from pokeleague import storage
 from pokeleague.agents import AgentProfile
 from pokeleague.cli import main
-from pokeleague.dex import default_dex_path
+from pokeleague.dex import default_dex_path, load_dex
 from pokeleague.gateway import ProviderConfig
 
-from conftest import LOGS_1_3, REPAIRS_SCRIPT, child_env
+from conftest import LOGS_1_3, REPAIRS_SCRIPT, child_env, compact
 
 MOCK_SCRIPT = {
     "team": ['{"team": [0, 1, 2, 3, 4, 5], "reasoning": "lead with the pool order"}'],
@@ -303,6 +303,11 @@ MISSPELLED_ENTRANT = {"agent_id": "random-3", "kind": "random", "sead": 3}
      "entrant agent_id must be str, got 3"),
     ({"entrants": RANDOM_ENTRANTS + [{"agent_id": "mock-3", "kind": "mock", "script": 7}]},
      "entrant script must be str, got 7"),
+    ({"entrants": RANDOM_ENTRANTS + [{"agent_id": "random-\ud800", "kind": "random"}]},
+     "entrant agent_id must not hold a lone surrogate, got 'random-\\ud800'"),
+    ({"entrants": RANDOM_ENTRANTS + [{"agent_id": "random-3", "kind": "random",
+                                      "display_name": "R\ud800"}]},
+     "entrant display_name must not hold a lone surrogate, got 'R\\ud800'"),
     ({"master_seed": "x"}, "master_seed must be an integer, got 'x'"),
     ({"master_seed": True}, "master_seed must be an integer, got True"),
     ({"dex_path": 5}, "dex_path must be a string or null, got 5"),
@@ -320,7 +325,8 @@ MISSPELLED_ENTRANT = {"agent_id": "random-3", "kind": "random", "sead": 3}
         "rate-refill-infinity", "rate-refill-minus-infinity", "max-tokens-zero", "model-int",
         "providers-list", "misspelled-top-level-keys", "misspelled-entrant-key",
         "entrant-without-kind", "string-entrant", "entrants-object", "entrant-id-int",
-        "mock-script-int", "master-seed-string", "master-seed-bool", "dex-path-int", "pool-int",
+        "mock-script-int", "entrant-id-lone-surrogate", "display-name-lone-surrogate",
+        "master-seed-string", "master-seed-bool", "dex-path-int", "pool-int",
         "pool-item-int", "output-dir-int", "tournament-id-int", "nested-league-object"])
 def test_tournament_bad_config_is_usage_error(tmp_path, capsys, overrides, message):
     config_path = tmp_path / "config.json"
@@ -470,9 +476,40 @@ def simulated_log(tmp_path):
     return next(out.glob("*.jsonl"))
 
 
-def test_replay_fresh_log_ok(simulated_log, capsys):
+def keys_reordered(record, kind_first):
+    """An events record's line with its keys after "kind" reversed, "kind" first
+    (the line begins as the encoder's do) or last; any other record's as written."""
+    if record["kind"] != "events":
+        return compact(record)
+    rest = [(key, value) for key, value in record.items() if key != "kind"][::-1]
+    kind = [("kind", record["kind"])]
+    return compact(dict(kind + rest if kind_first else rest + kind))
+
+
+# Lines of the same records that replay does not find byte for byte as it
+# encodes them, so it decodes them: json.dumps's default separators (as logs
+# 1.0-1.2 wrote them) and events records with their keys reordered.
+REWRITES = {
+    "spaced": json.dumps,
+    "reordered-kind-first": lambda record: keys_reordered(record, kind_first=True),
+    "reordered-kind-last": lambda record: keys_reordered(record, kind_first=False),
+}
+
+
+def test_replay_fresh_log_ok(simulated_log, tmp_path, capsys):
     assert main(["replay", str(simulated_log)]) == 0
-    assert "all digests match" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "all digests match" in out
+    dex = load_dex(default_dex_path())
+    for name, rewrite in REWRITES.items():
+        rewritten = tmp_path / f"{name}.jsonl"
+        rewritten.write_text("".join(rewrite(json.loads(line)) + "\n"
+                                     for line in simulated_log.read_text().splitlines()),
+                             encoding="utf-8")
+        assert rewritten.read_bytes() != simulated_log.read_bytes()
+        assert main(["replay", str(rewritten)]) == 0
+        assert capsys.readouterr().out == out
+        assert storage.replay(rewritten, dex) == storage.replay(simulated_log, dex)
 
 
 def test_replay_corrupted_log(simulated_log, tmp_path, capsys):

@@ -769,6 +769,35 @@ def test_views_equal_the_constructed_ones_on_any_walk(dex, order, seed, turn_lim
     check_views(walk_states(dex, order, seed, turn_limit, choices))
 
 
+def check_battlers(states):
+    """Each battler of each state, steps' copies among them, equals the one its
+    fields construct, with the same fields in the same order, prints as it does,
+    and is frozen."""
+    copies = 0
+    for state in states:
+        for side in state.sides:
+            for battler in side.team:
+                expected = BattlerState(**vars(battler))
+                assert battler == expected
+                assert list(vars(battler).items()) == list(vars(expected).items())
+                assert repr(battler) == repr(expected)
+                with pytest.raises(FrozenInstanceError):
+                    battler.current_hp = 0
+                copies += battler.current_hp < battler.max_hp or battler.status is not None
+    return copies
+
+
+def test_battlers_equal_the_constructed_ones_in_the_fixed_games(dex):
+    assert check_battlers(walk_states(dex, **FULL_GAME)) > 0
+    assert check_battlers(walk_states(dex, **CAPPED_GAME)) > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(**ANY_WALK)
+def test_battlers_equal_the_constructed_ones_on_any_walk(dex, order, seed, turn_limit, choices):
+    check_battlers(walk_states(dex, order, seed, turn_limit, choices))
+
+
 def test_opponent_status_visible_without_sleep_turns(dex):
     state, _ = fresh_battle(dex)
     set_battler(state, 1, status=StatusState("Sleep", turns_left=3))

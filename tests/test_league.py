@@ -339,6 +339,23 @@ def test_an_action_outside_the_legal_set_is_an_agent_failure(dex, tmp_path, phas
     assert (result.winner, result.loser, result.end_reason) == ("random", "illegal", END_FORFEIT)
 
 
+def test_an_action_equal_to_a_legal_one_is_played_and_logged_as_the_legal_one(dex, tmp_path):
+    """Action("attack", True) equals attack 1 (True == 1), so check_action admits
+    it; the league plays and logs the legal list's own attack 1, and the log replays."""
+    bool_index = AgentDecision(action=Action("attack", True))
+    runner = MatchRunner(dex, LeagueConfig(), tmp_path)
+    result = runner.run_match(IllegalIn("bool", dex, PHASE_BATTLE, bool_index),
+                              RandomAgent("r", 3), seed=5)
+    text = (tmp_path / "m0.jsonl").read_text(encoding="utf-8")
+    assert '"move_index":true' not in text
+    assert '"type":"attack","move_index":1}' in text
+    moves = [r for r in read_log(tmp_path / "m0.jsonl").records
+             if r["kind"] == "decision" and r["agent_id"] == "bool" and r["phase"] == PHASE_BATTLE]
+    assert moves and all(r["decision"]["action"] == Action.attack(1)
+                         and r["fallback_used"] is False for r in moves)
+    assert replay(tmp_path / "m0.jsonl", dex).winner_agent == result.winner
+
+
 @pytest.mark.parametrize("indices, error", [
     ((0, 1, 2, 3, 4, 99), "index_out_of_range: index 99 is outside the pool"),
     ((-1, -2, -3, -4, -5, -6), "index_out_of_range: index -1 is outside the pool"),

@@ -32,8 +32,8 @@ from pokeleague.storage import (
 )
 
 from conftest import (
-    ANY_WALK, CAPPED_GAME, FULL_GAME, LOGS_1_3, FixedTeam, decision_variants, set_battler,
-    walk_steps, walk_states,
+    ANY_WALK, CAPPED_GAME, FULL_GAME, LOGS_1_3, FixedTeam, compact, decision_variants,
+    set_battler, walk_steps, walk_states,
 )
 
 
@@ -531,6 +531,17 @@ def test_state_json_after_the_battler_cache_overflows(dex):
         for state in states:
             assert state_json(state) == canonical_json(state.to_dict())
     assert len(storage._BATTLER_JSON) <= cap
+    # More revealed sets than the revealed cache holds: it is cleared whole and refilled.
+    revealed_cap = storage._REVEALED_JSON_CAP
+    state = states[-1].clone()
+    sizes = []
+    for _ in range(2):
+        for bits in range(1, 3 * revealed_cap):
+            state.sides[0].revealed = {i for i in range(bits.bit_length()) if bits >> i & 1}
+            assert state_json(state) == canonical_json(state.to_dict())
+            sizes.append(len(storage._REVEALED_JSON))
+    assert max(sizes) == revealed_cap
+    assert min(sizes[revealed_cap:]) <= 2  # side 1's set and the new one
 
 
 def test_state_json_after_a_battler_is_replaced(dex):
@@ -724,6 +735,12 @@ def test_replay_detects_truncation(dex, match_log, tmp_path):
         replay(truncated, dex)
 
 
+# A tampered log's lines as json.dumps writes them by default, which replay
+# decodes, and as the log encoder does, which replay first compares by their
+# bytes with each step's record: either way it gives the decoded verdict.
+LINE_STYLES = {"spaced": json.dumps, "compact": compact}
+
+
 def test_replay_detects_flipped_damage(dex, match_log, tmp_path):
     path, _ = match_log
     records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
@@ -739,12 +756,14 @@ def test_replay_detects_flipped_damage(dex, match_log, tmp_path):
         if flipped_turn is not None:
             break
     assert flipped_turn is not None
-    corrupted = tmp_path / "corrupted.jsonl"
-    corrupted.write_text(
-        "\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
-    with pytest.raises(DigestMismatch) as excinfo:
-        replay(corrupted, dex)
-    assert excinfo.value.turn == flipped_turn
+    for style, dumps in LINE_STYLES.items():
+        corrupted = tmp_path / f"corrupted-{style}.jsonl"
+        corrupted.write_text(
+            "\n".join(dumps(r) for r in records) + "\n", encoding="utf-8")
+        with pytest.raises(DigestMismatch) as excinfo:
+            replay(corrupted, dex)
+        assert excinfo.value.turn == flipped_turn
+        assert str(excinfo.value) == f"replay diverged at turn {flipped_turn}: event payload"
 
 
 def test_replay_detects_tampered_digest(dex, match_log, tmp_path):
@@ -755,11 +774,39 @@ def test_replay_detects_tampered_digest(dex, match_log, tmp_path):
             record["post_digest"] = "0" * 16
             bad_turn = record["turn"]
             break
+    for style, dumps in LINE_STYLES.items():
+        tampered = tmp_path / f"tampered-{style}.jsonl"
+        tampered.write_text("\n".join(dumps(r) for r in records) + "\n", encoding="utf-8")
+        with pytest.raises(DigestMismatch) as excinfo:
+            replay(tampered, dex)
+        assert excinfo.value.turn == bad_turn
+        assert str(excinfo.value) == f"replay diverged at turn {bad_turn}: post-state digest"
+
+
+def test_replay_reports_what_read_log_rejects_before_a_later_divergence(
+        dex, match_log, tmp_path):
+    """A post-state digest edit at turn 2 and, on a later line, invalid JSON:
+    read_log's error, as replay reads every line before it steps, though
+    the edited line comes first and the invalid one is an events line that
+    replay would otherwise not need to decode."""
+    path, _ = match_log
+    lines = path.read_text(encoding="utf-8").splitlines()
+    at = next(i for i, line in enumerate(lines)
+              if line.startswith('{"kind":"events","match_id":"m0","turn":2,"phase":"turn"'))
+    record = json.loads(lines[at])
+    record["post_digest"] = "0" * 16
+    lines[at] = compact(record)
+    last = max(i for i, line in enumerate(lines) if line.startswith('{"kind":"events",'))
+    assert last > at
+    lines[last] = lines[last][:-1]  # its closing brace
     tampered = tmp_path / "tampered.jsonl"
-    tampered.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
-    with pytest.raises(DigestMismatch) as excinfo:
+    tampered.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(StorageError, match=f"tampered.jsonl:{last + 1}: invalid JSON: ") as err:
         replay(tampered, dex)
-    assert excinfo.value.turn == bad_turn
+    assert not isinstance(err.value, DigestMismatch)
+    with pytest.raises(StorageError) as read_err:
+        read_log(tampered)
+    assert str(err.value) == str(read_err.value)
 
 
 def test_replay_detects_tampered_initial_digest(dex, match_log, tmp_path):
@@ -788,11 +835,12 @@ def test_replay_tells_a_logged_value_from_an_equal_one_of_another_type(
         event[key] = retype(event[key])
         changed.append(record["turn"])
 
-    tampered = rewrite_log(path, tmp_path / f"{key}.jsonl", change)
-    with pytest.raises(DigestMismatch) as excinfo:
-        replay(tampered, dex)
-    assert (excinfo.value.turn, str(excinfo.value)) == (
-        changed[0], f"replay diverged at turn {changed[0]}: event payload")
+    for style, dumps in LINE_STYLES.items():
+        tampered = rewrite_log(path, tmp_path / f"{key}-{style}.jsonl", change, dumps)
+        with pytest.raises(DigestMismatch) as excinfo:
+            replay(tampered, dex)
+        assert (excinfo.value.turn, str(excinfo.value)) == (
+            changed[-1], f"replay diverged at turn {changed[-1]}: event payload")
 
 
 def test_replay_checks_dex_fingerprint(dex, match_log):
@@ -847,11 +895,12 @@ def test_replay_rejects_a_draft_after_the_start(dex, match_log, tmp_path):
         replay(tampered, dex)
 
 
-def rewrite_log(path, out, change):
-    """Write path's records to out after change(records) edits them in place."""
+def rewrite_log(path, out, change, dumps=json.dumps):
+    """Write path's records to out, as dumps writes each, after change(records)
+    edits them in place."""
     records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     change(records)
-    out.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
+    out.write_text("\n".join(dumps(r) for r in records) + "\n", encoding="utf-8")
     return out
 
 
@@ -948,9 +997,10 @@ def test_replay_rejects_a_record_without_a_key(dex, match_log, tmp_path, kind, p
         record = records[0] if kind == "meta" else first_record(records, kind, phase)
         del record[key]
 
-    tampered = rewrite_log(path, tmp_path / "missing.jsonl", change)
-    with pytest.raises(StorageError, match=f"lacks the key '{key}'"):
-        replay(tampered, dex)
+    for style, dumps in LINE_STYLES.items():
+        tampered = rewrite_log(path, tmp_path / f"missing-{style}.jsonl", change, dumps)
+        with pytest.raises(StorageError, match=f"lacks the key '{key}'"):
+            replay(tampered, dex)
 
 
 @pytest.mark.parametrize("line", ["[1,2]", "7", '"meta"', "null"])
