@@ -124,10 +124,10 @@ class Agent(Protocol):
     def choose_action(self, view: BattleView, legal: Sequence[Action]) -> AgentDecision: ...
 
 
-def make_pool_view(dex: Dex) -> list[Species]:
+def make_pool_view(dex: Dex) -> tuple[Species, ...]:
     """The draft pool exactly as agents (and prompts) see it: the dex's
     species in pool order, each picked by its position."""
-    return [dex.species[name] for name in dex.pool]
+    return tuple([dex.species[name] for name in dex.pool])
 
 
 # ---------------------------------------------------------------------------

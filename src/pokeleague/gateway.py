@@ -326,9 +326,10 @@ class LlmAgent:
     def _provider_completer(self, prompt: str, kind: str) -> dict:
         return complete(self.config, prompt)
 
-    def _decide(self, prompt: str, kind: str, parse) -> AgentDecision:
+    def _decide(self, prompt: str, kind: str, parse, rule) -> AgentDecision:
         """Ask, then re-ask with repair prompts; kind ("team" or "action")
-        names both the script section and the decision's field."""
+        names both the script section and the decision's field, and
+        parse(reply text, rule) reads a reply; rule is the pool size or legal set."""
         exchanges: list[dict] = []
         errors: list[str] = []
         current = prompt
@@ -339,32 +340,40 @@ class LlmAgent:
                 errors.append(f"{type(err).__name__}: {err}")
                 raise AgentFailure(f"provider call failed: {err}",
                                    exchanges=tuple(exchanges), errors=tuple(errors)) from err
-            # The first exchange logs its whole prompt, a repair only what repair_prompt added.
-            sent = {"prompt_suffix": current[len(prompt):]} if exchanges else {"prompt": prompt}
+            # One dict in the logged key order: the first exchange's whole prompt or a
+            # repair's prompt_suffix (what repair_prompt added), the reply, parse_outcome.
+            exchange = {"prompt_suffix": current[len(prompt):]} if exchanges else {"prompt": prompt}
+            exchange.update(reply)
             # A lone surrogate cannot be logged: it is parsed and logged as U+FFFD.
-            reply = {**reply, "response_text": replace_surrogates(reply["response_text"])}
+            text = exchange["response_text"] = replace_surrogates(reply["response_text"])
+            exchanges.append(exchange)
             try:
-                value, reasoning = parse(reply["response_text"])
+                value, reasoning = parse(text, rule)
             except ParseError as err:
-                exchanges.append({**sent, **reply, "parse_outcome": err.kind})
+                exchange["parse_outcome"] = err.kind
                 errors.append(str(err))
                 current = repair_prompt(prompt, err)
                 continue
-            exchanges.append({**sent, **reply, "parse_outcome": "success"})
-            return AgentDecision(**{kind: value}, reasoning=reasoning,
-                                 exchanges=tuple(exchanges), errors=tuple(errors))
+            exchange["parse_outcome"] = "success"
+            # Built without the frozen __init__, as engine.view_for builds views:
+            # value, a parsed team or action, is never None, so exactly one is set.
+            decision = object.__new__(AgentDecision)
+            decision.__dict__.update({
+                "action": None, "team": None, kind: value, "reasoning": reasoning,
+                "exchanges": tuple(exchanges), "errors": tuple(errors), "fallback_used": False})
+            return decision
         raise AgentFailure(exchanges=tuple(exchanges), errors=tuple(errors))
 
     def select_team(self, pool: Sequence[Species]) -> AgentDecision:
         prompt = build_team_prompt(pool)
-        return self._decide(prompt, "team", lambda raw: parse_team_response(raw, len(pool)))
+        return self._decide(prompt, "team", parse_team_response, len(pool))
 
     def choose_action(self, view: BattleView, legal: Sequence[Action]) -> AgentDecision:
         if view.turn_number == 1:  # a game's first battle decision: history covers one game
             self._history.clear()
         history = tuple(self._history[-10:]) if self.include_history else ()
         prompt = build_battle_prompt(view, legal, self.dex, history)
-        decision = self._decide(prompt, "action", lambda raw: parse_action_response(raw, legal))
+        decision = self._decide(prompt, "action", parse_action_response, legal)
         if self.include_history:
             self._history.append(history_entry(view, decision.action))
         return decision

@@ -196,6 +196,8 @@ class MatchRunner:
         self.log_dir = Path(log_dir)
         self.dex_fingerprint = dex_fingerprint
         self.tournament_id = tournament_id
+        # What every draft picks from: one tuple, so the team prompt is built once.
+        self._pool = make_pool_view(dex)
         # draft_per_match=False: each agent's first draft, without its exchanges.
         self._cached_teams: dict[str, AgentDecision] = {}
 
@@ -222,7 +224,12 @@ class MatchRunner:
                 exchanges, errors = decision.exchanges, (*decision.errors, str(err))
             else:
                 return decision
-        return replace(fallback(), exchanges=exchanges, errors=errors, fallback_used=True)
+        # replace(fallback(), exchanges=..., errors=..., fallback_used=True), built
+        # without the frozen __init__: fallback() holds exactly one of action/team.
+        decision = object.__new__(AgentDecision)
+        decision.__dict__.update(
+            vars(fallback()), exchanges=exchanges, errors=errors, fallback_used=True)
+        return decision
 
     # -- one game --------------------------------------------------------
 
@@ -306,7 +313,7 @@ class MatchRunner:
         if agent_a.agent_id == agent_b.agent_id:
             raise ConfigError("a match needs two distinct agents")
         agents = {0: agent_a, 1: agent_b}
-        pool = make_pool_view(self.dex)
+        pool = self._pool
 
         # Both sides draft even if one forfeits; the first side that fails loses.
         forfeit_side: int | None = None

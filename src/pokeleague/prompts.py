@@ -12,7 +12,7 @@ import json
 from typing import Mapping, Sequence
 
 from .dex import TEAM_SIZE, Dex, MoveDef, Species
-from .engine import Action, BattleView, split_legal
+from .engine import Action, BattleView
 
 SYSTEM_PREAMBLE = (
     "You are a competitive Pokémon battle assistant. Follow the instructions "
@@ -45,8 +45,29 @@ def _format_stats(stats: Mapping[str, int]) -> str:
             f"SpA {stats['spa']}, SpD {stats['spd']}, Spe {stats['spe']}")
 
 
+# id(object) -> (object, its text): the team prompt of a tuple pool, and the
+# legal-action text of a move.  Each entry holds its object, so no other
+# object can take that id while the entry lives; match threads share them,
+# as each entry is written whole.  Cleared whole once they reach their caps.
+_TEAM_PROMPTS: dict[int, tuple[tuple, str]] = {}
+_MOVE_TEXT: dict[int, tuple[MoveDef, str]] = {}
+_TEAM_PROMPTS_CAP, _MOVE_TEXT_CAP = 64, 1024
+
+
 def build_team_prompt(pool: Sequence[Species]) -> str:
-    """Draft instructions, the pool numbered by position, and the JSON shape to return."""
+    """Draft instructions, the pool numbered by position, and the JSON shape to return.
+    Built once per tuple pool (a league drafts from one); a list may change, so not it."""
+    if type(pool) is not tuple:
+        return _team_prompt(pool)
+    entry = _TEAM_PROMPTS.get(id(pool))
+    if entry is None:
+        if len(_TEAM_PROMPTS) >= _TEAM_PROMPTS_CAP:
+            _TEAM_PROMPTS.clear()
+        entry = _TEAM_PROMPTS[id(pool)] = (pool, _team_prompt(pool))
+    return entry[1]
+
+
+def _team_prompt(pool: Sequence[Species]) -> str:
     lines = [
         "Select 6 Pokémon from the list below. Consider type coverage, "
         "weaknesses, and synergy. Provide a brief explanation for your team "
@@ -67,61 +88,74 @@ def build_team_prompt(pool: Sequence[Species]) -> str:
     return "\n".join(lines)
 
 
-def _status_text(status: str | None) -> str:
-    return status if status is not None else "Healthy"
-
-
 def _describe_move(move: MoveDef) -> str:
-    detail = f"power {move.power}" if move.is_damaging else "status move"
-    accuracy = "never misses" if move.accuracy is None else f"accuracy {move.accuracy}"
-    return f"{move.name} ({move.move_type}, {detail}, {accuracy})"
+    entry = _MOVE_TEXT.get(id(move))
+    if entry is None:
+        detail = f"power {move.power}" if move.is_damaging else "status move"
+        accuracy = "never misses" if move.accuracy is None else f"accuracy {move.accuracy}"
+        if len(_MOVE_TEXT) >= _MOVE_TEXT_CAP:
+            _MOVE_TEXT.clear()
+        text = f"{move.name} ({move.move_type}, {detail}, {accuracy})"
+        entry = _MOVE_TEXT[id(move)] = (move, text)
+    return entry[1]
+
+
+# What every battle prompt ends with, after its legal actions.
+_BATTLE_TRAILER = (
+    "\n\nWhat do you do? Choose a move or switch, and explain your reasoning.\n"
+    'Respond with only a JSON object with keys "action" and "reasoning". '
+    'For an attack use {"action": {"type": "attack", "move_index": N}, '
+    '"reasoning": "..."}; for a switch use {"action": {"type": "switch", '
+    '"team_index": N}, "reasoning": "..."}.'
+)
 
 
 def build_battle_prompt(view: BattleView, legal: Sequence[Action], dex: Dex,
                         history: Sequence[str] = ()) -> str:
-    """Battle state, the legal actions, and the JSON shape to return."""
-    own = view.own_active
+    """Battle state, the legal actions, and the JSON shape to return.
+    Battlers' fields are read directly, not through the BattlerState properties."""
+    team = view.own_team
+    active_index = view.own_active_index
+    own = team[active_index]
     opp = view.opponent_active
     lines = [
         f"You are in a battle. Your active Pokémon: {own.species} "
-        f"(HP: {own.hp_percent}%, Status: {_status_text(own.status_kind)}).",
+        f"(HP: {100 * own.current_hp // own.max_hp}%, "
+        f"Status: {'Healthy' if own.status is None else own.status.kind}).\n"
         f"Opponent's active Pokémon: {opp.species} "
-        f"(HP: {opp.hp_percent}%, Status: {_status_text(opp.status)}).",
-        f"Weather: {view.weather or 'None'}. Turn: {view.turn_number}.",
-        "Opponent's revealed Pokémon: " + ", ".join(view.opponent_revealed) + ".",
-        "",
-        "Your team:",
+        f"(HP: {opp.hp_percent}%, Status: {'Healthy' if opp.status is None else opp.status}).\n"
+        f"Weather: {view.weather or 'None'}. Turn: {view.turn_number}.\n"
+        f"Opponent's revealed Pokémon: {', '.join(view.opponent_revealed)}.\n"
+        "\n"
+        "Your team:"
     ]
-    for index, member in enumerate(view.own_team):
-        marker = " [active]" if index == view.own_active_index else ""
-        state = "fainted" if member.fainted else (
-            f"HP: {member.hp_percent}%, Status: {_status_text(member.status_kind)}")
-        lines.append(f"- {index}: {member.species} ({state}){marker}")
+    for index, member in enumerate(team):
+        state = "fainted" if member.current_hp == 0 else (
+            f"HP: {100 * member.current_hp // member.max_hp}%, "
+            f"Status: {'Healthy' if member.status is None else member.status.kind}")
+        lines.append(f"- {index}: {member.species} ({state})"
+                     f"{' [active]' if index == active_index else ''}")
     if history:
         lines += ["", "Previous turns:"]
         lines += [f"- {entry}" for entry in history]
-    attacks, switches = split_legal(legal)
     lines += ["", "Legal actions:"]
+    attacks: list[str] = []
+    switches: list[str] = []
+    for action in legal:  # attacks first, then switches, each in order
+        if action.kind == "attack":
+            move = dex.moves[own.moves[action.index]]
+            attacks.append(f"- move_index {action.index}: {_describe_move(move)}")
+        else:
+            member = team[action.index]
+            switches.append(f"- team_index {action.index}: {member.species} "
+                            f"(HP: {100 * member.current_hp // member.max_hp}%)")
     if attacks:
         lines.append("Attacks:")
-        for action in attacks:
-            move = dex.moves[own.moves[action.index]]
-            lines.append(f"- move_index {action.index}: {_describe_move(move)}")
+        lines += attacks
     if switches:
         lines.append("Switches:")
-        for action in switches:
-            member = view.own_team[action.index]
-            lines.append(f"- team_index {action.index}: {member.species} "
-                         f"(HP: {member.hp_percent}%)")
-    lines += [
-        "",
-        "What do you do? Choose a move or switch, and explain your reasoning.",
-        'Respond with only a JSON object with keys "action" and "reasoning". '
-        'For an attack use {"action": {"type": "attack", "move_index": N}, '
-        '"reasoning": "..."}; for a switch use {"action": {"type": "switch", '
-        '"team_index": N}, "reasoning": "..."}.',
-    ]
-    return "\n".join(lines)
+        lines += switches
+    return "\n".join(lines) + _BATTLE_TRAILER
 
 
 def repair_prompt(original: str, error: ParseError) -> str:
